@@ -21,6 +21,7 @@ from .bilinears import (
     algebraic_constraint_residuals,
     compute_currents,
     compute_currents_grid,
+    current_columns,
     current_set_to_dict,
     fierz_decompose,
     fierz_residual,
@@ -70,6 +71,7 @@ from .inversion import (
     reduced_state,
     reduced_system_residuals,
     singular_mask,
+    solution_checks,
 )
 from .planewave import (
     DkpResidual,

@@ -25,6 +25,7 @@ re-derives every identity family from the matrices themselves, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,23 @@ class KemmerRep:
     def beta_upper(self, mu):
         """Raised-index generator b^mu = eta^{mu mu} b_mu."""
         return METRIC_DIAG[mu] * self.beta[mu]
+
+    @cached_property
+    def current_matrices(self):
+        """The 26 current matrices as a (26, 5, 5) stack.
+
+        Order: I; b^2; b_0..b_3; companions c_0..c_3; b_mu b_nu row-major.
+        """
+        return np.stack([self.identity, self.beta_sq] + basis_matrices(self)[1:])
+
+    @cached_property
+    def current_table(self):
+        """(25, 26) table whose column k is eta M_k flattened.
+
+        Row 5a + b pairs left[a] with phi[b], so Phi_bar M_k Phi is the
+        product of the pairs conj(phi)[a] phi[b] with column k.
+        """
+        return np.stack([(self.eta @ m).reshape(25) for m in self.current_matrices], axis=1)
 
 
 def _exact_matrix(rows):

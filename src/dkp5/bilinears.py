@@ -31,10 +31,14 @@ import numpy as np
 from .algebra import METRIC_DIAG, KemmerRep
 from .errors import ModeError, ShapeError
 from .grids import WAVEFUNCTION, FieldGrid
-from .scalars import EXACT, FLOAT, GaussianRational, frac, to_complex
+from .scalars import EXACT, FLOAT, GaussianRational, frac
 
 #: Relative scale factor of the |Z| singularity threshold.
 Z_EPS = 1e-10
+
+#: Points per block of the current-table product; bounds the pair
+#: products and the BLAS work space whatever the grid size.
+_BLOCK = 1024
 
 
 @dataclass
@@ -55,73 +59,73 @@ class CurrentSet:
     tilde_Z: object
 
 
+def _exact_entry(c):
+    if isinstance(c, GaussianRational):
+        return c
+    if isinstance(c, (int, Fraction)):
+        return GaussianRational(c)
+    raise ModeError(f"exact-mode wavefunction entry {c!r} is not rational")
+
+
+_exact_entries = np.frompyfunc(_exact_entry, 1, 1)
+
+
 def as_wavefunction(phi, mode):
-    """Validate and normalize a 5-component wavefunction for the mode."""
-    if mode == EXACT:
-        comps = list(phi)
-        if len(comps) != 5:
-            raise ShapeError(f"wavefunction has {len(comps)} components, want 5")
-        out = np.empty(5, dtype=object)
-        for i, c in enumerate(comps):
-            if isinstance(c, GaussianRational):
-                out[i] = c
-            elif isinstance(c, (int, Fraction)):
-                out[i] = GaussianRational(c)
-            else:
-                raise ModeError(f"exact-mode wavefunction entry {c!r} is not rational")
-        return out
-    arr = np.asarray(phi, dtype=complex)
-    if arr.shape != (5,):
-        raise ShapeError(f"wavefunction has shape {arr.shape}, want (5,)")
-    return arr
+    """Validate and normalize wavefunctions of shape (..., 5) for the mode."""
+    arr = np.asarray(phi, dtype=object if mode == EXACT else complex)
+    if arr.ndim == 0 or arr.shape[-1] != 5:
+        raise ShapeError(f"wavefunction has shape {arr.shape}, want (..., 5)")
+    return _exact_entries(arr) if mode == EXACT else arr
+
+
+def _one_wavefunction(phi, mode):
+    phi = as_wavefunction(phi, mode)
+    if phi.shape != (5,):
+        raise ShapeError(f"wavefunction has shape {phi.shape}, want (5,)")
+    return phi
 
 
 def compute_currents(rep: KemmerRep, phi) -> CurrentSet:
-    """All Hermitian and tilde currents of one wavefunction."""
+    """All Hermitian and tilde currents of wavefunctions of shape (..., 5).
+
+    Every current is conj(Phi) eta M_k Phi (Hermitian) or Phi eta M_k Phi
+    (tilde) with M_k one of the 26 current matrices, so each sector is
+    the 25 pair products left[a] Phi[b] times ``rep.current_table``.
+    Fields carry the leading axes of ``phi``: scalars, four-vectors and
+    4x4 matrices for one wavefunction.
+    """
     phi = as_wavefunction(phi, rep.mode)
-    pb = np.conj(phi) @ rep.eta
-    pt = phi @ rep.eta
+    lead = phi.shape[:-1]
+    right = phi.reshape(-1, 5)
 
-    # Shared matrix-vector products; every current is then a 5-vector dot.
-    bphi = [rep.beta[n] @ phi for n in range(4)]
-    bsq_phi = rep.beta_sq @ phi
-    pb_b = [pb @ rep.beta[m] for m in range(4)]
-    pt_b = [pt @ rep.beta[m] for m in range(4)]
+    def bilinears(left):
+        out = np.empty((len(right), 26), dtype=np.result_type(phi, rep.current_table))
+        for s in range(0, len(right), _BLOCK):
+            # einsum keeps the pair products free of fused multiply-adds, so a
+            # constant phase of i or -1 leaves the Hermitian pairs bit-identical.
+            pairs = np.einsum("na,nb->nab", left[s : s + _BLOCK], right[s : s + _BLOCK])
+            np.matmul(pairs.reshape(-1, 25), rep.current_table, out=out[s : s + _BLOCK])
+        return out.reshape(lead + (26,))
 
-    S = pb @ phi
-    Sflat = pb @ bsq_phi
-    J = np.array([pb_b[m] @ phi for m in range(4)], dtype=object)
-    H = np.array([pb @ (rep.beta_dot[m] @ phi) for m in range(4)], dtype=object)
-    K = np.array(
-        [[pb_b[m] @ bphi[n] for n in range(4)] for m in range(4)], dtype=object
-    )
-    tS = pt @ phi
-    tSflat = pt @ bsq_phi
-    tJ = np.array([pt_b[m] @ phi for m in range(4)], dtype=object)
-    tK = np.array(
-        [[pt_b[m] @ bphi[n] for n in range(4)] for m in range(4)], dtype=object
-    )
+    h = bilinears(np.conj(right))
+    t = bilinears(right)  # columns 6..9, the companion tilde current, vanish
+    S, Sflat, J = h[..., 0][()], h[..., 1][()], h[..., 2:6]
+    tS, tSflat = t[..., 0][()], t[..., 1][()]
     if rep.mode == FLOAT:
         # S, Sflat and J are real by construction; drop the round-off phase.
-        S, Sflat = complex(S).real, complex(Sflat).real
-        J = np.array([complex(x).real for x in J])
-        H = H.astype(complex)
-        K = K.astype(complex)
-        tS, tSflat = complex(tS), complex(tSflat)
-        tJ = tJ.astype(complex)
-        tK = tK.astype(complex)
+        S, Sflat, J = S.real, Sflat.real, J.real
     return CurrentSet(
         mode=rep.mode,
         S=S,
         Sflat=Sflat,
         J=J,
-        H=H,
-        K=K,
+        H=h[..., 6:10],
+        K=h[..., 10:].reshape(lead + (4, 4)),
         Z=S - Sflat,
         tilde_S=tS,
         tilde_Sflat=tSflat,
-        tilde_J=tJ,
-        tilde_K=tK,
+        tilde_J=t[..., 2:6],
+        tilde_K=t[..., 10:].reshape(lead + (4, 4)),
         tilde_Z=tS - tSflat,
     )
 
@@ -167,26 +171,22 @@ def fierz_decompose(cs: CurrentSet) -> FierzCoefficients:
     return FierzCoefficients(a=a, j=j, h=h, k=k)
 
 
-def _rank_one_rhs(rep, cs, tilde):
-    """Basis expansion that should reproduce Phi Phi_bar (or Phi Phi_tilde)."""
+def _rank_one_rhs(rep, S, Sflat, J, H, K):
+    """Basis expansion that should reproduce Phi Phi_bar (or Phi Phi_tilde).
+
+    The weights on the 26 current matrices are the closed-form Fierz
+    coefficients of :func:`fierz_decompose`, with the tensor weights
+    raised, K^{nu mu} on b_mu b_nu.
+    """
     q = lambda n, d: frac(n, d, rep.mode)
-    g = METRIC_DIAG
-    if tilde:
-        S, Sflat, J = cs.tilde_S, cs.tilde_Sflat, cs.tilde_J
-    else:
-        S, Sflat, J = cs.S, cs.Sflat, cs.J
-    rhs = (q(5, 9) * S - q(2, 9) * Sflat) * rep.identity
-    for m in range(4):
-        rhs = rhs + q(1, 2) * g[m] * J[m] * rep.beta[m]
-    for m in range(4):
-        for n in range(4):
-            K_upper_nm = g[n] * g[m] * (cs.tilde_K[n, m] if tilde else cs.K[n, m])
-            rhs = rhs + K_upper_nm * (rep.beta[m] @ rep.beta[n])
-    if not tilde:
-        for m in range(4):
-            rhs = rhs - q(1, 2) * g[m] * cs.H[m] * rep.beta_dot[m]
-    rhs = rhs - (q(2, 9) * S + q(1, 9) * Sflat) * rep.beta_sq
-    return rhs
+    g = np.array(METRIC_DIAG)
+    weights = np.concatenate([
+        [q(5, 9) * S - q(2, 9) * Sflat, -(q(2, 9) * S + q(1, 9) * Sflat)],
+        q(1, 2) * g * J,
+        -q(1, 2) * g * H,
+        (np.outer(g, g) * K.T).reshape(16),
+    ])
+    return (weights @ rep.current_matrices.reshape(26, 25)).reshape(5, 5)
 
 
 def fierz_residual(rep: KemmerRep, phi, cs: CurrentSet | None = None):
@@ -196,13 +196,15 @@ def fierz_residual(rep: KemmerRep, phi, cs: CurrentSet | None = None):
     Phi Phi_tilde minus the tilde expansion (which omits the companion
     term).  Both vanish identically for every wavefunction.
     """
-    phi = as_wavefunction(phi, rep.mode)
+    phi = _one_wavefunction(phi, rep.mode)
     if cs is None:
         cs = compute_currents(rep, phi)
-    pb = np.conj(phi) @ rep.eta
-    pt = phi @ rep.eta
-    r_h = np.outer(phi, pb) - _rank_one_rhs(rep, cs, tilde=False)
-    r_c = np.outer(phi, pt) - _rank_one_rhs(rep, cs, tilde=True)
+    r_h = np.outer(phi, np.conj(phi) @ rep.eta) - _rank_one_rhs(
+        rep, cs.S, cs.Sflat, cs.J, cs.H, cs.K
+    )
+    r_c = np.outer(phi, phi @ rep.eta) - _rank_one_rhs(
+        rep, cs.tilde_S, cs.tilde_Sflat, cs.tilde_J, 0 * cs.tilde_J, cs.tilde_K
+    )
     return r_h, r_c
 
 
@@ -265,7 +267,7 @@ class ZetaResiduals:
 
 def zeta_identity_residuals(rep: KemmerRep, phi, cs: CurrentSet | None = None) -> ZetaResiduals:
     """zeta Phi Phi_tilde zeta - Ztilde zeta, and Z^2 - |Ztilde|^2."""
-    phi = as_wavefunction(phi, rep.mode)
+    phi = _one_wavefunction(phi, rep.mode)
     if cs is None:
         cs = compute_currents(rep, phi)
     pt = phi @ rep.eta
@@ -274,91 +276,62 @@ def zeta_identity_residuals(rep: KemmerRep, phi, cs: CurrentSet | None = None) -
     return ZetaResiduals(sandwich=sandwich, modulus=modulus)
 
 
+_PARTS = (("Re", "real"), ("Im", "imag"))
+
+#: Reported current components in CSV and JSON order: (column, field, index, part).
+CURRENT_COLUMNS = (
+    [("S", "S", (), "real"), ("Sflat", "Sflat", (), "real")]
+    + [(f"J{m}", "J", (m,), "real") for m in range(4)]
+    + [(f"ImH{m}", "H", (m,), "imag") for m in range(4)]
+    + [(f"{p}K{m}{n}", "K", (m, n), part)
+       for m in range(4) for n in range(4) for p, part in _PARTS]
+    + [("Z", "Z", (), "real")]
+    + [(p + "St", "tilde_S", (), part) for p, part in _PARTS]
+    + [(p + "Stflat", "tilde_Sflat", (), part) for p, part in _PARTS]
+    + [(f"{p}Jt{m}", "tilde_J", (m,), part) for m in range(4) for p, part in _PARTS]
+    + [(f"{p}Kt{m}{n}", "tilde_K", (m, n), part)
+       for m in range(4) for n in range(4) for p, part in _PARTS]
+    + [(p + "Zt", "tilde_Z", (), part) for p, part in _PARTS]
+)
+
+
+def current_columns(cs: CurrentSet) -> dict:
+    """Every reported current component as a real array, in column order.
+
+    The arrays carry the leading axes of the currents: 0-d for one point,
+    the grid axes for a :class:`CurrentGrid`.
+    """
+    def field(name):
+        v = np.asarray(getattr(cs, name))
+        return v.astype(complex) if v.dtype == object else v
+
+    return {
+        column: getattr(field(name)[(..., *index)], part)
+        for column, name, index, part in CURRENT_COLUMNS
+    }
+
+
 def current_set_to_dict(cs: CurrentSet) -> dict:
-    """Flat JSON-ready dict with fixed key order."""
-    c = to_complex
-    d = {"S": float(c(cs.S).real), "Sflat": float(c(cs.Sflat).real)}
-    for m in range(4):
-        d[f"J{m}"] = float(c(cs.J[m]).real)
-    for m in range(4):
-        d[f"ImH{m}"] = float(c(cs.H[m]).imag)
-    for m in range(4):
-        for n in range(4):
-            z = c(cs.K[m, n])
-            d[f"ReK{m}{n}"] = z.real
-            d[f"ImK{m}{n}"] = z.imag
-    d["Z"] = float(c(cs.Z).real)
-    zt = c(cs.tilde_S)
-    d["ReSt"], d["ImSt"] = zt.real, zt.imag
-    zt = c(cs.tilde_Sflat)
-    d["ReStflat"], d["ImStflat"] = zt.real, zt.imag
-    for m in range(4):
-        z = c(cs.tilde_J[m])
-        d[f"ReJt{m}"], d[f"ImJt{m}"] = z.real, z.imag
-    for m in range(4):
-        for n in range(4):
-            z = c(cs.tilde_K[m, n])
-            d[f"ReKt{m}{n}"], d[f"ImKt{m}{n}"] = z.real, z.imag
-    zt = c(cs.tilde_Z)
-    d["ReZt"], d["ImZt"] = zt.real, zt.imag
-    return d
+    """Flat JSON-ready dict of one point's currents with fixed key order."""
+    return {column: float(v) for column, v in current_columns(cs).items()}
 
 
 # ---------------------------------------------------------------------------
-# Vectorized currents over grids (float mode only).
+# Currents over grids (float mode only).
 
 @dataclass
-class CurrentGrid:
+class CurrentGrid(CurrentSet):
     """Per-point currents over a 4D lattice; leading axes are the grid."""
 
     extents: tuple
     spacing: tuple
-    S: np.ndarray
-    Sflat: np.ndarray
-    Z: np.ndarray
-    J: np.ndarray
-    H: np.ndarray
-    K: np.ndarray
-    tilde_S: np.ndarray
-    tilde_Sflat: np.ndarray
-    tilde_Z: np.ndarray
-    tilde_J: np.ndarray
-    tilde_K: np.ndarray
 
 
 def compute_currents_grid(rep: KemmerRep, grid: FieldGrid) -> CurrentGrid:
-    """Vectorized currents at every grid point."""
+    """Currents at every grid point."""
     if rep.mode != FLOAT:
         raise ModeError("grid currents require a float-mode representation")
     if grid.kind != WAVEFUNCTION:
         raise ShapeError("grid currents require a wavefunction grid")
-    phi = grid.values
-    B = np.stack(rep.beta)
-    BD = np.stack(rep.beta_dot)
-    BB = np.einsum("mab,nbc->mnac", B, B)
-    pb = np.einsum("...a,ab->...b", phi.conj(), rep.eta)
-    pt = np.einsum("...a,ab->...b", phi, rep.eta)
-    S = np.einsum("...a,...a->...", pb, phi).real
-    Sflat = np.einsum("...a,ab,...b->...", pb, rep.beta_sq, phi).real
-    J = np.einsum("...a,mab,...b->...m", pb, B, phi).real
-    H = np.einsum("...a,mab,...b->...m", pb, BD, phi)
-    K = np.einsum("...a,mnab,...b->...mn", pb, BB, phi)
-    tS = np.einsum("...a,...a->...", pt, phi)
-    tSflat = np.einsum("...a,ab,...b->...", pt, rep.beta_sq, phi)
-    tJ = np.einsum("...a,mab,...b->...m", pt, B, phi)
-    tK = np.einsum("...a,mnab,...b->...mn", pt, BB, phi)
-    return CurrentGrid(
-        extents=grid.extents,
-        spacing=grid.spacing,
-        S=S,
-        Sflat=Sflat,
-        Z=S - Sflat,
-        J=J,
-        H=H,
-        K=K,
-        tilde_S=tS,
-        tilde_Sflat=tSflat,
-        tilde_Z=tS - tSflat,
-        tilde_J=tJ,
-        tilde_K=tK,
-    )
+    cs = compute_currents(rep, grid.values)
+    return CurrentGrid(**vars(cs), extents=grid.extents, spacing=grid.spacing)

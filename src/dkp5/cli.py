@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import math
+import os
 import random
 import sys
 
@@ -28,29 +31,12 @@ from .algebra import (
     representation_from_betas,
     verify_algebra_identities,
 )
-from .bilinears import (
-    compute_currents,
-    compute_currents_grid,
-    current_set_to_dict,
-    fierz_residual,
-)
+from .bilinears import compute_currents_grid, current_columns, fierz_residual
 from .errors import DkpError, EmptyDomainError, MassShellError, ParameterError
 from .grids import SCALAR, FieldGrid, load_grid, max_abs, rms, store_grid
-from .inversion import (
-    divergence_identities,
-    h_elimination_residual,
-    invert_pipeline,
-    reduced_state,
-    reduced_system_residuals,
-    singular_mask,
-)
-from .planewave import (
-    PlaneWaveSpec,
-    constant_four_vector_grid,
-    manufacture_plane_wave,
-    plane_wave_gradient,
-)
-from .reports import all_pass, entry_from_values, report_entry, write_report
+from .inversion import invert_pipeline, singular_mask, solution_checks
+from .planewave import PlaneWaveSpec, manufacture_plane_wave, plane_wave_gradient
+from .reports import all_pass, report_entry, write_report
 from .scalars import EXACT, FLOAT, is_exact_zero, magnitude, random_exact_wavefunction
 from .words import BASIS_LABELS, reduce_word, word_reduction_sweep
 
@@ -59,11 +45,22 @@ EXIT_FAIL = 1
 EXIT_STRUCTURAL = 2
 
 
+def _real(text):
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"need a finite real, got {text!r}")
+    return x
+
+
+def _reals(values):
+    return tuple(_real(x) for x in values)
+
+
 def _four_vector(text):
-    parts = [float(x) for x in text.split(",")]
+    parts = _reals(text.split(","))
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(f"need 4 comma-separated reals, got {text!r}")
-    return tuple(parts)
+    return parts
 
 
 def _extents(text):
@@ -74,7 +71,7 @@ def _extents(text):
 
 
 def _spacing(text):
-    parts = [float(x) for x in text.split(",")]
+    parts = list(_reals(text.split(",")))
     if len(parts) == 1:
         parts = parts * 4
     if len(parts) != 4 or any(not h > 0 for h in parts):
@@ -83,7 +80,7 @@ def _spacing(text):
 
 
 def _complex_amplitude(text):
-    parts = [float(x) for x in text.split(",")]
+    parts = _reals(text.split(","))
     if len(parts) == 1:
         return complex(parts[0], 0.0)
     if len(parts) == 2:
@@ -110,7 +107,7 @@ def build_parser():
     p.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT)
     p.add_argument("--max-word-len", type=int, default=3,
                    help="word-reduction sweep depth; 0 skips the sweep")
-    p.add_argument("--tol", type=float, default=1e-12, help="float-mode tolerance")
+    p.add_argument("--tol", type=_real, default=1e-12, help="float-mode tolerance")
     p.add_argument("--fierz-samples", type=int, default=0,
                    help="also check the rank-one rearrangement on N random exact wavefunctions")
     p.add_argument("--seed", type=int, default=0)
@@ -127,8 +124,8 @@ def build_parser():
     p = sub.add_parser("manufacture", help="sample an exact plane-wave solution onto a grid file")
     p.add_argument("--p", type=_four_vector, required=True, help="phase momentum, lower index")
     p.add_argument("--A", type=_four_vector, required=True, help="constant potential, lower index")
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--e", type=float, required=True)
+    p.add_argument("--m", type=_real, required=True)
+    p.add_argument("--e", type=_real, required=True)
     p.add_argument("--amplitude", type=_complex_amplitude, default=complex(1.0))
     p.add_argument("--extents", type=_extents, required=True)
     p.add_argument("--spacing", type=_spacing, required=True)
@@ -156,15 +153,15 @@ def build_parser():
 def _add_residual_args(p):
     p.add_argument("--grid", required=True)
     p.add_argument("--sidecar", help="manufacture sidecar JSON (default: <grid>.json if present)")
-    p.add_argument("--m", type=float)
-    p.add_argument("--e", type=float)
+    p.add_argument("--m", type=_real)
+    p.add_argument("--e", type=_real)
     p.add_argument("--A", dest="A_flag", type=_four_vector,
                    help="constant reference potential when no sidecar is given")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--analytic", action="store_true",
                       help="closed-form derivatives (requires a plane-wave sidecar)")
     mode.add_argument("--fd", action="store_true", help="finite differences (default)")
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--tolerance", type=_real, default=1e-10)
     p.add_argument("--json", dest="json_path")
     p.add_argument("--csv", dest="csv_path")
 
@@ -282,34 +279,39 @@ def cmd_manufacture(args) -> int:
 def cmd_currents(args) -> int:
     _check_distinct_paths(args.grid, args.json_path, args.csv_path)
     grid = load_grid(args.grid)
-    rep = build_representation(FLOAT)
-    cg = compute_currents_grid(rep, grid)
-    rows = []
-    for idx in np.ndindex(*grid.extents):
-        cs = compute_currents(rep, grid.values[idx])
-        row = {"it": idx[0], "ix": idx[1], "iy": idx[2], "iz": idx[3]}
-        row.update(current_set_to_dict(cs))
-        rows.append(row)
+    cg = compute_currents_grid(build_representation(FLOAT), grid)
+    columns = _point_columns(grid.extents, current_columns(cg))
     if args.json_path:
-        write_report(args.json_path, {"extents": list(grid.extents), "points": rows})
+        write_report(args.json_path, {"extents": list(grid.extents), "points": _rows(columns)})
     if args.csv_path:
-        _write_csv(args.csv_path, rows)
+        _write_csv(args.csv_path, columns)
     if not args.json_path and not args.csv_path:
-        print(json.dumps(rows[: min(len(rows), 4)], indent=2))
-    print(f"{len(rows)} points, mean S = {float(np.mean(cg.S)):.6g}")
+        print(json.dumps(_rows(columns, 4), indent=2))
+    print(f"{grid.n_points} points, mean S = {float(np.mean(cg.S)):.6g}")
     return EXIT_PASS
 
 
-def _write_csv(path, rows):
+def _point_columns(extents, columns):
+    """Index columns it, ix, iy, iz, then ``columns``, as lists in row-major point order."""
+    index = np.indices(extents).reshape(4, -1).tolist()
+    out = dict(zip(("it", "ix", "iy", "iz"), index))
+    for name, values in columns.items():
+        out[name] = np.asarray(values).reshape(-1).tolist()
+    return out
+
+
+def _rows(columns, limit=None):
+    return [dict(zip(columns, row)) for row in itertools.islice(zip(*columns.values()), limit)]
+
+
+def _write_csv(path, columns):
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*columns.values()))
 
 
 def _check_distinct_paths(input_path, *outputs):
-    import os
-
     seen = os.path.abspath(input_path)
     for out in outputs:
         if out and os.path.abspath(out) == seen:
@@ -317,24 +319,35 @@ def _check_distinct_paths(input_path, *outputs):
 
 
 def _load_sidecar(args):
-    path = args.sidecar
-    if path is None:
-        candidate = args.grid + ".json"
-        try:
-            with open(candidate) as fh:
-                return json.load(fh)
-        except FileNotFoundError:
-            return None
-    with open(path) as fh:
-        return json.load(fh)
+    path = args.sidecar if args.sidecar is not None else args.grid + ".json"
+    if args.sidecar is None and not os.path.exists(path):
+        return None
+    try:
+        with open(path) as fh:
+            sidecar = json.load(fh)
+    except ValueError as exc:
+        raise ParameterError(f"sidecar {path} is not valid JSON: {exc}") from exc
+    if not isinstance(sidecar, dict):
+        raise ParameterError(f"sidecar {path} is not a JSON object")
+    return sidecar
+
+
+def _sidecar_value(sidecar, key, convert=_real):
+    """sidecar[key] through ``convert``; None without a sidecar or that key."""
+    if sidecar is None or key not in sidecar:
+        return None
+    try:
+        return convert(sidecar[key])
+    except (TypeError, ValueError, IndexError, argparse.ArgumentTypeError) as exc:
+        raise ParameterError(f"sidecar field {key!r} is malformed: {sidecar[key]!r}") from exc
 
 
 def _resolve_physics(args, sidecar):
-    m = args.m if args.m is not None else (sidecar or {}).get("m")
-    e = args.e if args.e is not None else (sidecar or {}).get("e")
+    m = args.m if args.m is not None else _sidecar_value(sidecar, "m")
+    e = args.e if args.e is not None else _sidecar_value(sidecar, "e")
     if m is None or e is None:
         raise ParameterError("m and e must be given explicitly (flags or sidecar)")
-    return float(m), float(e)
+    return m, e
 
 
 def _resolve_derivatives(args, sidecar, grid):
@@ -342,20 +355,22 @@ def _resolve_derivatives(args, sidecar, grid):
         return None
     if sidecar is None:
         raise ParameterError("--analytic requires a plane-wave sidecar")
-    amp = sidecar["amplitude"]
-    spec = PlaneWaveSpec(
-        p=sidecar["p"], A=sidecar["A"], m=sidecar["m"], e=sidecar["e"],
-        amplitude=complex(amp[0], amp[1]),
-    )
-    return plane_wave_gradient(spec, grid)
+    wave = {
+        key: _sidecar_value(sidecar, key, convert)
+        for key, convert in (("p", _reals), ("A", _reals), ("m", _real), ("e", _real),
+                             ("amplitude", lambda a: complex(*_reals(a[:2]))))
+    }
+    missing = [key for key, value in wave.items() if value is None]
+    if missing:
+        raise ParameterError(f"--analytic needs {', '.join(missing)} in the plane-wave sidecar")
+    return plane_wave_gradient(PlaneWaveSpec(**wave), grid)
 
 
 def _resolve_a_ref(args, sidecar):
     if args.A_flag is not None:
         return np.array(args.A_flag)
-    if sidecar is not None:
-        return np.array(sidecar["A"], dtype=float)
-    return None
+    a_ref = _sidecar_value(sidecar, "A", _reals)
+    return None if a_ref is None else np.array(a_ref)
 
 
 def cmd_invert(args) -> int:
@@ -383,8 +398,6 @@ def cmd_invert(args) -> int:
         "checks": entries,
     }
     if args.outdir:
-        import os
-
         os.makedirs(args.outdir, exist_ok=True)
         store_grid(out.a_full, os.path.join(args.outdir, "A_full.dkp5"))
         store_grid(out.a_gauge_fixed, os.path.join(args.outdir, "A_gauge_fixed.dkp5"))
@@ -398,28 +411,24 @@ def cmd_invert(args) -> int:
     if args.json_path:
         write_report(args.json_path, payload)
     if args.csv_path:
-        _residual_csv(args.csv_path, grid, out, entries)
+        _residual_csv(args.csv_path, out.singular_mask, {
+            "decomposition": out.a_full.values - out.a_gauge_fixed.values - out.gauge_term.values,
+            "a_full_norm": out.a_full.values,
+            "f_potential_norm": out.f_from_potential.values,
+            "f_bilinear_norm": out.f_bilinear.values,
+        })
     for entry in entries:
         print(f"{'PASS' if entry['pass'] else 'FAIL'} {entry['identity']}: "
               f"max_abs={entry['max_abs']:.3e} tol={entry['tolerance']:.3e}")
     return EXIT_PASS if all_pass(entries) else EXIT_FAIL
 
 
-def _residual_csv(path, grid, out, entries):
-    decomp = out.a_full.values - out.a_gauge_fixed.values - out.gauge_term.values
-    rows = []
-    for idx in np.ndindex(*grid.extents):
-        rows.append(
-            {
-                "it": idx[0], "ix": idx[1], "iy": idx[2], "iz": idx[3],
-                "masked": int(out.singular_mask[idx]),
-                "decomposition": float(np.max(np.abs(decomp[idx]))),
-                "a_full_norm": float(np.max(np.abs(out.a_full.values[idx]))),
-                "f_potential_norm": float(np.max(np.abs(out.f_from_potential.values[idx]))),
-                "f_bilinear_norm": float(np.max(np.abs(out.f_bilinear.values[idx]))),
-            }
-        )
-    _write_csv(path, rows)
+def _residual_csv(path, mask, residuals):
+    """One row per point: the mask flag, then max |value| over each residual's components."""
+    columns = {"masked": mask.astype(int)}
+    for name, values in residuals.items():
+        columns[name] = np.abs(values).reshape(mask.shape + (-1,)).max(axis=-1)
+    _write_csv(path, _point_columns(mask.shape, columns))
 
 
 def cmd_residuals(args) -> int:
@@ -437,22 +446,9 @@ def cmd_residuals(args) -> int:
     if mask.all():
         print("empty domain: every point is Z-singular", file=sys.stderr)
         return EXIT_STRUCTURAL
-    A_grid = constant_four_vector_grid(a_ref, grid.extents, grid.spacing)
-    div = divergence_identities(rep, grid, A_grid, m, e, dphi=dphi, cg=cg)
-    h_res = h_elimination_residual(cg, m)
-    state = reduced_state(cg, m, e)
-    rres = reduced_system_residuals(state)
-    tol = args.tolerance
-    entries = [
-        entry_from_values("current_conservation", div.dJ, mask, tol),
-        entry_from_values("companion_divergence", div.dH, mask, tol),
-        entry_from_values("current_potential_contraction", div.JA, mask, tol),
-        entry_from_values("companion_potential_contraction", div.HA, mask, tol),
-        entry_from_values("h_elimination", h_res.values, mask, tol),
-        entry_from_values("reduced_conservation", rres.conservation, mask, tol),
-        entry_from_values("reduced_modulus", rres.modulus, mask, tol),
-        entry_from_values("reduced_field_eq_lhs_cross_check", rres.lhs_cross_check, mask, tol),
-    ]
+    entries, div, h_res, rres = solution_checks(
+        rep, grid, cg, m, e, a_ref, dphi=dphi, tolerance=args.tolerance
+    )
     payload = {
         "grid": args.grid,
         "m": m,
@@ -468,28 +464,18 @@ def cmd_residuals(args) -> int:
     if args.json_path:
         write_report(args.json_path, payload)
     if args.csv_path:
-        rows = []
-        for idx in np.ndindex(*grid.extents):
-            rows.append(
-                {
-                    "it": idx[0], "ix": idx[1], "iy": idx[2], "iz": idx[3],
-                    "masked": int(mask[idx]),
-                    "dJ": float(abs(div.dJ[idx])),
-                    "dH": float(abs(div.dH[idx])),
-                    "JA": float(abs(div.JA[idx])),
-                    "HA": float(abs(div.HA[idx])),
-                    "h_elimination": float(np.max(np.abs(h_res.values[idx]))),
-                    "reduced_conservation": float(abs(rres.conservation[idx])),
-                    "reduced_modulus": float(abs(rres.modulus[idx])),
-                    "reduced_field_eq": float(np.max(np.abs(rres.field_eq[idx]))),
-                }
-            )
-        _write_csv(args.csv_path, rows)
+        _residual_csv(args.csv_path, mask, {
+            "dJ": div.dJ, "dH": div.dH, "JA": div.JA, "HA": div.HA,
+            "h_elimination": h_res.values,
+            "reduced_conservation": rres.conservation,
+            "reduced_modulus": rres.modulus,
+            "reduced_field_eq": rres.field_eq,
+        })
     for entry in entries:
         print(f"{'PASS' if entry['pass'] else 'FAIL'} {entry['identity']}: "
               f"max_abs={entry['max_abs']:.3e}")
     print(f"diagnostic reduced_field_eq max_abs={payload['diagnostics']['reduced_field_eq_max_abs']:.3e}")
-    return EXIT_PASS
+    return EXIT_PASS if all_pass(entries) else EXIT_FAIL
 
 
 def main(argv=None) -> int:

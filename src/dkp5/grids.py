@@ -23,6 +23,8 @@ layers; both are exact on quadratics.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -63,8 +65,8 @@ class FieldGrid:
             raise ShapeError("grids have exactly four axes")
         if any(n < 1 for n in self.extents):
             raise ShapeError(f"axis extents must be positive, got {self.extents}")
-        if any(not h > 0 for h in self.spacing):
-            raise ShapeError(f"axis spacings must be positive, got {self.spacing}")
+        if any(not (h > 0 and math.isfinite(h)) for h in self.spacing):
+            raise ShapeError(f"axis spacings must be positive and finite, got {self.spacing}")
         if self.kind not in _KIND_TRAILING:
             raise ShapeError(f"unknown payload kind {self.kind}")
         want = self.extents + _KIND_TRAILING[self.kind]
@@ -102,12 +104,13 @@ def store_grid(grid: FieldGrid, path):
 
 def load_grid(path) -> FieldGrid:
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = fh.read(_HEADER.size)
+        file_size = os.fstat(fh.fileno()).st_size
     if len(raw) < _HEADER.size:
         raise GridFormatError(
             f"file too short for header ({len(raw)} < {_HEADER.size} bytes)", offset=len(raw)
         )
-    magic, version, kind, n0, n1, n2, n3, h0, h1, h2, h3 = _HEADER.unpack_from(raw)
+    magic, version, kind, n0, n1, n2, n3, h0, h1, h2, h3 = _HEADER.unpack(raw)
     if magic != _MAGIC:
         raise GridFormatError(f"bad magic {magic!r}, want {_MAGIC!r}", offset=0)
     if version != _VERSION:
@@ -120,17 +123,18 @@ def load_grid(path) -> FieldGrid:
             raise GridFormatError(f"axis {i} has extent 0", offset=9 + 8 * i)
     spacing = (h0, h1, h2, h3)
     for i, h in enumerate(spacing):
-        if not h > 0 or not np.isfinite(h):
+        if not (h > 0 and math.isfinite(h)):
             raise GridFormatError(f"axis {i} has spacing {h}", offset=41 + 8 * i)
-    n_values = int(np.prod(extents)) * kind
+    # Sized in Python ints, which never wrap round, before anything is read.
+    n_values = math.prod(extents) * kind
     expected = n_values * 16
-    got = len(raw) - _HEADER.size
+    got = file_size - _HEADER.size
     if got != expected:
         raise GridFormatError(
             f"payload has {got} bytes, want {expected}", offset=_HEADER.size + min(got, expected)
         )
-    values = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).astype(complex)
-    values = values.reshape(extents + _KIND_TRAILING[kind])
+    values = np.fromfile(path, dtype="<c16", count=n_values, offset=_HEADER.size)
+    values = values.astype(complex, copy=False).reshape(extents + _KIND_TRAILING[kind])
     return FieldGrid(extents, spacing, kind, values)
 
 

@@ -28,6 +28,7 @@ threshold are masked and excluded from every reported norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,8 @@ def singular_mask(cg: CurrentGrid) -> np.ndarray:
 
 
 def _check_params(m, e):
+    if not (math.isfinite(m) and math.isfinite(e)):
+        raise ParameterError(f"m and e must be finite, got m={m}, e={e}")
     if e == 0:
         raise ParameterError("coupling e must be nonzero for the inversion")
     if m <= 0:
@@ -324,6 +327,43 @@ def reduced_system_residuals(state: ReducedState) -> ReducedResiduals:
     )
 
 
+def _reference_potential(A_ref):
+    a_ref = np.asarray(A_ref, dtype=float)
+    if a_ref.shape != (4,):
+        raise ShapeError("A_ref must be a constant four-vector")
+    if not np.isfinite(a_ref).all():
+        raise ParameterError(f"A_ref must be finite, got {a_ref}")
+    return a_ref
+
+
+def solution_checks(rep: KemmerRep, phi_grid: FieldGrid, cg: CurrentGrid, m, e, A_ref, dphi=None, tolerance=1e-10):
+    """Checks that hold when Phi solves the equation in the constant potential A_ref.
+
+    Returns (entries, divergence residuals, H-elimination residual,
+    reduced residuals): the eight report entries and the residuals
+    behind them.
+    """
+    mask = singular_mask(cg)
+    A_grid = constant_four_vector_grid(_reference_potential(A_ref), phi_grid.extents, phi_grid.spacing)
+    div = divergence_identities(rep, phi_grid, A_grid, m, e, dphi=dphi, cg=cg)
+    hres = h_elimination_residual(cg, m)
+    rres = reduced_system_residuals(reduced_state(cg, m, e))
+    entries = [
+        entry_from_values(name, values, mask, tolerance)
+        for name, values in (
+            ("current_conservation", div.dJ),
+            ("companion_divergence", div.dH),
+            ("current_potential_contraction", div.JA),
+            ("companion_potential_contraction", div.HA),
+            ("h_elimination", hres.values),
+            ("reduced_conservation", rres.conservation),
+            ("reduced_modulus", rres.modulus),
+            ("reduced_field_eq_lhs_cross_check", rres.lhs_cross_check),
+        )
+    ]
+    return entries, div, hres, rres
+
+
 @dataclass
 class InversionOutput:
     """Both potential routes, the gauge term, both field-strength routes."""
@@ -367,63 +407,23 @@ def invert_pipeline(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, A_ref=
     )
 
     entries = []
-    decomp = a_full.values - a_gf.values - g_term.values
-    scale = 1.0 + float(np.max(np.abs(a_full.values[~mask]))) if (~mask).any() else 1.0
-    entries.append(
-        entry_from_values("decomposition_full_vs_gauge_fixed_plus_gauge_term", decomp, mask, tolerance * scale)
-    )
-    entries.append(
-        entry_from_values(
-            "f_antisymmetry_potential_route",
-            f_pot.values + np.swapaxes(f_pot.values, -1, -2),
-            mask,
-            tolerance,
-        )
-    )
-    entries.append(
-        entry_from_values(
-            "f_antisymmetry_bilinear_route",
-            f_bil.values + np.swapaxes(f_bil.values, -1, -2),
-            mask,
-            tolerance,
-        )
-    )
 
+    def check(name, values, tol=tolerance):
+        entries.append(entry_from_values(name, values, mask, tol))
+
+    scale = 1.0 + float(np.max(np.abs(a_full.values[~mask]))) if (~mask).any() else 1.0
+    check("decomposition_full_vs_gauge_fixed_plus_gauge_term",
+          a_full.values - a_gf.values - g_term.values, tolerance * scale)
+    check("f_antisymmetry_potential_route", f_pot.values + np.swapaxes(f_pot.values, -1, -2))
+    check("f_antisymmetry_bilinear_route", f_bil.values + np.swapaxes(f_bil.values, -1, -2))
     if A_ref is not None:
-        a_ref = np.asarray(A_ref, dtype=float)
-        if a_ref.shape != (4,):
-            raise ShapeError("A_ref must be a constant four-vector")
-        ref_scale = 1.0 + float(np.max(np.abs(a_ref)))
+        a_ref = _reference_potential(A_ref)
         diff = a_full.values - a_ref
         diff[mask] = 0.0
-        entries.append(
-            entry_from_values("gauge_faithfulness_a_full", diff, mask, tolerance * ref_scale)
-        )
-        entries.append(
-            entry_from_values("f_from_potential_vanishes", f_pot.values, mask, tolerance)
-        )
-        entries.append(
-            entry_from_values("f_bilinear_vanishes", f_bil.values, mask, tolerance)
-        )
-        entries.append(
-            entry_from_values(
-                "f_route_agreement", f_bil.values - f_pot.values, mask, tolerance
-            )
-        )
-        A_grid = constant_four_vector_grid(a_ref, phi_grid.extents, phi_grid.spacing)
-        divres = divergence_identities(rep, phi_grid, A_grid, m, e, dphi=dphi, cg=cg)
-        entries.append(entry_from_values("current_conservation", divres.dJ, mask, tolerance))
-        entries.append(entry_from_values("companion_divergence", divres.dH, mask, tolerance))
-        entries.append(entry_from_values("current_potential_contraction", divres.JA, mask, tolerance))
-        entries.append(entry_from_values("companion_potential_contraction", divres.HA, mask, tolerance))
-        hres = h_elimination_residual(cg, m)
-        entries.append(entry_from_values("h_elimination", hres.values, mask, tolerance))
-        rstate = reduced_state(cg, m, e)
-        rres = reduced_system_residuals(rstate)
-        entries.append(entry_from_values("reduced_conservation", rres.conservation, mask, tolerance))
-        entries.append(entry_from_values("reduced_modulus", rres.modulus, mask, tolerance))
-        entries.append(
-            entry_from_values("reduced_field_eq_lhs_cross_check", rres.lhs_cross_check, mask, tolerance)
-        )
+        check("gauge_faithfulness_a_full", diff, tolerance * (1.0 + float(np.max(np.abs(a_ref)))))
+        check("f_from_potential_vanishes", f_pot.values)
+        check("f_bilinear_vanishes", f_bil.values)
+        check("f_route_agreement", f_bil.values - f_pot.values)
+        entries += solution_checks(rep, phi_grid, cg, m, e, a_ref, dphi, tolerance)[0]
 
     return out, entries

@@ -79,6 +79,12 @@ class GaussianRational:
 
     def __add__(self, other):
         if isinstance(other, GaussianRational):
+            # Products with zero return the shared zero; sums of sparse
+            # matrix products skip it without touching the Fractions.
+            if other is _GR_ZERO:
+                return self
+            if self is _GR_ZERO:
+                return other
             return GaussianRational._fast(self.re + other.re, self.im + other.im)
         if isinstance(other, (int, Fraction)):
             if not other:

@@ -198,18 +198,73 @@ def test_float_mode_residual_scaling(float_rep):
         assert np.max(np.abs(zr.sandwich)) < bound and abs(zr.modulus) < bound
 
 
-def test_grid_currents_match_pointwise(float_rep):
+def _definition_currents(rep, phi):
+    """Every current from its definition, conj(phi) eta M phi and phi eta M phi."""
+    b = rep.beta
+    mats = [rep.identity, rep.beta_sq, *b, *rep.beta_dot]
+    mats += [b[m] @ b[n] for m in range(4) for n in range(4)]
+    herm = np.array([np.conj(phi) @ rep.eta @ M @ phi for M in mats], dtype=object)
+    tilde = np.array([phi @ rep.eta @ M @ phi for M in mats], dtype=object)
+    # the companion tilde current vanishes identically
+    if rep.mode == "exact":
+        assert _all_zero(tilde[6:10])
+    else:
+        assert np.allclose(tilde[6:10].astype(complex), 0, atol=1e-13)
+    return {
+        "S": herm[0], "Sflat": herm[1], "J": herm[2:6], "H": herm[6:10],
+        "K": herm[10:].reshape(4, 4), "Z": herm[0] - herm[1],
+        "tilde_S": tilde[0], "tilde_Sflat": tilde[1], "tilde_J": tilde[2:6],
+        "tilde_K": tilde[10:].reshape(4, 4), "tilde_Z": tilde[0] - tilde[1],
+    }
+
+
+def _assert_definition(rep, cs, idx, phi):
+    for name, want in _definition_currents(rep, phi).items():
+        got = np.asarray(getattr(cs, name))[idx]
+        if rep.mode == "exact":
+            assert _all_zero(got - want), name
+        else:
+            assert np.allclose(got, np.asarray(want, dtype=complex), rtol=0, atol=1e-13), name
+
+
+def _random_exact(rng, shape):
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        out[idx] = GaussianRational(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10))),
+                                    Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10))))
+    return out
+
+
+def test_grid_currents_match_pointwise(exact_rep, float_rep):
     rng = np.random.default_rng(5)
-    vals = rng.standard_normal((2, 3, 1, 1, 5)) + 1j * rng.standard_normal((2, 3, 1, 1, 5))
+    shape = (2, 3, 1, 1, 5)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     grid = FieldGrid((2, 3, 1, 1), (0.1,) * 4, WAVEFUNCTION, vals)
-    cg = compute_currents_grid(float_rep, grid)
-    for idx in np.ndindex(2, 3, 1, 1):
-        cs = compute_currents(float_rep, vals[idx])
-        assert cg.S[idx] == pytest.approx(cs.S, abs=1e-13)
-        assert np.allclose(cg.J[idx], cs.J, atol=1e-13)
-        assert np.allclose(cg.H[idx], cs.H, atol=1e-13)
-        assert np.allclose(cg.K[idx], cs.K, atol=1e-13)
-        assert cg.tilde_Z[idx] == pytest.approx(cs.tilde_Z, abs=1e-13)
+    exact_vals = _random_exact(rng, shape)
+    batches = [
+        (float_rep, vals, compute_currents_grid(float_rep, grid)),
+        (float_rep, vals, compute_currents(float_rep, vals)),
+        (exact_rep, exact_vals, compute_currents(exact_rep, exact_vals)),
+    ]
+    for rep, values, cs in batches:
+        for idx in np.ndindex(*shape[:4]):
+            _assert_definition(rep, cs, idx, values[idx])
+            _assert_definition(rep, compute_currents(rep, values[idx]), (), values[idx])
+
+
+def test_grid_current_fields_dtype_and_shape(float_rep):
+    rng = np.random.default_rng(6)
+    vals = rng.standard_normal((3, 2, 1, 2, 5)) + 1j * rng.standard_normal((3, 2, 1, 2, 5))
+    cg = compute_currents_grid(float_rep, FieldGrid((3, 2, 1, 2), (0.1,) * 4, WAVEFUNCTION, vals))
+    assert cg.extents == (3, 2, 1, 2) and cg.spacing == (0.1,) * 4
+    for name, dtype, tail in (
+        ("S", float, ()), ("Sflat", float, ()), ("Z", float, ()), ("J", float, (4,)),
+        ("H", complex, (4,)), ("K", complex, (4, 4)),
+        ("tilde_S", complex, ()), ("tilde_Sflat", complex, ()), ("tilde_Z", complex, ()),
+        ("tilde_J", complex, (4,)), ("tilde_K", complex, (4, 4)),
+    ):
+        field = getattr(cg, name)
+        assert field.dtype == dtype and field.shape == cg.extents + tail, name
 
 
 def test_grid_currents_require_float(exact_rep, float_rep):
@@ -227,6 +282,7 @@ def test_current_dict_key_order(float_rep):
     assert keys[10] == "ReK00" and keys[11] == "ImK00"
     assert keys[42] == "Z"
     assert keys[-2:] == ["ReZt", "ImZt"]
+    assert len(keys) == 89
 
 
 def test_exact_wavefunction_rejects_floats(exact_rep):

@@ -180,3 +180,58 @@ def test_residuals_diagnostics(tmp_path):
     # external coupling leaves the self-interaction source unbalanced:
     # |defect| = (2 e^2 / m) |Z| |Jcal| = 2 * 3 * (2/3) = 4 here
     assert report["diagnostics"]["reduced_field_eq_max_abs"] == pytest.approx(4.0, abs=1e-9)
+
+
+def test_residuals_wrong_potential_exits_one(tmp_path, capsys):
+    grid_path = _manufacture(tmp_path)
+    assert run("residuals", "--grid", str(grid_path), "--analytic", "--A", "0.6,0,0,0") == 1
+    assert "FAIL current_potential_contraction" in capsys.readouterr().out
+
+
+def test_invert_nan_mass_exits_two(tmp_path):
+    grid_path = _manufacture(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run("invert", "--grid", str(grid_path), "--m", "nan", "--e", "1")
+    assert exc.value.code == 2
+
+
+def test_manufacture_infinite_spacing_exits_two(tmp_path):
+    out = tmp_path / "inf.dkp5"
+    with pytest.raises(SystemExit) as exc:
+        run("manufacture", "--p", "1,0,0,0", "--A", "0,0,0,0", "--m", "1", "--e", "1",
+            "--extents", "4,1,1,1", "--spacing", "inf", "-o", str(out))
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", ["{bad", "[1, 2]", "amplitude", "p", "A", "m", "NaN"])
+def test_malformed_sidecar_exits_two(tmp_path, edit):
+    grid_path = _manufacture(tmp_path)
+    sidecar = tmp_path / "pw.dkp5.json"
+    if edit in ("{bad", "[1, 2]"):
+        sidecar.write_text(edit)
+    else:
+        data = json.loads(sidecar.read_text())
+        if edit == "NaN":
+            data["A"][0] = float("nan")
+        else:
+            del data[edit]
+        sidecar.write_text(json.dumps(data))
+    assert run("invert", "--grid", str(grid_path), "--analytic", "--m", "1", "--e", "1") == 2
+
+
+def test_currents_json_matches_csv(tmp_path):
+    rng = np.random.default_rng(4)
+    vals = rng.standard_normal((2, 3, 1, 2, 5)) + 1j * rng.standard_normal((2, 3, 1, 2, 5))
+    grid_path = tmp_path / "g.dkp5"
+    store_grid(FieldGrid((2, 3, 1, 2), (0.1,) * 4, WAVEFUNCTION, vals), grid_path)
+    json_path, csv_path = tmp_path / "c.json", tmp_path / "c.csv"
+    assert run("currents", "--grid", str(grid_path), "--json", str(json_path),
+               "--csv", str(csv_path)) == 0
+    points = json.loads(json_path.read_text())["points"]
+    with open(csv_path) as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows[0]) == 93 and rows[0] == list(points[0])
+    assert [[str(v) for v in p.values()] for p in points] == rows[1:]
+    assert [tuple(p[k] for k in ("it", "ix", "iy", "iz")) for p in points] == list(
+        np.ndindex(2, 3, 1, 2))

@@ -1,7 +1,10 @@
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dkp5 import (
     FOUR_VECTOR,
@@ -86,6 +89,43 @@ def test_truncated_payload(tmp_path):
         load_grid(path)
 
 
+def test_extent_product_overflow(tmp_path):
+    # 2^40 * 2^40 values wraps to 0 bytes in int64; the loader must not
+    path = tmp_path / "g.dkp5"
+    path.write_bytes(struct.pack("<4sIB4Q4d", b"DKP5", 1, 1, 2**40, 2**40, 1, 1, 0.1, 0.1, 0.1, 0.1))
+    with pytest.raises(GridFormatError) as exc:
+        load_grid(path)
+    assert "want 19342813113834066795298816 (byte" in str(exc.value)
+
+
+@st.composite
+def grid_files(draw):
+    """Grid files with random, mostly plausible headers, cut at random."""
+    magic = draw(st.sampled_from([b"DKP5", b"DKP5", b"DKP4"]))
+    version = draw(st.sampled_from([1, 1, 0, 2**32 - 1]))
+    kind = draw(st.sampled_from([1, 4, 5, 16, 0, 7, 255]))
+    extent = st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1))
+    extents = draw(st.lists(extent, min_size=4, max_size=4))
+    spacing = draw(st.lists(st.one_of(st.just(0.1), st.floats()), min_size=4, max_size=4))
+    raw = struct.pack("<4sIB4Q4d", magic, version, kind, *extents, *spacing)
+    size = math.prod(extents) * kind * 16
+    raw += bytes(size if size <= 4096 else 0) + draw(st.binary(max_size=32))
+    return raw[: draw(st.one_of(st.just(len(raw)), st.integers(0, len(raw))))]
+
+
+@given(raw=grid_files())
+@example(raw=struct.pack("<4sIB4Q4d", b"DKP5", 1, 5, 2**32, 2**32, 1, 1, 0.1, 0.1, 0.1, 0.1))
+@settings(max_examples=300, deadline=None)
+def test_load_grid_fuzz_raises_only_format_errors(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz.dkp5"
+    path.write_bytes(raw)
+    try:
+        grid = load_grid(path)
+    except GridFormatError:
+        return
+    assert len(raw) == struct.calcsize("<4sIB4Q4d") + 16 * grid.values.size
+
+
 def test_unknown_kind(tmp_path):
     path = tmp_path / "g.dkp5"
     header = struct.pack("<4sIB4Q4d", b"DKP5", 1, 7, 1, 1, 1, 1, 0.1, 0.1, 0.1, 0.1)
@@ -102,6 +142,9 @@ def test_constructor_validation():
         FieldGrid((2, 1, 1, 1), (0.1, -0.1, 0.1, 0.1), SCALAR, np.zeros((2, 1, 1, 1)))
     with pytest.raises(ShapeError):
         FieldGrid((2, 1, 1, 1), (0.1,) * 4, FOUR_VECTOR, np.zeros((2, 1, 1, 1, 5)))
+    for h in (float("inf"), float("nan")):
+        with pytest.raises(ShapeError):
+            FieldGrid((2, 1, 1, 1), (0.1, h, 0.1, 0.1), SCALAR, np.zeros((2, 1, 1, 1)))
 
 
 def test_constant_field_derivative_zero():

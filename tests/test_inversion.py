@@ -367,3 +367,12 @@ def test_pipeline_reports_schema(float_rep):
         assert en["pass"]
     assert out.f_bilinear.values.shape == grid.extents + (4, 4)
     assert out.singular_mask.shape == grid.extents
+
+
+def test_non_finite_parameters_rejected(float_rep):
+    spec, grid = _solution()
+    for m, e in ((float("nan"), 1.0), (1.0, float("inf")), (float("inf"), 1.0)):
+        with pytest.raises(ParameterError):
+            invert_pipeline(float_rep, grid, m, e)
+    with pytest.raises(ParameterError):
+        invert_pipeline(float_rep, grid, 1.0, 1.0, A_ref=(0.0, float("nan"), 0.0, 0.0))
