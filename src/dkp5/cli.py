@@ -63,6 +63,16 @@ def _four_vector(text):
     return parts
 
 
+def _count(lo, hi=None):
+    """argparse type: an int n with lo <= n, and n <= hi unless hi is None."""
+    def count(text):
+        n = int(text)
+        if n < lo or (hi is not None and n > hi):
+            raise argparse.ArgumentTypeError(f"need an int in {lo}..{hi or ''}, got {text!r}")
+        return n
+    return count
+
+
 def _extents(text):
     parts = [int(x) for x in text.split(",")]
     if len(parts) != 4 or any(n < 1 for n in parts):
@@ -105,10 +115,10 @@ def build_parser():
 
     p = sub.add_parser("verify-algebra", help="check every matrix identity family")
     p.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT)
-    p.add_argument("--max-word-len", type=int, default=3,
-                   help="word-reduction sweep depth; 0 skips the sweep")
+    p.add_argument("--max-word-len", type=_count(0, 10), default=3,
+                   help="word-reduction sweep depth, 0..10; 0 skips the sweep")
     p.add_argument("--tol", type=_real, default=1e-12, help="float-mode tolerance")
-    p.add_argument("--fierz-samples", type=int, default=0,
+    p.add_argument("--fierz-samples", type=_count(0), default=0,
                    help="also check the rank-one rearrangement on N random exact wavefunctions")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", dest="json_path", help="write the report here")

@@ -14,7 +14,7 @@ File format (little-endian, self-describing, bit-exact round trip):
     kind    u8  (components per point)
     extents 4 x u64           slowest axis first (t)
     spacing 4 x f64
-    payload f64 pairs (re, im), row-major, component index fastest
+    payload f64 pairs (re, im), row-major, component index fastest; all finite
 
 Derivatives use second-order central differences in the interior and
 the one-sided stencil (-3 f0 + 4 f1 - f2) / 2h at the two boundary
@@ -87,6 +87,20 @@ class FieldGrid:
         return self.extents == other.extents and self.spacing == other.spacing
 
 
+def check_addressable(extents, kind):
+    """ShapeError unless numpy can address a payload of this shape; allocates nothing."""
+    nbytes = math.prod(extents) * kind * 16  # Python ints never wrap round
+    if nbytes > np.iinfo(np.intp).max:
+        raise ShapeError(f"extents {tuple(extents)} need {nbytes} bytes, more than numpy can address")
+
+
+def _check_finite(payload, message):
+    """GridFormatError at the file offset of the first non-finite float of a '<c16' payload."""
+    finite = np.isfinite(payload.reshape(-1).view("<f8"))
+    if not finite.all():
+        raise GridFormatError(message, offset=_HEADER.size + 8 * int(finite.argmin()))
+
+
 def coordinate_axes(extents, spacing):
     """Per-axis coordinate arrays; the grid origin sits at 0."""
     return [np.arange(n) * h for n, h in zip(extents, spacing)]
@@ -97,6 +111,7 @@ def store_grid(grid: FieldGrid, path):
         _MAGIC, _VERSION, grid.kind, *grid.extents, *grid.spacing
     )
     payload = np.ascontiguousarray(grid.values, dtype="<c16")
+    _check_finite(payload, "refusing to write a non-finite value")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload.tobytes())
@@ -134,6 +149,7 @@ def load_grid(path) -> FieldGrid:
             f"payload has {got} bytes, want {expected}", offset=_HEADER.size + min(got, expected)
         )
     values = np.fromfile(path, dtype="<c16", count=n_values, offset=_HEADER.size)
+    _check_finite(values, "payload holds a non-finite value")
     values = values.astype(complex, copy=False).reshape(extents + _KIND_TRAILING[kind])
     return FieldGrid(extents, spacing, kind, values)
 

@@ -30,6 +30,7 @@ from .grids import (
     FOUR_VECTOR,
     WAVEFUNCTION,
     FieldGrid,
+    check_addressable,
     coordinate_axes,
     gradient,
 )
@@ -106,9 +107,11 @@ def _phase_exponent(p, extents, spacing):
 def manufacture_plane_wave(spec: PlaneWaveSpec, extents, spacing) -> FieldGrid:
     """Sample Phi(x) = phi exp(-i p.x) on the lattice.
 
-    Raises MassShellError when k = p - eA is off shell, so the returned
-    grid always has identically vanishing continuum residual.
+    Raises ShapeError when numpy cannot address the payload, and
+    MassShellError when k = p - eA is off shell, so the returned grid
+    always has identically vanishing continuum residual.
     """
+    check_addressable(extents, WAVEFUNCTION)
     spec.check_on_shell()
     px = _phase_exponent(spec.p, extents, spacing)
     values = spec.amplitude_vector() * np.exp(-1j * px)[..., None]

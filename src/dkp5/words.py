@@ -1,22 +1,19 @@
-"""Symbolic reduction of generator words onto the 25-element basis.
+"""Reduction of generator words onto the 25-element basis by integer matrices.
 
-A word (w1, ..., wn) denotes the matrix product b_{w1} ... b_{wn}.
-Because the cubic rewrite
+A word (w1, ..., wn) denotes the matrix product b_{w1} ... b_{wn}.  The
+basis {I; b_mu; c_mu; b_mu b_nu} (c_mu the companion generator) is closed
+under right multiplication by b_nu through the cubic rewrite
 
     b_lam b_mu b_nu = (eta_{lam mu} (b_nu - c_nu) + eta_{nu mu} (b_lam + c_lam)) / 2
 
-(c_mu the companion generator) expresses any triple product on the
-canonical basis {I; b_mu; c_mu; b_mu b_nu}, reduction proceeds by a
-single left-to-right fold: keep a linear combination over the basis and
-multiply one generator at a time through precomputed structure
-constants.  The fold is linear, so it is confluent by construction; the
-structure constants themselves are validated entry-by-entry against the
-explicit matrices in the test suite.
-
-Two right-multiplication tables are built at import time, one for
-multiplying by b_nu and one for c_nu; together they also give products
-of arbitrary basis combinations.  All coefficients are exact rationals,
-no matrix arithmetic is involved.
+and the mixed product c_mu b_nu = b_mu b_nu - (2/3) eta_{mu nu} (b^2 - I).
+Their denominators are 2 and 3, so ``RIGHT6[nu]``, six times the matrix
+that takes a coefficient row vector to the combination times b_nu, is an
+integer 25x25 matrix, and reducing a word is a chain of matrix products
+(confluent by linearity).  ``STRUCTURE648[j]``, 648 times the right
+multiplication by basis element j, follows from RIGHT6 by products alone,
+with c_nu = (b_nu b^2 - b^2 b_nu) / 3.  The test suite checks both tables
+against the explicit matrices.
 """
 
 from __future__ import annotations
@@ -27,15 +24,7 @@ import numpy as np
 
 from .algebra import METRIC_DIAG, basis_matrices
 from .errors import ModeError, WordIndexError
-from .scalars import (
-    EXACT,
-    FLOAT,
-    GaussianRational,
-    check_mode,
-    is_exact_zero,
-    magnitude,
-    to_complex,
-)
+from .scalars import EXACT, FLOAT, GaussianRational, check_mode, to_complex
 
 N_BASIS = 25
 IDX_I = 0
@@ -60,79 +49,40 @@ BASIS_LABELS = tuple(
     + [f"b{m}b{n}" for m in range(4) for n in range(4)]
 )
 
-_HALF = Fraction(1, 2)
-_TWO_THIRDS = Fraction(2, 3)
 
-# b^2 expressed on the basis: eta^{rho rho} b_rho b_rho summed over rho.
-_SQ_COMBO = tuple((idx_pair(r, r), Fraction(METRIC_DIAG[r])) for r in range(4))
-
-
-def _add(d, idx, coeff):
-    if coeff:
-        d[idx] = d.get(idx, Fraction(0)) + coeff
-
-
-def _cubic_combo(lam, mu, nu):
-    """b_lam b_mu b_nu on the basis (the degree-3 rewrite)."""
-    d = {}
-    if lam == mu:
-        s = _HALF * METRIC_DIAG[lam]
-        _add(d, idx_beta(nu), s)
-        _add(d, idx_companion(nu), -s)
-    if nu == mu:
-        s = _HALF * METRIC_DIAG[nu]
-        _add(d, idx_beta(lam), s)
-        _add(d, idx_companion(lam), s)
-    return d
-
-
-def _build_tables():
-    right_beta = [[None] * 4 for _ in range(N_BASIS)]
-    right_comp = [[None] * 4 for _ in range(N_BASIS)]
+def _right6():
+    """RIGHT6[nu], row i: 6 (basis_i b_nu) on the basis."""
+    g = METRIC_DIAG
+    sq_minus_i = np.zeros(N_BASIS, dtype=np.int64)  # b^2 - I on the basis
+    sq_minus_i[[IDX_I] + [idx_pair(rho, rho) for rho in range(4)]] = (-1, *g)
+    r = np.zeros((4, N_BASIS, N_BASIS), dtype=np.int64)
     for nu in range(4):
-        right_beta[IDX_I][nu] = ((idx_beta(nu), Fraction(1)),)
-        right_comp[IDX_I][nu] = ((idx_companion(nu), Fraction(1)),)
+        r[nu, IDX_I, idx_beta(nu)] = 6
         for mu in range(4):
-            # b_mu * b_nu is itself a basis element.
-            right_beta[idx_beta(mu)][nu] = ((idx_pair(mu, nu), Fraction(1)),)
-
-            # c_mu * b_nu = b_mu b_nu - (2/3) eta_{mu nu} (b^2 - I)
-            d = {idx_pair(mu, nu): Fraction(1)}
-            if mu == nu:
-                s = _TWO_THIRDS * METRIC_DIAG[mu]
-                for j, c in _SQ_COMBO:
-                    _add(d, j, -s * c)
-                _add(d, IDX_I, s)
-            right_beta[idx_companion(mu)][nu] = tuple(d.items())
-
-            # b_mu * c_nu = -b_mu b_nu + (2/3) eta_{mu nu} (b^2 - I)
-            d = {idx_pair(mu, nu): Fraction(-1)}
-            if mu == nu:
-                s = _TWO_THIRDS * METRIC_DIAG[mu]
-                for j, c in _SQ_COMBO:
-                    _add(d, j, s * c)
-                _add(d, IDX_I, -s)
-            right_comp[idx_beta(mu)][nu] = tuple(d.items())
-
-            # c_mu * c_nu = -b_mu b_nu
-            right_comp[idx_companion(mu)][nu] = ((idx_pair(mu, nu), Fraction(-1)),)
-
+            r[nu, idx_beta(mu), idx_pair(mu, nu)] = 6
+            r[nu, idx_companion(mu), idx_pair(mu, nu)] = 6
+        # c_mu b_nu = b_mu b_nu - (2/3) eta_{mu nu} (b^2 - I)
+        r[nu, idx_companion(nu)] -= 4 * g[nu] * sq_minus_i
         for lam in range(4):
-            for mu in range(4):
-                # (b_lam b_mu) * b_nu: the cubic rewrite verbatim.
-                right_beta[idx_pair(lam, mu)][nu] = tuple(_cubic_combo(lam, mu, nu).items())
-
-                # (b_lam b_mu) * c_nu = -b_lam b_mu b_nu + eta_{mu nu} (b_lam + c_lam)
-                d = {j: -c for j, c in _cubic_combo(lam, mu, nu).items()}
-                if mu == nu:
-                    s = Fraction(METRIC_DIAG[mu])
-                    _add(d, idx_beta(lam), s)
-                    _add(d, idx_companion(lam), s)
-                right_comp[idx_pair(lam, mu)][nu] = tuple(d.items())
-    return right_beta, right_comp
+            # The cubic rewrite: its eta_{lam mu} term, then its eta_{nu mu} term.
+            r[nu, idx_pair(lam, lam), [idx_beta(nu), idx_companion(nu)]] += (3 * g[lam], -3 * g[lam])
+            r[nu, idx_pair(lam, nu), [idx_beta(lam), idx_companion(lam)]] += 3 * g[nu]
+    return r
 
 
-RIGHT_BETA, RIGHT_COMPANION = _build_tables()
+def _structure648(r6):
+    """STRUCTURE648[j], row i: 648 (basis_i basis_j) on the basis."""
+    sq36 = np.einsum("r,rij,rjk->ik", np.array(METRIC_DIAG), r6, r6)  # 36 R_{b^2}
+    t = np.empty((N_BASIS, N_BASIS, N_BASIS), dtype=np.int64)
+    t[IDX_I] = 648 * np.eye(N_BASIS, dtype=np.int64)
+    t[idx_beta(0):idx_beta(4)] = 108 * r6
+    t[idx_companion(0):idx_companion(4)] = r6 @ sq36 - sq36 @ r6
+    t[idx_pair(0, 0):] = 18 * np.einsum("mij,njk->mnik", r6, r6).reshape(16, N_BASIS, N_BASIS)
+    return t
+
+
+RIGHT6 = _right6()
+STRUCTURE648 = _structure648(RIGHT6)
 
 
 class BasisCombination:
@@ -202,18 +152,8 @@ class BasisCombination:
         return cls(coeffs, mode)
 
 
-def _fold(coeffs, table, nu):
-    out = [Fraction(0)] * N_BASIS
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        for j, s in table[i][nu]:
-            out[j] = out[j] + c * s
-    return out
-
-
 def reduce_word(word) -> BasisCombination:
-    """Canonical basis expansion of b_{w1} ... b_{wn}, purely symbolically.
+    """Canonical basis expansion of b_{w1} ... b_{wn}: e_I 6R_{w1} ... 6R_{wn} / 6^n.
 
     The empty word reduces to the identity element.
     """
@@ -221,30 +161,21 @@ def reduce_word(word) -> BasisCombination:
     for idx in word:
         if not isinstance(idx, (int, np.integer)) or not 0 <= idx <= 3:
             raise WordIndexError(f"generator index {idx!r} outside 0..3")
-    acc = [Fraction(0)] * N_BASIS
-    acc[IDX_I] = Fraction(1)
+    acc = np.eye(N_BASIS, dtype=object)[IDX_I]
     for nu in word:
-        acc = _fold(acc, RIGHT_BETA, nu)
-    return BasisCombination(acc, EXACT)
+        acc = acc @ RIGHT6[nu].astype(object)  # Python ints: exact at any length
+    scale = 6 ** len(word)
+    return BasisCombination([Fraction(c, scale) for c in acc], EXACT)
 
 
 def combination_product(c1: BasisCombination, c2: BasisCombination) -> BasisCombination:
-    """Product of two basis combinations through the structure constants."""
+    """Product of two basis combinations: c1 (sum_j c2_j STRUCTURE648[j]) / 648."""
     if c1.mode != EXACT or c2.mode != EXACT:
         raise ModeError("combination products are defined for exact mode")
-    total = [GaussianRational(0)] * N_BASIS
-    for j, cj in c2.nonzero():
-        if j == IDX_I:
-            part = list(c1.coeffs)
-        elif 1 <= j <= 4:
-            part = _fold(c1.coeffs, RIGHT_BETA, j - 1)
-        elif 5 <= j <= 8:
-            part = _fold(c1.coeffs, RIGHT_COMPANION, j - 5)
-        else:
-            mu, nu = divmod(j - 9, 4)
-            part = _fold(_fold(c1.coeffs, RIGHT_BETA, mu), RIGHT_BETA, nu)
-        total = [t + cj * p for t, p in zip(total, part)]
-    return BasisCombination(total, EXACT)
+    a, b = (np.array(c.coeffs, dtype=object) for c in (c1, c2))
+    i, j = a.nonzero()[0], b.nonzero()[0]  # zero coefficients contribute nothing
+    right = np.tensordot(b[j], STRUCTURE648[np.ix_(j, i)].astype(object), axes=1)
+    return BasisCombination(a[i] @ right * Fraction(1, 648), EXACT)
 
 
 def eval_basis_combination(rep, combo: BasisCombination, basis=None):
@@ -275,43 +206,69 @@ def word_matrix_product(rep, word):
     return out
 
 
+def _checked_matmul(a, b):
+    """a @ b on int64 arrays; OverflowError unless every entry fits in half the
+    range, which leaves room to subtract two checked products."""
+    # In Python ints, since np.abs wraps round on the most negative int64.
+    bound = a.shape[-1] * max(int(a.max()), -int(a.min())) * max(int(b.max()), -int(b.min()))
+    if bound > np.iinfo(np.int64).max // 2:
+        raise OverflowError(f"int64 product could reach {bound}")
+    return a @ b
+
+
+def _exact_int64(mats):
+    """Exact matrices as int64: ModeError on a non-integer entry, OverflowError past int64."""
+    ints = np.asarray(mats, dtype=object).reshape(-1)
+    if not all(getattr(x, "denominator", None) == 1 for x in ints):
+        raise ModeError("the exact word sweep needs integer (int or Fraction) generators")
+    return np.array([int(x) for x in ints], dtype=np.int64).reshape(np.shape(mats))
+
+
 def word_reduction_sweep(rep, max_len, tol=1e-12):
     """Check eval(reduce(w)) == product(w) for every word with 1 <= |w| <= max_len.
 
-    Walks the word tree breadth-first so both the products and the folds
-    reuse their length-(n-1) prefixes.  Returns (words_checked,
-    mismatches, max_abs_residual).
+    Takes one word length L at a time, all its words in one product each:
+    coefficient rows C_L = C_(L-1) RIGHT6[nu] and oracle products
+    P_L = P_(L-1) (6 b_nu) from P_0 = 3 I, both 6^L times the true
+    values, then compares C_L (3 B) with P_L, B the basis matrices flattened.
+    Exact mode runs in int64 and bounds every product first, raising
+    OverflowError rather than wrap round; it needs integer generators (so
+    that 3 c_mu is an integer matrix) and raises ModeError for any other
+    exact representation.  Float mode runs on the representation's complex
+    matrices and counts a mismatch where a residual exceeds ``tol``.
+    Returns (words_checked, mismatches, max_abs_residual).
     """
-    basis = basis_matrices(rep)
     exact = rep.mode == EXACT
-    words = 0
-    mismatches = 0
+    if exact:
+        six_beta = _checked_matmul(_exact_int64(rep.beta), 6 * np.eye(5, dtype=np.int64))
+        basis3 = _exact_int64([3 * m for m in basis_matrices(rep)]).reshape(N_BASIS, 25)
+        prods = 3 * np.eye(5, dtype=np.int64)[None]
+        matmul = _checked_matmul
+    else:
+        six_beta = 6 * np.stack(rep.beta)
+        basis3 = 3 * np.stack(basis_matrices(rep)).reshape(N_BASIS, 25)
+        prods = 3 * rep.identity[None]
+        matmul = np.matmul
+    # Column block nu of the (25, 100) table is 6 R_nu, so row 4 k + nu of
+    # the next level extends word k by nu.
+    right6 = RIGHT6.transpose(1, 0, 2).reshape(N_BASIS, 4 * N_BASIS)
+    coeffs = np.eye(N_BASIS, dtype=np.int64)[[IDX_I]]
+    words = mismatches = 0
     max_res = 0.0
-    start = [Fraction(0)] * N_BASIS
-    start[IDX_I] = Fraction(1)
-    level = [(rep.identity, start)]
-    for _ in range(max_len):
-        nxt = []
-        for prod, coeffs in level:
-            for nu in range(4):
-                p2 = prod @ rep.beta[nu]
-                c2 = _fold(coeffs, RIGHT_BETA, nu)
-                nxt.append((p2, c2))
-                words += 1
-                if exact:
-                    combo = BasisCombination(c2, EXACT)
-                else:
-                    combo = BasisCombination([to_complex(c) for c in c2], FLOAT)
-                diff = eval_basis_combination(rep, combo, basis=basis) - p2
-                entries = diff.reshape(-1)
-                if exact:
-                    if any(not is_exact_zero(x) for x in entries):
-                        mismatches += 1
-                        max_res = max(max_res, max(magnitude(x) for x in entries))
-                else:
-                    r = max(magnitude(x) for x in entries)
-                    max_res = max(max_res, r)
-                    if r > tol:
-                        mismatches += 1
-        level = nxt
+    for length in range(1, max_len + 1):
+        coeffs = _checked_matmul(coeffs, right6).reshape(-1, N_BASIS)
+        prods = matmul(prods[:, None], six_beta).reshape(-1, 5, 5)
+        words += len(coeffs)
+        scale = 3 * 6**length
+        # In place: the level's arrays set the sweep's peak memory.
+        lhs = matmul(coeffs, basis3)
+        lhs -= prods.reshape(-1, 25)
+        worst = np.abs(lhs, out=lhs).max(axis=1)
+        if exact:
+            mismatches += int(np.count_nonzero(worst))
+            max_res = max(max_res, float(Fraction(int(worst.max()), scale)))
+        else:
+            worst = worst.real / scale
+            mismatches += int((worst > tol).sum())
+            max_res = max(max_res, float(worst.max()))
     return words, mismatches, max_res

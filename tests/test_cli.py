@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -235,3 +236,38 @@ def test_currents_json_matches_csv(tmp_path):
     assert [[str(v) for v in p.values()] for p in points] == rows[1:]
     assert [tuple(p[k] for k in ("it", "ix", "iy", "iz")) for p in points] == list(
         np.ndindex(2, 3, 1, 2))
+
+
+@pytest.mark.parametrize("args", [["--max-word-len", "-2"], ["--max-word-len", "11"],
+                                  ["--max-word-len", "two"], ["--fierz-samples", "-1"]])
+def test_verify_algebra_counts_out_of_range_exit_two(args):
+    with pytest.raises(SystemExit) as exc:
+        run("verify-algebra", *args)
+    assert exc.value.code == 2
+
+
+def test_verify_algebra_word_len_eight(tmp_path):
+    out = tmp_path / "report.json"
+    assert run("verify-algebra", "--mode", "exact", "--max-word-len", "8",
+               "--json", str(out)) == 0
+    assert json.loads(out.read_text())["word_sweep"] == {
+        "words": 87380, "mismatches": 0, "max_abs": 0.0}
+
+
+@pytest.mark.parametrize("command", [["currents"], ["invert", "--m", "1", "--e", "1"]])
+def test_non_finite_grid_exits_two(tmp_path, capsys, command):
+    grid_path = _manufacture(tmp_path)
+    raw = bytearray(grid_path.read_bytes())
+    raw[-8:] = struct.pack("<d", float("nan"))
+    grid_path.write_bytes(bytes(raw))
+    assert run(*command, "--grid", str(grid_path)) == 2
+    assert f"non-finite value (byte offset {len(raw) - 8})" in capsys.readouterr().err
+
+
+def test_manufacture_unaddressable_extents_exits_two(tmp_path, capsys):
+    out = tmp_path / "huge.dkp5"
+    assert run("manufacture", "--p", "1,0,0,0", "--A", "0,0,0,0", "--m", "1", "--e", "1",
+               "--extents", "100000,100000,100000,100000", "--spacing", "0.1",
+               "-o", str(out)) == 2
+    assert "more than numpy can address" in capsys.readouterr().err
+    assert not out.exists()

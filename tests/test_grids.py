@@ -109,7 +109,10 @@ def grid_files(draw):
     spacing = draw(st.lists(st.one_of(st.just(0.1), st.floats()), min_size=4, max_size=4))
     raw = struct.pack("<4sIB4Q4d", magic, version, kind, *extents, *spacing)
     size = math.prod(extents) * kind * 16
-    raw += bytes(size if size <= 4096 else 0) + draw(st.binary(max_size=32))
+    payload = bytes(size if size <= 4096 else 0)
+    if 0 < size <= 256 and draw(st.booleans()):
+        payload = draw(st.binary(min_size=size, max_size=size))  # may hold NaN or inf
+    raw += payload + draw(st.binary(max_size=32))
     return raw[: draw(st.one_of(st.just(len(raw)), st.integers(0, len(raw))))]
 
 
@@ -124,6 +127,33 @@ def test_load_grid_fuzz_raises_only_format_errors(tmp_path_factory, raw):
     except GridFormatError:
         return
     assert len(raw) == struct.calcsize("<4sIB4Q4d") + 16 * grid.values.size
+    assert np.isfinite(grid.values).all()
+
+
+@pytest.mark.parametrize("value, part", [(np.nan, 1), (np.inf, 0), (-np.inf, 1)])
+def test_non_finite_payload_rejected(tmp_path, value, part):
+    rng = np.random.default_rng(2)
+    grid = _random_grid(rng, (2, 3, 1, 1), WAVEFUNCTION)
+    path = tmp_path / "g.dkp5"
+    store_grid(grid, path)
+    raw = bytearray(path.read_bytes())
+    offset = struct.calcsize("<4sIB4Q4d") + 16 * 17 + 8 * part  # point (1, 0), component 2
+    raw[offset:offset + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(GridFormatError) as exc:
+        load_grid(path)
+    assert exc.value.offset == offset
+
+
+def test_store_refuses_non_finite(tmp_path):
+    rng = np.random.default_rng(3)
+    grid = _random_grid(rng, (2, 1, 1, 1), FOUR_VECTOR)
+    grid.values[1, 0, 0, 0, 3] = complex(0.0, np.nan)
+    path = tmp_path / "g.dkp5"
+    with pytest.raises(GridFormatError) as exc:
+        store_grid(grid, path)
+    assert exc.value.offset == struct.calcsize("<4sIB4Q4d") + 16 * 7 + 8
+    assert not path.exists()
 
 
 def test_unknown_kind(tmp_path):

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,13 +13,14 @@ from dkp5 import (
     combination_product,
     eval_basis_combination,
     reduce_word,
+    representation_from_betas,
     word_matrix_product,
     word_reduction_sweep,
 )
 from dkp5.algebra import basis_matrices
 from dkp5.errors import ModeError, WordIndexError
-from dkp5.scalars import GaussianRational, is_exact_zero
-from dkp5.words import IDX_I, RIGHT_BETA, RIGHT_COMPANION, idx_beta
+from dkp5.scalars import GaussianRational, is_exact_zero, magnitude
+from dkp5.words import IDX_I, STRUCTURE648, _checked_matmul, idx_beta
 
 words = st.lists(st.integers(min_value=0, max_value=3), max_size=4)
 
@@ -57,23 +59,17 @@ def test_mode_mismatch(exact_rep, float_rep):
 
 
 def test_structure_tables_match_matrices(exact_rep):
-    """Every structure constant is validated against explicit products."""
+    """Every product basis_i basis_j equals row i of STRUCTURE648[j] / 648 on the basis."""
     basis = basis_matrices(exact_rep)
-    for table, right in ((RIGHT_BETA, exact_rep.beta), (RIGHT_COMPANION, exact_rep.beta_dot)):
-        for i in range(25):
-            for nu in range(4):
-                combo = BasisCombination.zero()
-                for j, c in table[i][nu]:
-                    combo.coeffs[j] = combo.coeffs[j] + GaussianRational(c)
-                lhs = basis[i] @ right[nu]
-                rhs = eval_basis_combination(exact_rep, combo, basis=basis)
-                assert _all_zero(lhs - rhs), (i, nu)
+    for i in range(25):
+        for j in range(25):
+            combo = BasisCombination([Fraction(int(c), 648) for c in STRUCTURE648[j, i]])
+            rhs = eval_basis_combination(exact_rep, combo, basis=basis)
+            assert _all_zero(basis[i] @ basis[j] - rhs), (i, j)
 
 
 def test_oracle_equivalence_short_words(exact_rep):
     basis = basis_matrices(exact_rep)
-    from itertools import product
-
     for length in range(4):
         for word in product(range(4), repeat=length):
             got = eval_basis_combination(exact_rep, reduce_word(word), basis=basis)
@@ -86,6 +82,47 @@ def test_sweep_float_mode(float_rep):
     assert words_checked == 4 + 16 + 64
     assert mismatches == 0
     assert max_res < 1e-13
+
+
+def _scaled_generator_rep(rep, factor, which=range(4)):
+    return representation_from_betas(
+        [factor * b if mu in which else b for mu, b in enumerate(rep.beta)], rep.mode)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_sweep_flags_a_doubled_generator(mode):
+    """The batched sweep agrees with a word-by-word reference on a broken representation."""
+    rep = _scaled_generator_rep(build_representation(mode), 2, which=(2,))
+    basis = basis_matrices(rep)
+    residuals = []
+    for word in (w for n in range(1, 4) for w in product(range(4), repeat=n)):
+        combo = reduce_word(word) if mode == "exact" else reduce_word(word).to_float()
+        diff = eval_basis_combination(rep, combo, basis=basis) - word_matrix_product(rep, word)
+        residuals.append(max(magnitude(x) for x in diff.reshape(-1)))
+    words_checked, mismatches, max_res = word_reduction_sweep(rep, 3)
+    assert words_checked == len(residuals) == 84
+    assert mismatches == sum(r > (0 if mode == "exact" else 1e-12) for r in residuals) > 0
+    assert max_res == pytest.approx(max(residuals), rel=1e-15) and max_res > 0
+
+
+@pytest.mark.parametrize("factor, max_len", [(10**6, 3), (10**3, 8)])
+def test_exact_sweep_overflow_raises(exact_rep, factor, max_len):
+    with pytest.raises(OverflowError):
+        word_reduction_sweep(_scaled_generator_rep(exact_rep, factor), max_len)
+
+
+def test_checked_matmul_bound():
+    big = np.array([[2**60]], dtype=np.int64)
+    assert _checked_matmul(big, np.array([[3]]))[0, 0] == 3 * 2**60
+    with pytest.raises(OverflowError):
+        _checked_matmul(big, np.array([[4]]))
+    with pytest.raises(OverflowError):
+        _checked_matmul(np.array([[-2**63]], dtype=np.int64), np.array([[1]]))
+
+
+def test_exact_sweep_needs_integer_generators(exact_rep):
+    with pytest.raises(ModeError):
+        word_reduction_sweep(_scaled_generator_rep(exact_rep, Fraction(1, 2)), 1)
 
 
 @given(words, words)
