@@ -20,11 +20,19 @@ Nothing here trusts the construction: :func:`verify_algebra_identities`
 re-derives every identity family from the matrices themselves, and
 :func:`enumerate_basis` re-checks that the 25 canonical elements
 {I, b_mu, companion c_mu, b_mu b_nu} are linearly independent.
+
+Each identity family is one array expression over its case axes, scaled
+to clear its denominators (c_mu enters as 3 c_mu).  Exact mode runs it
+in int64 on integer generators, raising ModeError for any other entry and
+OverflowError where a product could pass half the int64 range; float
+mode runs the same expressions on the complex matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -33,9 +41,11 @@ from .errors import ModeError, RepresentationDefectError
 from .scalars import (
     EXACT,
     FLOAT,
+    INT64_HALF,
     GaussianRational,
     as_fraction,
     check_mode,
+    exact_int64,
     frac,
     is_exact_zero,
     magnitude,
@@ -80,12 +90,21 @@ class KemmerRep:
         return METRIC_DIAG[mu] * self.beta[mu]
 
     @cached_property
+    def basis(self):
+        """The 25 canonical basis matrices as a tuple, built once.
+
+        Order: I; b_0..b_3; companions c_0..c_3; b_mu b_nu row-major.
+        """
+        pairs = [self.beta[m] @ self.beta[n] for m in range(4) for n in range(4)]
+        return (self.identity, *self.beta, *self.beta_dot, *pairs)
+
+    @cached_property
     def current_matrices(self):
         """The 26 current matrices as a (26, 5, 5) stack.
 
         Order: I; b^2; b_0..b_3; companions c_0..c_3; b_mu b_nu row-major.
         """
-        return np.stack([self.identity, self.beta_sq] + basis_matrices(self)[1:])
+        return np.stack([self.identity, self.beta_sq, *self.basis[1:]])
 
     @cached_property
     def current_table(self):
@@ -163,7 +182,14 @@ def _validate_rep(rep):
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """Result record for one identity family."""
+    """Result record for one identity family.
+
+    ``first_failure`` is None for a passing family; otherwise it is
+    (case, entry): the index tuple of the first failing case along the
+    family's case axes (prefixed by the part number for families of
+    several parts), and the (row, col) of that case's largest entry, ()
+    for a family of traces.
+    """
 
     name: str
     cases: int
@@ -171,189 +197,112 @@ class IdentityCheck:
     rms: float
     exact_zero: bool
     passed: bool
+    first_failure: tuple | None = None
 
 
-def _matrix_entries(obj):
-    a = np.asarray(obj)
-    if a.ndim == 0:
-        return [a.item()]
-    return list(a.reshape(-1))
+#: eta_{mu nu} as a 4x4 matrix.
+_G = np.diag(METRIC_DIAG)
+
+
+def _identity_families(b, c3, bsq, eta, zeta, ident):
+    """Every identity family as (name, scale, entry axes, parts).
+
+    Each part holds scale times the family's residuals, over its case axes
+    followed by ``entry axes`` residual axes (2 for matrices, 0 for
+    traces); the scale clears every denominator, with c_mu taken as
+    c3 = 3 c_mu, so integer matrices give integer residuals.
+    """
+    e = np.einsum
+    P = e("mij,njk->mnik", b, b)
+    Pb = e("mrij,njk->mrnik", P, b)
+    PP = e("klij,mnjx->klmnix", P, P)
+    c3b, bc3 = e("mij,njk->mnik", c3, b), e("mij,njk->mnik", b, c3)
+    gg = e("kl,mn->klmn", _G, _G) - e("kn,ml->klmn", _G, _G)
+    sq = bsq - ident
+    return [
+        ("defining_trilinear", 1, 2, [
+            Pb + Pb.transpose(2, 1, 0, 3, 4)
+            - e("mr,nij->mrnij", _G, b) - e("nr,mij->mrnij", _G, b)]),
+        ("trace_quadratic", 9, 0, [np.stack([
+            9 * e("mnii->mn", P) - 18 * _G,
+            e("mij,nji->mn", c3, c3) + 18 * _G], axis=-1)]),
+        # Tr(b_k b_l b_m b_n) = eta_kl eta_mn + eta_kn eta_lm; the pairing
+        # follows from the quartic reduction and is re-verified by it below.
+        ("trace_quartic", 1, 0, [
+            e("klmnii->klmn", PP) - e("kl,mn->klmn", _G, _G) - e("kn,lm->klmn", _G, _G)]),
+        ("cubic_reduction", 6, 2, [
+            6 * Pb - e("lm,nij->lmnij", _G, 3 * b - c3) - e("nm,lij->lmnij", _G, 3 * b + c3)]),
+        ("quartic_reduction", 3, 2, [
+            3 * PP - 3 * e("lm,knij->klmnij", _G, P) - e("klmn,ij->klmnij", gg, sq)]),
+        ("companion_product", 9, 2, [e("mij,njk->mnik", c3, c3) + 9 * P]),
+        ("mixed_product", 3, 2, [np.stack([
+            c3b - 3 * P + 2 * e("mn,ij->mnij", _G, sq), bc3 + c3b], axis=2)]),
+        ("beta_square_product", 2, 2, [np.stack([
+            2 * (b @ bsq) - 5 * b - c3, 2 * (bsq @ b) - 5 * b + c3], axis=1)]),
+        ("contraction", 1, 2, [
+            e("m,mij,rjk,mkl->ril", _SIG, b, b, b) - b,
+            e("m,mij,rsjk,mkl->rsil", _SIG, b, P, b) - e("rs,ij->rsij", _G, ident)]),
+        ("eta_relations", 3, 2, [
+            3 * np.stack([eta @ eta - ident, eta - eta.T, eta - np.conj(eta)]),
+            np.stack([3 * (eta @ b.transpose(0, 2, 1) @ eta - b),
+                      eta @ c3.transpose(0, 2, 1) @ eta + c3], axis=1)]),
+        ("zeta_relations", 1, 2, [
+            np.stack([zeta @ zeta + 3 * zeta, zeta @ bsq @ zeta + 12 * zeta]),
+            zeta @ b @ zeta,
+            zeta @ P @ zeta + 3 * e("mn,ij->mnij", _G, zeta)]),
+    ]
+
+
+def _identity_check(name, scale, entry_axes, parts, exact, tol):
+    """One family's record, in the original units, from its scaled residuals."""
+    entry_shape = parts[0].shape[parts[0].ndim - entry_axes :]
+    res = np.concatenate([p.reshape(-1, math.prod(entry_shape)) for p in parts])
+    mag = np.abs(res)
+    worst = mag.max(axis=1)
+    if exact:
+        max_abs = float(Fraction(int(worst.max()), scale))
+        sum_sq = sum(int(x) ** 2 for x in res[res != 0])  # Python ints: no wrap
+        rms = math.sqrt(sum_sq / (res.size * scale**2))
+        failing = worst != 0
+    else:
+        max_abs = float(worst.max()) / scale
+        rms = math.sqrt(float(np.sum(mag * mag)) / res.size) / scale
+        failing = ~(worst / scale <= tol)
+    exact_zero = not res.any()
+    passed = exact_zero if exact else max_abs <= tol
+    first = None
+    if not passed:
+        row = int(np.argmax(failing))
+        cases = [(i,) * (len(parts) > 1) + case for i, p in enumerate(parts)
+                 for case in np.ndindex(p.shape[: p.ndim - entry_axes])]
+        entry = np.unravel_index(int(np.argmax(mag[row])), entry_shape)
+        first = (cases[row], tuple(map(int, entry)))
+    return IdentityCheck(name, len(res), max_abs, rms, exact_zero, passed, first)
 
 
 def verify_algebra_identities(rep: KemmerRep, tol=1e-12):
     """Check every matrix identity family; returns one record per family.
 
     Failures are reported in the records, never raised; exceptions are
-    reserved for malformed representations.  In exact mode a family
-    passes iff every residual entry is exactly zero; in float mode iff
-    the maximum absolute residual is below ``tol``.
+    reserved for malformed representations.  Each family is one batched
+    array expression over its case axes, scaled to clear its
+    denominators.  Exact mode runs it in int64: it needs integer
+    generators (ModeError otherwise) and raises OverflowError when a
+    product of six matrices could pass half the int64 range; a family
+    passes iff every residual entry is exactly zero.  Float mode runs the
+    same expressions on the complex matrices; a family passes iff the
+    maximum absolute residual is below ``tol``.
     """
     _validate_rep(rep)
     exact = rep.mode == EXACT
-    g = METRIC_DIAG
-    b, bd = rep.beta, rep.beta_dot
-    bsq, eta, zeta, ident = rep.beta_sq, rep.eta, rep.zeta, rep.identity
-    P = [[b[m] @ b[n] for n in range(4)] for m in range(4)]
-
-    def q(num, den):
-        return frac(num, den, rep.mode)
-
-    checks = []
-
-    def family(name, residuals):
-        cases = 0
-        entries_seen = 0
-        sum_sq = 0.0
-        max_abs = 0.0
-        all_zero = True
-        for r in residuals:
-            cases += 1
-            for entry in _matrix_entries(r):
-                entries_seen += 1
-                if not is_exact_zero(entry):
-                    all_zero = False
-                    a = magnitude(entry)
-                    sum_sq += a * a
-                    if a > max_abs:
-                        max_abs = a
-        rms = (sum_sq / entries_seen) ** 0.5 if entries_seen else 0.0
-        passed = all_zero if exact else max_abs <= tol
-        checks.append(IdentityCheck(name, cases, max_abs, rms, all_zero, passed))
-
-    def trilinear():
-        for mu in range(4):
-            for rho in range(4):
-                for nu in range(4):
-                    r = P[mu][rho] @ b[nu] + P[nu][rho] @ b[mu]
-                    if mu == rho:
-                        r = r - g[mu] * b[nu]
-                    if nu == rho:
-                        r = r - g[nu] * b[mu]
-                    yield r
-
-    family("defining_trilinear", trilinear())
-
-    def trace_quadratic():
-        for mu in range(4):
-            for nu in range(4):
-                e = 2 * g[mu] if mu == nu else 0
-                yield np.trace(P[mu][nu]) - e
-                yield np.trace(bd[mu] @ bd[nu]) + e
-
-    family("trace_quadratic", trace_quadratic())
-
-    def trace_quartic():
-        # Tr(b_k b_l b_m b_n) = eta_kl eta_mn + eta_kn eta_lm; the pairing
-        # follows from the quartic reduction and is re-verified by it below.
-        for k in range(4):
-            for l in range(4):
-                for mm in range(4):
-                    for n in range(4):
-                        e = 0
-                        if k == l and mm == n:
-                            e += g[k] * g[mm]
-                        if k == n and l == mm:
-                            e += g[k] * g[l]
-                        yield np.trace(P[k][l] @ P[mm][n]) - e
-
-    family("trace_quartic", trace_quartic())
-
-    def cubic_reduction():
-        half = q(1, 2)
-        for lam in range(4):
-            for mu in range(4):
-                for nu in range(4):
-                    r = P[lam][mu] @ b[nu]
-                    if lam == mu:
-                        r = r - half * g[lam] * (b[nu] - bd[nu])
-                    if nu == mu:
-                        r = r - half * g[nu] * (b[lam] + bd[lam])
-                    yield r
-
-    family("cubic_reduction", cubic_reduction())
-
-    def quartic_reduction():
-        third = q(1, 3)
-        for k in range(4):
-            for l in range(4):
-                for mm in range(4):
-                    for n in range(4):
-                        r = P[k][l] @ P[mm][n]
-                        if l == mm:
-                            r = r - g[l] * P[k][n]
-                        coeff = 0
-                        if k == l and mm == n:
-                            coeff += g[k] * g[mm]
-                        if mm == l and k == n:
-                            coeff -= g[mm] * g[k]
-                        if coeff:
-                            r = r - third * coeff * (bsq - ident)
-                        yield r
-
-    family("quartic_reduction", quartic_reduction())
-
-    family(
-        "companion_product",
-        (bd[m] @ bd[n] + P[m][n] for m in range(4) for n in range(4)),
-    )
-
-    def mixed_product():
-        tt = q(2, 3)
-        for m in range(4):
-            for n in range(4):
-                r = bd[m] @ b[n] - P[m][n]
-                if m == n:
-                    r = r + tt * g[m] * (bsq - ident)
-                yield r
-                yield b[m] @ bd[n] + bd[m] @ b[n]
-
-    family("mixed_product", mixed_product())
-
-    def beta_square_product():
-        fh, th = q(5, 2), q(3, 2)
-        for m in range(4):
-            yield b[m] @ bsq - fh * b[m] - th * bd[m]
-            yield bsq @ b[m] - fh * b[m] + th * bd[m]
-
-    family("beta_square_product", beta_square_product())
-
-    def contraction():
-        for rho in range(4):
-            yield sum(g[m] * (b[m] @ b[rho] @ b[m]) for m in range(4)) - b[rho]
-        for rho in range(4):
-            for sig in range(4):
-                r = sum(g[m] * (b[m] @ P[rho][sig] @ b[m]) for m in range(4))
-                if rho == sig:
-                    r = r - g[rho] * ident
-                yield r
-
-    family("contraction", contraction())
-
-    def eta_relations():
-        yield eta @ eta - ident
-        yield eta - eta.T
-        yield eta - np.conj(eta)
-        for m in range(4):
-            yield eta @ b[m].T @ eta - b[m]
-            yield eta @ bd[m].T @ eta + bd[m]
-
-    family("eta_relations", eta_relations())
-
-    def zeta_relations():
-        yield zeta @ zeta + 3 * zeta
-        yield zeta @ bsq @ zeta + 12 * zeta
-        for m in range(4):
-            yield zeta @ b[m] @ zeta
-        for m in range(4):
-            for n in range(4):
-                r = zeta @ P[m][n] @ zeta
-                if m == n:
-                    r = r + 3 * g[m] * zeta
-                yield r
-
-    family("zeta_relations", zeta_relations())
-
-    return checks
+    mats = [np.stack(rep.beta), 3 * np.stack(rep.beta_dot),
+            rep.beta_sq, rep.eta, rep.zeta, rep.identity]
+    if exact:
+        mats = [exact_int64(m) for m in mats]
+        top = max(max(int(m.max()), -int(m.min())) for m in mats)
+        if 5**5 * top**6 > INT64_HALF:
+            raise OverflowError(f"int64 identity residuals could reach 5^5 * {top}^6")
+    return [_identity_check(*family, exact, tol) for family in _identity_families(*mats)]
 
 
 def basis_matrices(rep: KemmerRep):
@@ -361,13 +310,7 @@ def basis_matrices(rep: KemmerRep):
 
     Order: I; b_0..b_3; companions c_0..c_3; b_mu b_nu row-major in (mu, nu).
     """
-    mats = [rep.identity]
-    mats.extend(rep.beta)
-    mats.extend(rep.beta_dot)
-    for m in range(4):
-        for n in range(4):
-            mats.append(rep.beta[m] @ rep.beta[n])
-    return mats
+    return list(rep.basis)
 
 
 def _exact_rank(rows):
@@ -415,7 +358,7 @@ def enumerate_basis(rep: KemmerRep, tol=1e-9):
         raise RepresentationDefectError(
             f"canonical basis has rank {rank}, expected 25", rank=rank
         )
-    recon = sum(METRIC_DIAG[m] * (rep.beta[m] @ rep.beta[m]) for m in range(4))
+    recon = sum(METRIC_DIAG[m] * mats[9 + 5 * m] for m in range(4))  # b_m b_m
     diff = recon - rep.beta_sq
     if rep.mode == EXACT:
         ok = all(is_exact_zero(x) for x in diff.reshape(-1))

@@ -31,7 +31,7 @@ import numpy as np
 from .algebra import METRIC_DIAG, KemmerRep
 from .errors import ModeError, ShapeError
 from .grids import WAVEFUNCTION, FieldGrid
-from .scalars import EXACT, FLOAT, GaussianRational, frac
+from .scalars import EXACT, FLOAT, GaussianRational, exact_int64, frac
 
 #: Relative scale factor of the |Z| singularity threshold.
 Z_EPS = 1e-10
@@ -171,41 +171,109 @@ def fierz_decompose(cs: CurrentSet) -> FierzCoefficients:
     return FierzCoefficients(a=a, j=j, h=h, k=k)
 
 
-def _rank_one_rhs(rep, S, Sflat, J, H, K):
-    """Basis expansion that should reproduce Phi Phi_bar (or Phi Phi_tilde).
+def _fierz18():
+    """18 times the closed-form Fierz weights, with c_mu taken as 3 c_mu.
 
-    The weights on the 26 current matrices are the closed-form Fierz
-    coefficients of :func:`fierz_decompose`, with the tensor weights
-    raised, K^{nu mu} on b_mu b_nu.
+    Row vector (S, Sflat, J, 3H, K) times this matrix gives the weights on
+    the 26 current matrices; the tensor weight is raised, K^{nu mu} on
+    b_mu b_nu.  These are the coefficients of :func:`fierz_decompose`.
     """
-    q = lambda n, d: frac(n, d, rep.mode)
     g = np.array(METRIC_DIAG)
-    weights = np.concatenate([
-        [q(5, 9) * S - q(2, 9) * Sflat, -(q(2, 9) * S + q(1, 9) * Sflat)],
-        q(1, 2) * g * J,
-        -q(1, 2) * g * H,
-        (np.outer(g, g) * K.T).reshape(16),
-    ])
-    return (weights @ rep.current_matrices.reshape(26, 25)).reshape(5, 5)
+    w = np.zeros((26, 26), dtype=np.int64)
+    w[:2, :2] = [[10, -4], [-4, -2]]
+    w[2:6, 2:6] = np.diag(9 * g)
+    w[6:10, 6:10] = np.diag(-g)
+    k = np.arange(16).reshape(4, 4)
+    w[10 + k.T, 10 + k] = 18 * np.outer(g, g)
+    return w
+
+
+_FIERZ18 = _fierz18()
+
+def _integer_parts(rows):
+    """(n, k) exact scalars as Python-int numerators of their real and imaginary
+    parts, (2, n, k), over one denominator per row, (n, 1)."""
+    rows = _exact_entries(np.asarray(rows, dtype=object))
+    dens = [math.lcm(*(f.denominator for c in row for f in (c.re, c.im))) for row in rows]
+    nums = [[[getattr(c, part).numerator * (d // getattr(c, part).denominator) for c in row]
+             for row, d in zip(rows, dens)] for part in ("re", "im")]
+    return np.array(nums, dtype=object).reshape((2,) + rows.shape), np.array(dens, dtype=object)[:, None]
+
+
+def _pairs(z, conj):
+    """left[a] z[b] for each wavefunction, flattened to 25; left is conj(z) or z.
+
+    Exact wavefunctions come as Gaussian integers (2, n, 5), real and
+    imaginary part; float ones as complex (n, 5).
+    """
+    if z.dtype != object:
+        return np.einsum("na,nb->nab", np.conj(z) if conj else z, z).reshape(-1, 25)
+    s = -1 if conj else 1  # sign of the left factor's imaginary part
+    left, right = z[..., :, None], z[..., None, :]
+    return np.stack([left[0] * right[0] - s * left[1] * right[1],
+                     left[0] * right[1] + s * left[1] * right[0]]).reshape(2, -1, 25)
+
+
+def _current_rows(lead, S, Sflat, J, H, K):
+    """The row (S, Sflat, J, 3H, K) of 26 currents per wavefunction."""
+    cols = [np.reshape(c, lead + (-1,)) for c in (S, Sflat, J, 3 * H, K)]
+    return np.concatenate(cols, axis=-1).reshape(-1, 26)
+
+
+_lcm = np.frompyfunc(math.lcm, 2, 1)
+_ZERO = GaussianRational(0)
+_gaussian = np.frompyfunc(
+    lambda re, im, den: GaussianRational(Fraction(re, den), Fraction(im, den)) if re or im else _ZERO,
+    3, 1)
 
 
 def fierz_residual(rep: KemmerRep, phi, cs: CurrentSet | None = None):
     """Residuals of the rank-one rearrangement, Hermitian and complex.
 
-    Returns (R_H, R_C): Phi Phi_bar minus its current expansion, and
-    Phi Phi_tilde minus the tilde expansion (which omits the companion
-    term).  Both vanish identically for every wavefunction.
+    Returns (R_H, R_C) for wavefunctions of shape (..., 5), each of shape
+    (..., 5, 5): Phi Phi_bar minus its current expansion, and Phi Phi_tilde
+    minus the tilde expansion (which omits the companion term).  Both
+    vanish identically for every wavefunction.  The currents come from
+    ``cs`` when given, else from Phi.
+
+    Each sector is 18 D R = 18 (D/d^2) Psi Psi_bar - (D/e) U W M, with
+    Psi = d Phi, U/e the current row (S, Sflat, J, 3H, K), W the 18-fold
+    Fierz weights, M the current matrices with c_mu as 3 c_mu, and
+    D = lcm(d^2, e).  Exact mode takes d and e as each wavefunction's and
+    each current row's common denominator, so every product runs on
+    Python ints (exact at any size, never wrapping round), all
+    wavefunctions at once; it needs integer generators (ModeError
+    otherwise) and returns Gaussian rationals.  Float mode runs the same
+    products with d = e = 1.
     """
-    phi = _one_wavefunction(phi, rep.mode)
-    if cs is None:
-        cs = compute_currents(rep, phi)
-    r_h = np.outer(phi, np.conj(phi) @ rep.eta) - _rank_one_rhs(
-        rep, cs.S, cs.Sflat, cs.J, cs.H, cs.K
-    )
-    r_c = np.outer(phi, phi @ rep.eta) - _rank_one_rhs(
-        rep, cs.tilde_S, cs.tilde_Sflat, cs.tilde_J, 0 * cs.tilde_J, cs.tilde_K
-    )
-    return r_h, r_c
+    phi = as_wavefunction(phi, rep.mode)
+    lead = phi.shape[:-1]
+    exact = rep.mode == EXACT
+    m3, eta = rep.current_matrices.copy(), rep.eta
+    m3[6:10] *= 3  # c_mu as 3 c_mu, integral for integer generators
+    if exact:
+        m3, eta = (exact_int64(m).astype(object) for m in (m3, eta))
+    table = (eta @ m3).reshape(26, 25).T  # rep.current_table with c_mu as 3 c_mu
+    weighted = _FIERZ18 @ m3.reshape(26, 25)
+    z, d = _integer_parts(phi.reshape(-1, 5)) if exact else (phi.reshape(-1, 5), 1)
+    rows = (None, None) if cs is None else (
+        _current_rows(lead, cs.S, cs.Sflat, cs.J, cs.H, cs.K),
+        _current_rows(lead, cs.tilde_S, cs.tilde_Sflat, cs.tilde_J, 0 * cs.tilde_J, cs.tilde_K))
+    out = []
+    for conj, u in zip((True, False), rows):
+        pairs = _pairs(z, conj)
+        if u is None:
+            u, e = pairs @ table, d * d
+        else:
+            u, e = _integer_parts(u) if exact else (u, 1)
+        if not conj:
+            u[..., 6:10] = 0  # the tilde expansion omits the companion term
+        psi_bar = pairs.reshape(pairs.shape[:-1] + (5, 5)).swapaxes(-1, -2) @ eta
+        big = _lcm(d * d, e)
+        num = 18 * (big // (d * d)) * psi_bar.reshape(pairs.shape) - (big // e) * (u @ weighted)
+        r = _gaussian(num[0], num[1], 18 * big) if exact else num / 18
+        out.append(r.reshape(lead + (5, 5)))
+    return tuple(out)
 
 
 @dataclass

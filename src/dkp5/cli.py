@@ -37,7 +37,7 @@ from .grids import SCALAR, FieldGrid, load_grid, max_abs, rms, store_grid
 from .inversion import invert_pipeline, singular_mask, solution_checks
 from .planewave import PlaneWaveSpec, manufacture_plane_wave, plane_wave_gradient
 from .reports import all_pass, report_entry, write_report
-from .scalars import EXACT, FLOAT, is_exact_zero, magnitude, random_exact_wavefunction
+from .scalars import EXACT, FLOAT, magnitude, random_exact_wavefunction
 from .words import BASIS_LABELS, reduce_word, word_reduction_sweep
 
 EXIT_PASS = 0
@@ -187,11 +187,15 @@ def cmd_verify_algebra(args) -> int:
         report_entry(c.name, c.max_abs, c.rms, 0.0, 0.0 if args.mode == EXACT else args.tol)
         for c in checks
     ]
-    # In exact mode pass/fail is literal zero, not a tolerance comparison.
-    if args.mode == EXACT:
-        for entry, check in zip(entries, checks):
-            entry["pass"] = check.passed
-    failed = [c.name for c in checks if not c.passed]
+    located = {}
+    for entry, check in zip(entries, checks):
+        # In exact mode pass/fail is literal zero, not a tolerance comparison.
+        entry["pass"] = check.passed
+        if not check.passed:
+            case, at = check.first_failure
+            entry["first_failure"] = {"case": list(case), "entry": list(at)}
+            located[check.name] = f"{check.name} at case {case}" + (f" entry {at}" if at else "")
+    failed = list(located)
 
     sweep = None
     if args.max_word_len > 0 and not failed:
@@ -202,19 +206,15 @@ def cmd_verify_algebra(args) -> int:
 
     fierz = None
     if args.fierz_samples > 0 and not failed:
-        # The rearrangement sweep always runs in exact arithmetic.
+        # The rearrangement sweep always runs in exact arithmetic, all samples at once.
         exact_rep = rep if args.mode == EXACT else build_representation(EXACT)
         rng = random.Random(args.seed)
-        worst = 0.0
-        bad = 0
-        for _ in range(args.fierz_samples):
-            phi = random_exact_wavefunction(rng)
-            r_h, r_c = fierz_residual(exact_rep, phi)
-            flat = list(r_h.reshape(-1)) + list(r_c.reshape(-1))
-            if any(not is_exact_zero(x) for x in flat):
-                bad += 1
-                worst = max(worst, max(magnitude(x) for x in flat))
-        fierz = {"samples": args.fierz_samples, "failures": bad, "max_abs": worst}
+        phis = [random_exact_wavefunction(rng) for _ in range(args.fierz_samples)]
+        r_h, r_c = fierz_residual(exact_rep, phis)
+        flat = np.concatenate([r_h, r_c], axis=1).reshape(args.fierz_samples, -1)
+        bad = [row for row in flat if any(row)]
+        worst = max((magnitude(x) for row in bad for x in row), default=0.0)
+        fierz = {"samples": args.fierz_samples, "failures": len(bad), "max_abs": worst}
         if bad:
             failed.append("fierz_rearrangement_sweep")
 
@@ -228,7 +228,7 @@ def cmd_verify_algebra(args) -> int:
     if failed:
         payload["failed"] = failed
         _emit(args, payload)
-        print(f"FAIL: {', '.join(failed)}")
+        print(f"FAIL: {', '.join(located.get(name, name) for name in failed)}")
         return EXIT_FAIL
 
     try:

@@ -21,6 +21,10 @@ import math
 import numbers
 from fractions import Fraction
 
+import numpy as np
+
+from .errors import ModeError
+
 EXACT = "exact"
 FLOAT = "float"
 MODES = (EXACT, FLOAT)
@@ -216,8 +220,6 @@ _GR_ZERO = GaussianRational(0)
 
 def check_mode(mode):
     if mode not in MODES:
-        from .errors import ModeError
-
         raise ModeError(f"unknown scalar mode {mode!r}; expected one of {MODES}")
     return mode
 
@@ -246,6 +248,28 @@ def to_complex(x) -> complex:
     if isinstance(x, (GaussianRational, Fraction)):
         return complex(x)
     return complex(x)
+
+
+#: Half the int64 range: room to add or subtract two bounded values.
+INT64_HALF = np.iinfo(np.int64).max // 2
+
+
+def exact_int64(mats):
+    """Exact matrices as int64: ModeError on a non-integer entry, OverflowError past int64."""
+    ints = np.asarray(mats, dtype=object).reshape(-1)
+    if not all(getattr(x, "denominator", None) == 1 for x in ints):
+        raise ModeError("exact integer arithmetic needs integer (int or Fraction) matrices")
+    return np.array([int(x) for x in ints], dtype=np.int64).reshape(np.shape(mats))
+
+
+def checked_matmul(a, b):
+    """a @ b on int64 arrays; OverflowError unless every entry fits in half the
+    range, which leaves room to subtract two checked products."""
+    # In Python ints, since np.abs wraps round on the most negative int64.
+    bound = a.shape[-1] * max(int(a.max()), -int(a.min())) * max(int(b.max()), -int(b.min()))
+    if bound > INT64_HALF:
+        raise OverflowError(f"int64 product could reach {bound}")
+    return a @ b
 
 
 def random_rational(rng, bound=9) -> Fraction:

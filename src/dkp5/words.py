@@ -24,10 +24,22 @@ import numpy as np
 
 from .algebra import METRIC_DIAG, basis_matrices
 from .errors import ModeError, WordIndexError
-from .scalars import EXACT, FLOAT, GaussianRational, check_mode, to_complex
+from .scalars import (
+    EXACT,
+    FLOAT,
+    GaussianRational,
+    check_mode,
+    checked_matmul,
+    exact_int64,
+    to_complex,
+)
 
 N_BASIS = 25
 IDX_I = 0
+
+#: Words of the previous length extended and checked per block of the
+#: sweep; bounds the block's arrays whatever the word length.
+_BLOCK = 4096
 
 
 def idx_beta(mu):
@@ -206,31 +218,15 @@ def word_matrix_product(rep, word):
     return out
 
 
-def _checked_matmul(a, b):
-    """a @ b on int64 arrays; OverflowError unless every entry fits in half the
-    range, which leaves room to subtract two checked products."""
-    # In Python ints, since np.abs wraps round on the most negative int64.
-    bound = a.shape[-1] * max(int(a.max()), -int(a.min())) * max(int(b.max()), -int(b.min()))
-    if bound > np.iinfo(np.int64).max // 2:
-        raise OverflowError(f"int64 product could reach {bound}")
-    return a @ b
-
-
-def _exact_int64(mats):
-    """Exact matrices as int64: ModeError on a non-integer entry, OverflowError past int64."""
-    ints = np.asarray(mats, dtype=object).reshape(-1)
-    if not all(getattr(x, "denominator", None) == 1 for x in ints):
-        raise ModeError("the exact word sweep needs integer (int or Fraction) generators")
-    return np.array([int(x) for x in ints], dtype=np.int64).reshape(np.shape(mats))
-
-
 def word_reduction_sweep(rep, max_len, tol=1e-12):
     """Check eval(reduce(w)) == product(w) for every word with 1 <= |w| <= max_len.
 
-    Takes one word length L at a time, all its words in one product each:
-    coefficient rows C_L = C_(L-1) RIGHT6[nu] and oracle products
-    P_L = P_(L-1) (6 b_nu) from P_0 = 3 I, both 6^L times the true
-    values, then compares C_L (3 B) with P_L, B the basis matrices flattened.
+    Takes one word length L at a time, its words in blocks of ``_BLOCK``
+    words of length L-1, one product each: coefficient rows
+    C_L = C_(L-1) RIGHT6[nu] and oracle products P_L = P_(L-1) (6 b_nu)
+    from P_0 = 3 I, both 6^L times the true values, then compares
+    C_L (3 B) with P_L, B the basis matrices flattened.  The last length
+    is never held whole, so the next-to-last one sets the peak memory.
     Exact mode runs in int64 and bounds every product first, raising
     OverflowError rather than wrap round; it needs integer generators (so
     that 3 c_mu is an integer matrix) and raises ModeError for any other
@@ -239,14 +235,15 @@ def word_reduction_sweep(rep, max_len, tol=1e-12):
     Returns (words_checked, mismatches, max_abs_residual).
     """
     exact = rep.mode == EXACT
+    basis = np.stack(rep.basis).reshape(N_BASIS, 25)
     if exact:
-        six_beta = _checked_matmul(_exact_int64(rep.beta), 6 * np.eye(5, dtype=np.int64))
-        basis3 = _exact_int64([3 * m for m in basis_matrices(rep)]).reshape(N_BASIS, 25)
+        six_beta = checked_matmul(exact_int64(rep.beta), 6 * np.eye(5, dtype=np.int64))
+        basis3 = exact_int64(3 * basis)
         prods = 3 * np.eye(5, dtype=np.int64)[None]
-        matmul = _checked_matmul
+        matmul = checked_matmul
     else:
         six_beta = 6 * np.stack(rep.beta)
-        basis3 = 3 * np.stack(basis_matrices(rep)).reshape(N_BASIS, 25)
+        basis3 = 3 * basis
         prods = 3 * rep.identity[None]
         matmul = np.matmul
     # Column block nu of the (25, 100) table is 6 R_nu, so row 4 k + nu of
@@ -256,19 +253,29 @@ def word_reduction_sweep(rep, max_len, tol=1e-12):
     words = mismatches = 0
     max_res = 0.0
     for length in range(1, max_len + 1):
-        coeffs = _checked_matmul(coeffs, right6).reshape(-1, N_BASIS)
-        prods = matmul(prods[:, None], six_beta).reshape(-1, 5, 5)
-        words += len(coeffs)
         scale = 3 * 6**length
-        # In place: the level's arrays set the sweep's peak memory.
-        lhs = matmul(coeffs, basis3)
-        lhs -= prods.reshape(-1, 25)
-        worst = np.abs(lhs, out=lhs).max(axis=1)
-        if exact:
-            mismatches += int(np.count_nonzero(worst))
-            max_res = max(max_res, float(Fraction(int(worst.max()), scale)))
-        else:
-            worst = worst.real / scale
-            mismatches += int((worst > tol).sum())
-            max_res = max(max_res, float(worst.max()))
+        keep = length < max_len
+        if keep:
+            next_coeffs = np.empty((4 * len(coeffs), N_BASIS), dtype=np.int64)
+            next_prods = np.empty((4 * len(prods), 5, 5), dtype=prods.dtype)
+        for s in range(0, len(coeffs), _BLOCK):
+            c = checked_matmul(coeffs[s : s + _BLOCK], right6).reshape(-1, N_BASIS)
+            p = matmul(prods[s : s + _BLOCK, None], six_beta).reshape(-1, 5, 5)
+            if keep:
+                next_coeffs[4 * s : 4 * s + len(c)] = c
+                next_prods[4 * s : 4 * s + len(p)] = p
+            # In place: the block's arrays stay the only temporaries.
+            lhs = matmul(c, basis3)
+            lhs -= p.reshape(-1, 25)
+            worst = np.abs(lhs, out=lhs).max(axis=1)
+            if exact:
+                mismatches += int(np.count_nonzero(worst))
+                max_res = max(max_res, float(Fraction(int(worst.max()), scale)))
+            else:
+                worst = worst.real / scale
+                mismatches += int((worst > tol).sum())
+                max_res = max(max_res, float(worst.max()))
+        words += 4 ** length
+        if keep:
+            coeffs, prods = next_coeffs, next_prods
     return words, mismatches, max_res

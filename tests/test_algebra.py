@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from dkp5 import (
     IdentityCheck,
+    build_representation,
     enumerate_basis,
     minkowski_dot,
     raise_index,
@@ -12,7 +14,7 @@ from dkp5 import (
     verify_algebra_identities,
 )
 from dkp5.errors import RepresentationDefectError
-from dkp5.scalars import is_exact_zero
+from dkp5.scalars import is_exact_zero, magnitude
 
 
 def _all_zero(mat):
@@ -75,6 +77,45 @@ def test_corrupt_rep_flags_failures(exact_rep):
     assert not _all_zero(resid)
 
 
+def test_first_failure_locates_the_case(exact_rep):
+    betas = list(exact_rep.beta)
+    betas[1] = 0 * betas[1]
+    checks = {c.name: c for c in verify_algebra_identities(representation_from_betas(betas, "exact"))}
+    # (mu, rho, nu) = (0, 1, 1) leaves -eta_11 b_0 = b_0, whose largest entry is
+    # (0, 4); every earlier case in (mu, rho, nu) order vanishes.
+    b, g = betas, (1, -1, -1, -1)
+    assert checks["defining_trilinear"].first_failure == ((0, 1, 1), (0, 4))
+    assert not _all_zero(b[0] @ b[1] @ b[1] + b[1] @ b[1] @ b[0] - g[1] * b[0])
+    assert checks["trace_quartic"].first_failure == ((0, 0, 1, 1), ())
+    assert checks["zeta_relations"].first_failure == ((0, 0), (1, 1))  # part 0, case 0
+    assert checks["eta_relations"].passed and checks["eta_relations"].first_failure is None
+
+
+def test_exact_identities_integer_policy(exact_rep):
+    from test_words import _scaled_generator_rep
+
+    from dkp5.errors import ModeError
+    from dkp5.scalars import GaussianRational
+
+    with pytest.raises(ModeError):
+        verify_algebra_identities(_scaled_generator_rep(exact_rep, Fraction(1, 2)))
+    with pytest.raises(ModeError):
+        verify_algebra_identities(_scaled_generator_rep(exact_rep, GaussianRational(0, 1)))
+    with pytest.raises(OverflowError):
+        verify_algebra_identities(_scaled_generator_rep(exact_rep, 10**6))
+    # Scaled by 3 the families fail, but they are still computed exactly.
+    checks = verify_algebra_identities(_scaled_generator_rep(exact_rep, 3))
+    assert not any(c.passed for c in checks if c.name != "eta_relations")
+
+
+def test_basis_is_built_once(exact_rep):
+    from dkp5 import basis_matrices
+
+    mats = basis_matrices(exact_rep)
+    assert len(mats) == 25 and all(a is b for a, b in zip(mats, exact_rep.basis))
+    assert all(a is b for a, b in zip(enumerate_basis(exact_rep)[0], exact_rep.basis))
+
+
 def test_basis_rank_25(exact_rep, float_rep):
     mats, rank = enumerate_basis(exact_rep)
     assert rank == 25 and len(mats) == 25
@@ -106,3 +147,216 @@ def test_malformed_rep_raises(exact_rep):
         verify_algebra_identities(bad)
     with pytest.raises(ModeError):
         enumerate_basis(bad)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the identity families as per-case loops over exact
+# Fraction (or complex) 5x5 matrices, one residual at a time.
+
+_R4 = range(4)
+_CASES = {
+    "defining_trilinear": list(product(_R4, _R4, _R4)),
+    "trace_quadratic": list(product(_R4, _R4, range(2))),
+    "trace_quartic": list(product(_R4, _R4, _R4, _R4)),
+    "cubic_reduction": list(product(_R4, _R4, _R4)),
+    "quartic_reduction": list(product(_R4, _R4, _R4, _R4)),
+    "companion_product": list(product(_R4, _R4)),
+    "mixed_product": list(product(_R4, _R4, range(2))),
+    "beta_square_product": list(product(_R4, range(2))),
+    "contraction": [(0, r) for r in _R4] + [(1, r, s) for r, s in product(_R4, _R4)],
+    "eta_relations": [(0, k) for k in range(3)] + [(1, m, k) for m, k in product(_R4, range(2))],
+    "zeta_relations": ([(0, k) for k in range(2)] + [(1, m) for m in _R4]
+                       + [(2, m, n) for m, n in product(_R4, _R4)]),
+}
+
+
+def _reference_identities(rep, tol=1e-12):
+    exact = rep.mode == "exact"
+    g = (1, -1, -1, -1)
+    b, bd = rep.beta, rep.beta_dot
+    bsq, eta, zeta, ident = rep.beta_sq, rep.eta, rep.zeta, rep.identity
+    P = [[b[m] @ b[n] for n in range(4)] for m in range(4)]
+
+    def q(num, den):
+        return Fraction(num, den) if exact else num / den
+
+    checks = []
+
+    def family(name, residuals):
+        cases = entries_seen = 0
+        sum_sq = max_abs = 0.0
+        all_zero = True
+        first = None
+        for r in residuals:
+            entries = list(np.asarray(r).reshape(-1))
+            mags = [magnitude(x) for x in entries]
+            if first is None and any((a != 0) if exact else not a <= tol for a in mags):
+                entry = np.unravel_index(int(np.argmax(mags)), np.shape(r))
+                first = (_CASES[name][cases], tuple(map(int, entry)))
+            cases += 1
+            for entry, a in zip(entries, mags):
+                entries_seen += 1
+                if not is_exact_zero(entry):
+                    all_zero = False
+                    sum_sq += a * a
+                    max_abs = max(max_abs, a)
+        rms = (sum_sq / entries_seen) ** 0.5
+        passed = all_zero if exact else max_abs <= tol
+        checks.append(IdentityCheck(name, cases, max_abs, rms, all_zero, passed,
+                                    None if passed else first))
+
+    def trilinear():
+        for mu in range(4):
+            for rho in range(4):
+                for nu in range(4):
+                    r = P[mu][rho] @ b[nu] + P[nu][rho] @ b[mu]
+                    if mu == rho:
+                        r = r - g[mu] * b[nu]
+                    if nu == rho:
+                        r = r - g[nu] * b[mu]
+                    yield r
+
+    family("defining_trilinear", trilinear())
+
+    def trace_quadratic():
+        for mu in range(4):
+            for nu in range(4):
+                e = 2 * g[mu] if mu == nu else 0
+                yield np.trace(P[mu][nu]) - e
+                yield np.trace(bd[mu] @ bd[nu]) + e
+
+    family("trace_quadratic", trace_quadratic())
+
+    def trace_quartic():
+        for k, l, mm, n in product(range(4), repeat=4):
+            e = 0
+            if k == l and mm == n:
+                e += g[k] * g[mm]
+            if k == n and l == mm:
+                e += g[k] * g[l]
+            yield np.trace(P[k][l] @ P[mm][n]) - e
+
+    family("trace_quartic", trace_quartic())
+
+    def cubic_reduction():
+        half = q(1, 2)
+        for lam, mu, nu in product(range(4), repeat=3):
+            r = P[lam][mu] @ b[nu]
+            if lam == mu:
+                r = r - half * g[lam] * (b[nu] - bd[nu])
+            if nu == mu:
+                r = r - half * g[nu] * (b[lam] + bd[lam])
+            yield r
+
+    family("cubic_reduction", cubic_reduction())
+
+    def quartic_reduction():
+        third = q(1, 3)
+        for k, l, mm, n in product(range(4), repeat=4):
+            r = P[k][l] @ P[mm][n]
+            if l == mm:
+                r = r - g[l] * P[k][n]
+            coeff = 0
+            if k == l and mm == n:
+                coeff += g[k] * g[mm]
+            if mm == l and k == n:
+                coeff -= g[mm] * g[k]
+            if coeff:
+                r = r - third * coeff * (bsq - ident)
+            yield r
+
+    family("quartic_reduction", quartic_reduction())
+
+    family("companion_product", (bd[m] @ bd[n] + P[m][n] for m in range(4) for n in range(4)))
+
+    def mixed_product():
+        tt = q(2, 3)
+        for m, n in product(range(4), repeat=2):
+            r = bd[m] @ b[n] - P[m][n]
+            if m == n:
+                r = r + tt * g[m] * (bsq - ident)
+            yield r
+            yield b[m] @ bd[n] + bd[m] @ b[n]
+
+    family("mixed_product", mixed_product())
+
+    def beta_square_product():
+        fh, th = q(5, 2), q(3, 2)
+        for m in range(4):
+            yield b[m] @ bsq - fh * b[m] - th * bd[m]
+            yield bsq @ b[m] - fh * b[m] + th * bd[m]
+
+    family("beta_square_product", beta_square_product())
+
+    def contraction():
+        for rho in range(4):
+            yield sum(g[m] * (b[m] @ b[rho] @ b[m]) for m in range(4)) - b[rho]
+        for rho, sig in product(range(4), repeat=2):
+            r = sum(g[m] * (b[m] @ P[rho][sig] @ b[m]) for m in range(4))
+            if rho == sig:
+                r = r - g[rho] * ident
+            yield r
+
+    family("contraction", contraction())
+
+    def eta_relations():
+        yield eta @ eta - ident
+        yield eta - eta.T
+        yield eta - np.conj(eta)
+        for m in range(4):
+            yield eta @ b[m].T @ eta - b[m]
+            yield eta @ bd[m].T @ eta + bd[m]
+
+    family("eta_relations", eta_relations())
+
+    def zeta_relations():
+        yield zeta @ zeta + 3 * zeta
+        yield zeta @ bsq @ zeta + 12 * zeta
+        for m in range(4):
+            yield zeta @ b[m] @ zeta
+        for m, n in product(range(4), repeat=2):
+            r = zeta @ P[m][n] @ zeta
+            if m == n:
+                r = r + 3 * g[m] * zeta
+            yield r
+
+    family("zeta_relations", zeta_relations())
+    return checks
+
+
+def _corrupted_reps(mode):
+    rep = build_representation(mode)
+    yield "reference", rep
+    for k in range(4):
+        for factor in (0, 2):
+            betas = [factor * b if mu == k else b for mu, b in enumerate(rep.beta)]
+            yield f"b{k}x{factor}", representation_from_betas(betas, mode)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_batched_identities_match_reference_loops(mode):
+    """The batched families agree with the per-case loops on the reference
+    representation and on each generator zeroed or doubled."""
+    for label, rep in _corrupted_reps(mode):
+        got, want = verify_algebra_identities(rep), _reference_identities(rep)
+        assert [c.name for c in got] == [c.name for c in want], label
+        for a, b in zip(got, want):
+            key = (label, a.name)
+            assert (a.cases, a.exact_zero, a.passed) == (b.cases, b.exact_zero, b.passed), key
+            assert a.rms == pytest.approx(b.rms, rel=2e-15, abs=0), key
+            if mode == "exact":
+                assert (a.max_abs, a.first_failure) == (b.max_abs, b.first_failure), key
+            else:
+                # The float loops round 1/2, 1/3 and c_mu along the way, which
+                # moves max_abs by an ulp and breaks ties between equal entries.
+                assert a.max_abs == pytest.approx(b.max_abs, rel=2e-15, abs=0), key
+                assert (a.first_failure or (None,))[0] == (b.first_failure or (None,))[0], key
+
+
+def test_float_identities_equal_exact_ones():
+    """On integer-valued representations the float path gives the exact records."""
+    for (label, exact), (_, flt) in zip(_corrupted_reps("exact"), _corrupted_reps("float")):
+        for a, b in zip(verify_algebra_identities(exact), verify_algebra_identities(flt)):
+            assert (a.name, a.max_abs, a.passed, a.first_failure) == (
+                b.name, b.max_abs, b.passed, b.first_failure), label
+            assert a.rms == pytest.approx(b.rms, rel=2e-15, abs=0), label

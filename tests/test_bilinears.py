@@ -1,3 +1,5 @@
+import dataclasses
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,12 +16,13 @@ from dkp5 import (
     current_set_to_dict,
     fierz_decompose,
     fierz_residual,
+    representation_from_betas,
     z_is_singular,
     zeta_identity_residuals,
 )
 from dkp5.bilinears import CurrentSet
 from dkp5.errors import ModeError
-from dkp5.scalars import GaussianRational, is_exact_zero
+from dkp5.scalars import GaussianRational, is_exact_zero, random_exact_wavefunction
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 exact_wavefunctions = st.lists(
@@ -288,3 +291,74 @@ def test_current_dict_key_order(float_rep):
 def test_exact_wavefunction_rejects_floats(exact_rep):
     with pytest.raises(ModeError):
         compute_currents(exact_rep, [0.5, 0, 0, 0, 1])
+
+
+def _reference_rank_one_residual(rep, phi, S, Sflat, J, H, K, hermitian):
+    """Phi (Phi^dagger or Phi^T) eta minus the closed-form expansion, in Fractions."""
+    g = np.array((1, -1, -1, -1))
+    weights = np.concatenate([
+        [Fraction(5, 9) * S - Fraction(2, 9) * Sflat, -(Fraction(2, 9) * S + Fraction(1, 9) * Sflat)],
+        Fraction(1, 2) * g * J,
+        -Fraction(1, 2) * g * H,
+        (np.outer(g, g) * K.T).reshape(16),
+    ])
+    phi = np.array(phi, dtype=object)
+    left = np.array([x.conjugate() for x in phi]) if hermitian else phi
+    rhs = (weights @ rep.current_matrices.reshape(26, 25)).reshape(5, 5)
+    return np.outer(phi, left @ rep.eta) - rhs
+
+
+def test_fierz_batch_matches_per_point_and_definition(exact_rep):
+    """All wavefunctions at once give the per-point residuals entry for entry,
+    also for denominators near 10**30, far past int64."""
+    rng = random.Random(7)
+    big = 10**30
+
+    def huge():
+        return Fraction(rng.randint(-big, big), rng.randint(big - 10**6, big))
+
+    phis = [random_exact_wavefunction(rng) for _ in range(50)]
+    phis += [[GaussianRational(huge(), huge()) for _ in range(5)] for _ in range(4)]
+    r_h, r_c = fierz_residual(exact_rep, phis)
+    assert r_h.shape == r_c.shape == (54, 5, 5)
+    assert _all_zero(r_h) and _all_zero(r_c)
+
+    # Shifted currents leave nonzero residuals to compare.
+    cs = compute_currents(exact_rep, phis)
+    cs.S = cs.S + Fraction(1, 3)
+    cs.H = 2 * cs.H
+    cs.tilde_K = cs.tilde_K + GaussianRational(0, Fraction(1, 7))
+    b_h, b_c = fierz_residual(exact_rep, phis, cs=cs)
+    for i, phi in enumerate(phis):
+        p = CurrentSet(**{k: v if k == "mode" else v[i] for k, v in vars(cs).items()})
+        one_h, one_c = fierz_residual(exact_rep, phi, cs=p)
+        want_h = _reference_rank_one_residual(exact_rep, phi, p.S, p.Sflat, p.J, p.H, p.K, True)
+        want_c = _reference_rank_one_residual(
+            exact_rep, phi, p.tilde_S, p.tilde_Sflat, p.tilde_J, 0 * p.tilde_J, p.tilde_K, False)
+        for batch, one, want in ((b_h[i], one_h, want_h), (b_c[i], one_c, want_c)):
+            assert list(batch.reshape(-1)) == list(one.reshape(-1)) == list(want.reshape(-1)), i
+            assert not _all_zero(batch)
+        assert _all_zero(fierz_residual(exact_rep, phi)[0])
+
+
+def test_fierz_residual_on_broken_reps_matches_definition(exact_rep):
+    """On broken representations the residuals no longer vanish but still
+    follow the definition: generator 2 doubled, and eta replaced by I,
+    which leaves a nonzero companion tilde current that the tilde
+    expansion must omit (the Hermitian residual still vanishes there)."""
+    doubled = representation_from_betas(
+        [2 * b if mu == 2 else b for mu, b in enumerate(exact_rep.beta)], "exact")
+    rng = random.Random(11)
+    phis = [random_exact_wavefunction(rng) for _ in range(10)]
+    for rep, broken in ((doubled, (0, 1)),
+                        (dataclasses.replace(exact_rep, eta=exact_rep.identity), (1,))):
+        r_h, r_c = fierz_residual(rep, phis)
+        cs = compute_currents(rep, phis)
+        for i, phi in enumerate(phis):
+            p = CurrentSet(**{k: v if k == "mode" else v[i] for k, v in vars(cs).items()})
+            want_h = _reference_rank_one_residual(rep, phi, p.S, p.Sflat, p.J, p.H, p.K, True)
+            want_c = _reference_rank_one_residual(
+                rep, phi, p.tilde_S, p.tilde_Sflat, p.tilde_J, 0 * p.tilde_J, p.tilde_K, False)
+            assert list(r_h[i].reshape(-1)) == list(want_h.reshape(-1)), i
+            assert list(r_c[i].reshape(-1)) == list(want_c.reshape(-1)), i
+        assert all(not _all_zero((r_h, r_c)[k]) for k in broken)

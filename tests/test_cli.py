@@ -52,6 +52,27 @@ def test_corrupt_rep_exits_one(capsys, tmp_path):
     assert "defining_trilinear" in report["failed"]
 
 
+def test_corrupt_rep_reports_first_failure(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    assert run("verify-algebra", "--corrupt-generator", "1", "--max-word-len", "0",
+               "--json", str(out)) == 1
+    assert "defining_trilinear at case (0, 1, 1) entry (0, 4)," in capsys.readouterr().out
+    entries = {e["identity"]: e for e in json.loads(out.read_text())["identities"]}
+    assert entries["defining_trilinear"]["first_failure"] == {"case": [0, 1, 1], "entry": [0, 4]}
+    assert entries["trace_quartic"]["first_failure"] == {"case": [0, 0, 1, 1], "entry": []}
+    # Passing families keep the plain entry schema.
+    assert "first_failure" not in entries["eta_relations"]
+
+
+def test_verify_algebra_fierz_sweep_report(tmp_path):
+    out = tmp_path / "report.json"
+    assert run("verify-algebra", "--max-word-len", "0", "--fierz-samples", "200",
+               "--json", str(out)) == 0
+    report = json.loads(out.read_text())
+    assert report["fierz_sweep"] == {"samples": 200, "failures": 0, "max_abs": 0.0}
+    assert all("first_failure" not in e for e in report["identities"])
+
+
 def test_reduce_word_json(tmp_path, capsys):
     assert run("reduce-word", "0,1,0") == 0
     payload = json.loads(capsys.readouterr().out)

@@ -20,7 +20,9 @@ from dkp5 import (
 from dkp5.algebra import basis_matrices
 from dkp5.errors import ModeError, WordIndexError
 from dkp5.scalars import GaussianRational, is_exact_zero, magnitude
-from dkp5.words import IDX_I, STRUCTURE648, _checked_matmul, idx_beta
+from dkp5.scalars import checked_matmul
+from dkp5 import words as words_module
+from dkp5.words import IDX_I, STRUCTURE648, idx_beta
 
 words = st.lists(st.integers(min_value=0, max_value=3), max_size=4)
 
@@ -105,6 +107,18 @@ def test_sweep_flags_a_doubled_generator(mode):
     assert max_res == pytest.approx(max(residuals), rel=1e-15) and max_res > 0
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_sweep_blocks_agree_with_whole_levels(mode, monkeypatch):
+    """Blocks smaller than a level give the same counts and residual as whole levels."""
+    for rep in (build_representation(mode),
+                _scaled_generator_rep(build_representation(mode), 2, which=(2,))):
+        whole = word_reduction_sweep(rep, 5)
+        monkeypatch.setattr(words_module, "_BLOCK", 3)
+        assert word_reduction_sweep(rep, 5) == whole
+        monkeypatch.undo()
+    assert whole[1] > 0 and whole[2] > 0
+
+
 @pytest.mark.parametrize("factor, max_len", [(10**6, 3), (10**3, 8)])
 def test_exact_sweep_overflow_raises(exact_rep, factor, max_len):
     with pytest.raises(OverflowError):
@@ -113,11 +127,11 @@ def test_exact_sweep_overflow_raises(exact_rep, factor, max_len):
 
 def test_checked_matmul_bound():
     big = np.array([[2**60]], dtype=np.int64)
-    assert _checked_matmul(big, np.array([[3]]))[0, 0] == 3 * 2**60
+    assert checked_matmul(big, np.array([[3]]))[0, 0] == 3 * 2**60
     with pytest.raises(OverflowError):
-        _checked_matmul(big, np.array([[4]]))
+        checked_matmul(big, np.array([[4]]))
     with pytest.raises(OverflowError):
-        _checked_matmul(np.array([[-2**63]], dtype=np.int64), np.array([[1]]))
+        checked_matmul(np.array([[-2**63]], dtype=np.int64), np.array([[1]]))
 
 
 def test_exact_sweep_needs_integer_generators(exact_rep):
