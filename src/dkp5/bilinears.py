@@ -85,6 +85,18 @@ def _one_wavefunction(phi, mode):
     return phi
 
 
+def _pair_products(left, right, table):
+    """The pairs left[n, a] right[n, b] of each point n times ``table`` (25, k),
+    in blocks of ``_BLOCK`` points."""
+    out = np.empty((len(right), table.shape[1]), dtype=np.result_type(left, right, table))
+    for s in range(0, len(right), _BLOCK):
+        # einsum keeps the pair products free of fused multiply-adds, so a
+        # constant phase of i or -1 leaves the Hermitian pairs bit-identical.
+        pairs = np.einsum("na,nb->nab", left[s : s + _BLOCK], right[s : s + _BLOCK])
+        np.matmul(pairs.reshape(-1, 25), table, out=out[s : s + _BLOCK])
+    return out
+
+
 def compute_currents(rep: KemmerRep, phi) -> CurrentSet:
     """All Hermitian and tilde currents of wavefunctions of shape (..., 5).
 
@@ -97,18 +109,9 @@ def compute_currents(rep: KemmerRep, phi) -> CurrentSet:
     phi = as_wavefunction(phi, rep.mode)
     lead = phi.shape[:-1]
     right = phi.reshape(-1, 5)
-
-    def bilinears(left):
-        out = np.empty((len(right), 26), dtype=np.result_type(phi, rep.current_table))
-        for s in range(0, len(right), _BLOCK):
-            # einsum keeps the pair products free of fused multiply-adds, so a
-            # constant phase of i or -1 leaves the Hermitian pairs bit-identical.
-            pairs = np.einsum("na,nb->nab", left[s : s + _BLOCK], right[s : s + _BLOCK])
-            np.matmul(pairs.reshape(-1, 25), rep.current_table, out=out[s : s + _BLOCK])
-        return out.reshape(lead + (26,))
-
-    h = bilinears(np.conj(right))
-    t = bilinears(right)  # columns 6..9, the companion tilde current, vanish
+    h = _pair_products(np.conj(right), right, rep.current_table).reshape(lead + (26,))
+    # columns 6..9, the companion tilde current, vanish
+    t = _pair_products(right, right, rep.current_table).reshape(lead + (26,))
     S, Sflat, J = h[..., 0][()], h[..., 1][()], h[..., 2:6]
     tS, tSflat = t[..., 0][()], t[..., 1][()]
     if rep.mode == FLOAT:
@@ -128,6 +131,26 @@ def compute_currents(rep: KemmerRep, phi) -> CurrentSet:
         tilde_K=t[..., 10:].reshape(lead + (4, 4)),
         tilde_Z=tS - tSflat,
     )
+
+
+def derivative_bilinears(rep: KemmerRep, phi, dphi, weights, tilde=False):
+    """Phi_bar N d_mu Phi - d_mu Phi_bar N Phi (``tilde``: Phi_tilde N d_mu Phi),
+    complex (..., 4, n), for N = sum_k weights[mu, k, j] M_k, weights (4, 26, n).
+    Each is the pairs left[a] d_mu Phi[b] times the weighted current table;
+    the reversed term conjugates the same pairs times the daggered table, so
+    eta N need not be Hermitian.  dphi and weights are not checked: the
+    inversion passes them through its own shape checks."""
+    phi = as_wavefunction(phi, rep.mode)
+    left = (phi if tilde else np.conj(phi)).reshape(-1, 5)
+    table = rep.current_table
+    tables = [table] if tilde else [table, table.reshape(5, 5, 26).swapaxes(0, 1).conj().reshape(25, 26)]
+    n = weights.shape[-1]
+    out = np.empty((len(left), 4, n), dtype=complex)
+    for mu in range(4):
+        cols = np.hstack([t @ weights[mu] for t in tables])
+        r = _pair_products(left, np.reshape(dphi[mu], (-1, 5)), cols)
+        out[:, mu] = r if tilde else r[:, :n] - r[:, n:].conj()
+    return out.reshape(phi.shape[:-1] + (4, n))
 
 
 def z_is_singular(cs: CurrentSet) -> bool:

@@ -33,7 +33,7 @@ from .algebra import (
 )
 from .bilinears import compute_currents_grid, current_columns, fierz_residual
 from .errors import DkpError, EmptyDomainError, MassShellError, ParameterError
-from .grids import SCALAR, FieldGrid, load_grid, max_abs, rms, store_grid
+from .grids import SCALAR, FieldGrid, load_grid, norms, store_grid
 from .inversion import invert_pipeline, singular_mask, solution_checks
 from .planewave import PlaneWaveSpec, manufacture_plane_wave, plane_wave_gradient
 from .reports import all_pass, report_entry, write_report
@@ -459,6 +459,7 @@ def cmd_residuals(args) -> int:
     entries, div, h_res, rres = solution_checks(
         rep, grid, cg, m, e, a_ref, dphi=dphi, tolerance=args.tolerance
     )
+    field_eq_max_abs, field_eq_rms = norms(rres.field_eq, mask)
     payload = {
         "grid": args.grid,
         "m": m,
@@ -467,8 +468,8 @@ def cmd_residuals(args) -> int:
         "masked_fraction": float(mask.mean()),
         "checks": entries,
         "diagnostics": {
-            "reduced_field_eq_max_abs": max_abs(rres.field_eq, mask),
-            "reduced_field_eq_rms": rms(rres.field_eq, mask),
+            "reduced_field_eq_max_abs": field_eq_max_abs,
+            "reduced_field_eq_rms": field_eq_rms,
         },
     }
     if args.json_path:

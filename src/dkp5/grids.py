@@ -194,23 +194,25 @@ def gradient(grid: FieldGrid):
     return [partial_derivative(grid, axis) for axis in range(4)]
 
 
-def _select(values, mask):
+def norms(values, mask=None):
+    """(max |value|, root-mean-square of |value|) over unmasked points (mask
+    covers the four grid axes), row-major order, from one absolute value."""
     a = np.abs(np.asarray(values))
     if mask is not None:
-        keep = ~np.asarray(mask, dtype=bool)
-        a = a[keep]
-    return a
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != a.shape[: mask.ndim]:
+            raise ShapeError(f"mask {mask.shape} does not match the grid axes of {a.shape}")
+        a = (a[~mask] if mask.any() else a).ravel()
+    if not a.size:
+        return 0.0, 0.0
+    return float(a.max()), float(np.sqrt(np.mean(np.square(a))))
 
 
 def max_abs(values, mask=None) -> float:
     """Max |value| over unmasked points (mask covers the four grid axes)."""
-    a = _select(values, mask)
-    return float(a.max()) if a.size else 0.0
+    return norms(values, mask)[0]
 
 
 def rms(values, mask=None) -> float:
     """Root-mean-square of |value| over unmasked points, row-major order."""
-    a = _select(values, mask)
-    if not a.size:
-        return 0.0
-    return float(np.sqrt(np.mean(np.square(a))))
+    return norms(values, mask)[1]

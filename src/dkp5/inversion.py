@@ -24,6 +24,10 @@ derivative D_mu = d_mu + 3mi H_mu / Z.  On solutions both agree.
 
 Everything divides by Z = S - Sflat, so points with |Z| below the
 threshold are masked and excluded from every reported norm.
+
+The derivative bilinears (M = zeta, b^mu, c^mu) are pair products of Phi
+and d_mu Phi times columns of the current table, in blocks of points
+(:func:`dkp5.bilinears.derivative_bilinears`).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import METRIC_DIAG, KemmerRep
-from .bilinears import Z_EPS, CurrentGrid, compute_currents_grid
+from .bilinears import Z_EPS, CurrentGrid, compute_currents_grid, derivative_bilinears
 from .errors import EmptyDomainError, ParameterError, ShapeError, SingularZError
 from .grids import (
     FOUR_VECTOR,
@@ -48,6 +52,13 @@ from .reports import entry_from_values
 
 _SIG = np.array(METRIC_DIAG, dtype=float)
 
+#: Weights on the 26 current matrices for derivative_bilinears: zeta = I - b^2
+#: in every direction, and the raised b^mu and c^mu for direction mu.
+_ZETA_W = np.zeros((4, 26, 1))
+_ZETA_W[:, :2, 0] = (1.0, -1.0)
+_UPPER_W = np.zeros((4, 26, 2))
+_UPPER_W[range(4), range(2, 6), 0] = _UPPER_W[range(4), range(6, 10), 1] = _SIG
+
 
 def singular_mask(cg: CurrentGrid) -> np.ndarray:
     """Boolean grid marking points where |Z| is below the threshold."""
@@ -55,12 +66,13 @@ def singular_mask(cg: CurrentGrid) -> np.ndarray:
     return np.abs(cg.Z) < Z_EPS * scale
 
 
-def _check_params(m, e):
-    if not (math.isfinite(m) and math.isfinite(e)):
+def _check_params(m=None, e=None, divides_by_e=True):
+    """The parameters a stage uses: finite, m > 0, and e != 0 if it divides by e."""
+    if not all(math.isfinite(v) for v in (m, e) if v is not None):
         raise ParameterError(f"m and e must be finite, got m={m}, e={e}")
-    if e == 0:
+    if divides_by_e and e == 0:
         raise ParameterError("coupling e must be nonzero for the inversion")
-    if m <= 0:
+    if m is not None and m <= 0:
         raise ParameterError(f"mass must be positive, got {m}")
 
 
@@ -72,6 +84,11 @@ def _masked_z(cg, mask):
 
 def _currents(rep, phi_grid, cg):
     return cg if cg is not None else compute_currents_grid(rep, phi_grid)
+
+
+def _stencil_gradient(values, cg):
+    """The four stencil derivatives of a scalar grid array, on a last axis."""
+    return np.stack([array_derivative(values, cg.extents, cg.spacing, mu) for mu in range(4)], axis=-1)
 
 
 def invert_potential_gauge_fixed(cg: CurrentGrid, m, e) -> FieldGrid:
@@ -89,23 +106,9 @@ def invert_potential_full(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, 
     _check_params(m, e)
     cg = _currents(rep, phi_grid, cg)
     mask = singular_mask(cg)
-    z = _masked_z(cg, mask)
-    phi = phi_grid.values
-    dv = _wavefunction_gradient(phi_grid, dphi)
-    pb = np.einsum("...a,ab->...b", phi.conj(), rep.eta)
-    bsq_phi = np.einsum("ab,...b->...a", rep.beta_sq, phi)
-    values = np.empty(cg.extents + (4,), dtype=float)
-    for mu in range(4):
-        dpb = np.einsum("...a,ab->...b", dv[mu].conj(), rep.eta)
-        t1 = np.einsum("...a,...a->...", pb, dv[mu]) - np.einsum(
-            "...a,...a->...", dpb, phi
-        )
-        t2 = np.einsum("...a,ab,...b->...", pb, rep.beta_sq, dv[mu]) - np.einsum(
-            "...a,...a->...", dpb, bsq_phi
-        )
-        values[..., mu] = (1.5 * m / e) * cg.J[..., mu] / z + (
-            (1j * (t1 - t2)) / (2.0 * e * z)
-        ).real
+    z = _masked_z(cg, mask)[..., None]
+    d_zeta = derivative_bilinears(rep, phi_grid.values, _wavefunction_gradient(phi_grid, dphi), _ZETA_W)
+    values = (1.5 * m / e) * cg.J / z + ((1j * d_zeta[..., 0]) / (2.0 * e * z)).real
     values[mask] = 0.0
     return FieldGrid(cg.extents, cg.spacing, FOUR_VECTOR, values)
 
@@ -118,24 +121,18 @@ def gauge_term(rep: KemmerRep, phi_grid: FieldGrid, e, dphi=None, cg=None) -> Fi
     numerical derivative of the Zt grid.  |Zt| = |Z|, so the singular
     mask coincides with the inversion mask.
     """
-    if e == 0:
-        raise ParameterError("coupling e must be nonzero for the gauge term")
+    _check_params(e=e)
     cg = _currents(rep, phi_grid, cg)
     mask = singular_mask(cg)
     if mask.all():
         raise SingularZError("|Ztilde| is below threshold at every point")
-    zt = np.where(mask, 1.0, cg.tilde_Z)
+    zt = np.where(mask, 1.0, cg.tilde_Z)[..., None]
     if dphi is not None:
         dv = _wavefunction_gradient(phi_grid, dphi)
-        pt_zeta = np.einsum("...a,ab,bc->...c", phi_grid.values, rep.eta, rep.zeta)
-        dzt = [2.0 * np.einsum("...a,...a->...", pt_zeta, dv[mu]) for mu in range(4)]
+        dzt = 2.0 * derivative_bilinears(rep, phi_grid.values, dv, _ZETA_W, tilde=True)[..., 0]
     else:
-        dzt = [
-            array_derivative(cg.tilde_Z, cg.extents, cg.spacing, mu) for mu in range(4)
-        ]
-    values = np.empty(cg.extents + (4,), dtype=float)
-    for mu in range(4):
-        values[..., mu] = ((1j / (4.0 * e)) * (dzt[mu] / zt - dzt[mu].conj() / zt.conj())).real
+        dzt = _stencil_gradient(cg.tilde_Z, cg)
+    values = ((1j / (4.0 * e)) * (dzt / zt - dzt.conj() / zt.conj())).real
     values[mask] = 0.0
     return FieldGrid(cg.extents, cg.spacing, FOUR_VECTOR, values)
 
@@ -191,48 +188,25 @@ def divergence_identities(rep: KemmerRep, phi_grid: FieldGrid, A_grid: FieldGrid
     """
     if phi_grid.extents != A_grid.extents:
         raise ShapeError("field and potential grids must share extents")
+    _check_params(m, e, divides_by_e=False)
     cg = _currents(rep, phi_grid, cg)
-    phi = phi_grid.values
-    A = A_grid.values
-    dv = _wavefunction_gradient(phi_grid, dphi)
-    pb = np.einsum("...a,ab->...b", phi.conj(), rep.eta)
-    dJ = sum(
-        METRIC_DIAG[mu]
-        * array_derivative(cg.J[..., mu], cg.extents, cg.spacing, mu)
-        for mu in range(4)
+    div = lambda v: sum(
+        METRIC_DIAG[mu] * array_derivative(v[..., mu], cg.extents, cg.spacing, mu) for mu in range(4)
     )
-    dH = sum(
-        METRIC_DIAG[mu]
-        * array_derivative(cg.H[..., mu], cg.extents, cg.spacing, mu)
-        for mu in range(4)
-    ) - (1j * m / 3.0) * (4.0 * cg.Sflat - 10.0 * cg.S)
-    ja_lhs = e * np.einsum("...m,...m->...", cg.J, A * _SIG)
-    ha_lhs = e * np.einsum("...m,...m->...", cg.H, A * _SIG)
-    ja_rhs = -m * cg.S + 0j
-    ha_rhs = np.zeros(cg.extents, dtype=complex)
-    for mu in range(4):
-        bu = np.asarray(rep.beta_upper(mu))
-        cu = METRIC_DIAG[mu] * np.asarray(rep.beta_dot[mu])
-        dpb = np.einsum("...a,ab->...b", dv[mu].conj(), rep.eta)
-        ja_rhs = ja_rhs + 0.5j * (
-            np.einsum("...a,ab,...b->...", pb, bu, dv[mu])
-            - np.einsum("...a,ab,...b->...", dpb, bu, phi)
-        )
-        ha_rhs = ha_rhs + 0.5j * (
-            np.einsum("...a,ab,...b->...", pb, cu, dv[mu])
-            - np.einsum("...a,ab,...b->...", dpb, cu, phi)
-        )
-    return DivergenceResiduals(dJ=dJ, dH=dH, JA=ja_lhs - ja_rhs, HA=ha_lhs - ha_rhs)
+    contract = lambda v: e * np.einsum("...m,...m->...", v, A_grid.values * _SIG)
+    d_bc = derivative_bilinears(rep, phi_grid.values, _wavefunction_gradient(phi_grid, dphi), _UPPER_W).sum(-2)
+    return DivergenceResiduals(
+        dJ=div(cg.J),
+        dH=div(cg.H) - (1j * m / 3.0) * (4.0 * cg.Sflat - 10.0 * cg.S),
+        JA=contract(cg.J) - (-m * cg.S + 0.5j * d_bc[..., 0]),
+        HA=contract(cg.H) - 0.5j * d_bc[..., 1],
+    )
 
 
 def h_elimination_residual(cg: CurrentGrid, m) -> FieldGrid:
     """H_mu - (i/3m) d_mu Z; vanishes on solutions."""
-    if m <= 0:
-        raise ParameterError(f"mass must be positive, got {m}")
-    values = np.empty(cg.extents + (4,), dtype=complex)
-    for mu in range(4):
-        dz = array_derivative(cg.Z, cg.extents, cg.spacing, mu)
-        values[..., mu] = cg.H[..., mu] - (1j / (3.0 * m)) * dz
+    _check_params(m=m)
+    values = cg.H - (1j / (3.0 * m)) * _stencil_gradient(cg.Z, cg)
     return FieldGrid(cg.extents, cg.spacing, FOUR_VECTOR, values)
 
 

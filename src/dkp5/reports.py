@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .grids import max_abs, rms
+from .grids import norms
 
 
 def report_entry(identity, max_abs_value, rms_value, masked_fraction, tolerance) -> dict:
@@ -36,9 +36,7 @@ def entry_from_values(identity, values, mask, tolerance) -> dict:
     else:
         mask = np.asarray(mask, dtype=bool)
         frac = float(mask.sum()) / mask.size if mask.size else 0.0
-    return report_entry(
-        identity, max_abs(values, mask), rms(values, mask), frac, tolerance
-    )
+    return report_entry(identity, *norms(values, mask), frac, tolerance)
 
 
 def all_pass(entries) -> bool:

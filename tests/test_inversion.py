@@ -3,6 +3,7 @@ import pytest
 
 from dkp5 import (
     FOUR_VECTOR,
+    METRIC_DIAG,
     WAVEFUNCTION,
     FieldGrid,
     PlaneWaveSpec,
@@ -22,8 +23,10 @@ from dkp5 import (
     random_fourier_field,
     reduced_state,
     reduced_system_residuals,
+    representation_from_betas,
     singular_mask,
 )
+from dkp5.bilinears import derivative_bilinears
 from dkp5.errors import EmptyDomainError, ParameterError, SingularZError
 from dkp5.grids import gradient
 
@@ -376,3 +379,122 @@ def test_non_finite_parameters_rejected(float_rep):
             invert_pipeline(float_rep, grid, m, e)
     with pytest.raises(ParameterError):
         invert_pipeline(float_rep, grid, 1.0, 1.0, A_ref=(0.0, float("nan"), 0.0, 0.0))
+
+
+def _derivative_oracle(rep, phi, dv):
+    """The per-mu einsum forms of Phi_bar M d_mu Phi - d_mu Phi_bar M Phi for
+    M = zeta, b^mu, c^mu, and of 2 Phi_tilde zeta d_mu Phi; each (..., 4)."""
+    pb = np.einsum("...a,ab->...b", phi.conj(), rep.eta)
+    bsq_phi = np.einsum("ab,...b->...a", rep.beta_sq, phi)
+    pt_zeta = np.einsum("...a,ab,bc->...c", phi, rep.eta, rep.zeta)
+    zeta, upper_b, upper_c, tilde = [], [], [], []
+    for mu in range(4):
+        dpb = np.einsum("...a,ab->...b", dv[mu].conj(), rep.eta)
+        t1 = np.einsum("...a,...a->...", pb, dv[mu]) - np.einsum("...a,...a->...", dpb, phi)
+        t2 = np.einsum("...a,ab,...b->...", pb, rep.beta_sq, dv[mu]) - np.einsum(
+            "...a,...a->...", dpb, bsq_phi
+        )
+        zeta.append(t1 - t2)
+        for out, mat in ((upper_b, rep.beta_upper(mu)), (upper_c, METRIC_DIAG[mu] * rep.beta_dot[mu])):
+            out.append(np.einsum("...a,ab,...b->...", pb, mat, dv[mu])
+                       - np.einsum("...a,ab,...b->...", dpb, mat, phi))
+        tilde.append(2.0 * np.einsum("...a,...a->...", pt_zeta, dv[mu]))
+    return [np.stack(t, axis=-1) for t in (zeta, upper_b, upper_c, tilde)]
+
+
+def _oracle_reps(float_rep):
+    yield "reference", float_rep
+    betas = list(float_rep.beta)
+    yield "b2x2", representation_from_betas(betas[:2] + [2 * betas[2]] + betas[3:], "float")
+    # eta b_1 and eta c_mu are then not Hermitian
+    noise = np.random.default_rng(9).standard_normal((2, 5, 5))
+    yield "b1+noise", representation_from_betas(
+        [betas[0], betas[1] + 0.3 * (noise[0] + 1j * noise[1])] + betas[2:], "float")
+
+
+def _close(got, want, rtol=1e-13):
+    return np.max(np.abs(got - want)) <= rtol * max(1.0, np.max(np.abs(want)))
+
+
+def test_derivative_bilinears_match_einsum_oracle(float_rep):
+    """The blocked table products equal the einsum forms they replace, on the
+    reference representation and on corrupted ones, and so do the potential,
+    the contraction residuals and the closed-form gauge term built on them."""
+    m, e = 1.1, 0.8
+    zeta_w = np.zeros((4, 26, 1))
+    zeta_w[:, :2, 0] = (1.0, -1.0)
+    upper_w = np.zeros((4, 26, 2))
+    for mu in range(4):
+        upper_w[mu, 2 + mu, 0] = upper_w[mu, 6 + mu, 1] = METRIC_DIAG[mu]
+    # more points than one block of the table product
+    grid, dphi = random_fourier_field((9, 8, 6, 5), (0.3, 0.25, 0.3, 0.35), seed=4)
+    phi, dv = grid.values, [g.values for g in dphi]
+    A = np.array([0.3, -0.2, 0.1, 0.25])
+    a_grid = constant_four_vector_grid(A, grid.extents, grid.spacing)
+    for label, rep in _oracle_reps(float_rep):
+        zeta, upper_b, upper_c, tilde = _derivative_oracle(rep, phi, dv)
+        upper = derivative_bilinears(rep, phi, dv, upper_w)
+        assert _close(derivative_bilinears(rep, phi, dv, zeta_w)[..., 0], zeta), label
+        assert _close(upper[..., 0], upper_b), label
+        assert _close(upper[..., 1], upper_c), label
+        assert _close(2.0 * derivative_bilinears(rep, phi, dv, zeta_w, tilde=True)[..., 0], tilde), label
+
+        cg = compute_currents_grid(rep, grid)
+        mask = singular_mask(cg)
+        assert not mask.all(), label
+        z = np.where(mask, 1.0, cg.Z)[..., None]
+        want = (1.5 * m / e) * cg.J / z + ((1j * zeta) / (2.0 * e * z)).real
+        want[mask] = 0.0
+        assert _close(invert_potential_full(rep, grid, m, e, dphi=dphi, cg=cg).values, want), label
+
+        div = divergence_identities(rep, grid, a_grid, m, e, dphi=dphi, cg=cg)
+        ja = e * cg.J @ (A * METRIC_DIAG) - (-m * cg.S + 0.5j * upper_b.sum(axis=-1))
+        ha = e * cg.H @ (A * METRIC_DIAG) - 0.5j * upper_c.sum(axis=-1)
+        assert _close(div.JA, ja) and _close(div.HA, ha), label
+
+        zt = np.where(mask, 1.0, cg.tilde_Z)[..., None]
+        want = ((1j / (4.0 * e)) * (tilde / zt - tilde.conj() / zt.conj())).real
+        want[mask] = 0.0
+        assert _close(gauge_term(rep, grid, e, dphi=dphi, cg=cg).values, want), label
+
+
+def test_pipeline_without_dphi_takes_stencil_gauge_term(float_rep):
+    """Without closed-form derivatives the pipeline's gauge term is the
+    stencil route, not the bilinear one."""
+    e = 0.9
+    grid, dphi = random_fourier_field((6, 5, 4, 1), (0.3, 0.3, 0.35, 1), seed=2)
+    out, _ = invert_pipeline(float_rep, grid, 1.0, e)
+    cg = compute_currents_grid(float_rep, grid)
+    stencil = gauge_term(float_rep, grid, e, cg=cg).values
+    assert np.array_equal(out.gauge_term.values, stencil)
+    assert not np.array_equal(gauge_term(float_rep, grid, e, dphi=dphi, cg=cg).values, stencil)
+
+
+def _small_wave():
+    return _solution(extents=(6, 5, 1, 1), spacing=(0.12, 0.2, 1, 1), spatial=(0.3, 0, 0))
+
+
+def test_h_elimination_rejects_bad_mass(float_rep):
+    _, grid = _small_wave()
+    cg = compute_currents_grid(float_rep, grid)
+    for m in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ParameterError):
+            h_elimination_residual(cg, m)
+
+
+def test_gauge_term_rejects_bad_coupling(float_rep):
+    _, grid = _small_wave()
+    for e in (float("nan"), float("-inf"), 0.0):
+        with pytest.raises(ParameterError):
+            gauge_term(float_rep, grid, e)
+
+
+def test_divergence_identities_reject_bad_parameters(float_rep):
+    spec, grid = _small_wave()
+    a_grid = constant_four_vector_grid(np.zeros(4), grid.extents, grid.spacing)
+    for m, e in ((float("nan"), 1.0), (-1.0, 1.0), (0.0, 1.0), (1.0, float("nan"))):
+        with pytest.raises(ParameterError):
+            divergence_identities(float_rep, grid, a_grid, m, e)
+    # the relations never divide by e
+    div = divergence_identities(float_rep, grid, a_grid, 1.0, 0.0)
+    assert np.isfinite(div.JA).all()
