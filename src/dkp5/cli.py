@@ -14,7 +14,6 @@ hidden defaults for m and e.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
@@ -49,6 +48,13 @@ def _real(text):
     x = float(text)
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"need a finite real, got {text!r}")
+    return x
+
+
+def _tolerance(text):
+    x = _real(text)
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"need a tolerance >= 0, got {text!r}")
     return x
 
 
@@ -117,7 +123,7 @@ def build_parser():
     p.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT)
     p.add_argument("--max-word-len", type=_count(0, 10), default=3,
                    help="word-reduction sweep depth, 0..10; 0 skips the sweep")
-    p.add_argument("--tol", type=_real, default=1e-12, help="float-mode tolerance")
+    p.add_argument("--tol", type=_tolerance, default=1e-12, help="float-mode tolerance, >= 0")
     p.add_argument("--fierz-samples", type=_count(0), default=0,
                    help="also check the rank-one rearrangement on N random exact wavefunctions")
     p.add_argument("--seed", type=int, default=0)
@@ -171,7 +177,7 @@ def _add_residual_args(p):
     mode.add_argument("--analytic", action="store_true",
                       help="closed-form derivatives (requires a plane-wave sidecar)")
     mode.add_argument("--fd", action="store_true", help="finite differences (default)")
-    p.add_argument("--tolerance", type=_real, default=1e-10)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-10, help="check tolerance, >= 0")
     p.add_argument("--json", dest="json_path")
     p.add_argument("--csv", dest="csv_path")
 
@@ -315,10 +321,11 @@ def _rows(columns, limit=None):
 
 
 def _write_csv(path, columns):
+    """Header and rows as csv.writer writes them: the values are ints and
+    floats, which need no quoting, so each row is their reprs joined."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(zip(*columns.values()))
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*columns.values()))
 
 
 def _check_distinct_paths(input_path, *outputs):
@@ -494,10 +501,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DkpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
-    except FileNotFoundError as exc:
+    except (DkpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
 

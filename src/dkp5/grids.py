@@ -18,7 +18,9 @@ File format (little-endian, self-describing, bit-exact round trip):
 
 Derivatives use second-order central differences in the interior and
 the one-sided stencil (-3 f0 + 4 f1 - f2) / 2h at the two boundary
-layers; both are exact on quadratics.
+layers; both are exact on quadratics.  ``derivatives`` is the one array
+gradient (the FieldGrid ``partial_derivative`` and ``gradient`` wrap it),
+and every stencil runs through ``stencil_derivative``.
 """
 
 from __future__ import annotations
@@ -154,44 +156,54 @@ def load_grid(path) -> FieldGrid:
     return FieldGrid(extents, spacing, kind, values)
 
 
-def stencil_derivative(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Second-order first derivative of an array along one axis.
+def stencil_derivative(values: np.ndarray, axis: int, h: float, out=None) -> np.ndarray:
+    """Second-order first derivative of an array along one axis, written to
+    ``out`` (same shape as ``values``) when given.
 
     Requires at least 3 samples along the axis; symmetry axes are handled
-    by the callers, which return zeros without touching the stencil.
+    by :func:`derivatives`, which returns zeros without touching the stencil.
     """
     v = np.moveaxis(values, axis, 0)
     if v.shape[0] < 3:
         raise StencilError(
             f"axis {axis} has extent {v.shape[0]}; need >= 3 for the stencil"
         )
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    out = np.empty_like(v) if out is None else np.moveaxis(out, axis, 0)
+    inner = out[1:-1]
+    np.subtract(v[2:], v[:-2], out=inner)
+    np.divide(inner, 2.0 * h, out=inner)
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
     out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
     return np.moveaxis(out, 0, axis)
 
 
-def array_derivative(values, extents, spacing, axis):
-    """Derivative of a grid-shaped array, honouring symmetry axes."""
-    if extents[axis] == 1:
-        return np.zeros_like(values)
-    return stencil_derivative(values, axis, spacing[axis])
+def derivatives(values, spacing, axes=range(4)):
+    """d/dx^mu of a grid-shaped array (grid axes first) for each mu in ``axes``,
+    stacked on a new leading axis so that each derivative is contiguous;
+    exactly zero along symmetry axes."""
+    values = np.asarray(values)
+    axes = tuple(axes)
+    out = np.empty((len(axes),) + values.shape, dtype=np.result_type(values, 1.0))
+    for d, mu in zip(out, axes):
+        if values.shape[mu] == 1:
+            d[...] = 0.0
+        else:
+            stencil_derivative(values, mu, spacing[mu], out=d)
+    return out
 
 
 def partial_derivative(grid: FieldGrid, axis: int) -> FieldGrid:
     """d/dx^axis of the field; exactly zero along symmetry axes."""
     if not 0 <= axis <= 3:
         raise ShapeError(f"axis {axis} outside 0..3")
-    if grid.extents[axis] == 1:
-        return FieldGrid.zeros(grid.extents, grid.spacing, grid.kind)
-    out = stencil_derivative(grid.values, axis, grid.spacing[axis])
-    return FieldGrid(grid.extents, grid.spacing, grid.kind, out)
+    d = derivatives(grid.values, grid.spacing, (axis,))[0]
+    return FieldGrid(grid.extents, grid.spacing, grid.kind, d)
 
 
 def gradient(grid: FieldGrid):
     """All four partial derivatives, lower index."""
-    return [partial_derivative(grid, axis) for axis in range(4)]
+    return [FieldGrid(grid.extents, grid.spacing, grid.kind, d)
+            for d in derivatives(grid.values, grid.spacing)]
 
 
 def norms(values, mask=None):

@@ -32,7 +32,7 @@ from .grids import (
     FieldGrid,
     check_addressable,
     coordinate_axes,
-    gradient,
+    derivatives,
 )
 
 #: Relative tolerance for the mass-shell precondition k.k = m^2.
@@ -71,8 +71,15 @@ class PlaneWaveSpec:
     def check_on_shell(self):
         if self.m <= 0:
             raise ParameterError(f"mass must be positive, got {self.m}")
-        viol = self.mass_shell_violation()
-        if viol > SHELL_TOL * max(1.0, self.m**2):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                viol = self.mass_shell_violation()
+                bound = SHELL_TOL * max(1.0, self.m**2)
+        except (OverflowError, FloatingPointError) as exc:
+            raise ParameterError(
+                f"k.k - m^2 overflows a float (p={self.p}, A={self.A}, m={self.m}, e={self.e})"
+            ) from exc
+        if viol > bound:
             raise MassShellError(
                 f"|k.k - m^2| = {viol:.6e} violates the mass shell", violation=viol
             )
@@ -143,7 +150,7 @@ class DkpResidual:
 
 def _wavefunction_gradient(phi_grid, dphi):
     if dphi is None:
-        return [g.values for g in gradient(phi_grid)]
+        return derivatives(phi_grid.values, phi_grid.spacing)
     if len(dphi) != 4:
         raise ShapeError("dphi must supply all four derivative grids")
     for g in dphi:

@@ -292,3 +292,71 @@ def test_manufacture_unaddressable_extents_exits_two(tmp_path, capsys):
                "-o", str(out)) == 2
     assert "more than numpy can address" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["currents_grid_dir", "invert_json_dir", "manufacture_dir",
+                                  "invert_outdir_is_file"])
+def test_os_errors_exit_two(tmp_path, capsys, case):
+    grid_path = _manufacture(tmp_path)
+    capsys.readouterr()
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    argv = {
+        "currents_grid_dir": ["currents", "--grid", str(directory)],
+        "invert_json_dir": ["invert", "--grid", str(grid_path), "--analytic",
+                            "--json", str(directory)],
+        "manufacture_dir": ["manufacture", "--p", "1,0,0,0", "--A", "0,0,0,0", "--m", "1",
+                            "--e", "1", "--extents", "4,1,1,1", "--spacing", "0.1",
+                            "-o", str(directory)],
+        "invert_outdir_is_file": ["invert", "--grid", str(grid_path), "--analytic",
+                                  "-o", str(grid_path)],
+    }[case]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-algebra", "--mode", "float", "--tol", "-1"],
+    ["invert", "--tolerance", "-1"],
+    ["residuals", "--tolerance", "-1"],
+])
+def test_negative_tolerance_exits_two(tmp_path, argv):
+    grid_path = _manufacture(tmp_path)
+    if argv[0] != "verify-algebra":
+        argv = argv + ["--grid", str(grid_path), "--analytic"]
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+
+
+def test_zero_tolerance_is_accepted(tmp_path):
+    assert run("verify-algebra", "--mode", "float", "--max-word-len", "0", "--tol", "0") in (0, 1)
+
+
+def test_manufacture_overflow_exits_two(tmp_path, capsys):
+    out = tmp_path / "big.dkp5"
+    assert run("manufacture", "--p", "1e200,0,0,0", "--A", "0,0,0,0", "--m", "1e200",
+               "--e", "1", "--extents", "4,1,1,1", "--spacing", "0.1", "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "overflows a float" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_csv_rows_match_csv_writer(tmp_path):
+    from dkp5.cli import _write_csv
+
+    columns = {
+        "it": [0, 1, 2, 3, 4],
+        "masked": [0, 1, 0, 0, 1],
+        "x": [-0.0, 5e-324, 1.7976931348623157e308, 1e22, 0.1 + 0.2],
+        "y": [1.0, -2.5e-310, 123456789012345.67, -1e300, 3.0],
+    }
+    path = tmp_path / "fast.csv"
+    _write_csv(path, columns)
+    want = tmp_path / "writer.csv"
+    with open(want, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*columns.values()))
+    assert path.read_bytes() == want.read_bytes()

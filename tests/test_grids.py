@@ -20,6 +20,7 @@ from dkp5 import (
     store_grid,
 )
 from dkp5.errors import GridFormatError, ShapeError, StencilError
+from dkp5.grids import derivatives, gradient
 
 
 def _random_grid(rng, extents, kind):
@@ -214,6 +215,50 @@ def test_symmetry_axis_and_stencil_error():
     assert np.array_equal(partial_derivative(grid, 1).values, np.zeros((4, 1, 2, 1)))
     with pytest.raises(StencilError):
         partial_derivative(grid, 2)
+
+
+def _expression_stencil(values, axis, h):
+    """The stencil as one array expression per region, without ``out=``."""
+    v = np.moveaxis(values, axis, 0)
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    return np.moveaxis(out, 0, axis)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+def test_in_place_stencil_is_bit_identical():
+    rng = np.random.default_rng(5)
+    shape = (5, 4, 6, 3, 4)
+    real = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    real.flat[::7] = -0.0
+    for values in (real, real + 1j * rng.standard_normal(shape), real[..., 1]):
+        for axis in range(4):
+            for h in (0.05, 0.1, 0.3, 0.37):
+                want = _expression_stencil(values, axis, h)
+                assert np.array_equal(_bits(stencil_derivative(values, axis, h)), _bits(want))
+                out = np.full(values.shape, np.nan, dtype=values.dtype)
+                stencil_derivative(values, axis, h, out=out)
+                assert np.array_equal(_bits(out), _bits(want))
+
+
+def test_derivatives_stack_on_a_leading_axis():
+    rng = np.random.default_rng(6)
+    spacing = (0.1, 0.2, 0.3, 0.4)
+    values = rng.standard_normal((4, 1, 5, 3, 4)) + 1j * rng.standard_normal((4, 1, 5, 3, 4))
+    d = derivatives(values, spacing)
+    assert d.shape == (4,) + values.shape and d[2].flags.c_contiguous
+    assert not d[1].any()  # symmetry axis
+    for mu in (0, 2, 3):
+        assert np.array_equal(_bits(d[mu]), _bits(stencil_derivative(values, mu, spacing[mu])))
+        assert np.array_equal(_bits(derivatives(values, spacing, (mu,))[0]), _bits(d[mu]))
+    assert derivatives(values.real, spacing).dtype == np.float64
+    grid = FieldGrid((4, 1, 5, 3), spacing, FOUR_VECTOR, values)
+    assert all(np.array_equal(g.values, d[mu]) for mu, g in enumerate(gradient(grid)))
 
 
 def test_derivative_linearity():

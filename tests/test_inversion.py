@@ -25,6 +25,7 @@ from dkp5 import (
     reduced_system_residuals,
     representation_from_betas,
     singular_mask,
+    solution_checks,
 )
 from dkp5.bilinears import derivative_bilinears
 from dkp5.errors import EmptyDomainError, ParameterError, SingularZError
@@ -498,3 +499,77 @@ def test_divergence_identities_reject_bad_parameters(float_rep):
     # the relations never divide by e
     div = divergence_identities(float_rep, grid, a_grid, 1.0, 0.0)
     assert np.isfinite(div.JA).all()
+
+
+def _masked_field():
+    """A random field on a non-cubic grid with a symmetry axis, zeroed at one
+    point so that Z = 0 there, with its closed-form derivatives."""
+    grid, dphi = random_fourier_field((7, 5, 6, 1), (0.3, 0.25, 0.35, 1), seed=11)
+    grid.values[3, 2, 4] = 0.0
+    return grid, dphi
+
+
+@pytest.mark.parametrize("analytic", [False, True])
+@pytest.mark.parametrize("A_ref", [None, (0.3, -0.2, 0.1, 0.25)])
+def test_pipeline_equals_stages_called_alone(float_rep, analytic, A_ref):
+    """The pipeline's shared derivatives, bilinears and mask change no bit of
+    its grids or its entries."""
+    m, e, tol = 1.1, 0.8, 1e-10
+    grid, dphi = _masked_field()
+    dphi = dphi if analytic else None
+    out, entries = invert_pipeline(float_rep, grid, m, e, dphi=dphi, A_ref=A_ref, tolerance=tol)
+
+    cg = compute_currents_grid(float_rep, grid)
+    mask = singular_mask(cg)
+    assert mask.any() and not mask.all()
+    a_gf = invert_potential_gauge_fixed(cg, m, e)
+    alone = {
+        "a_full": invert_potential_full(float_rep, grid, m, e, dphi=dphi),
+        "a_gauge_fixed": a_gf,
+        "gauge_term": gauge_term(float_rep, grid, e, dphi=dphi),
+        "f_from_potential": field_strength_from_potential(a_gf),
+        "f_bilinear": field_strength_bilinear(cg, m, e),
+    }
+    for name, want in alone.items():
+        assert np.array_equal(getattr(out, name).values, want.values), name
+    assert np.array_equal(out.singular_mask, mask)
+
+    assert len(entries) == (3 if A_ref is None else 15)
+    if A_ref is not None:
+        checks, div, hres, rres = solution_checks(float_rep, grid, cg, m, e, A_ref, dphi=dphi, tolerance=tol)
+        assert entries[-8:] == checks
+        a_grid = constant_four_vector_grid(A_ref, grid.extents, grid.spacing)
+        div_alone = divergence_identities(float_rep, grid, a_grid, m, e, dphi=dphi)
+        for name in ("dJ", "dH", "JA", "HA"):
+            assert np.array_equal(getattr(div, name), getattr(div_alone, name)), name
+        assert np.array_equal(hres.values, h_elimination_residual(cg, m).values)
+        rres_alone = reduced_system_residuals(reduced_state(cg, m, e))
+        for name in ("field_eq", "conservation", "modulus", "lhs_cross_check"):
+            assert np.array_equal(getattr(rres, name), getattr(rres_alone, name)), name
+
+
+def test_pipeline_takes_each_stencil_once(float_rep, monkeypatch):
+    """One FD pipeline with A_ref runs 48 stencils: 4 for Phi, 4 for Zt, 4 for
+    each F route, 4 for d.H, 4 for Z and 24 in the reduced system."""
+    import dkp5.grids
+
+    calls = []
+    stencil = dkp5.grids.stencil_derivative
+    monkeypatch.setattr(dkp5.grids, "stencil_derivative",
+                        lambda *a, **k: calls.append(a[1]) or stencil(*a, **k))
+    grid, _ = random_fourier_field((5, 5, 5, 5), (0.3,) * 4, seed=3)
+    invert_pipeline(float_rep, grid, 1.0, 1.0, A_ref=(0.1, 0.0, 0.2, 0.0))
+    assert len(calls) <= 48
+
+
+def test_field_strength_of_a_complex_potential(float_rep):
+    """A complex potential keeps complex stencils; a real one gives the same
+    real part."""
+    rng = np.random.default_rng(8)
+    ext, sp = (5, 4, 1, 6), (0.2, 0.3, 1, 0.25)
+    re, im = rng.standard_normal((2,) + ext + (4,))
+    f_re = field_strength_from_potential(FieldGrid(ext, sp, FOUR_VECTOR, re)).values
+    f_im = field_strength_from_potential(FieldGrid(ext, sp, FOUR_VECTOR, im)).values
+    f = field_strength_from_potential(FieldGrid(ext, sp, FOUR_VECTOR, re + 1j * im)).values
+    assert not f_re.imag.any() and np.abs(f_re).max() > 1.0
+    assert np.allclose(f, f_re + 1j * f_im, rtol=0, atol=1e-13 * np.abs(f).max())
