@@ -29,6 +29,7 @@ from .bilinears import (
     zeta_identity_residuals,
 )
 from .errors import (
+    CurrentOverflowError,
     DkpError,
     EmptyDomainError,
     GridFormatError,

@@ -21,11 +21,15 @@ re-derives every identity family from the matrices themselves, and
 :func:`enumerate_basis` re-checks that the 25 canonical elements
 {I, b_mu, companion c_mu, b_mu b_nu} are linearly independent.
 
-Each identity family is one array expression over its case axes, scaled
-to clear its denominators (c_mu enters as 3 c_mu).  Exact mode runs it
-in int64 on integer generators, raising ModeError for any other entry and
-OverflowError where a product could pass half the int64 range; float
-mode runs the same expressions on the complex matrices.
+An exact representation is built in int64 from integer generators
+(ModeError otherwise), every product bounded first (OverflowError, never
+wrap round), and its fields are boxed into Fractions once.  It caches one
+int64 view of them, ``KemmerRep.integers`` (c_mu entering as 3 c_mu),
+which every exact stage reads: the identity families, each one array
+expression over its case axes scaled to clear its denominators; the
+basis rank, by fraction-free Bareiss elimination; the word sweep, the
+currents and the Fierz residuals.  Float mode runs the same expressions
+on the complex matrices.
 """
 
 from __future__ import annotations
@@ -34,22 +38,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ModeError, RepresentationDefectError
-from .scalars import (
-    EXACT,
-    FLOAT,
-    INT64_HALF,
-    GaussianRational,
-    as_fraction,
-    check_mode,
-    exact_int64,
-    frac,
-    is_exact_zero,
-    magnitude,
-)
+from .scalars import EXACT, FLOAT, INT64_HALF, check_mode, checked_matmul, exact_int64
 
 #: Diagonal of the flat metric eta_{mu nu} = diag(1, -1, -1, -1).
 METRIC_DIAG = (1, -1, -1, -1)
@@ -67,13 +61,22 @@ def raise_index(v):
     return np.asarray(v) * _SIG
 
 
+def _boxed(ints, den=1):
+    """int64 matrices as an object array of Fractions over ``den``; each
+    distinct value is boxed once."""
+    flat = ints.ravel().tolist()
+    boxes = {v: Fraction(v, den) for v in set(flat)}
+    return np.array([boxes[v] for v in flat], dtype=object).reshape(ints.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class KemmerRep:
     """Concrete representation bundle: generators plus derived elements.
 
     All matrices are 5x5; exact mode stores numpy object arrays with
-    Fraction entries, float mode complex128 arrays.  Instances are
-    immutable by contract and safe to share across threads.
+    Fraction entries, and caches their int64 view in ``integers``; float
+    mode stores complex128 arrays.  Instances are immutable by contract
+    and safe to share across threads.
     """
 
     mode: str
@@ -90,12 +93,35 @@ class KemmerRep:
         return METRIC_DIAG[mu] * self.beta[mu]
 
     @cached_property
+    def integers(self) -> SimpleNamespace:
+        """The exact fields as int64 (ModeError for a non-integer entry), built once.
+
+        c_mu enters as c3 = 3 c_mu: ``beta``, ``c3``, ``beta_sq``, ``eta``,
+        ``zeta`` and ``identity``; ``basis`` (25, 5, 5) and ``current``
+        (26, 5, 5) with 3 c_mu, their products checked against overflow;
+        and ``table`` (25, 26), column k holding eta M_k flattened.
+        """
+        if self.mode != EXACT:
+            raise ModeError("the integer view belongs to exact representations")
+        m = exact_int64([*self.beta, *(3 * np.stack(self.beta_dot)),
+                         self.beta_sq, self.eta, self.zeta, self.identity])
+        b, c3, (bsq, eta, zeta, ident) = m[:4], m[4:8], m[8:]
+        pairs = checked_matmul(b[:, None], b).reshape(16, 5, 5)
+        current = np.concatenate([ident[None], bsq[None], b, c3, pairs])
+        table = checked_matmul(eta, current).reshape(26, 25).T
+        return SimpleNamespace(beta=b, c3=c3, beta_sq=bsq, eta=eta, zeta=zeta, identity=ident,
+                               basis=np.delete(current, 1, axis=0), current=current, table=table)
+
+    @cached_property
     def basis(self):
         """The 25 canonical basis matrices as a tuple, built once.
 
         Order: I; b_0..b_3; companions c_0..c_3; b_mu b_nu row-major.
         """
-        pairs = [self.beta[m] @ self.beta[n] for m in range(4) for n in range(4)]
+        if self.mode == EXACT:
+            pairs = _boxed(self.integers.basis[9:])
+        else:
+            pairs = [self.beta[m] @ self.beta[n] for m in range(4) for n in range(4)]
         return (self.identity, *self.beta, *self.beta_dot, *pairs)
 
     @cached_property
@@ -116,59 +142,41 @@ class KemmerRep:
         return np.stack([(self.eta @ m).reshape(25) for m in self.current_matrices], axis=1)
 
 
-def _exact_matrix(rows):
-    out = np.empty((5, 5), dtype=object)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            out[i, j] = as_fraction(x)
-    return out
-
-
-def _identity_matrix(mode):
-    if mode == EXACT:
-        return _exact_matrix(np.eye(5, dtype=int))
-    return np.eye(5, dtype=complex)
-
-
 def representation_from_betas(beta, mode) -> KemmerRep:
     """Assemble the derived elements from four lower-index generators.
 
     Used both for the reference representation and for deliberately
     corrupted ones in defect tests; no identity is assumed to hold.
+    Exact mode needs integer generators (ModeError otherwise) and takes
+    every product in int64, raising OverflowError where one could pass
+    half the int64 range.
     """
     check_mode(mode)
+    if mode == EXACT:
+        b = exact_int64(tuple(beta))
+        ident = np.eye(5, dtype=np.int64)
+        # eta^{mu mu} b_mu b_mu as one checked product, (5, 20) by (20, 5)
+        bsq = checked_matmul(np.concatenate(_SIG[:, None, None] * b, axis=1), b.reshape(20, 5))
+        c3 = checked_matmul(b, bsq) - checked_matmul(bsq, b)
+        eta = 2 * checked_matmul(b[0], b[0]) - ident
+        fields = _boxed(np.concatenate([b, [bsq, eta, ident - bsq, ident]]))
+        return KemmerRep(EXACT, tuple(fields[:4]), tuple(_boxed(c3, 3)), *fields[4:])
     beta = tuple(beta)
-    ident = _identity_matrix(mode)
+    ident = np.eye(5, dtype=complex)
     beta_sq = sum(METRIC_DIAG[m] * (beta[m] @ beta[m]) for m in range(4))
-    third = frac(1, 3, mode)
-    beta_dot = tuple((beta[m] @ beta_sq - beta_sq @ beta[m]) * third for m in range(4))
+    beta_dot = tuple((beta[m] @ beta_sq - beta_sq @ beta[m]) * (1 / 3) for m in range(4))
     eta = 2 * (beta[0] @ beta[0]) - ident
-    zeta = ident - beta_sq
-    return KemmerRep(
-        mode=mode,
-        beta=beta,
-        beta_dot=beta_dot,
-        beta_sq=beta_sq,
-        eta=eta,
-        zeta=zeta,
-        identity=ident,
-    )
+    return KemmerRep(FLOAT, beta, beta_dot, beta_sq, eta, ident - beta_sq, ident)
 
 
 def build_representation(mode=EXACT) -> KemmerRep:
     """The reference representation in the requested scalar mode."""
     check_mode(mode)
-    betas = []
-    for mu in range(4):
-        raised = [[0] * 5 for _ in range(5)]
-        raised[mu][4] = 1
-        raised[4][mu] = METRIC_DIAG[mu]
-        lower = [[METRIC_DIAG[mu] * x for x in row] for row in raised]
-        if mode == EXACT:
-            betas.append(_exact_matrix(lower))
-        else:
-            betas.append(np.array(lower, dtype=complex))
-    return representation_from_betas(betas, mode)
+    raised = np.zeros((4, 5, 5), dtype=np.int64)
+    raised[range(4), range(4), 4] = 1
+    raised[range(4), 4, range(4)] = METRIC_DIAG
+    lower = _SIG[:, None, None] * raised
+    return representation_from_betas(lower if mode == EXACT else lower.astype(complex), mode)
 
 
 def _validate_rep(rep):
@@ -284,24 +292,23 @@ def verify_algebra_identities(rep: KemmerRep, tol=1e-12):
     """Check every matrix identity family; returns one record per family.
 
     Failures are reported in the records, never raised; exceptions are
-    reserved for malformed representations.  Each family is one batched
-    array expression over its case axes, scaled to clear its
-    denominators.  Exact mode runs it in int64: it needs integer
-    generators (ModeError otherwise) and raises OverflowError when a
-    product of six matrices could pass half the int64 range; a family
-    passes iff every residual entry is exactly zero.  Float mode runs the
-    same expressions on the complex matrices; a family passes iff the
-    maximum absolute residual is below ``tol``.
+    reserved for malformed representations.  Exact mode runs on the
+    integer view, raises OverflowError when a product of six matrices
+    could pass half the int64 range, and passes a family iff every
+    residual entry is exactly zero; float mode passes it iff the maximum
+    absolute residual is below ``tol``.
     """
     _validate_rep(rep)
     exact = rep.mode == EXACT
-    mats = [np.stack(rep.beta), 3 * np.stack(rep.beta_dot),
-            rep.beta_sq, rep.eta, rep.zeta, rep.identity]
     if exact:
-        mats = [exact_int64(m) for m in mats]
+        v = rep.integers
+        mats = [v.beta, v.c3, v.beta_sq, v.eta, v.zeta, v.identity]
         top = max(max(int(m.max()), -int(m.min())) for m in mats)
         if 5**5 * top**6 > INT64_HALF:
             raise OverflowError(f"int64 identity residuals could reach 5^5 * {top}^6")
+    else:
+        mats = [np.stack(rep.beta), 3 * np.stack(rep.beta_dot),
+                rep.beta_sq, rep.eta, rep.zeta, rep.identity]
     return [_identity_check(*family, exact, tol) for family in _identity_families(*mats)]
 
 
@@ -313,29 +320,25 @@ def basis_matrices(rep: KemmerRep):
     return list(rep.basis)
 
 
-def _exact_rank(rows):
-    """Rank of a matrix of exact scalars by fraction-free-enough elimination."""
-    work = [[GaussianRational(x) if not isinstance(x, GaussianRational) else x for x in row] for row in rows]
-    nrows, ncols = len(work), len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if work[r][col]:
-                pivot = r
-                break
-        if pivot is None:
+def _bareiss_rank(rows):
+    """Rank of an integer matrix by fraction-free elimination (E. H. Bareiss,
+    Math. Comp. 22 (1968) 565-578) on Python ints.
+
+    After each pivot every remaining entry is a minor of the input, so the
+    division by the previous pivot is exact: nothing rounds, and nothing
+    wraps round.
+    """
+    a = np.array(rows, dtype=object)
+    rank, prev = 0, 1
+    for col in range(a.shape[1]):
+        nonzero = np.flatnonzero(a[rank:, col])
+        if not nonzero.size:
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        prow = work[rank]
-        inv = 1 / prow[col]
-        for r in range(rank + 1, nrows):
-            f = work[r][col]
-            if f:
-                f = f * inv
-                work[r] = [a - f * p for a, p in zip(work[r], prow)]
-        rank += 1
-        if rank == nrows:
+        a[[rank, rank + nonzero[0]]] = a[[rank + nonzero[0], rank]]
+        pivot, below = a[rank, col], a[rank + 1 :, col:]
+        below[...] = (pivot * below - below[:, :1] * a[rank, col:]) // prev
+        prev, rank = pivot, rank + 1
+        if rank == len(a):
             break
     return rank
 
@@ -346,24 +349,24 @@ def enumerate_basis(rep: KemmerRep, tol=1e-9):
     Raises :class:`RepresentationDefectError` when the rank drops below
     25 (e.g. for the trivial representation with all generators zero).
     Also re-checks that b^2 is the metric contraction of the products.
+    Exact mode takes both from the integer view: the rank by Bareiss
+    elimination, the contraction in Python ints.
     """
     _validate_rep(rep)
     mats = basis_matrices(rep)
-    if rep.mode == EXACT:
-        rank = _exact_rank([list(m.reshape(-1)) for m in mats])
+    exact = rep.mode == EXACT
+    if exact:
+        basis, beta_sq = (m.astype(object) for m in (rep.integers.basis, rep.integers.beta_sq))
+        rank = _bareiss_rank(basis.reshape(25, 25))
     else:
+        basis, beta_sq = mats, rep.beta_sq
         stack = np.stack([m.reshape(-1) for m in mats])
         rank = int(np.linalg.matrix_rank(stack, tol=tol))
     if rank < 25:
         raise RepresentationDefectError(
             f"canonical basis has rank {rank}, expected 25", rank=rank
         )
-    recon = sum(METRIC_DIAG[m] * mats[9 + 5 * m] for m in range(4))  # b_m b_m
-    diff = recon - rep.beta_sq
-    if rep.mode == EXACT:
-        ok = all(is_exact_zero(x) for x in diff.reshape(-1))
-    else:
-        ok = max(magnitude(x) for x in diff.reshape(-1)) <= tol
-    if not ok:
+    diff = sum(METRIC_DIAG[m] * basis[9 + 5 * m] for m in range(4)) - beta_sq  # b_m b_m
+    if not (np.count_nonzero(diff) == 0 if exact else np.abs(diff).max() <= tol):
         raise RepresentationDefectError("b^2 is not the metric trace of the products")
     return mats, rank

@@ -28,10 +28,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import METRIC_DIAG, KemmerRep
-from .errors import ModeError, ShapeError
+from .algebra import METRIC_DIAG, KemmerRep, minkowski_dot
+from .errors import CurrentOverflowError, ModeError, ShapeError
 from .grids import WAVEFUNCTION, FieldGrid
-from .scalars import EXACT, FLOAT, GaussianRational, exact_int64, frac
+from .scalars import EXACT, FLOAT, GaussianRational, checked_matmul, frac
 
 #: Relative scale factor of the |Z| singularity threshold.
 Z_EPS = 1e-10
@@ -103,15 +103,23 @@ def compute_currents(rep: KemmerRep, phi) -> CurrentSet:
     Every current is conj(Phi) eta M_k Phi (Hermitian) or Phi eta M_k Phi
     (tilde) with M_k one of the 26 current matrices, so each sector is
     the 25 pair products left[a] Phi[b] times ``rep.current_table``.
+    Exact mode multiplies the Python-int pairs of d Phi (d: each Phi's
+    common denominator) by the integer view's table as 3 M_k, over 3 d^2.
     Fields carry the leading axes of ``phi``: scalars, four-vectors and
     4x4 matrices for one wavefunction.
     """
     phi = as_wavefunction(phi, rep.mode)
     lead = phi.shape[:-1]
     right = phi.reshape(-1, 5)
-    h = _pair_products(np.conj(right), right, rep.current_table).reshape(lead + (26,))
-    # columns 6..9, the companion tilde current, vanish
-    t = _pair_products(right, right, rep.current_table).reshape(lead + (26,))
+    if rep.mode == EXACT:
+        z, d = _integer_parts(right)
+        table = rep.integers.table.astype(object) * (3 // _C3)
+        h, t = (_gaussian(*(_pairs(z, conj) @ table), 3 * d * d) for conj in (True, False))
+    else:
+        h = _pair_products(np.conj(right), right, rep.current_table)
+        t = _pair_products(right, right, rep.current_table)
+    # columns 6..9 of t, the companion tilde current, vanish
+    h, t = h.reshape(lead + (26,)), t.reshape(lead + (26,))
     S, Sflat, J = h[..., 0][()], h[..., 1][()], h[..., 2:6]
     tS, tSflat = t[..., 0][()], t[..., 1][()]
     if rep.mode == FLOAT:
@@ -213,6 +221,9 @@ def _fierz18():
 
 _FIERZ18 = _fierz18()
 
+#: Column factors of the current matrices that take c_mu to 3 c_mu.
+_C3 = np.array([1] * 6 + [3] * 4 + [1] * 16)
+
 def _integer_parts(rows):
     """(n, k) exact scalars as Python-int numerators of their real and imaginary
     parts, (2, n, k), over one denominator per row, (n, 1)."""
@@ -263,21 +274,23 @@ def fierz_residual(rep: KemmerRep, phi, cs: CurrentSet | None = None):
     Psi = d Phi, U/e the current row (S, Sflat, J, 3H, K), W the 18-fold
     Fierz weights, M the current matrices with c_mu as 3 c_mu, and
     D = lcm(d^2, e).  Exact mode takes d and e as each wavefunction's and
-    each current row's common denominator, so every product runs on
-    Python ints (exact at any size, never wrapping round), all
-    wavefunctions at once; it needs integer generators (ModeError
-    otherwise) and returns Gaussian rationals.  Float mode runs the same
-    products with d = e = 1.
+    each current row's common denominator, and M and W M from the
+    representation's integer view, so every product runs on Python ints
+    (exact at any size, never wrapping round), all wavefunctions at once;
+    it returns Gaussian rationals.  Float mode runs the same products
+    with d = e = 1.
     """
     phi = as_wavefunction(phi, rep.mode)
     lead = phi.shape[:-1]
     exact = rep.mode == EXACT
-    m3, eta = rep.current_matrices.copy(), rep.eta
-    m3[6:10] *= 3  # c_mu as 3 c_mu, integral for integer generators
     if exact:
-        m3, eta = (exact_int64(m).astype(object) for m in (m3, eta))
-    table = (eta @ m3).reshape(26, 25).T  # rep.current_table with c_mu as 3 c_mu
-    weighted = _FIERZ18 @ m3.reshape(26, 25)
+        ints = rep.integers
+        weighted = checked_matmul(_FIERZ18, ints.current.reshape(26, 25))
+        table, weighted, eta = (m.astype(object) for m in (ints.table, weighted, ints.eta))
+    else:
+        m3, eta = rep.current_matrices * _C3[:, None, None], rep.eta
+        table = (eta @ m3).reshape(26, 25).T  # rep.current_table with c_mu as 3 c_mu
+        weighted = _FIERZ18 @ m3.reshape(26, 25)
     z, d = _integer_parts(phi.reshape(-1, 5)) if exact else (phi.reshape(-1, 5), 1)
     rows = (None, None) if cs is None else (
         _current_rows(lead, cs.S, cs.Sflat, cs.J, cs.H, cs.K),
@@ -313,17 +326,13 @@ class ConstraintResiduals:
     singular_z: bool
 
 
-def _vector_dot(u, v):
-    return sum(METRIC_DIAG[m] * u[m] * v[m] for m in range(4))
-
-
 def algebraic_constraint_residuals(cs: CurrentSet) -> ConstraintResiduals:
     """Scalar rearrangement relation, tensor-current elimination, and the
     single surviving quadratic constraint."""
     q = lambda n, d: frac(n, d, cs.mode)
     g = METRIC_DIAG
-    jj = _vector_dot(cs.J, cs.J)
-    hh = _vector_dot(cs.H, cs.H)
+    jj = minkowski_dot(cs.J, cs.J)
+    hh = minkowski_dot(cs.H, cs.H)
     kk = sum(
         g[m] * g[r] * cs.K[m, r] * cs.K[r, m] for m in range(4) for r in range(4)
     )
@@ -419,10 +428,13 @@ class CurrentGrid(CurrentSet):
 
 
 def compute_currents_grid(rep: KemmerRep, grid: FieldGrid) -> CurrentGrid:
-    """Currents at every grid point."""
+    """Currents at every grid point; CurrentOverflowError unless all are finite."""
     if rep.mode != FLOAT:
         raise ModeError("grid currents require a float-mode representation")
     if grid.kind != WAVEFUNCTION:
         raise ShapeError("grid currents require a wavefunction grid")
-    cs = compute_currents(rep, grid.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cs = compute_currents(rep, grid.values)
+    if not all(np.isfinite(v).all() for k, v in vars(cs).items() if k != "mode"):
+        raise CurrentOverflowError("the currents of the grid overflow double precision")
     return CurrentGrid(**vars(cs), extents=grid.extents, spacing=grid.spacing)

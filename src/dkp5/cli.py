@@ -32,7 +32,7 @@ from .algebra import (
 )
 from .bilinears import compute_currents_grid, current_columns, fierz_residual
 from .errors import DkpError, EmptyDomainError, MassShellError, ParameterError
-from .grids import SCALAR, FieldGrid, load_grid, norms, store_grid
+from .grids import SCALAR, FieldGrid, load_grid, norms, store_grid, valid_spacing
 from .inversion import invert_pipeline, singular_mask, solution_checks
 from .planewave import PlaneWaveSpec, manufacture_plane_wave, plane_wave_gradient
 from .reports import all_pass, report_entry, write_report
@@ -90,8 +90,9 @@ def _spacing(text):
     parts = list(_reals(text.split(",")))
     if len(parts) == 1:
         parts = parts * 4
-    if len(parts) != 4 or any(not h > 0 for h in parts):
-        raise argparse.ArgumentTypeError(f"need 1 or 4 positive reals, got {text!r}")
+    if len(parts) != 4 or not all(map(valid_spacing, parts)):
+        raise argparse.ArgumentTypeError(
+            f"need 1 or 4 positive reals h with h*h >= {sys.float_info.min}, got {text!r}")
     return tuple(parts)
 
 

@@ -60,5 +60,9 @@ class SingularZError(DkpError):
     """Operation requires |Z| above the singularity threshold."""
 
 
+class CurrentOverflowError(DkpError):
+    """The currents of a finite grid overflow double precision."""
+
+
 class EmptyDomainError(DkpError):
     """Every grid point is masked as singular; nothing to invert."""

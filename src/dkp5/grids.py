@@ -13,7 +13,7 @@ File format (little-endian, self-describing, bit-exact round trip):
     version u32 = 1
     kind    u8  (components per point)
     extents 4 x u64           slowest axis first (t)
-    spacing 4 x f64
+    spacing 4 x f64           each positive and finite, h*h a normal float
     payload f64 pairs (re, im), row-major, component index fastest; all finite
 
 Derivatives use second-order central differences in the interior and
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,11 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sIB4Q4d")
 
 
+def valid_spacing(h) -> bool:
+    """h > 0, finite, h*h normal: the nested stencils divide by h twice."""
+    return h > 0 and math.isfinite(h) and h * h >= sys.float_info.min
+
+
 @dataclass
 class FieldGrid:
     """Lattice of per-point payloads; values shape is extents + payload shape."""
@@ -67,8 +73,9 @@ class FieldGrid:
             raise ShapeError("grids have exactly four axes")
         if any(n < 1 for n in self.extents):
             raise ShapeError(f"axis extents must be positive, got {self.extents}")
-        if any(not (h > 0 and math.isfinite(h)) for h in self.spacing):
-            raise ShapeError(f"axis spacings must be positive and finite, got {self.spacing}")
+        if not all(map(valid_spacing, self.spacing)):
+            raise ShapeError(f"axis spacings must be positive and finite, with "
+                             f"h*h >= {sys.float_info.min}, got {self.spacing}")
         if self.kind not in _KIND_TRAILING:
             raise ShapeError(f"unknown payload kind {self.kind}")
         want = self.extents + _KIND_TRAILING[self.kind]
@@ -140,7 +147,7 @@ def load_grid(path) -> FieldGrid:
             raise GridFormatError(f"axis {i} has extent 0", offset=9 + 8 * i)
     spacing = (h0, h1, h2, h3)
     for i, h in enumerate(spacing):
-        if not (h > 0 and math.isfinite(h)):
+        if not valid_spacing(h):
             raise GridFormatError(f"axis {i} has spacing {h}", offset=41 + 8 * i)
     # Sized in Python ints, which never wrap round, before anything is read.
     n_values = math.prod(extents) * kind

@@ -231,22 +231,14 @@ def frac(num, den, mode):
 
 def magnitude(x) -> float:
     """Absolute value of a scalar of either mode, as a float."""
-    if isinstance(x, GaussianRational):
-        return abs(x)
-    if isinstance(x, Fraction):
-        return abs(float(x))
-    return abs(x)
+    return float(abs(x))
 
 
 def is_exact_zero(x) -> bool:
-    if isinstance(x, GaussianRational):
-        return not x
-    return x == 0
+    return not x
 
 
 def to_complex(x) -> complex:
-    if isinstance(x, (GaussianRational, Fraction)):
-        return complex(x)
     return complex(x)
 
 

@@ -30,7 +30,6 @@ from .scalars import (
     GaussianRational,
     check_mode,
     checked_matmul,
-    exact_int64,
     to_complex,
 )
 
@@ -227,23 +226,23 @@ def word_reduction_sweep(rep, max_len, tol=1e-12):
     from P_0 = 3 I, both 6^L times the true values, then compares
     C_L (3 B) with P_L, B the basis matrices flattened.  The last length
     is never held whole, so the next-to-last one sets the peak memory.
-    Exact mode runs in int64 and bounds every product first, raising
-    OverflowError rather than wrap round; it needs integer generators (so
-    that 3 c_mu is an integer matrix) and raises ModeError for any other
-    exact representation.  Float mode runs on the representation's complex
+    Exact mode runs in int64 on the representation's integer view and
+    bounds every product first, raising OverflowError rather than wrap
+    round.  Float mode runs on the representation's complex
     matrices and counts a mismatch where a residual exceeds ``tol``.
     Returns (words_checked, mismatches, max_abs_residual).
     """
     exact = rep.mode == EXACT
-    basis = np.stack(rep.basis).reshape(N_BASIS, 25)
     if exact:
-        six_beta = checked_matmul(exact_int64(rep.beta), 6 * np.eye(5, dtype=np.int64))
-        basis3 = exact_int64(3 * basis)
+        ints = rep.integers
+        six_beta = checked_matmul(ints.beta, 6 * np.eye(5, dtype=np.int64))
+        basis3 = checked_matmul(3 * np.eye(N_BASIS, dtype=np.int64), ints.basis.reshape(N_BASIS, 25))
+        basis3[5:9] = ints.c3.reshape(4, 25)  # the view's basis has 3 c_mu already
         prods = 3 * np.eye(5, dtype=np.int64)[None]
         matmul = checked_matmul
     else:
         six_beta = 6 * np.stack(rep.beta)
-        basis3 = 3 * basis
+        basis3 = 3 * np.stack(rep.basis).reshape(N_BASIS, 25)
         prods = 3 * rep.identity[None]
         matmul = np.matmul
     # Column block nu of the (25, 100) table is 6 R_nu, so row 4 k + nu of

@@ -360,3 +360,118 @@ def test_float_identities_equal_exact_ones():
             assert (a.name, a.max_abs, a.passed, a.first_failure) == (
                 b.name, b.max_abs, b.passed, b.first_failure), label
             assert a.rms == pytest.approx(b.rms, rel=2e-15, abs=0), label
+
+
+# ---------------------------------------------------------------------------
+# The integer core: the builder, the cached int64 view and the Bareiss rank,
+# each against the Fraction code it replaced, kept here as the oracle.
+
+def _fraction_matrix(rows):
+    out = np.empty((5, 5), dtype=object)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            out[i, j] = Fraction(x)
+    return out
+
+
+def _fraction_representation(betas):
+    """The exact builder as object-array Fraction products."""
+    ident = _fraction_matrix(np.eye(5, dtype=int))
+    beta = tuple(_fraction_matrix(b) for b in betas)
+    beta_sq = sum((1, -1, -1, -1)[m] * (beta[m] @ beta[m]) for m in range(4))
+    third = Fraction(1, 3)
+    beta_dot = tuple((beta[m] @ beta_sq - beta_sq @ beta[m]) * third for m in range(4))
+    eta = 2 * (beta[0] @ beta[0]) - ident
+    return dict(beta=beta, beta_dot=beta_dot, beta_sq=beta_sq, eta=eta,
+                zeta=ident - beta_sq, identity=ident)
+
+
+def _elimination_rank(rows):
+    """Rank by Gaussian elimination over exact scalars."""
+    work = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(work[0])):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        prow = work[rank]
+        for r in range(rank + 1, len(work)):
+            f = work[r][col]
+            if f:
+                f = Fraction(f) / prow[col]
+                work[r] = [a - f * p for a, p in zip(work[r], prow)]
+        rank += 1
+    return rank
+
+
+def _entries(mats):
+    return [x for m in mats for x in np.asarray(m).reshape(-1)]
+
+
+def _int_betas(rep):
+    return [[[int(x) for x in row] for row in b] for b in rep.beta]
+
+
+def test_exact_builder_matches_fraction_builder():
+    for label, rep in _corrupted_reps("exact"):
+        want = _fraction_representation(_int_betas(rep))
+        for name, value in want.items():
+            got = getattr(rep, name)
+            got, value = (_entries(v) if isinstance(v, tuple) else _entries([v]) for v in (got, value))
+            assert got == value, (label, name)
+            assert all(type(x) is Fraction and type(x.numerator) is int for x in got), (label, name)
+
+
+def test_non_integer_exact_generators_fail_when_built(exact_rep):
+    from dkp5.errors import ModeError
+    from dkp5.scalars import GaussianRational
+
+    for factor in (Fraction(1, 2), GaussianRational(0, 1)):
+        with pytest.raises(ModeError):
+            representation_from_betas([factor * b for b in exact_rep.beta], "exact")
+    with pytest.raises(OverflowError):
+        representation_from_betas([10**6 * b for b in exact_rep.beta], "exact")
+
+
+def test_integer_view_equals_fraction_fields(exact_rep):
+    import dataclasses
+
+    reps = list(_corrupted_reps("exact"))
+    reps.append(("eta=I", dataclasses.replace(exact_rep, eta=exact_rep.identity)))
+    for label, rep in reps:
+        ints = rep.integers
+        assert all(m.dtype == np.int64 for m in vars(ints).values()), label
+        fields = {
+            "beta": rep.beta, "c3": [3 * c for c in rep.beta_dot], "beta_sq": [rep.beta_sq],
+            "eta": [rep.eta], "zeta": [rep.zeta], "identity": [rep.identity],
+            "basis": [3 * m if 5 <= k < 9 else m for k, m in enumerate(rep.basis)],
+            "current": [3 * m if 6 <= k < 10 else m for k, m in enumerate(rep.current_matrices)],
+        }
+        for name, want in fields.items():
+            assert _entries(getattr(ints, name)) == _entries(want), (label, name)
+        table = np.stack([(rep.eta @ m).reshape(25) for m in fields["current"]], axis=1)
+        assert _entries([ints.table]) == _entries([table]), label
+    assert not np.array_equal(reps[-1][1].integers.eta, exact_rep.integers.eta)
+
+
+def test_bareiss_rank_matches_elimination():
+    from dkp5.algebra import _bareiss_rank
+
+    for label, rep in _corrupted_reps("exact"):
+        want = _elimination_rank([list(m.reshape(-1)) for m in rep.basis])
+        assert _bareiss_rank(rep.integers.basis.reshape(25, 25)) == want, label
+        if want < 25:
+            with pytest.raises(RepresentationDefectError) as exc:
+                enumerate_basis(rep)
+            assert exc.value.rank == want, label
+        else:
+            assert enumerate_basis(rep)[1] == 25, label
+    rng = np.random.default_rng(8)
+    for rank in (0, 1, 7, 18, 24, 25):
+        # rank k: a (25, k) and a (k, 25) factor, each with a k x k identity block
+        left, right = rng.integers(-9, 10, (2, 25, 25))
+        left[:rank, :rank] = right[:rank, :rank] = np.eye(rank, dtype=int)
+        m = left[:, :rank] @ right[:rank]
+        m = m[rng.permutation(25)][:, rng.permutation(25)]
+        assert _elimination_rank(m.tolist()) == _bareiss_rank(m) == rank

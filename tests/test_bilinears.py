@@ -255,6 +255,28 @@ def test_grid_currents_match_pointwise(exact_rep, float_rep):
             _assert_definition(rep, compute_currents(rep, values[idx]), (), values[idx])
 
 
+def test_exact_currents_match_definition(exact_rep):
+    """The integer pair route gives the defined currents entry for entry: on
+    the 100 points of acceptance criterion 3, a (2, 3, 5) batch, and
+    wavefunctions with denominators near 10**30."""
+    rng = random.Random(20240808)
+    points = np.array([random_exact_wavefunction(rng) for _ in range(100)], dtype=object)
+    big = 10**30
+
+    def huge():
+        return Fraction(rng.randint(-big, big), rng.randint(big - 10**6, big))
+
+    large = np.array([[GaussianRational(huge(), huge()) for _ in range(5)] for _ in range(4)],
+                     dtype=object)
+    for phis in (points, _random_exact(np.random.default_rng(9), (2, 3, 5)), large):
+        cs = compute_currents(exact_rep, phis)
+        assert all(isinstance(x, GaussianRational) for x in cs.K.reshape(-1))
+        for idx in np.ndindex(*phis.shape[:-1]):
+            _assert_definition(exact_rep, cs, idx, phis[idx])
+    for phi in (points[0], large[0]):
+        _assert_definition(exact_rep, compute_currents(exact_rep, phi), (), phi)
+
+
 def test_grid_current_fields_dtype_and_shape(float_rep):
     rng = np.random.default_rng(6)
     vals = rng.standard_normal((3, 2, 1, 2, 5)) + 1j * rng.standard_normal((3, 2, 1, 2, 5))

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import struct
 
 import numpy as np
@@ -360,3 +361,38 @@ def test_csv_rows_match_csv_writer(tmp_path):
         writer.writerow(columns)
         writer.writerows(zip(*columns.values()))
     assert path.read_bytes() == want.read_bytes()
+
+
+def test_overflowing_currents_exit_two(tmp_path, capsys):
+    """A finite grid whose currents overflow is a structural error for every
+    subcommand that takes its currents."""
+    grid_path = tmp_path / "big.dkp5"
+    assert run("manufacture", "--p", "1.25,0.75,0,0", "--A", "0,0,0,0", "--m", "1", "--e", "1",
+               "--amplitude", "1e308", "--extents", "6,4,1,1", "--spacing", "0.1",
+               "-o", str(grid_path)) == 0
+    capsys.readouterr()
+    for command in (["currents"], ["invert", "--fd"], ["residuals", "--fd"]):
+        assert run(*command, "--grid", str(grid_path)) == 2, command
+        err = capsys.readouterr().err
+        assert "currents of the grid overflow" in err and "Traceback" not in err, command
+
+
+@pytest.mark.parametrize("h", ["1e-320", "1e-160", "0.1,1e-160,0.1,0.1"])
+def test_spacing_with_subnormal_square_exits_two(tmp_path, h):
+    out = tmp_path / "tiny.dkp5"
+    with pytest.raises(SystemExit) as exc:
+        run("manufacture", "--p", "1.25,0.75,0,0", "--A", "0,0,0,0", "--m", "1", "--e", "1",
+            "--extents", "6,4,1,1", "--spacing", h, "-o", str(out))
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_spacing_1e_150_is_accepted(tmp_path, capsys):
+    grid_path = tmp_path / "small.dkp5"
+    assert run("manufacture", "--p", "1.25,0.75,0,0", "--A", "0,0,0,0", "--m", "1", "--e", "1",
+               "--extents", "6,4,1,1", "--spacing", "1e-150", "-o", str(grid_path)) == 0
+    json_path = tmp_path / "report.json"
+    assert run("invert", "--grid", str(grid_path), "--fd", "--json", str(json_path)) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(json_path.read_text())
+    assert all(math.isfinite(entry["max_abs"]) for entry in report["checks"])

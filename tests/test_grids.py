@@ -301,3 +301,22 @@ def test_norm_helpers_masked():
     assert max_abs(vals, mask) == 4.0
     assert rms(vals, mask) == pytest.approx(np.sqrt((1 + 4 + 16) / 3))
     assert max_abs(vals, np.ones_like(mask)) == 0.0
+
+
+@pytest.mark.parametrize("h, ok", [(1e-320, False), (1e-160, False), (1e-150, True)])
+def test_spacing_square_must_be_normal(tmp_path, h, ok):
+    """A spacing is usable when h*h is a normal float; FieldGrid and load_grid
+    both reject any other, the loader at the spacing's byte offset."""
+    values = np.zeros((3, 1, 1, 1))
+    path = tmp_path / "g.dkp5"
+    path.write_bytes(struct.pack("<4sIB4Q4d", b"DKP5", 1, 1, 3, 1, 1, 1, 0.1, 0.1, h, 0.1)
+                     + bytes(16 * 3))
+    if ok:
+        assert FieldGrid((3, 1, 1, 1), (h,) * 4, SCALAR, values).spacing == (h,) * 4
+        assert load_grid(path).spacing == (0.1, 0.1, h, 0.1)
+        return
+    with pytest.raises(ShapeError):
+        FieldGrid((3, 1, 1, 1), (0.1, h, 0.1, 0.1), SCALAR, values)
+    with pytest.raises(GridFormatError) as exc:
+        load_grid(path)
+    assert exc.value.offset == 41 + 8 * 2
