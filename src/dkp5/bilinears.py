@@ -109,24 +109,30 @@ def compute_currents(rep: KemmerRep, phi) -> CurrentSet:
     4x4 matrices for one wavefunction.
     """
     phi = as_wavefunction(phi, rep.mode)
-    lead = phi.shape[:-1]
+    return _current_set(rep.mode, phi.shape[:-1], *_current_tables(rep, phi))
+
+
+def _current_tables(rep, phi):
+    """Hermitian and tilde current tables, (n, 26) each, of checked wavefunctions."""
     right = phi.reshape(-1, 5)
     if rep.mode == EXACT:
         z, d = _integer_parts(right)
         table = rep.integers.table.astype(object) * (3 // _C3)
-        h, t = (_gaussian(*(_pairs(z, conj) @ table), 3 * d * d) for conj in (True, False))
-    else:
-        h = _pair_products(np.conj(right), right, rep.current_table)
-        t = _pair_products(right, right, rep.current_table)
-    # columns 6..9 of t, the companion tilde current, vanish
+        return [_gaussian(*(_pairs(z, conj) @ table), 3 * d * d) for conj in (True, False)]
+    table = rep.current_table  # the conjugate rows are freed before the tilde product
+    return [_pair_products(np.conj(right), right, table), _pair_products(right, right, table)]
+
+
+def _current_set(mode, lead, h, t):
+    """The fields of the two tables; t's columns 6..9 (companion tilde current) vanish."""
     h, t = h.reshape(lead + (26,)), t.reshape(lead + (26,))
     S, Sflat, J = h[..., 0][()], h[..., 1][()], h[..., 2:6]
     tS, tSflat = t[..., 0][()], t[..., 1][()]
-    if rep.mode == FLOAT:
+    if mode == FLOAT:
         # S, Sflat and J are real by construction; drop the round-off phase.
         S, Sflat, J = S.real, Sflat.real, J.real
     return CurrentSet(
-        mode=rep.mode,
+        mode=mode,
         S=S,
         Sflat=Sflat,
         J=J,
@@ -428,13 +434,14 @@ class CurrentGrid(CurrentSet):
 
 
 def compute_currents_grid(rep: KemmerRep, grid: FieldGrid) -> CurrentGrid:
-    """Currents at every grid point; CurrentOverflowError unless all are finite."""
+    """Currents at every grid point; CurrentOverflowError unless all (Z, Z-tilde too) are finite."""
     if rep.mode != FLOAT:
         raise ModeError("grid currents require a float-mode representation")
     if grid.kind != WAVEFUNCTION:
         raise ShapeError("grid currents require a wavefunction grid")
     with np.errstate(over="ignore", invalid="ignore"):
-        cs = compute_currents(rep, grid.values)
-    if not all(np.isfinite(v).all() for k, v in vars(cs).items() if k != "mode"):
+        tables = _current_tables(rep, grid.values)
+        cs = _current_set(FLOAT, grid.extents, *tables)
+    if not all(np.isfinite(v).all() for v in (*tables, cs.Z, cs.tilde_Z)):
         raise CurrentOverflowError("the currents of the grid overflow double precision")
     return CurrentGrid(**vars(cs), extents=grid.extents, spacing=grid.spacing)

@@ -4,7 +4,7 @@ Subcommands: verify-algebra, reduce-word, manufacture, currents, invert,
 residuals.  Exit codes are a stable contract: 0 all checks pass, 1
 quantitative failure (identity residual over tolerance, mass-shell
 violation), 2 structural or domain error (bad file, bad shape, empty
-domain, bad arguments).
+domain, bad arguments, arithmetic that leaves double precision).
 
 Four-vectors are given as comma-separated reals in index order 0,1,2,3
 (lower components); all physics parameters are explicit, there are no
@@ -399,13 +399,7 @@ def cmd_invert(args) -> int:
     dphi = _resolve_derivatives(args, sidecar, grid)
     a_ref = _resolve_a_ref(args, sidecar)
     rep = build_representation(FLOAT)
-    try:
-        out, entries = invert_pipeline(
-            rep, grid, m, e, dphi=dphi, A_ref=a_ref, tolerance=args.tolerance
-        )
-    except EmptyDomainError as exc:
-        print(f"empty domain: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
+    out, entries = invert_pipeline(rep, grid, m, e, dphi=dphi, A_ref=a_ref, tolerance=args.tolerance)
     masked_fraction = float(out.singular_mask.mean())
     payload = {
         "grid": args.grid,
@@ -422,9 +416,7 @@ def cmd_invert(args) -> int:
         store_grid(out.gauge_term, os.path.join(args.outdir, "gauge_term.dkp5"))
         store_grid(out.f_from_potential, os.path.join(args.outdir, "F_potential.dkp5"))
         store_grid(out.f_bilinear, os.path.join(args.outdir, "F_bilinear.dkp5"))
-        mask_grid = FieldGrid(
-            grid.extents, grid.spacing, SCALAR, out.singular_mask.astype(complex)
-        )
+        mask_grid = FieldGrid(grid.extents, grid.spacing, SCALAR, out.singular_mask.astype(float))
         store_grid(mask_grid, os.path.join(args.outdir, "mask.dkp5"))
     if args.json_path:
         write_report(args.json_path, payload)
@@ -462,8 +454,7 @@ def cmd_residuals(args) -> int:
     cg = compute_currents_grid(rep, grid)
     mask = singular_mask(cg)
     if mask.all():
-        print("empty domain: every point is Z-singular", file=sys.stderr)
-        return EXIT_STRUCTURAL
+        raise EmptyDomainError("every grid point is Z-singular")
     entries, div, h_res, rres = solution_checks(
         rep, grid, cg, m, e, a_ref, dphi=dphi, tolerance=args.tolerance
     )
@@ -501,7 +492,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except ArithmeticError as exc:  # finite input whose arithmetic leaves double precision
+        print(f"error: the input cannot be handled in double precision ({exc})", file=sys.stderr)
+        return EXIT_STRUCTURAL
     except (DkpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL

@@ -59,7 +59,8 @@ def valid_spacing(h) -> bool:
 
 @dataclass
 class FieldGrid:
-    """Lattice of per-point payloads; values shape is extents + payload shape."""
+    """Lattice of per-point payloads, values of shape extents + payload shape:
+    float64 for a real (float64) payload, complex128 for any other."""
 
     extents: tuple
     spacing: tuple
@@ -79,7 +80,8 @@ class FieldGrid:
         if self.kind not in _KIND_TRAILING:
             raise ShapeError(f"unknown payload kind {self.kind}")
         want = self.extents + _KIND_TRAILING[self.kind]
-        self.values = np.asarray(self.values, dtype=complex)
+        values = np.asarray(self.values)
+        self.values = values if values.dtype == np.float64 else values.astype(complex, copy=False)
         if self.values.shape != want:
             raise ShapeError(f"values shape {self.values.shape}, want {want}")
 
@@ -91,9 +93,6 @@ class FieldGrid:
     @property
     def n_points(self):
         return int(np.prod(self.extents))
-
-    def same_shape_as(self, other):
-        return self.extents == other.extents and self.spacing == other.spacing
 
 
 def check_addressable(extents, kind):
@@ -123,7 +122,7 @@ def store_grid(grid: FieldGrid, path):
     _check_finite(payload, "refusing to write a non-finite value")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload.tobytes())
+        fh.write(memoryview(payload))
 
 
 def load_grid(path) -> FieldGrid:
@@ -188,7 +187,7 @@ def derivatives(values, spacing, axes=range(4)):
     """d/dx^mu of a grid-shaped array (grid axes first) for each mu in ``axes``,
     stacked on a new leading axis so that each derivative is contiguous;
     exactly zero along symmetry axes."""
-    values = np.asarray(values)
+    values = np.ascontiguousarray(values)  # strided views take the stencils slowly
     axes = tuple(axes)
     out = np.empty((len(axes),) + values.shape, dtype=np.result_type(values, 1.0))
     for d, mu in zip(out, axes):
@@ -224,7 +223,10 @@ def norms(values, mask=None):
         a = (a[~mask] if mask.any() else a).ravel()
     if not a.size:
         return 0.0, 0.0
-    return float(a.max()), float(np.sqrt(np.mean(np.square(a))))
+    top = float(a.max())
+    if math.isfinite(top) and top * top * a.size > sys.float_info.max:  # squares overflow
+        return top, top * float(np.sqrt(np.mean(np.square(a / top))))
+    return top, float(np.sqrt(np.mean(np.square(a))))
 
 
 def max_abs(values, mask=None) -> float:

@@ -159,40 +159,34 @@ def gauge_term(rep: KemmerRep, phi_grid: FieldGrid, e, dphi=None, cg=None, mask=
 def field_strength_from_potential(A: FieldGrid) -> FieldGrid:
     """F_mu_nu = d_mu A_nu - d_nu A_mu, antisymmetric by construction.
 
-    A real potential (every gauge-fixed one) takes real stencils.
+    A real (float64) potential, as every gauge-fixed one is, takes real
+    stencils and gives a real F.
     """
     if A.kind != FOUR_VECTOR:
         raise ShapeError("field strength needs a four-vector potential grid")
-    values = A.values if A.values.imag.any() else A.values.real
-    dA = derivatives(values, A.spacing)
-    F = np.zeros(A.extents + (4, 4), dtype=values.dtype)
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            f = dA[mu][..., nu] - dA[nu][..., mu]
-            F[..., mu, nu] = f
-            F[..., nu, mu] = -f
-    return FieldGrid(A.extents, A.spacing, TENSOR2, F)
+    G = np.moveaxis(derivatives(A.values, A.spacing), 0, -2)  # G[..., mu, nu] = d_mu A_nu
+    return FieldGrid(A.extents, A.spacing, TENSOR2, G - np.swapaxes(G, -1, -2))
 
 
 def field_strength_bilinear(cg: CurrentGrid, m, e, mask=None, dJ=None) -> FieldGrid:
     """F_mu_nu = (3m/2e)(D_mu J_nu - D_nu J_mu)/Z with D_mu = d_mu + 3mi H_mu/Z.
 
-    ``dJ`` is the stacked gradient dJ[mu][..., nu] = d_mu J_nu, taken here
-    when not given.
+    H is imaginary, so 3mi H_mu J_nu = -3m Im(H_mu) J_nu and F is built in
+    real arithmetic; each division by Z is a product with 1/Z, as numpy's
+    complex division by a real Z takes it.  ``dJ`` is the stacked gradient
+    dJ[mu][..., nu] = d_mu J_nu, taken here when not given.
     """
     _check_params(m, e)
     mask = _mask(cg, mask)
-    z = _masked_z(cg, mask)
+    rz = (1.0 / _masked_z(cg, mask))[..., None, None]
     if dJ is None:
         dJ = derivatives(cg.J, cg.spacing)
-    F = np.zeros(cg.extents + (4, 4), dtype=complex)
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            d_mu_j_nu = dJ[mu][..., nu] + 3.0 * m * 1j * cg.H[..., mu] * cg.J[..., nu] / z
-            d_nu_j_mu = dJ[nu][..., mu] + 3.0 * m * 1j * cg.H[..., nu] * cg.J[..., mu] / z
-            f = (1.5 * m / e) * (d_mu_j_nu - d_nu_j_mu) / z
-            F[..., mu, nu] = f
-            F[..., nu, mu] = -f
+    G = ((-3.0 * m) * cg.H.imag)[..., :, None] * cg.J[..., None, :]
+    G *= rz
+    G += np.moveaxis(dJ, 0, -2)  # G[..., mu, nu] = D_mu J_nu
+    F = G - np.swapaxes(G, -1, -2)
+    F *= 1.5 * m / e
+    F *= rz
     F[mask] = 0.0
     return FieldGrid(cg.extents, cg.spacing, TENSOR2, F)
 

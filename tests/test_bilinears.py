@@ -21,7 +21,7 @@ from dkp5 import (
     zeta_identity_residuals,
 )
 from dkp5.bilinears import CurrentSet
-from dkp5.errors import ModeError
+from dkp5.errors import CurrentOverflowError, ModeError
 from dkp5.scalars import GaussianRational, is_exact_zero, random_exact_wavefunction
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -384,3 +384,23 @@ def test_fierz_residual_on_broken_reps_matches_definition(exact_rep):
             assert list(r_h[i].reshape(-1)) == list(want_h.reshape(-1)), i
             assert list(r_c[i].reshape(-1)) == list(want_c.reshape(-1)), i
         assert all(not _all_zero((r_h, r_c)[k]) for k in broken)
+
+
+@pytest.mark.parametrize("table", [0, 1])
+def test_overflowing_density_alone_raises(float_rep, monkeypatch, table):
+    """Z = S - Sflat (table 0) or Z-tilde (table 1) can overflow where every
+    entry of the current tables is finite; the grid check reads them too."""
+    import dkp5.bilinears
+
+    tables = dkp5.bilinears._current_tables
+
+    def huge_density(rep, phi):
+        out = tables(rep, phi)
+        out[table][:, :2] = (1e308, -1e308)  # S and Sflat (or their tilde twins)
+        return out
+
+    monkeypatch.setattr(dkp5.bilinears, "_current_tables", huge_density)
+    rng = np.random.default_rng(7)
+    vals = rng.standard_normal((3, 2, 1, 1, 5)) + 1j * rng.standard_normal((3, 2, 1, 1, 5))
+    with pytest.raises(CurrentOverflowError):
+        compute_currents_grid(float_rep, FieldGrid((3, 2, 1, 1), (0.1,) * 4, WAVEFUNCTION, vals))

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -396,3 +397,39 @@ def test_spacing_1e_150_is_accepted(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     report = json.loads(json_path.read_text())
     assert all(math.isfinite(entry["max_abs"]) for entry in report["checks"])
+
+
+def test_huge_residuals_give_a_finite_rms_and_valid_json(tmp_path):
+    """At spacing 1e-150 the reduced cross-check passes 1e283; its rms stays
+    finite, the report is strict JSON and numpy warns of no overflow."""
+    grid_path = tmp_path / "small.dkp5"
+    assert run("manufacture", "--p", "1.25,0.75,0,0", "--A", "0,0,0,0", "--m", "1", "--e", "1",
+               "--extents", "6,4,1,1", "--spacing", "1e-150", "-o", str(grid_path)) == 0
+    json_path = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("invert", "--grid", str(grid_path), "--fd", "--json", str(json_path)) in (0, 1)
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    checks = json.loads(json_path.read_text(), parse_constant=refuse)["checks"]
+    assert max(entry["max_abs"] for entry in checks) > 1e283
+    assert all(math.isfinite(entry["rms"]) for entry in checks)
+
+
+@pytest.mark.parametrize("command", ["invert", "residuals"])
+@pytest.mark.parametrize("flags", [
+    ["--m", "1e-300", "--e", "1"],  # 1/m^2 divides by zero
+    ["--m", "1e308", "--e", "1"],  # m S overflows
+    ["--e", "1e308"],  # e^2 overflows a Python float
+    ["--A", "1e308,0,0,0"],  # e J.A overflows, then meets a zero
+])
+def test_arithmetic_beyond_double_precision_exits_two(tmp_path, capsys, command, flags):
+    """Finite parameters whose arithmetic overflows or divides by zero are a
+    structural error (they ended in tracebacks or NaN reports)."""
+    grid_path = _manufacture(tmp_path, extents="4,3,1,1")
+    capsys.readouterr()
+    assert run(command, "--grid", str(grid_path), *flags) == 2
+    err = capsys.readouterr().err
+    assert "cannot be handled in double precision" in err and "Traceback" not in err

@@ -320,3 +320,30 @@ def test_spacing_square_must_be_normal(tmp_path, h, ok):
     with pytest.raises(GridFormatError) as exc:
         load_grid(path)
     assert exc.value.offset == 41 + 8 * 2
+
+
+@pytest.mark.parametrize("dtype, want", [
+    (np.float64, np.float64), (np.int64, np.complex128), (bool, np.complex128),
+    (np.float32, np.complex128), (">f8", np.complex128), (np.complex64, np.complex128),
+    (np.complex128, np.complex128),
+])
+def test_field_grid_keeps_float64_and_makes_the_rest_complex(dtype, want):
+    values = np.arange(24).reshape(3, 2, 1, 1, 4).astype(dtype)
+    grid = FieldGrid((3, 2, 1, 1), (0.1,) * 4, FOUR_VECTOR, values)
+    assert grid.values.dtype == want
+    assert np.array_equal(grid.values, values)
+
+
+def test_store_writes_a_real_grid_as_its_complex_cast(tmp_path):
+    """A float64 grid, contiguous or a strided view, is written byte for byte as
+    its complex cast and loads back complex."""
+    rng = np.random.default_rng(9)
+    real = rng.standard_normal((3, 2, 4, 1, 4, 4))
+    real[0, 0, 0, 0, 0] = -0.0
+    for values in (real, np.swapaxes(real, -1, -2)):
+        paths = tmp_path / "real.dkp5", tmp_path / "complex.dkp5"
+        for path, payload in zip(paths, (values, values.astype(complex))):
+            store_grid(FieldGrid((3, 2, 4, 1), (0.1, 0.2, 0.3, 0.4), TENSOR2, payload), path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        back = load_grid(paths[0]).values
+        assert back.dtype == np.complex128 and np.array_equal(back, values)

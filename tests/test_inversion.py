@@ -29,7 +29,7 @@ from dkp5 import (
 )
 from dkp5.bilinears import derivative_bilinears
 from dkp5.errors import EmptyDomainError, ParameterError, SingularZError
-from dkp5.grids import gradient
+from dkp5.grids import derivatives, gradient
 
 
 def _solution(m=1.0, e=1.0, A=(0.0, 0.0, 0.0, 0.0), spatial=(0.0, 0.0, 0.0),
@@ -573,3 +573,66 @@ def test_field_strength_of_a_complex_potential(float_rep):
     f = field_strength_from_potential(FieldGrid(ext, sp, FOUR_VECTOR, re + 1j * im)).values
     assert not f_re.imag.any() and np.abs(f_re).max() > 1.0
     assert np.allclose(f, f_re + 1j * f_im, rtol=0, atol=1e-13 * np.abs(f).max())
+
+
+def _loop_field_strength_from_potential(A):
+    """The six-pair loop of the potential route before F = G - G^T, kept as the oracle."""
+    values = A.values if A.values.imag.any() else A.values.real
+    dA = derivatives(values, A.spacing)
+    F = np.zeros(A.extents + (4, 4), dtype=values.dtype)
+    for mu in range(4):
+        for nu in range(mu + 1, 4):
+            f = dA[mu][..., nu] - dA[nu][..., mu]
+            F[..., mu, nu] = f
+            F[..., nu, mu] = -f
+    return F
+
+
+def _loop_field_strength_bilinear(cg, m, e):
+    """The complex six-pair loop of the bilinear route, kept as the oracle."""
+    mask = singular_mask(cg)
+    z = np.where(mask, 1.0, cg.Z)
+    dJ = derivatives(cg.J, cg.spacing)
+    F = np.zeros(cg.extents + (4, 4), dtype=complex)
+    for mu in range(4):
+        for nu in range(mu + 1, 4):
+            d_mu_j_nu = dJ[mu][..., nu] + 3.0 * m * 1j * cg.H[..., mu] * cg.J[..., nu] / z
+            d_nu_j_mu = dJ[nu][..., mu] + 3.0 * m * 1j * cg.H[..., nu] * cg.J[..., mu] / z
+            f = (1.5 * m / e) * (d_mu_j_nu - d_nu_j_mu) / z
+            F[..., mu, nu] = f
+            F[..., nu, mu] = -f
+    F[mask] = 0.0
+    return F
+
+
+@pytest.mark.parametrize("field", ["plane_wave", "random", "masked"])
+def test_field_strengths_match_the_loop_oracles(float_rep, field):
+    """Both one-pass F routes against the old loops: the potential route equal
+    under ==, the real bilinear route within 1e-15 max|F| of the complex one."""
+    m, e = 1.1, 0.8
+    if field == "plane_wave":
+        _, grid = _solution(m, e, A=(0.2, 0.1, -0.2, 0.15), spatial=(0.7, 0.5, 0.4),
+                            extents=(6, 5, 4, 3), spacing=(0.05,) * 4, amplitude=0.9 - 0.4j)
+    elif field == "random":
+        grid, _ = random_fourier_field((9, 8, 7, 6), (0.05, 0.1, 0.12, 0.3), seed=5)
+    else:
+        grid, _ = _masked_field()
+    cg = compute_currents_grid(float_rep, grid)
+    assert singular_mask(cg).any() == (field == "masked")
+    for A in (invert_potential_gauge_fixed(cg, m, e), invert_potential_full(float_rep, grid, m, e)):
+        F = field_strength_from_potential(A).values
+        assert F.dtype == np.float64 and np.array_equal(F, _loop_field_strength_from_potential(A))
+    F = field_strength_bilinear(cg, m, e).values
+    want = _loop_field_strength_bilinear(cg, m, e)
+    assert F.dtype == np.float64 and np.abs(want).max() > 0
+    assert np.all(np.abs(F - want) <= 1e-15 * np.abs(want).max())
+
+
+def test_real_fields_stay_real(float_rep):
+    """Every real pipeline grid is float64; a complex potential keeps a complex F."""
+    grid, _ = _masked_field()
+    out, _ = invert_pipeline(float_rep, grid, 1.0, 1.0)
+    for name in ("a_full", "a_gauge_fixed", "gauge_term", "f_from_potential", "f_bilinear"):
+        assert getattr(out, name).values.dtype == np.float64, name
+    A = FieldGrid(grid.extents, grid.spacing, FOUR_VECTOR, out.a_full.values * (1 + 1j))
+    assert field_strength_from_potential(A).values.dtype == complex

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -37,3 +39,15 @@ def test_norms_reject_a_mask_that_misses_the_grid_axes():
     for mask in (np.zeros((6, 5, 4, 2), bool), np.zeros((5, 6, 4, 3), bool)):
         with pytest.raises(ShapeError):
             norms(values, mask)
+
+
+def test_norms_of_huge_residuals_stay_finite():
+    """Past sqrt(max float / n) the squares would overflow: norms then scale by
+    the max first, so the rms stays finite and the max is unchanged."""
+    values = np.array([[3e200, -4e200j], [0.0, 5e200]])
+    peak, root_mean_sq = norms(values)
+    assert peak == 5e200
+    assert root_mean_sq == pytest.approx(math.sqrt(50 / 4) * 1e200, rel=1e-15)
+    big = np.full(4, 1e154)  # each square fits, their sum does not
+    assert norms(big) == (1e154, pytest.approx(1e154, rel=1e-15))
+    assert norms(np.array([np.inf, 1.0])) == (np.inf, np.inf)
