@@ -85,15 +85,27 @@ def _one_wavefunction(phi, mode):
     return phi
 
 
-def _pair_products(left, right, table):
-    """The pairs left[n, a] right[n, b] of each point n times ``table`` (25, k),
-    in blocks of ``_BLOCK`` points."""
-    out = np.empty((len(right), table.shape[1]), dtype=np.result_type(left, right, table))
+def _pair_products(left, right, table, conj, out=None):
+    """The pairs left[n, a] right[n, b] of each point n, left conjugated if
+    ``conj`` (a block at a time), times ``table``, in blocks of ``_BLOCK``
+    points, written to ``out`` when given.
+
+    A (25, k) table multiplies the pairs as they are; a real (50, k) table
+    multiplies their real and imaginary parts, interleaved as the complex
+    pairs lie in memory, for a real (n, k) result.
+    """
+    real = len(table) == 50
+    if out is None:
+        dtype = float if real else np.result_type(left, right, table)
+        out = np.empty((len(right), table.shape[1]), dtype=dtype)
     for s in range(0, len(right), _BLOCK):
+        a = left[s : s + _BLOCK]
         # einsum keeps the pair products free of fused multiply-adds, so a
         # constant phase of i or -1 leaves the Hermitian pairs bit-identical.
-        pairs = np.einsum("na,nb->nab", left[s : s + _BLOCK], right[s : s + _BLOCK])
-        np.matmul(pairs.reshape(-1, 25), table, out=out[s : s + _BLOCK])
+        pairs = np.einsum("na,nb->nab", np.conj(a) if conj else a, right[s : s + _BLOCK])
+        if real:
+            pairs = pairs.view(float)
+        np.matmul(pairs.reshape(len(pairs), -1), table, out=out[s : s + _BLOCK])
     return out
 
 
@@ -112,20 +124,29 @@ def compute_currents(rep: KemmerRep, phi) -> CurrentSet:
     return _current_set(rep.mode, phi.shape[:-1], *_current_tables(rep, phi))
 
 
-def _current_tables(rep, phi):
-    """Hermitian and tilde current tables, (n, 26) each, of checked wavefunctions."""
+#: Hermitian and tilde columns of the current table: all 26 of each, or
+#: the lattice stack's S, Sflat, J, H and S-tilde, S-tilde-flat.
+_ALL_COLUMNS = (26, 26)
+_LATTICE_COLUMNS = (10, 2)
+
+
+def _current_tables(rep, phi, columns=_ALL_COLUMNS):
+    """Hermitian and tilde current tables, (n, k) each with k the leading
+    ``columns`` of the 26, of checked wavefunctions."""
     right = phi.reshape(-1, 5)
     if rep.mode == EXACT:
         z, d = _integer_parts(right)
         table = rep.integers.table.astype(object) * (3 // _C3)
         return [_gaussian(*(_pairs(z, conj) @ table), 3 * d * d) for conj in (True, False)]
-    table = rep.current_table  # the conjugate rows are freed before the tilde product
-    return [_pair_products(np.conj(right), right, table), _pair_products(right, right, table)]
+    table = rep.current_table
+    return [_pair_products(right, right, table[:, :k], conj) for k, conj in zip(columns, (True, False))]
 
 
 def _current_set(mode, lead, h, t):
-    """The fields of the two tables; t's columns 6..9 (companion tilde current) vanish."""
-    h, t = h.reshape(lead + (26,)), t.reshape(lead + (26,))
+    """The fields of the two tables; t's columns 6..9 (companion tilde current)
+    vanish.  Lattice tables leave K, tilde_J and tilde_K None."""
+    full = t.shape[-1] == 26
+    h, t = h.reshape(lead + h.shape[-1:]), t.reshape(lead + t.shape[-1:])
     S, Sflat, J = h[..., 0][()], h[..., 1][()], h[..., 2:6]
     tS, tSflat = t[..., 0][()], t[..., 1][()]
     if mode == FLOAT:
@@ -137,12 +158,12 @@ def _current_set(mode, lead, h, t):
         Sflat=Sflat,
         J=J,
         H=h[..., 6:10],
-        K=h[..., 10:].reshape(lead + (4, 4)),
+        K=h[..., 10:].reshape(lead + (4, 4)) if full else None,
         Z=S - Sflat,
         tilde_S=tS,
         tilde_Sflat=tSflat,
-        tilde_J=t[..., 2:6],
-        tilde_K=t[..., 10:].reshape(lead + (4, 4)),
+        tilde_J=t[..., 2:6] if full else None,
+        tilde_K=t[..., 10:].reshape(lead + (4, 4)) if full else None,
         tilde_Z=tS - tSflat,
     )
 
@@ -150,20 +171,31 @@ def _current_set(mode, lead, h, t):
 def derivative_bilinears(rep: KemmerRep, phi, dphi, weights, tilde=False):
     """Phi_bar N d_mu Phi - d_mu Phi_bar N Phi (``tilde``: Phi_tilde N d_mu Phi),
     complex (..., 4, n), for N = sum_k weights[mu, k, j] M_k, weights (4, 26, n).
-    Each is the pairs left[a] d_mu Phi[b] times the weighted current table;
-    the reversed term conjugates the same pairs times the daggered table, so
-    eta N need not be Hermitian.  dphi and weights are not checked: the
-    inversion passes them through its own shape checks."""
+
+    ``dphi`` yields d_mu Phi for mu = 0..3 in turn (an array, a list, or a
+    generator that takes each stencil when asked), so only one direction
+    is held at a time.  With the pairs Q_ab = left[a] d_mu Phi[b] and
+    K = eta N (the current table times the weights), the Hermitian form is
+    sum_ab Q_ab K_ab - conj(Q_ab) K_ba = Re Q.(K - K^T) + i Im Q.(K + K^T),
+    and the tilde form is Q.K; either is one real product of the pairs,
+    viewed as (n, 50) floats, with a (50, 2n) table, written straight into
+    the output viewed as floats.  eta N need not be Hermitian.  dphi and
+    weights are not checked: the inversion passes them through its own
+    shape checks."""
     phi = as_wavefunction(phi, rep.mode)
-    left = (phi if tilde else np.conj(phi)).reshape(-1, 5)
-    table = rep.current_table
-    tables = [table] if tilde else [table, table.reshape(5, 5, 26).swapaxes(0, 1).conj().reshape(25, 26)]
-    n = weights.shape[-1]
+    left, n = phi.reshape(-1, 5), weights.shape[-1]
     out = np.empty((len(left), 4, n), dtype=complex)
-    for mu in range(4):
-        cols = np.hstack([t @ weights[mu] for t in tables])
-        r = _pair_products(left, np.reshape(dphi[mu], (-1, 5)), cols)
-        out[:, mu] = r if tilde else r[:, :n] - r[:, n:].conj()
+    for mu, d in enumerate(dphi):
+        k = rep.current_table @ weights[mu]
+        if tilde:
+            x, y = k, 1j * k
+        else:
+            kt = k.reshape(5, 5, n).swapaxes(0, 1).reshape(25, n)
+            x, y = k - kt, 1j * (k + kt)
+        xy = np.stack([x, y], axis=1)  # rows: the coefficients of Re Q_ab, Im Q_ab
+        table = np.stack([xy.real, xy.imag], axis=-1).reshape(50, 2 * n)
+        _pair_products(left, np.reshape(d, (-1, 5)), table, not tilde, out=out[:, mu].view(float))
+        del d  # a stencil direction is freed before the next is taken
     return out.reshape(phi.shape[:-1] + (4, n))
 
 
@@ -435,12 +467,24 @@ class CurrentGrid(CurrentSet):
 
 def compute_currents_grid(rep: KemmerRep, grid: FieldGrid) -> CurrentGrid:
     """Currents at every grid point; CurrentOverflowError unless all (Z, Z-tilde too) are finite."""
+    return _grid_currents(rep, grid, _ALL_COLUMNS)
+
+
+def lattice_currents(rep: KemmerRep, grid: FieldGrid) -> CurrentGrid:
+    """The currents the lattice stack reads: S, Sflat, Z, J, H and Z-tilde (with
+    S-tilde, S-tilde-flat); K, tilde_J and tilde_K are None.  Each field equals
+    the one of :func:`compute_currents_grid` bit for bit, and only these are
+    checked for overflow."""
+    return _grid_currents(rep, grid, _LATTICE_COLUMNS)
+
+
+def _grid_currents(rep, grid, columns):
     if rep.mode != FLOAT:
         raise ModeError("grid currents require a float-mode representation")
     if grid.kind != WAVEFUNCTION:
         raise ShapeError("grid currents require a wavefunction grid")
     with np.errstate(over="ignore", invalid="ignore"):
-        tables = _current_tables(rep, grid.values)
+        tables = _current_tables(rep, grid.values, columns)
         cs = _current_set(FLOAT, grid.extents, *tables)
     if not all(np.isfinite(v).all() for v in (*tables, cs.Z, cs.tilde_Z)):
         raise CurrentOverflowError("the currents of the grid overflow double precision")

@@ -30,7 +30,7 @@ from .algebra import (
     representation_from_betas,
     verify_algebra_identities,
 )
-from .bilinears import compute_currents_grid, current_columns, fierz_residual
+from .bilinears import compute_currents_grid, current_columns, fierz_residual, lattice_currents
 from .errors import DkpError, EmptyDomainError, MassShellError, ParameterError
 from .grids import SCALAR, FieldGrid, load_grid, norms, store_grid, valid_spacing
 from .inversion import invert_pipeline, singular_mask, solution_checks
@@ -451,12 +451,12 @@ def cmd_residuals(args) -> int:
     if a_ref is None:
         raise ParameterError("need a reference potential (--A flag or sidecar)")
     rep = build_representation(FLOAT)
-    cg = compute_currents_grid(rep, grid)
+    cg = lattice_currents(rep, grid)
     mask = singular_mask(cg)
     if mask.all():
         raise EmptyDomainError("every grid point is Z-singular")
     entries, div, h_res, rres = solution_checks(
-        rep, grid, cg, m, e, a_ref, dphi=dphi, tolerance=args.tolerance
+        rep, grid, cg, m, e, a_ref, dphi=dphi, tolerance=args.tolerance, mask=mask
     )
     field_eq_max_abs, field_eq_rms = norms(rres.field_eq, mask)
     payload = {

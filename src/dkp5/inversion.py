@@ -25,27 +25,33 @@ derivative D_mu = d_mu + 3mi H_mu / Z.  On solutions both agree.
 Everything divides by Z = S - Sflat, so points with |Z| below the
 threshold are masked and excluded from every reported norm.
 
-The derivative bilinears (M = zeta, b^mu, c^mu) are pair products of Phi
-and d_mu Phi times columns of the current table, in blocks of points
+The stages read only the currents of :func:`dkp5.bilinears.lattice_currents`:
+S, Sflat, J, H (and so Z) and Z-tilde, 12 of the 52 table columns; the
+tensor current K is eliminated, as in the paper.  The derivative
+bilinears (M = zeta, b^mu, c^mu) are pair products of Phi and d_mu Phi,
+taken one direction mu at a time, times a real table built from the
+current table, one real product per block of points
 (:func:`dkp5.bilinears.derivative_bilinears`).
 
 Called alone, each stage computes what it needs.  The pipeline takes
-each derivative once and hands it on: one Phi gradient and one
-derivative-bilinear pass for the full potential and the contraction
-relations, one gradient of J for the bilinear field strength and d.J,
-one gradient of Z for the H elimination and the reduced system, and
-one singular mask for every stage.
+each derivative once and hands it on: one derivative-bilinear pass for
+the full potential and the contraction relations, which takes each
+direction of the Phi gradient in turn, one gradient of J for the
+bilinear field strength and d.J, one gradient of Z for the H
+elimination and the reduced system, and one singular mask for every
+stage.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import METRIC_DIAG, KemmerRep
-from .bilinears import Z_EPS, CurrentGrid, compute_currents_grid, derivative_bilinears
+from .bilinears import Z_EPS, CurrentGrid, derivative_bilinears, lattice_currents
 from .errors import EmptyDomainError, ParameterError, ShapeError, SingularZError
 from .grids import FOUR_VECTOR, TENSOR2, FieldGrid, derivatives
 from .planewave import _wavefunction_gradient, constant_four_vector_grid
@@ -90,7 +96,7 @@ def _masked_z(cg, mask):
 
 
 def _currents(rep, phi_grid, cg):
-    return cg if cg is not None else compute_currents_grid(rep, phi_grid)
+    return cg if cg is not None else lattice_currents(rep, phi_grid)
 
 
 def _trace(dv):
@@ -392,15 +398,15 @@ def invert_pipeline(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, A_ref=
     ``A_ref`` is supplied, marking the grid as a manufactured solution.
     """
     _check_params(m, e)
-    cg = compute_currents_grid(rep, phi_grid)
+    cg = lattice_currents(rep, phi_grid)
     mask = singular_mask(cg)
     if mask.all():
         raise EmptyDomainError("every grid point is Z-singular")
     a_ref = None if A_ref is None else _reference_potential(A_ref)
 
-    # One Phi gradient, freed on return, and one derivative-bilinear pass,
-    # reduced at once to what the full potential and the contraction
-    # relations (solution checks only) use.
+    # One derivative-bilinear pass, which takes the Phi gradient one
+    # direction at a time, reduced at once to what the full potential and
+    # the contraction relations (solution checks only) use.
     d = derivative_bilinears(rep, phi_grid.values, _wavefunction_gradient(phi_grid, dphi),
                              _ZETA_W if a_ref is None else _SHARED_W)
     d_zeta = d[..., 0].copy()
@@ -410,6 +416,8 @@ def invert_pipeline(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, A_ref=
     del d_zeta
     a_gf = invert_potential_gauge_fixed(cg, m, e, mask=mask)
     g_term = gauge_term(rep, phi_grid, e, dphi=dphi, cg=cg, mask=mask)
+    # The gauge term is the last reader of the tilde currents.
+    cg = dataclasses.replace(cg, tilde_S=None, tilde_Sflat=None, tilde_Z=None)
     f_pot = field_strength_from_potential(a_gf)
     dJ = derivatives(cg.J, cg.spacing)
     f_bil = field_strength_bilinear(cg, m, e, mask=mask, dJ=dJ)

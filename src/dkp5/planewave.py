@@ -149,8 +149,11 @@ class DkpResidual:
 
 
 def _wavefunction_gradient(phi_grid, dphi):
+    """d_mu Phi for mu = 0..3, in turn: the values of the closed-form grids
+    ``dphi``, or without them each direction's stencils, taken when the
+    caller reaches that direction."""
     if dphi is None:
-        return derivatives(phi_grid.values, phi_grid.spacing)
+        return (derivatives(phi_grid.values, phi_grid.spacing, (mu,))[0] for mu in range(4))
     if len(dphi) != 4:
         raise ShapeError("dphi must supply all four derivative grids")
     for g in dphi:
@@ -178,11 +181,11 @@ def dkp_residual(rep: KemmerRep, phi_grid: FieldGrid, A_grid: FieldGrid, m, e, d
     pb = np.einsum("...a,ab->...b", phi.conj(), rep.eta)
     primary = -m * phi
     conjugate = m * pb
-    for mu in range(4):
+    for mu, d in enumerate(dv):
         bu = np.asarray(rep.beta_upper(mu))
-        vec = 1j * dv[mu] - e * A[..., mu, None] * phi
+        vec = 1j * d - e * A[..., mu, None] * phi
         primary = primary + np.einsum("ab,...b->...a", bu, vec)
-        dpb = np.einsum("...a,ab->...b", dv[mu].conj(), rep.eta)
+        dpb = np.einsum("...a,ab->...b", d.conj(), rep.eta)
         row = 1j * dpb + e * A[..., mu, None] * pb
         conjugate = conjugate + np.einsum("...a,ab->...b", row, bu)
     make = lambda v: FieldGrid(phi_grid.extents, phi_grid.spacing, WAVEFUNCTION, v)

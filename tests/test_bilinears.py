@@ -16,11 +16,13 @@ from dkp5 import (
     current_set_to_dict,
     fierz_decompose,
     fierz_residual,
+    random_fourier_field,
     representation_from_betas,
+    singular_mask,
     z_is_singular,
     zeta_identity_residuals,
 )
-from dkp5.bilinears import CurrentSet
+from dkp5.bilinears import CurrentSet, lattice_currents
 from dkp5.errors import CurrentOverflowError, ModeError
 from dkp5.scalars import GaussianRational, is_exact_zero, random_exact_wavefunction
 
@@ -386,16 +388,22 @@ def test_fierz_residual_on_broken_reps_matches_definition(exact_rep):
         assert all(not _all_zero((r_h, r_c)[k]) for k in broken)
 
 
-@pytest.mark.parametrize("table", [0, 1])
-def test_overflowing_density_alone_raises(float_rep, monkeypatch, table):
+@pytest.mark.parametrize("currents, table", [
+    pytest.param(compute_currents_grid, 0, id="0"),
+    pytest.param(compute_currents_grid, 1, id="1"),
+    pytest.param(lattice_currents, 0, id="lattice-0"),
+    pytest.param(lattice_currents, 1, id="lattice-1"),
+])
+def test_overflowing_density_alone_raises(float_rep, monkeypatch, currents, table):
     """Z = S - Sflat (table 0) or Z-tilde (table 1) can overflow where every
-    entry of the current tables is finite; the grid check reads them too."""
+    entry of the current tables is finite; the grid check reads them too,
+    on the full tables and on the lattice stack's columns alike."""
     import dkp5.bilinears
 
     tables = dkp5.bilinears._current_tables
 
-    def huge_density(rep, phi):
-        out = tables(rep, phi)
+    def huge_density(rep, phi, *columns):
+        out = tables(rep, phi, *columns)
         out[table][:, :2] = (1e308, -1e308)  # S and Sflat (or their tilde twins)
         return out
 
@@ -403,4 +411,20 @@ def test_overflowing_density_alone_raises(float_rep, monkeypatch, table):
     rng = np.random.default_rng(7)
     vals = rng.standard_normal((3, 2, 1, 1, 5)) + 1j * rng.standard_normal((3, 2, 1, 1, 5))
     with pytest.raises(CurrentOverflowError):
-        compute_currents_grid(float_rep, FieldGrid((3, 2, 1, 1), (0.1,) * 4, WAVEFUNCTION, vals))
+        currents(float_rep, FieldGrid((3, 2, 1, 1), (0.1,) * 4, WAVEFUNCTION, vals))
+
+
+def test_lattice_currents_equal_the_grid_currents(float_rep):
+    """The lattice stack's currents are the fields of compute_currents_grid
+    bit for bit, across more than one block of points and at a Z-singular
+    point; the currents it does not read are None."""
+    grid, _ = random_fourier_field((9, 8, 6, 5), (0.3, 0.25, 0.3, 0.35), seed=4)
+    grid.values[3, 2, 4, 1] = 0.0
+    full, lean = compute_currents_grid(float_rep, grid), lattice_currents(float_rep, grid)
+    assert singular_mask(lean)[3, 2, 4, 1] and singular_mask(lean).sum() == 1
+    for name in ("S", "Sflat", "J", "H", "Z", "tilde_S", "tilde_Sflat", "tilde_Z"):
+        want, got = getattr(full, name), getattr(lean, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert (got == want).all(), name
+    assert lean.K is lean.tilde_J is lean.tilde_K is None
+    assert (lean.extents, lean.spacing) == (full.extents, full.spacing)

@@ -562,6 +562,29 @@ def test_pipeline_takes_each_stencil_once(float_rep, monkeypatch):
     assert len(calls) <= 48
 
 
+def test_pipeline_peak_memory_per_point(float_rep):
+    """An FD pipeline with A_ref on an 8^4 plane wave peaks at no more than
+    1,500 traced bytes per point (numpy reports its buffers to tracemalloc).
+
+    The pipeline holds only the current columns it reads, 192 B per point,
+    and peaks at about 1,385 B per point.  Holding both full 26-column
+    current tables (832 B per point) instead peaked at about 2,070 B per
+    point, so the bound fails if they come back, and leaves some 8% for
+    allocator and numpy differences."""
+    import tracemalloc
+
+    m, e, A = 1.0, 1.0, (0.3, -0.2, 0.1, 0.25)
+    _, grid = _solution(m, e, A, spatial=(0.3, 0.2, -0.1), extents=(8,) * 4,
+                        spacing=(0.15,) * 4, amplitude=0.8 + 0.3j)
+    tracemalloc.start()
+    try:
+        invert_pipeline(float_rep, grid, m, e, A_ref=A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1500 * grid.n_points, peak / grid.n_points
+
+
 def test_field_strength_of_a_complex_potential(float_rep):
     """A complex potential keeps complex stencils; a real one gives the same
     real part."""
