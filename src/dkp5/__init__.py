@@ -25,6 +25,7 @@ from .bilinears import (
     current_set_to_dict,
     fierz_decompose,
     fierz_residual,
+    singular_mask,
     z_is_singular,
     zeta_identity_residuals,
 )
@@ -71,7 +72,6 @@ from .inversion import (
     invert_potential_gauge_fixed,
     reduced_state,
     reduced_system_residuals,
-    singular_mask,
     solution_checks,
 )
 from .planewave import (

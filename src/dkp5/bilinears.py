@@ -199,16 +199,24 @@ def derivative_bilinears(rep: KemmerRep, phi, dphi, weights, tilde=False):
     return out.reshape(phi.shape[:-1] + (4, n))
 
 
+def singular_mask(cs: CurrentSet) -> np.ndarray:
+    """Where |Z| is below Z_EPS * max(1, sqrt(S^2 + Sflat^2)), over the leading
+    axes of float currents.  A threshold past double precision is infinite,
+    so the point is singular, as math.hypot takes it."""
+    with np.errstate(over="ignore"):
+        scale = np.maximum(1.0, np.hypot(cs.S, cs.Sflat))
+    return np.abs(cs.Z) < Z_EPS * scale
+
+
 def z_is_singular(cs: CurrentSet) -> bool:
     """Whether |Z| is below the singularity threshold for this point.
 
-    Exact mode asks for Z == 0 literally; float mode compares against
-    Z_EPS * max(1, sqrt(S^2 + Sflat^2)).
+    Exact mode asks for Z == 0 literally; float mode applies
+    :func:`singular_mask`.
     """
     if cs.mode == EXACT:
         return not cs.Z
-    scale = max(1.0, math.hypot(float(cs.S), float(cs.Sflat)))
-    return abs(cs.Z) < Z_EPS * scale
+    return bool(singular_mask(cs))
 
 
 @dataclass
@@ -459,10 +467,12 @@ def current_set_to_dict(cs: CurrentSet) -> dict:
 
 @dataclass
 class CurrentGrid(CurrentSet):
-    """Per-point currents over a 4D lattice; leading axes are the grid."""
+    """Per-point currents over a 4D lattice; leading axes are the grid, and
+    ``mask`` marks the Z-singular points (:func:`singular_mask`)."""
 
     extents: tuple
     spacing: tuple
+    mask: np.ndarray
 
 
 def compute_currents_grid(rep: KemmerRep, grid: FieldGrid) -> CurrentGrid:
@@ -488,4 +498,4 @@ def _grid_currents(rep, grid, columns):
         cs = _current_set(FLOAT, grid.extents, *tables)
     if not all(np.isfinite(v).all() for v in (*tables, cs.Z, cs.tilde_Z)):
         raise CurrentOverflowError("the currents of the grid overflow double precision")
-    return CurrentGrid(**vars(cs), extents=grid.extents, spacing=grid.spacing)
+    return CurrentGrid(**vars(cs), extents=grid.extents, spacing=grid.spacing, mask=singular_mask(cs))

@@ -31,9 +31,9 @@ from .algebra import (
     verify_algebra_identities,
 )
 from .bilinears import compute_currents_grid, current_columns, fierz_residual, lattice_currents
-from .errors import DkpError, EmptyDomainError, MassShellError, ParameterError
+from .errors import DkpError, MassShellError, ParameterError
 from .grids import SCALAR, FieldGrid, load_grid, norms, store_grid, valid_spacing
-from .inversion import invert_pipeline, singular_mask, solution_checks
+from .inversion import invert_pipeline, solution_checks
 from .planewave import PlaneWaveSpec, manufacture_plane_wave, plane_wave_gradient
 from .reports import all_pass, report_entry, write_report
 from .scalars import EXACT, FLOAT, magnitude, random_exact_wavefunction
@@ -294,7 +294,7 @@ def cmd_manufacture(args) -> int:
 
 
 def cmd_currents(args) -> int:
-    _check_distinct_paths(args.grid, args.json_path, args.csv_path)
+    _check_distinct_paths([args.grid], [args.json_path, args.csv_path])
     grid = load_grid(args.grid)
     cg = compute_currents_grid(build_representation(FLOAT), grid)
     columns = _point_columns(grid.extents, current_columns(cg))
@@ -329,16 +329,19 @@ def _write_csv(path, columns):
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*columns.values()))
 
 
-def _check_distinct_paths(input_path, *outputs):
-    seen = os.path.abspath(input_path)
-    for out in outputs:
-        if out and os.path.abspath(out) == seen:
-            raise ParameterError(f"output path {out!r} collides with the input grid")
+def _check_distinct_paths(inputs, outputs):
+    """ParameterError unless each given output path differs from every input
+    and every other output."""
+    seen = {os.path.abspath(path): "an input" for path in inputs}
+    for out in filter(None, outputs):
+        path = os.path.abspath(out)
+        if path in seen:
+            raise ParameterError(f"output path {out!r} collides with {seen[path]}")
+        seen[path] = "another output"
 
 
-def _load_sidecar(args):
-    path = args.sidecar if args.sidecar is not None else args.grid + ".json"
-    if args.sidecar is None and not os.path.exists(path):
+def _load_sidecar(path, optional):
+    if optional and not os.path.exists(path):
         return None
     try:
         with open(path) as fh:
@@ -391,33 +394,47 @@ def _resolve_a_ref(args, sidecar):
     return None if a_ref is None else np.array(a_ref)
 
 
-def cmd_invert(args) -> int:
-    _check_distinct_paths(args.grid, args.json_path, args.csv_path)
+def _lattice_inputs(args, outputs=()):
+    """Check that the outputs (``outputs`` with --json and --csv) collide with
+    no input, then load: (rep, grid, m, e, dphi, A_ref), dphi None for finite
+    differences and A_ref None when no flag or sidecar gives it."""
+    sidecar_path = args.sidecar if args.sidecar is not None else args.grid + ".json"
+    _check_distinct_paths([args.grid, sidecar_path], [args.json_path, args.csv_path, *outputs])
     grid = load_grid(args.grid)
-    sidecar = _load_sidecar(args)
+    sidecar = _load_sidecar(sidecar_path, optional=args.sidecar is None)
     m, e = _resolve_physics(args, sidecar)
     dphi = _resolve_derivatives(args, sidecar, grid)
-    a_ref = _resolve_a_ref(args, sidecar)
-    rep = build_representation(FLOAT)
-    out, entries = invert_pipeline(rep, grid, m, e, dphi=dphi, A_ref=a_ref, tolerance=args.tolerance)
-    masked_fraction = float(out.singular_mask.mean())
-    payload = {
+    return build_representation(FLOAT), grid, m, e, dphi, _resolve_a_ref(args, sidecar)
+
+
+def _lattice_payload(args, m, e, dphi, mask, entries):
+    """The report head that invert and residuals share."""
+    return {
         "grid": args.grid,
         "m": m,
         "e": e,
         "derivatives": "analytic" if dphi is not None else "finite-difference",
-        "masked_fraction": masked_fraction,
+        "masked_fraction": float(mask.mean()),
         "checks": entries,
     }
+
+
+#: The grid files that ``invert -o`` writes, in the order of :func:`cmd_invert`.
+_OUTPUT_GRIDS = ("A_full.dkp5", "A_gauge_fixed.dkp5", "gauge_term.dkp5", "F_potential.dkp5",
+                 "F_bilinear.dkp5", "mask.dkp5")
+
+
+def cmd_invert(args) -> int:
+    grid_paths = [os.path.join(args.outdir, name) for name in _OUTPUT_GRIDS] if args.outdir else []
+    rep, grid, m, e, dphi, a_ref = _lattice_inputs(args, grid_paths)
+    out, entries = invert_pipeline(rep, grid, m, e, dphi=dphi, A_ref=a_ref, tolerance=args.tolerance)
+    payload = _lattice_payload(args, m, e, dphi, out.singular_mask, entries)
     if args.outdir:
         os.makedirs(args.outdir, exist_ok=True)
-        store_grid(out.a_full, os.path.join(args.outdir, "A_full.dkp5"))
-        store_grid(out.a_gauge_fixed, os.path.join(args.outdir, "A_gauge_fixed.dkp5"))
-        store_grid(out.gauge_term, os.path.join(args.outdir, "gauge_term.dkp5"))
-        store_grid(out.f_from_potential, os.path.join(args.outdir, "F_potential.dkp5"))
-        store_grid(out.f_bilinear, os.path.join(args.outdir, "F_bilinear.dkp5"))
         mask_grid = FieldGrid(grid.extents, grid.spacing, SCALAR, out.singular_mask.astype(float))
-        store_grid(mask_grid, os.path.join(args.outdir, "mask.dkp5"))
+        for values, path in zip((out.a_full, out.a_gauge_fixed, out.gauge_term, out.f_from_potential,
+                                 out.f_bilinear, mask_grid), grid_paths):
+            store_grid(values, path)
     if args.json_path:
         write_report(args.json_path, payload)
     if args.csv_path:
@@ -442,39 +459,23 @@ def _residual_csv(path, mask, residuals):
 
 
 def cmd_residuals(args) -> int:
-    _check_distinct_paths(args.grid, args.json_path, args.csv_path)
-    grid = load_grid(args.grid)
-    sidecar = _load_sidecar(args)
-    m, e = _resolve_physics(args, sidecar)
-    dphi = _resolve_derivatives(args, sidecar, grid)
-    a_ref = _resolve_a_ref(args, sidecar)
+    rep, grid, m, e, dphi, a_ref = _lattice_inputs(args)
     if a_ref is None:
         raise ParameterError("need a reference potential (--A flag or sidecar)")
-    rep = build_representation(FLOAT)
     cg = lattice_currents(rep, grid)
-    mask = singular_mask(cg)
-    if mask.all():
-        raise EmptyDomainError("every grid point is Z-singular")
     entries, div, h_res, rres = solution_checks(
-        rep, grid, cg, m, e, a_ref, dphi=dphi, tolerance=args.tolerance, mask=mask
+        rep, grid, cg, m, e, a_ref, dphi=dphi, tolerance=args.tolerance
     )
-    field_eq_max_abs, field_eq_rms = norms(rres.field_eq, mask)
-    payload = {
-        "grid": args.grid,
-        "m": m,
-        "e": e,
-        "derivatives": "analytic" if dphi is not None else "finite-difference",
-        "masked_fraction": float(mask.mean()),
-        "checks": entries,
-        "diagnostics": {
-            "reduced_field_eq_max_abs": field_eq_max_abs,
-            "reduced_field_eq_rms": field_eq_rms,
-        },
+    field_eq_max_abs, field_eq_rms = norms(rres.field_eq, cg.mask)
+    payload = _lattice_payload(args, m, e, dphi, cg.mask, entries)
+    payload["diagnostics"] = {
+        "reduced_field_eq_max_abs": field_eq_max_abs,
+        "reduced_field_eq_rms": field_eq_rms,
     }
     if args.json_path:
         write_report(args.json_path, payload)
     if args.csv_path:
-        _residual_csv(args.csv_path, mask, {
+        _residual_csv(args.csv_path, cg.mask, {
             "dJ": div.dJ, "dH": div.dH, "JA": div.JA, "HA": div.HA,
             "h_elimination": h_res.values,
             "reduced_conservation": rres.conservation,

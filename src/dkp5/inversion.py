@@ -23,7 +23,8 @@ the bilinear form (3m/2e) (D_mu J_nu - D_nu J_mu) / Z with the deformed
 derivative D_mu = d_mu + 3mi H_mu / Z.  On solutions both agree.
 
 Everything divides by Z = S - Sflat, so points with |Z| below the
-threshold are masked and excluded from every reported norm.
+threshold are masked and excluded from every reported norm.  The mask is
+computed with the currents (``CurrentGrid.mask``); every stage reads it.
 
 The stages read only the currents of :func:`dkp5.bilinears.lattice_currents`:
 S, Sflat, J, H (and so Z) and Z-tilde, 12 of the 52 table columns; the
@@ -37,9 +38,8 @@ Called alone, each stage computes what it needs.  The pipeline takes
 each derivative once and hands it on: one derivative-bilinear pass for
 the full potential and the contraction relations, which takes each
 direction of the Phi gradient in turn, one gradient of J for the
-bilinear field strength and d.J, one gradient of Z for the H
-elimination and the reduced system, and one singular mask for every
-stage.
+bilinear field strength and d.J, and one gradient of Z for the H
+elimination and the reduced system.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import METRIC_DIAG, KemmerRep
-from .bilinears import Z_EPS, CurrentGrid, derivative_bilinears, lattice_currents
+from .bilinears import CurrentGrid, derivative_bilinears, lattice_currents
 from .errors import EmptyDomainError, ParameterError, ShapeError, SingularZError
 from .grids import FOUR_VECTOR, TENSOR2, FieldGrid, derivatives
 from .planewave import _wavefunction_gradient, constant_four_vector_grid
@@ -69,16 +69,6 @@ _UPPER_W[range(4), range(2, 6), 0] = _UPPER_W[range(4), range(6, 10), 1] = _SIG
 _SHARED_W = np.concatenate([_ZETA_W, _UPPER_W], axis=-1)
 
 
-def singular_mask(cg: CurrentGrid) -> np.ndarray:
-    """Boolean grid marking points where |Z| is below the threshold."""
-    scale = np.maximum(1.0, np.hypot(cg.S, cg.Sflat))
-    return np.abs(cg.Z) < Z_EPS * scale
-
-
-def _mask(cg, mask):
-    return singular_mask(cg) if mask is None else mask
-
-
 def _check_params(m=None, e=None, divides_by_e=True):
     """The parameters a stage uses: finite, m > 0, and e != 0 if it divides by e."""
     if not all(math.isfinite(v) for v in (m, e) if v is not None):
@@ -89,10 +79,15 @@ def _check_params(m=None, e=None, divides_by_e=True):
         raise ParameterError(f"mass must be positive, got {m}")
 
 
-def _masked_z(cg, mask):
-    if mask.all():
+def _domain_mask(cg):
+    """cg.mask; EmptyDomainError when it covers every point."""
+    if cg.mask.all():
         raise EmptyDomainError("every grid point is Z-singular")
-    return np.where(mask, 1.0, cg.Z)
+    return cg.mask
+
+
+def _masked_z(cg):
+    return np.where(_domain_mask(cg), 1.0, cg.Z)
 
 
 def _currents(rep, phi_grid, cg):
@@ -109,18 +104,16 @@ def _divergence(v, spacing):
     return sum(METRIC_DIAG[mu] * derivatives(v[..., mu], spacing, (mu,))[0] for mu in range(4))
 
 
-def invert_potential_gauge_fixed(cg: CurrentGrid, m, e, mask=None) -> FieldGrid:
+def invert_potential_gauge_fixed(cg: CurrentGrid, m, e) -> FieldGrid:
     """A_mu = (3m/2e) J_mu / Z, the pure-bilinear gauge-fixed route."""
     _check_params(m, e)
-    mask = _mask(cg, mask)
-    z = _masked_z(cg, mask)
-    values = (1.5 * m / e) * cg.J / z[..., None]
-    values[mask] = 0.0
+    values = (1.5 * m / e) * cg.J / _masked_z(cg)[..., None]
+    values[cg.mask] = 0.0
     return FieldGrid(cg.extents, cg.spacing, FOUR_VECTOR, values)
 
 
 def invert_potential_full(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, cg=None,
-                          mask=None, d_zeta=None) -> FieldGrid:
+                          d_zeta=None) -> FieldGrid:
     """Gauge-faithful potential from the field and its derivatives.
 
     ``d_zeta`` (..., 4) is Phi_bar zeta d_mu Phi - d_mu Phi_bar zeta Phi;
@@ -128,17 +121,16 @@ def invert_potential_full(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, 
     """
     _check_params(m, e)
     cg = _currents(rep, phi_grid, cg)
-    mask = _mask(cg, mask)
-    z = _masked_z(cg, mask)[..., None]
+    z = _masked_z(cg)[..., None]
     if d_zeta is None:
         dv = _wavefunction_gradient(phi_grid, dphi)
         d_zeta = derivative_bilinears(rep, phi_grid.values, dv, _ZETA_W)[..., 0]
     values = (1.5 * m / e) * cg.J / z + ((1j * d_zeta) / (2.0 * e * z)).real
-    values[mask] = 0.0
+    values[cg.mask] = 0.0
     return FieldGrid(cg.extents, cg.spacing, FOUR_VECTOR, values)
 
 
-def gauge_term(rep: KemmerRep, phi_grid: FieldGrid, e, dphi=None, cg=None, mask=None) -> FieldGrid:
+def gauge_term(rep: KemmerRep, phi_grid: FieldGrid, e, dphi=None, cg=None) -> FieldGrid:
     """(i/4e)(d_mu Zt / Zt - d_mu Zt* / Zt*), the pure-gauge part.
 
     With closed-form derivatives the gradient of the complex density is
@@ -148,17 +140,16 @@ def gauge_term(rep: KemmerRep, phi_grid: FieldGrid, e, dphi=None, cg=None, mask=
     """
     _check_params(e=e)
     cg = _currents(rep, phi_grid, cg)
-    mask = _mask(cg, mask)
-    if mask.all():
+    if cg.mask.all():
         raise SingularZError("|Ztilde| is below threshold at every point")
-    zt = np.where(mask, 1.0, cg.tilde_Z)[..., None]
+    zt = np.where(cg.mask, 1.0, cg.tilde_Z)[..., None]
     if dphi is not None:
         dv = _wavefunction_gradient(phi_grid, dphi)
         dzt = 2.0 * derivative_bilinears(rep, phi_grid.values, dv, _ZETA_W, tilde=True)[..., 0]
     else:
         dzt = np.moveaxis(derivatives(cg.tilde_Z, cg.spacing), 0, -1)
     values = ((1j / (4.0 * e)) * (dzt / zt - dzt.conj() / zt.conj())).real
-    values[mask] = 0.0
+    values[cg.mask] = 0.0
     return FieldGrid(cg.extents, cg.spacing, FOUR_VECTOR, values)
 
 
@@ -174,7 +165,7 @@ def field_strength_from_potential(A: FieldGrid) -> FieldGrid:
     return FieldGrid(A.extents, A.spacing, TENSOR2, G - np.swapaxes(G, -1, -2))
 
 
-def field_strength_bilinear(cg: CurrentGrid, m, e, mask=None, dJ=None) -> FieldGrid:
+def field_strength_bilinear(cg: CurrentGrid, m, e, dJ=None) -> FieldGrid:
     """F_mu_nu = (3m/2e)(D_mu J_nu - D_nu J_mu)/Z with D_mu = d_mu + 3mi H_mu/Z.
 
     H is imaginary, so 3mi H_mu J_nu = -3m Im(H_mu) J_nu and F is built in
@@ -183,8 +174,7 @@ def field_strength_bilinear(cg: CurrentGrid, m, e, mask=None, dJ=None) -> FieldG
     dJ[mu][..., nu] = d_mu J_nu, taken here when not given.
     """
     _check_params(m, e)
-    mask = _mask(cg, mask)
-    rz = (1.0 / _masked_z(cg, mask))[..., None, None]
+    rz = (1.0 / _masked_z(cg))[..., None, None]
     if dJ is None:
         dJ = derivatives(cg.J, cg.spacing)
     G = ((-3.0 * m) * cg.H.imag)[..., :, None] * cg.J[..., None, :]
@@ -193,7 +183,7 @@ def field_strength_bilinear(cg: CurrentGrid, m, e, mask=None, dJ=None) -> FieldG
     F = G - np.swapaxes(G, -1, -2)
     F *= 1.5 * m / e
     F *= rz
-    F[mask] = 0.0
+    F[cg.mask] = 0.0
     return FieldGrid(cg.extents, cg.spacing, TENSOR2, F)
 
 
@@ -258,16 +248,15 @@ class ReducedState:
     mask: np.ndarray
 
 
-def reduced_state(cg: CurrentGrid, m, e, mask=None) -> ReducedState:
+def reduced_state(cg: CurrentGrid, m, e) -> ReducedState:
     _check_params(m, e)
-    mask = _mask(cg, mask)
-    if mask.all():
+    if cg.mask.all():
         raise SingularZError("Z is singular at every point; no reduced state")
-    z = np.where(mask, 1.0, cg.Z)
+    z = np.where(cg.mask, 1.0, cg.Z)
     jcal = cg.J / z[..., None]
-    jcal[mask] = 0.0
+    jcal[cg.mask] = 0.0
     return ReducedState(
-        extents=cg.extents, spacing=cg.spacing, Z=cg.Z, Jcal=jcal, m=m, e=e, mask=mask
+        extents=cg.extents, spacing=cg.spacing, Z=cg.Z, Jcal=jcal, m=m, e=e, mask=cg.mask
     )
 
 
@@ -344,21 +333,21 @@ def _reference_potential(A_ref):
 
 
 def solution_checks(rep: KemmerRep, phi_grid: FieldGrid, cg: CurrentGrid, m, e, A_ref, dphi=None,
-                    tolerance=1e-10, mask=None, d_bc=None, div_j=None):
+                    tolerance=1e-10, d_bc=None, div_j=None):
     """Checks that hold when Phi solves the equation in the constant potential A_ref.
 
     Returns (entries, divergence residuals, H-elimination residual,
     reduced residuals): the eight report entries and the residuals
-    behind them.  ``mask``, ``d_bc`` and ``div_j`` are passed on to the
-    stages; the gradient of Z is taken once for the H elimination and the
-    reduced system.
+    behind them.  ``d_bc`` and ``div_j`` are passed on to the stages; the
+    gradient of Z is taken once for the H elimination and the reduced
+    system.
     """
-    mask = _mask(cg, mask)
+    mask = _domain_mask(cg)
     A_grid = constant_four_vector_grid(_reference_potential(A_ref), phi_grid.extents, phi_grid.spacing)
     div = divergence_identities(rep, phi_grid, A_grid, m, e, dphi=dphi, cg=cg, d_bc=d_bc, div_j=div_j)
     dZ = derivatives(cg.Z, cg.spacing)
     hres = h_elimination_residual(cg, m, dZ=dZ)
-    rres = reduced_system_residuals(reduced_state(cg, m, e, mask=mask), dZ=dZ)
+    rres = reduced_system_residuals(reduced_state(cg, m, e), dZ=dZ)
     entries = [
         entry_from_values(name, values, mask, tolerance)
         for name, values in (
@@ -399,9 +388,7 @@ def invert_pipeline(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, A_ref=
     """
     _check_params(m, e)
     cg = lattice_currents(rep, phi_grid)
-    mask = singular_mask(cg)
-    if mask.all():
-        raise EmptyDomainError("every grid point is Z-singular")
+    mask = _domain_mask(cg)
     a_ref = None if A_ref is None else _reference_potential(A_ref)
 
     # One derivative-bilinear pass, which takes the Phi gradient one
@@ -412,15 +399,15 @@ def invert_pipeline(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, A_ref=
     d_zeta = d[..., 0].copy()
     d_bc = None if a_ref is None else d[..., 1:].sum(-2)
     del d
-    a_full = invert_potential_full(rep, phi_grid, m, e, dphi=dphi, cg=cg, mask=mask, d_zeta=d_zeta)
+    a_full = invert_potential_full(rep, phi_grid, m, e, dphi=dphi, cg=cg, d_zeta=d_zeta)
     del d_zeta
-    a_gf = invert_potential_gauge_fixed(cg, m, e, mask=mask)
-    g_term = gauge_term(rep, phi_grid, e, dphi=dphi, cg=cg, mask=mask)
+    a_gf = invert_potential_gauge_fixed(cg, m, e)
+    g_term = gauge_term(rep, phi_grid, e, dphi=dphi, cg=cg)
     # The gauge term is the last reader of the tilde currents.
     cg = dataclasses.replace(cg, tilde_S=None, tilde_Sflat=None, tilde_Z=None)
     f_pot = field_strength_from_potential(a_gf)
     dJ = derivatives(cg.J, cg.spacing)
-    f_bil = field_strength_bilinear(cg, m, e, mask=mask, dJ=dJ)
+    f_bil = field_strength_bilinear(cg, m, e, dJ=dJ)
     div_j = None if a_ref is None else _trace(dJ)
     del dJ
     out = InversionOutput(
@@ -450,6 +437,6 @@ def invert_pipeline(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, A_ref=
         check("f_bilinear_vanishes", f_bil.values)
         check("f_route_agreement", f_bil.values - f_pot.values)
         entries += solution_checks(rep, phi_grid, cg, m, e, a_ref, dphi, tolerance,
-                                   mask=mask, d_bc=d_bc, div_j=div_j)[0]
+                                   d_bc=d_bc, div_j=div_j)[0]
 
     return out, entries

@@ -417,14 +417,28 @@ def test_overflowing_density_alone_raises(float_rep, monkeypatch, currents, tabl
 def test_lattice_currents_equal_the_grid_currents(float_rep):
     """The lattice stack's currents are the fields of compute_currents_grid
     bit for bit, across more than one block of points and at a Z-singular
-    point; the currents it does not read are None."""
+    point; the currents it does not read are None.  The grid mask is the
+    per-point decision at every point."""
     grid, _ = random_fourier_field((9, 8, 6, 5), (0.3, 0.25, 0.3, 0.35), seed=4)
     grid.values[3, 2, 4, 1] = 0.0
     full, lean = compute_currents_grid(float_rep, grid), lattice_currents(float_rep, grid)
     assert singular_mask(lean)[3, 2, 4, 1] and singular_mask(lean).sum() == 1
-    for name in ("S", "Sflat", "J", "H", "Z", "tilde_S", "tilde_Sflat", "tilde_Z"):
+    per_point = [z_is_singular(compute_currents(float_rep, phi)) for phi in grid.values.reshape(-1, 5)]
+    assert np.array_equal(np.reshape(per_point, grid.extents), full.mask)
+    for name in ("S", "Sflat", "J", "H", "Z", "tilde_S", "tilde_Sflat", "tilde_Z", "mask"):
         want, got = getattr(full, name), getattr(lean, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert (got == want).all(), name
     assert lean.K is lean.tilde_J is lean.tilde_K is None
     assert (lean.extents, lean.spacing) == (full.extents, full.spacing)
+
+
+def test_threshold_past_double_precision_is_infinite(float_rep):
+    """Finite currents whose threshold overflows: the grid mask and the
+    per-point decision both mark the point singular, with no overflow."""
+    vals = np.zeros((2, 1, 1, 1, 5), dtype=complex)
+    vals[0, ..., 0] = 1.2e154  # S = Sflat = 1.44e308, Z = 0
+    vals[1, ..., 4] = 1.0
+    cg = compute_currents_grid(float_rep, FieldGrid((2, 1, 1, 1), (0.1,) * 4, WAVEFUNCTION, vals))
+    assert np.isfinite(cg.S).all() and cg.mask.ravel().tolist() == [True, False]
+    assert [z_is_singular(compute_currents(float_rep, phi)) for phi in vals.reshape(-1, 5)] == [True, False]

@@ -142,10 +142,12 @@ def test_invert_reports_are_byte_deterministic(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
-def test_invert_zero_grid_exits_two(tmp_path):
+@pytest.mark.parametrize("command", ["invert", "residuals"])
+def test_invert_zero_grid_exits_two(tmp_path, capsys, command):
     path = tmp_path / "zero.dkp5"
     store_grid(FieldGrid.zeros((4, 1, 1, 1), (0.1, 1, 1, 1), WAVEFUNCTION), path)
-    assert run("invert", "--grid", str(path), "--m", "1", "--e", "1") == 2
+    assert run(command, "--grid", str(path), "--m", "1", "--e", "1", "--A", "0,0,0,0") == 2
+    assert "every grid point is Z-singular" in capsys.readouterr().err
 
 
 def test_invert_missing_physics_exits_two(tmp_path):
@@ -164,6 +166,25 @@ def test_output_path_colliding_with_input_exits_two(tmp_path):
     grid_path = _manufacture(tmp_path)
     assert run("invert", "--grid", str(grid_path), "--analytic",
                "--json", str(grid_path)) == 2
+
+
+@pytest.mark.parametrize("case", ["currents_json_is_csv", "invert_json_is_sidecar",
+                                  "invert_csv_is_output_grid"])
+def test_colliding_output_paths_exit_two(tmp_path, case):
+    """No output overwrites an input or another output: every file is as before."""
+    grid_path = _manufacture(tmp_path)
+    sidecar = tmp_path / "pw.dkp5.json"
+    before = sidecar.read_bytes()
+    out, outdir = tmp_path / "x", tmp_path / "grids"
+    argv = {
+        "currents_json_is_csv": ["currents", "--json", str(out), "--csv", str(out)],
+        "invert_json_is_sidecar": ["invert", "--fd", "--json", str(sidecar)],
+        "invert_csv_is_output_grid": ["invert", "--fd", "-o", str(outdir),
+                                      "--csv", str(outdir / "mask.dkp5")],
+    }[case]
+    assert run(*argv, "--grid", str(grid_path)) == 2
+    assert sidecar.read_bytes() == before
+    assert not out.exists() and not outdir.exists()
 
 
 def test_invert_csv_one_row_per_point(tmp_path):
