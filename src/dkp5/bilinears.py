@@ -201,11 +201,17 @@ def derivative_bilinears(rep: KemmerRep, phi, dphi, weights, tilde=False):
 
 def singular_mask(cs: CurrentSet) -> np.ndarray:
     """Where |Z| is below Z_EPS * max(1, sqrt(S^2 + Sflat^2)), over the leading
-    axes of float currents.  A threshold past double precision is infinite,
-    so the point is singular, as math.hypot takes it."""
+    axes of float currents.  Where sqrt(S^2 + Sflat^2) is past double
+    precision, the point is decided from S, Sflat and Z halved (an exact
+    scaling, so only those points take it)."""
     with np.errstate(over="ignore"):
         scale = np.maximum(1.0, np.hypot(cs.S, cs.Sflat))
-    return np.abs(cs.Z) < Z_EPS * scale
+    mask = np.asarray(np.abs(cs.Z) < Z_EPS * scale)
+    over = np.isinf(scale)
+    if over.any():
+        s, sflat, z = (np.asarray(v)[over] / 2 for v in (cs.S, cs.Sflat, cs.Z))
+        mask[over] = np.abs(z) < Z_EPS * np.hypot(s, sflat)
+    return mask
 
 
 def z_is_singular(cs: CurrentSet) -> bool:
@@ -439,6 +445,15 @@ CURRENT_COLUMNS = (
        for m in range(4) for n in range(4) for p, part in _PARTS]
     + [(p + "Zt", "tilde_Z", (), part) for p, part in _PARTS]
 )
+
+
+#: The lower-triangle tensor columns (nu > mu) as (source column, sign), each
+#: sign times its source: K*_munu = K_numu (Hermitian) and K-tilde_munu =
+#: K-tilde_numu (symmetric).
+MIRRORED_COLUMNS = {
+    f"{p}{k}{n}{m}": (f"{p}{k}{m}{n}", -1 if (p, k) == ("Im", "K") else 1)
+    for k in ("K", "Kt") for m in range(4) for n in range(m + 1, 4) for p, _ in _PARTS
+}
 
 
 def current_columns(cs: CurrentSet) -> dict:

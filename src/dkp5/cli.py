@@ -14,7 +14,7 @@ hidden defaults for m and e.
 from __future__ import annotations
 
 import argparse
-import itertools
+import contextlib
 import json
 import math
 import os
@@ -30,7 +30,13 @@ from .algebra import (
     representation_from_betas,
     verify_algebra_identities,
 )
-from .bilinears import compute_currents_grid, current_columns, fierz_residual, lattice_currents
+from .bilinears import (
+    MIRRORED_COLUMNS,
+    compute_currents_grid,
+    current_columns,
+    fierz_residual,
+    lattice_currents,
+)
 from .errors import DkpError, MassShellError, ParameterError
 from .grids import SCALAR, FieldGrid, load_grid, norms, store_grid, valid_spacing
 from .inversion import invert_pipeline, solution_checks
@@ -297,36 +303,85 @@ def cmd_currents(args) -> int:
     _check_distinct_paths([args.grid], [args.json_path, args.csv_path])
     grid = load_grid(args.grid)
     cg = compute_currents_grid(build_representation(FLOAT), grid)
-    columns = _point_columns(grid.extents, current_columns(cg))
-    if args.json_path:
-        write_report(args.json_path, {"extents": list(grid.extents), "points": _rows(columns)})
-    if args.csv_path:
-        _write_csv(args.csv_path, columns)
-    if not args.json_path and not args.csv_path:
-        print(json.dumps(_rows(columns, 4), indent=2))
+    columns = current_columns(cg)
+    if args.json_path or args.csv_path:
+        _write_points(grid.extents, columns, MIRRORED_COLUMNS, args.csv_path, args.json_path)
+    else:
+        row = _json_row([*_INDEX_COLUMNS, *columns], 2)
+        blocks = _text_blocks(grid.extents, columns, MIRRORED_COLUMNS, stop=4)
+        print("[" + ",".join(row % r for block in blocks for r in block) + "\n]")
     print(f"{grid.n_points} points, mean S = {float(np.mean(cg.S)):.6g}")
     return EXIT_PASS
 
 
-def _point_columns(extents, columns):
-    """Index columns it, ix, iy, iz, then ``columns``, as lists in row-major point order."""
-    index = np.indices(extents).reshape(4, -1).tolist()
-    out = dict(zip(("it", "ix", "iy", "iz"), index))
-    for name, values in columns.items():
-        out[name] = np.asarray(values).reshape(-1).tolist()
-    return out
+_INDEX_COLUMNS = ("it", "ix", "iy", "iz")
+
+#: Points per block of formatted rows.
+_BLOCK_ROWS = 128
 
 
-def _rows(columns, limit=None):
-    return [dict(zip(columns, row)) for row in itertools.islice(zip(*columns.values()), limit)]
+def _text_blocks(extents, columns, mirrors, stop=None):
+    """The rows of the first ``stop`` points (all by default) in row-major
+    order, in blocks of ``_BLOCK_ROWS``: each row a tuple of the reprs of
+    the point's index (it, ix, iy, iz) and of ``columns`` (name: array over
+    the grid) at the point.
+
+    Each column is formatted once per block.  A column in ``mirrors`` (name:
+    (source column, sign)) whose block holds the same float64 bits as its
+    source's, times the sign, takes the source's texts instead, with the
+    leading "-" flipped for a negation; any other block is formatted.
+    """
+    n = math.prod(extents) if stop is None else min(stop, math.prod(extents))
+    flat = {name: np.reshape(values, -1) for name, values in columns.items()}
+    for s in range(0, n, _BLOCK_ROWS):
+        rows = slice(s, min(s + _BLOCK_ROWS, n))
+        index = np.unravel_index(np.arange(rows.start, rows.stop), extents)
+        texts = dict(zip(_INDEX_COLUMNS, (list(map(repr, i.tolist())) for i in index)))
+        for name, values in flat.items():
+            block = values[rows]
+            source, sign = mirrors.get(name, (None, 1))
+            if source is not None and np.array_equal(
+                    block.view(np.int64), (sign * flat[source][rows]).view(np.int64)):
+                texts[name] = texts[source] if sign == 1 else [
+                    t[1:] if t[0] == "-" else "-" + t for t in texts[source]]
+            else:
+                texts[name] = list(map(repr, block.tolist()))
+        yield list(zip(*texts.values()))
 
 
-def _write_csv(path, columns):
-    """Header and rows as csv.writer writes them: the values are ints and
-    floats, which need no quoting, so each row is their reprs joined."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\r\n")
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in zip(*columns.values()))
+def _json_row(names, indent):
+    """A %-template of one row as ``json.dump(..., indent=2)`` lays out a
+    dict with keys ``names``, an item of a list at ``indent`` spaces; rows
+    are joined by ","."""
+    pad = " " * indent
+    keys = ",".join(f"\n{pad}  {json.dumps(k)}: %s" for k in names)
+    return f"\n{pad}{{{keys}\n{pad}}}"
+
+
+def _write_points(extents, columns, mirrors, csv_path=None, json_path=None):
+    """One row per point (:func:`_text_blocks`), a block at a time: as CSV,
+    laid out as csv.writer writes ints and floats (no quoting, so each row is
+    the texts joined), and as the JSON report {"extents", "points"} laid out
+    as :func:`write_report` writes it."""
+    names = [*_INDEX_COLUMNS, *columns]
+    row = _json_row(names, 4)
+    with contextlib.ExitStack() as stack:
+        json_fh = stack.enter_context(open(json_path, "w")) if json_path else None
+        csv_fh = stack.enter_context(open(csv_path, "w", newline="")) if csv_path else None
+        if json_fh:
+            json_fh.write('{\n  "extents": [\n    ' + ",\n    ".join(map(str, extents))
+                          + '\n  ],\n  "points": [')
+        if csv_fh:
+            csv_fh.write(",".join(names) + "\r\n")
+        sep = ""
+        for block in _text_blocks(extents, columns, mirrors):
+            if json_fh:
+                json_fh.write(sep + ",".join(row % r for r in block))
+                sep = ","
+            if csv_fh:
+                csv_fh.writelines(",".join(r) + "\r\n" for r in block)
+        if json_fh:
+            json_fh.write("\n  ]\n}\n")
 
 
 def _check_distinct_paths(inputs, outputs):
@@ -455,7 +510,7 @@ def _residual_csv(path, mask, residuals):
     columns = {"masked": mask.astype(int)}
     for name, values in residuals.items():
         columns[name] = np.abs(values).reshape(mask.shape + (-1,)).max(axis=-1)
-    _write_csv(path, _point_columns(mask.shape, columns))
+    _write_points(mask.shape, columns, {}, csv_path=path)
 
 
 def cmd_residuals(args) -> int:

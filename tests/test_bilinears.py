@@ -22,7 +22,7 @@ from dkp5 import (
     z_is_singular,
     zeta_identity_residuals,
 )
-from dkp5.bilinears import CurrentSet, lattice_currents
+from dkp5.bilinears import CURRENT_COLUMNS, MIRRORED_COLUMNS, CurrentSet, lattice_currents
 from dkp5.errors import CurrentOverflowError, ModeError
 from dkp5.scalars import GaussianRational, is_exact_zero, random_exact_wavefunction
 
@@ -434,11 +434,51 @@ def test_lattice_currents_equal_the_grid_currents(float_rep):
 
 
 def test_threshold_past_double_precision_is_infinite(float_rep):
-    """Finite currents whose threshold overflows: the grid mask and the
-    per-point decision both mark the point singular, with no overflow."""
+    """Finite currents whose hypot(S, Sflat) overflows, with Z = 0: the grid
+    mask and the per-point decision both mark the point singular, with no
+    overflow."""
     vals = np.zeros((2, 1, 1, 1, 5), dtype=complex)
     vals[0, ..., 0] = 1.2e154  # S = Sflat = 1.44e308, Z = 0
     vals[1, ..., 4] = 1.0
     cg = compute_currents_grid(float_rep, FieldGrid((2, 1, 1, 1), (0.1,) * 4, WAVEFUNCTION, vals))
     assert np.isfinite(cg.S).all() and cg.mask.ravel().tolist() == [True, False]
     assert [z_is_singular(compute_currents(float_rep, phi)) for phi in vals.reshape(-1, 5)] == [True, False]
+
+
+def test_overflowing_threshold_is_decided_on_halved_currents(float_rep):
+    """Phi = 1.2e154 e_0 + 1e150 e_4 has finite S and Sflat whose hypot
+    overflows, and Z = -3e300, far above 1e-10 hypot(S, Sflat) ~ 2e298:
+    neither the grid mask nor the per-point decision marks it singular."""
+    phi = np.array([1.2e154, 0, 0, 0, 1e150], dtype=complex)
+    grid = FieldGrid((1, 1, 1, 1), (0.1,) * 4, WAVEFUNCTION, phi.reshape(1, 1, 1, 1, 5))
+    cg = compute_currents_grid(float_rep, grid)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.hypot(cg.S, cg.Sflat)).all() and cg.Z.item() == pytest.approx(-3e300)
+    assert not cg.mask.any()
+    assert not z_is_singular(compute_currents(float_rep, phi))
+
+
+def test_mirrored_columns_follow_from_the_representation(float_rep):
+    """Each declared mirror is sign times its source because of the current
+    table: a K column's 5x5 block is the conjugate transpose of its source's
+    (so Re K mirrors with +1 and Im K with -1), a K-tilde block is its
+    source's transpose (+1 for both parts, as Phi eta M Phi is symmetric in
+    the pair).  The mirrors are exactly the 24 lower-triangle columns."""
+    fields = {column: (field, index, part) for column, field, index, part in CURRENT_COLUMNS}
+    lower = {c for c, (f, index, _) in fields.items() if f in ("K", "tilde_K") and index[0] > index[1]}
+    assert set(MIRRORED_COLUMNS) == lower and len(lower) == 24
+
+    def block(index):
+        m, n = index
+        return float_rep.current_table[:, 10 + 4 * m + n].reshape(5, 5)
+
+    for column, (source, sign) in MIRRORED_COLUMNS.items():
+        field, index, part = fields[column]
+        source_field, source_index, source_part = fields[source]
+        assert (source_field, source_part, source_index) == (field, part, index[::-1]), column
+        if field == "K":
+            assert np.array_equal(block(index), block(source_index).conj().T), column
+            assert sign == (-1 if part == "imag" else 1), column
+        else:
+            assert np.array_equal(block(index), block(source_index).T), column
+            assert sign == 1, column

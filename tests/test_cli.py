@@ -367,22 +367,27 @@ def test_manufacture_overflow_exits_two(tmp_path, capsys):
 
 
 def test_csv_rows_match_csv_writer(tmp_path):
-    from dkp5.cli import _write_csv
+    """The block writer's CSV is csv.writer's, on edge values and on a mirrored
+    pair: "-y" holds -y bit for bit, so it takes y's texts with the sign flipped."""
+    from dkp5.cli import _write_points
 
+    y = np.array([1.0, -2.5e-310, 123456789012345.67, -1e300, 0.0])
     columns = {
-        "it": [0, 1, 2, 3, 4],
-        "masked": [0, 1, 0, 0, 1],
-        "x": [-0.0, 5e-324, 1.7976931348623157e308, 1e22, 0.1 + 0.2],
-        "y": [1.0, -2.5e-310, 123456789012345.67, -1e300, 3.0],
+        "masked": np.array([0, 1, 0, 0, 1]),
+        "x": np.array([-0.0, 5e-324, 1.7976931348623157e308, 1e22, 0.1 + 0.2]),
+        "y": y,
+        "-y": -y,
     }
     path = tmp_path / "fast.csv"
-    _write_csv(path, columns)
+    _write_points((5, 1, 1, 1), columns, {"-y": ("y", -1)}, csv_path=path)
     want = tmp_path / "writer.csv"
     with open(want, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(zip(*columns.values()))
+        writer.writerow(["it", "ix", "iy", "iz", *columns])
+        writer.writerows([t, 0, 0, 0, *row] for t, row in
+                         enumerate(zip(*(c.tolist() for c in columns.values()))))
     assert path.read_bytes() == want.read_bytes()
+    assert path.read_bytes().endswith(b",0.0,-0.0\r\n")
 
 
 def test_overflowing_currents_exit_two(tmp_path, capsys):
