@@ -39,9 +39,9 @@ from .bilinears import (
 )
 from .errors import DkpError, MassShellError, ParameterError
 from .grids import SCALAR, FieldGrid, load_grid, norms, store_grid, valid_spacing
-from .inversion import invert_pipeline, solution_checks
+from .inversion import _FIELD_EQ, _solution_residuals, invert_pipeline
 from .planewave import PlaneWaveSpec, manufacture_plane_wave, plane_wave_gradient
-from .reports import all_pass, report_entry, write_report
+from .reports import all_pass, entry_from_values, report_entry, write_report
 from .scalars import EXACT, FLOAT, magnitude, random_exact_wavefunction
 from .words import BASIS_LABELS, reduce_word, word_reduction_sweep
 
@@ -513,15 +513,33 @@ def _residual_csv(path, mask, residuals):
     _write_points(mask.shape, columns, {}, csv_path=path)
 
 
+#: The columns of ``residuals --csv``, by the residual each is taken from.
+_RESIDUAL_CSV_COLUMNS = {
+    "current_conservation": "dJ",
+    "companion_divergence": "dH",
+    "current_potential_contraction": "JA",
+    "companion_potential_contraction": "HA",
+    "h_elimination": "h_elimination",
+    "reduced_conservation": "reduced_conservation",
+    "reduced_modulus": "reduced_modulus",
+    _FIELD_EQ: "reduced_field_eq",
+}
+
+
 def cmd_residuals(args) -> int:
     rep, grid, m, e, dphi, a_ref = _lattice_inputs(args)
     if a_ref is None:
         raise ParameterError("need a reference potential (--A flag or sidecar)")
     cg = lattice_currents(rep, grid)
-    entries, div, h_res, rres = solution_checks(
-        rep, grid, cg, m, e, a_ref, dphi=dphi, tolerance=args.tolerance
-    )
-    field_eq_max_abs, field_eq_rms = norms(rres.field_eq, cg.mask)
+    entries, kept = [], {}
+    for name, values in _solution_residuals(rep, grid, cg, m, e, a_ref, dphi, field_eq=True):
+        if name == _FIELD_EQ:
+            field_eq_max_abs, field_eq_rms = norms(values, cg.mask)
+        else:
+            entries.append(entry_from_values(name, values, cg.mask, args.tolerance))
+        if args.csv_path and name in _RESIDUAL_CSV_COLUMNS:
+            kept[_RESIDUAL_CSV_COLUMNS[name]] = values
+        del values  # without --csv, no residual outlives its entry
     payload = _lattice_payload(args, m, e, dphi, cg.mask, entries)
     payload["diagnostics"] = {
         "reduced_field_eq_max_abs": field_eq_max_abs,
@@ -530,13 +548,7 @@ def cmd_residuals(args) -> int:
     if args.json_path:
         write_report(args.json_path, payload)
     if args.csv_path:
-        _residual_csv(args.csv_path, cg.mask, {
-            "dJ": div.dJ, "dH": div.dH, "JA": div.JA, "HA": div.HA,
-            "h_elimination": h_res.values,
-            "reduced_conservation": rres.conservation,
-            "reduced_modulus": rres.modulus,
-            "reduced_field_eq": rres.field_eq,
-        })
+        _residual_csv(args.csv_path, cg.mask, kept)
     for entry in entries:
         print(f"{'PASS' if entry['pass'] else 'FAIL'} {entry['identity']}: "
               f"max_abs={entry['max_abs']:.3e}")

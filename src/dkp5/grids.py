@@ -102,11 +102,15 @@ def check_addressable(extents, kind):
         raise ShapeError(f"extents {tuple(extents)} need {nbytes} bytes, more than numpy can address")
 
 
-def _check_finite(payload, message):
-    """GridFormatError at the file offset of the first non-finite float of a '<c16' payload."""
-    finite = np.isfinite(payload.reshape(-1).view("<f8"))
+def _check_finite(values, message):
+    """GridFormatError at the file offset of the first non-finite float of
+    ``values`` laid out as '<c16' (a float64 value x as the pair (x, 0.0))."""
+    finite = np.isfinite(values)
     if not finite.all():
-        raise GridFormatError(message, offset=_HEADER.size + 8 * int(finite.argmin()))
+        i = int(finite.argmin())  # row-major, whatever the memory layout
+        first = values[np.unravel_index(i, values.shape)]
+        part = np.iscomplexobj(values) and math.isfinite(first.real)  # 1: the imaginary part
+        raise GridFormatError(message, offset=_HEADER.size + 16 * i + 8 * part)
 
 
 def coordinate_axes(extents, spacing):
@@ -114,15 +118,26 @@ def coordinate_axes(extents, spacing):
     return [np.arange(n) * h for n, h in zip(extents, spacing)]
 
 
+#: Bytes of '<c16' payload that store_grid casts and writes at a time.
+_SLAB_BYTES = 1 << 20
+
+
 def store_grid(grid: FieldGrid, path):
+    """Write the grid file; refuse, before any file is opened, a non-finite value.
+
+    The payload is cast to '<c16' and written in slabs of whole t-slices,
+    about ``_SLAB_BYTES`` each, so no complex copy of the whole grid is made.
+    """
     header = _HEADER.pack(
         _MAGIC, _VERSION, grid.kind, *grid.extents, *grid.spacing
     )
-    payload = np.ascontiguousarray(grid.values, dtype="<c16")
-    _check_finite(payload, "refusing to write a non-finite value")
+    values = grid.values
+    _check_finite(values, "refusing to write a non-finite value")
+    step = max(1, _SLAB_BYTES // (16 * values[:1].size))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(memoryview(payload))
+        for t in range(0, len(values), step):
+            fh.write(memoryview(np.ascontiguousarray(values[t:t + step], dtype="<c16")))
 
 
 def load_grid(path) -> FieldGrid:
@@ -215,7 +230,7 @@ def gradient(grid: FieldGrid):
 def norms(values, mask=None):
     """(max |value|, root-mean-square of |value|) over unmasked points (mask
     covers the four grid axes), row-major order, from one absolute value."""
-    a = np.abs(np.asarray(values))
+    a = np.abs(np.atleast_1d(values))
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != a.shape[: mask.ndim]:
@@ -224,9 +239,12 @@ def norms(values, mask=None):
     if not a.size:
         return 0.0, 0.0
     top = float(a.max())
-    if math.isfinite(top) and top * top * a.size > sys.float_info.max:  # squares overflow
-        return top, top * float(np.sqrt(np.mean(np.square(a / top))))
-    return top, float(np.sqrt(np.mean(np.square(a))))
+    scale = math.isfinite(top) and top * top * a.size > sys.float_info.max  # squares overflow
+    if scale:
+        a /= top
+    np.square(a, out=a)  # a is this function's own buffer
+    rms_value = float(np.sqrt(np.mean(a)))
+    return top, top * rms_value if scale else rms_value
 
 
 def max_abs(values, mask=None) -> float:

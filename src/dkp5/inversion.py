@@ -99,6 +99,19 @@ def _trace(dv):
     return sum(METRIC_DIAG[mu] * dv[mu][..., mu] for mu in range(4))
 
 
+def _curl(G, rows=slice(None)):
+    """Rows ``rows`` (all by default) of F = G - G^T, for G[..., mu, nu] = d_mu v_nu."""
+    return G[..., rows, :] - np.swapaxes(G, -1, -2)[..., rows, :]
+
+
+def _raised(a):
+    """eta^{mu mu} a_mu over the last axis.  The grid axes along which ``a``
+    is a broadcast (stride 0, as a constant potential is) stay a broadcast,
+    so a constant is raised once, not per point."""
+    core = a[tuple(slice(None) if s else slice(1) for s in a.strides[:-1])]
+    return np.broadcast_to(core * _SIG, a.shape)
+
+
 def _divergence(v, spacing):
     """eta^{mu mu} d_mu v_mu from the stencils of the diagonal components only."""
     return sum(METRIC_DIAG[mu] * derivatives(v[..., mu], spacing, (mu,))[0] for mu in range(4))
@@ -162,7 +175,7 @@ def field_strength_from_potential(A: FieldGrid) -> FieldGrid:
     if A.kind != FOUR_VECTOR:
         raise ShapeError("field strength needs a four-vector potential grid")
     G = np.moveaxis(derivatives(A.values, A.spacing), 0, -2)  # G[..., mu, nu] = d_mu A_nu
-    return FieldGrid(A.extents, A.spacing, TENSOR2, G - np.swapaxes(G, -1, -2))
+    return FieldGrid(A.extents, A.spacing, TENSOR2, _curl(G))
 
 
 def field_strength_bilinear(cg: CurrentGrid, m, e, dJ=None) -> FieldGrid:
@@ -180,7 +193,7 @@ def field_strength_bilinear(cg: CurrentGrid, m, e, dJ=None) -> FieldGrid:
     G = ((-3.0 * m) * cg.H.imag)[..., :, None] * cg.J[..., None, :]
     G *= rz
     G += np.moveaxis(dJ, 0, -2)  # G[..., mu, nu] = D_mu J_nu
-    F = G - np.swapaxes(G, -1, -2)
+    F = _curl(G)
     F *= 1.5 * m / e
     F *= rz
     F[cg.mask] = 0.0
@@ -213,7 +226,8 @@ def divergence_identities(rep: KemmerRep, phi_grid: FieldGrid, A_grid: FieldGrid
         raise ShapeError("field and potential grids must share extents")
     _check_params(m, e, divides_by_e=False)
     cg = _currents(rep, phi_grid, cg)
-    contract = lambda v: e * np.einsum("...m,...m->...", v, A_grid.values * _SIG)
+    a_up = _raised(A_grid.values)
+    contract = lambda v: e * np.einsum("...m,...m->...", v, a_up)
     if d_bc is None:
         dv = _wavefunction_gradient(phi_grid, dphi)
         d_bc = derivative_bilinears(rep, phi_grid.values, dv, _UPPER_W).sum(-2)
@@ -280,38 +294,45 @@ class ReducedResiduals:
 
 def reduced_system_residuals(state: ReducedState, dZ=None) -> ReducedResiduals:
     """The reduced residuals; ``dZ`` is the stacked gradient of state.Z,
-    taken here when not given."""
-    ext, sp = state.extents, state.spacing
+    taken here when not given.  Each intermediate grid is dropped after its
+    last reader."""
+    sp = state.spacing
     d = lambda arr, mu: derivatives(arr, sp, (mu,))[0]
+
+    # Independent evaluation of the field equation's LHS: A_gf = (3m/2e) Jcal,
+    # so eta^{nu nu} d_nu F_nu_mu(A_gf) = (3m/2e) (box - grad div) Jcal_mu,
+    # with F taken one row at a time from the gradient of A_gf.
+    G = np.moveaxis(derivatives((1.5 * state.m / state.e) * state.Jcal, sp), 0, -2)
+    div_f = sum(METRIC_DIAG[nu] * d(_curl(G, nu), nu) for nu in range(4))
+    del G
+    lhs_via_f = (2.0 * state.e / (3.0 * state.m)) * div_f
+    del div_f
+
     dJc = derivatives(state.Jcal, sp)
     div = _trace(dJc)
     box_j = sum(METRIC_DIAG[nu] * d(dJc[nu], nu) for nu in range(4))
     del dJc
-    grad_div = np.moveaxis(derivatives(div, sp), 0, -1)
-    lhs = box_j - grad_div
-    z = np.where(state.mask, 1.0, state.Z)
+    lhs = box_j - np.moveaxis(derivatives(div, sp), 0, -1)  # box Jcal - grad div Jcal
+    del box_j
+    cross = lhs - lhs_via_f
+    del lhs_via_f
     field_eq = lhs - (2.0 * state.e**2 / state.m) * state.Z[..., None] * state.Jcal
+    del lhs
 
     if dZ is None:
         dZ = derivatives(state.Z, sp)
     conservation = state.Z * div + sum(
         METRIC_DIAG[mu] * state.Jcal[..., mu] * dZ[mu] for mu in range(4)
     )
+    del div
 
+    z = np.where(state.mask, 1.0, state.Z)
     box_z = sum(METRIC_DIAG[nu] * d(dZ[nu], nu) for nu in range(4))
     dz_dz = sum(METRIC_DIAG[mu] * dZ[mu] * dZ[mu] for mu in range(4))
     jj = np.einsum("...m,...m->...", state.Jcal, state.Jcal * _SIG)
     modulus = jj - (2.0 / (9.0 * state.m**2)) * (
         box_z / z - dz_dz / (2.0 * z**2)
     ) - 4.0 / 9.0
-
-    # Independent evaluation of the same LHS: A_gf = (3m/2e) Jcal, so
-    # eta^{nu nu} d_nu F_nu_mu(A_gf) = (3m/2e) (box - grad div) Jcal_mu.
-    a_gf = FieldGrid(ext, sp, FOUR_VECTOR, (1.5 * state.m / state.e) * state.Jcal)
-    F = field_strength_from_potential(a_gf).values
-    div_f = sum(METRIC_DIAG[nu] * d(F[..., nu, :], nu) for nu in range(4))
-    lhs_via_f = (2.0 * state.e / (3.0 * state.m)) * div_f
-    cross = lhs - lhs_via_f
 
     for arr in (field_eq, conservation, modulus, cross):
         arr[state.mask] = 0.0
@@ -332,6 +353,40 @@ def _reference_potential(A_ref):
     return a_ref
 
 
+#: Name of the reduced field equation's residual, a diagnostic and not a check.
+_FIELD_EQ = "reduced_field_eq"
+
+
+def _solution_residuals(rep, phi_grid, cg, m, e, A_ref, dphi=None, d_bc=None, div_j=None,
+                        field_eq=False):
+    """(name, values) of each solution-check residual in report order, and
+    with ``field_eq`` then (_FIELD_EQ, values).
+
+    Each residual is made when the caller asks for it and is not held here
+    after it is handed on, so a caller that reduces each one before asking
+    for the next holds one at a time.  ``d_bc`` and ``div_j`` are passed on
+    to the divergence relations; the gradient of Z is taken once for the H
+    elimination and the reduced system.
+    """
+    _domain_mask(cg)
+    A_grid = constant_four_vector_grid(_reference_potential(A_ref), cg.extents, cg.spacing)
+    div = divergence_identities(rep, phi_grid, A_grid, m, e, dphi=dphi, cg=cg, d_bc=d_bc, div_j=div_j)
+    del d_bc, div_j
+    yield from zip(("current_conservation", "companion_divergence",
+                    "current_potential_contraction", "companion_potential_contraction"),
+                   (div.dJ, div.dH, div.JA, div.HA))
+    del div
+    dZ = derivatives(cg.Z, cg.spacing)
+    yield "h_elimination", h_elimination_residual(cg, m, dZ=dZ).values
+    rres = reduced_system_residuals(reduced_state(cg, m, e), dZ=dZ)
+    del dZ
+    yield "reduced_conservation", rres.conservation
+    yield "reduced_modulus", rres.modulus
+    yield "reduced_field_eq_lhs_cross_check", rres.lhs_cross_check
+    if field_eq:
+        yield _FIELD_EQ, rres.field_eq
+
+
 def solution_checks(rep: KemmerRep, phi_grid: FieldGrid, cg: CurrentGrid, m, e, A_ref, dphi=None,
                     tolerance=1e-10, d_bc=None, div_j=None):
     """Checks that hold when Phi solves the equation in the constant potential A_ref.
@@ -342,25 +397,16 @@ def solution_checks(rep: KemmerRep, phi_grid: FieldGrid, cg: CurrentGrid, m, e, 
     gradient of Z is taken once for the H elimination and the reduced
     system.
     """
-    mask = _domain_mask(cg)
-    A_grid = constant_four_vector_grid(_reference_potential(A_ref), phi_grid.extents, phi_grid.spacing)
-    div = divergence_identities(rep, phi_grid, A_grid, m, e, dphi=dphi, cg=cg, d_bc=d_bc, div_j=div_j)
-    dZ = derivatives(cg.Z, cg.spacing)
-    hres = h_elimination_residual(cg, m, dZ=dZ)
-    rres = reduced_system_residuals(reduced_state(cg, m, e), dZ=dZ)
-    entries = [
-        entry_from_values(name, values, mask, tolerance)
-        for name, values in (
-            ("current_conservation", div.dJ),
-            ("companion_divergence", div.dH),
-            ("current_potential_contraction", div.JA),
-            ("companion_potential_contraction", div.HA),
-            ("h_elimination", hres.values),
-            ("reduced_conservation", rres.conservation),
-            ("reduced_modulus", rres.modulus),
-            ("reduced_field_eq_lhs_cross_check", rres.lhs_cross_check),
-        )
-    ]
+    r = dict(_solution_residuals(rep, phi_grid, cg, m, e, A_ref, dphi, d_bc, div_j, field_eq=True))
+    entries = [entry_from_values(name, values, cg.mask, tolerance)
+               for name, values in r.items() if name != _FIELD_EQ]
+    div = DivergenceResiduals(dJ=r["current_conservation"], dH=r["companion_divergence"],
+                              JA=r["current_potential_contraction"],
+                              HA=r["companion_potential_contraction"])
+    hres = FieldGrid(cg.extents, cg.spacing, FOUR_VECTOR, r["h_elimination"])
+    rres = ReducedResiduals(field_eq=r[_FIELD_EQ], conservation=r["reduced_conservation"],
+                            modulus=r["reduced_modulus"],
+                            lhs_cross_check=r["reduced_field_eq_lhs_cross_check"])
     return entries, div, hres, rres
 
 
@@ -377,7 +423,8 @@ class InversionOutput:
 
 
 def invert_pipeline(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, A_ref=None, tolerance=1e-10):
-    """Run currents -> potentials -> gauge term -> field strengths -> checks.
+    """Run currents -> potentials -> gauge term -> bilinear F -> solution
+    checks -> potential F, each grid dropped after its last reader.
 
     Returns (InversionOutput, report entries).  The universal checks
     (decomposition identity, antisymmetry of both F routes) are always
@@ -405,11 +452,23 @@ def invert_pipeline(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, A_ref=
     g_term = gauge_term(rep, phi_grid, e, dphi=dphi, cg=cg)
     # The gauge term is the last reader of the tilde currents.
     cg = dataclasses.replace(cg, tilde_S=None, tilde_Sflat=None, tilde_Z=None)
-    f_pot = field_strength_from_potential(a_gf)
     dJ = derivatives(cg.J, cg.spacing)
     f_bil = field_strength_bilinear(cg, m, e, dJ=dJ)
     div_j = None if a_ref is None else _trace(dJ)
     del dJ
+
+    # The solution checks run before F_potential is built, so the two are
+    # never held together, and each residual is reduced to its entry
+    # before the next is made.
+    solution = []
+    if a_ref is not None:
+        residuals = _solution_residuals(rep, phi_grid, cg, m, e, a_ref, dphi, d_bc, div_j)
+        del d_bc, div_j
+        for name, values in residuals:
+            solution.append(entry_from_values(name, values, mask, tolerance))
+            del values  # not held while the next residual is made
+    del cg  # the last reader of the currents is done; the mask is kept
+    f_pot = field_strength_from_potential(a_gf)
     out = InversionOutput(
         a_full=a_full,
         a_gauge_fixed=a_gf,
@@ -436,7 +495,6 @@ def invert_pipeline(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, A_ref=
         check("f_from_potential_vanishes", f_pot.values)
         check("f_bilinear_vanishes", f_bil.values)
         check("f_route_agreement", f_bil.values - f_pot.values)
-        entries += solution_checks(rep, phi_grid, cg, m, e, a_ref, dphi, tolerance,
-                                   d_bc=d_bc, div_j=div_j)[0]
+        entries += solution
 
     return out, entries

@@ -20,6 +20,7 @@ indices; raising is always an explicit metric contraction.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,18 +126,32 @@ def manufacture_plane_wave(spec: PlaneWaveSpec, extents, spacing) -> FieldGrid:
     return FieldGrid(tuple(extents), tuple(spacing), WAVEFUNCTION, values)
 
 
+class _PlaneWaveGradient(Sequence):
+    """The four grids d_mu Phi = -i p_mu Phi, each made when it is indexed or
+    reached by iteration, and not kept."""
+
+    def __init__(self, p, grid):
+        self._p, self._grid = p, grid
+
+    def __len__(self):
+        return 4
+
+    def __getitem__(self, mu):
+        g = self._grid
+        return FieldGrid(g.extents, g.spacing, WAVEFUNCTION, -1j * self._p[mu] * g.values)
+
+
 def plane_wave_gradient(spec: PlaneWaveSpec, grid: FieldGrid):
-    """Closed-form d_mu Phi = -i p_mu Phi for a manufactured grid."""
-    return [
-        FieldGrid(grid.extents, grid.spacing, WAVEFUNCTION, -1j * spec.p[mu] * grid.values)
-        for mu in range(4)
-    ]
+    """Closed-form d_mu Phi = -i p_mu Phi for a manufactured grid: a sequence
+    of four grids that holds none of them, so iterating it (as often as
+    wanted) holds one direction at a time."""
+    return _PlaneWaveGradient(spec.p, grid)
 
 
 def constant_four_vector_grid(v, extents, spacing) -> FieldGrid:
-    values = np.broadcast_to(
-        np.asarray(v, dtype=complex), tuple(extents) + (4,)
-    ).copy()
+    """A constant four-vector grid; its values are a read-only broadcast view
+    of v as complex, with no per-point copy."""
+    values = np.broadcast_to(np.asarray(v, dtype=complex), tuple(extents) + (4,))
     return FieldGrid(tuple(extents), tuple(spacing), FOUR_VECTOR, values)
 
 
@@ -149,17 +164,20 @@ class DkpResidual:
 
 
 def _wavefunction_gradient(phi_grid, dphi):
-    """d_mu Phi for mu = 0..3, in turn: the values of the closed-form grids
-    ``dphi``, or without them each direction's stencils, taken when the
-    caller reaches that direction."""
+    """d_mu Phi for mu = 0..3, in turn, each taken when the caller reaches that
+    direction: the values of the closed-form grids ``dphi``, or without them
+    each direction's stencils."""
     if dphi is None:
         return (derivatives(phi_grid.values, phi_grid.spacing, (mu,))[0] for mu in range(4))
     if len(dphi) != 4:
         raise ShapeError("dphi must supply all four derivative grids")
-    for g in dphi:
+
+    def values(g):
         if g.extents != phi_grid.extents:
             raise ShapeError("derivative grid shape does not match the field")
-    return [g.values for g in dphi]
+        return g.values
+
+    return map(values, dphi)
 
 
 def dkp_residual(rep: KemmerRep, phi_grid: FieldGrid, A_grid: FieldGrid, m, e, dphi=None) -> DkpResidual:

@@ -347,3 +347,62 @@ def test_store_writes_a_real_grid_as_its_complex_cast(tmp_path):
         assert paths[0].read_bytes() == paths[1].read_bytes()
         back = load_grid(paths[0]).values
         assert back.dtype == np.complex128 and np.array_equal(back, values)
+
+
+def _whole_grid_file(grid):
+    """The file bytes of a grid, from one '<c16' cast of the whole payload."""
+    header = struct.pack("<4sIB4Q4d", b"DKP5", 1, grid.kind, *grid.extents, *grid.spacing)
+    return header + np.ascontiguousarray(grid.values, dtype="<c16").tobytes()
+
+
+@pytest.mark.parametrize("slab_bytes", [None, 1, 16 * 5 * 12, 16 * 5 * 12 * 7 + 1])
+def test_store_writes_slabs_as_the_whole_grid_cast(tmp_path, monkeypatch, slab_bytes):
+    """A grid written in several slabs (the default 1 MiB slab, one t-slice,
+    two, and slabs that do not divide the t axis) holds the bytes of its
+    whole-grid cast."""
+    import dkp5.grids
+
+    if slab_bytes is not None:
+        monkeypatch.setattr(dkp5.grids, "_SLAB_BYTES", slab_bytes)
+    rng = np.random.default_rng(12)
+    grid = _random_grid(rng, (13, 3, 4, 1), WAVEFUNCTION) if slab_bytes else \
+        _random_grid(rng, (20, 12, 12, 10), WAVEFUNCTION)  # 2.3 MB, three slabs
+    path = tmp_path / "g.dkp5"
+    store_grid(grid, path)
+    assert path.read_bytes() == _whole_grid_file(grid)
+
+
+def test_store_writes_a_strided_real_view_in_slabs(tmp_path, monkeypatch):
+    """A float64 view strided along t and transposed in its payload is written
+    slab by slab as its complex cast."""
+    import dkp5.grids
+
+    monkeypatch.setattr(dkp5.grids, "_SLAB_BYTES", 3 * 16 * 16 * 2 * 4)
+    rng = np.random.default_rng(13)
+    real = rng.standard_normal((11, 2, 4, 1, 4, 4))
+    view = np.swapaxes(real[::2], -1, -2)
+    grid = FieldGrid((6, 2, 4, 1), (0.1, 0.2, 0.3, 0.4), TENSOR2, view)
+    path = tmp_path / "g.dkp5"
+    store_grid(grid, path)
+    assert path.read_bytes() == _whole_grid_file(grid)
+    assert np.array_equal(load_grid(path).values, view)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_store_refuses_a_non_finite_real_value_at_its_complex_offset(tmp_path, value):
+    """A non-finite float64 value, contiguous or in a strided view, is refused
+    at the offset of the same value in the payload's complex cast (its real
+    part), and no file is written."""
+    rng = np.random.default_rng(14)
+    real = rng.standard_normal((3, 2, 1, 1, 4))
+    real[2, 1, 0, 0, 3] = value
+    spread = np.zeros((3, 2, 1, 1, 8))
+    spread[..., ::2] = real
+    offsets = []
+    for payload in (real, spread[..., ::2], real.astype(complex)):
+        path = tmp_path / "g.dkp5"
+        with pytest.raises(GridFormatError) as exc:
+            store_grid(FieldGrid((3, 2, 1, 1), (0.1,) * 4, FOUR_VECTOR, payload), path)
+        assert not path.exists()
+        offsets.append(exc.value.offset)
+    assert offsets == [struct.calcsize("<4sIB4Q4d") + 16 * 23] * 3

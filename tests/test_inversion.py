@@ -562,27 +562,113 @@ def test_pipeline_takes_each_stencil_once(float_rep, monkeypatch):
     assert len(calls) <= 48
 
 
-def test_pipeline_peak_memory_per_point(float_rep):
-    """An FD pipeline with A_ref on an 8^4 plane wave peaks at no more than
-    1,500 traced bytes per point (numpy reports its buffers to tracemalloc).
-
-    The pipeline holds only the current columns it reads, 192 B per point,
-    and peaks at about 1,385 B per point.  Holding both full 26-column
-    current tables (832 B per point) instead peaked at about 2,070 B per
-    point, so the bound fails if they come back, and leaves some 8% for
-    allocator and numpy differences."""
+def _pipeline_peak_per_point(rep, analytic):
+    """Traced peak bytes per point of an FD or closed-form pipeline with A_ref
+    on an 8^4 plane wave (numpy reports its buffers to tracemalloc); the
+    closed-form gradient is made inside the traced window, as the CLI does."""
     import tracemalloc
 
     m, e, A = 1.0, 1.0, (0.3, -0.2, 0.1, 0.25)
-    _, grid = _solution(m, e, A, spatial=(0.3, 0.2, -0.1), extents=(8,) * 4,
-                        spacing=(0.15,) * 4, amplitude=0.8 + 0.3j)
+    spec, grid = _solution(m, e, A, spatial=(0.3, 0.2, -0.1), extents=(8,) * 4,
+                           spacing=(0.15,) * 4, amplitude=0.8 + 0.3j)
     tracemalloc.start()
     try:
-        invert_pipeline(float_rep, grid, m, e, A_ref=A)
+        dphi = plane_wave_gradient(spec, grid) if analytic else None
+        invert_pipeline(rep, grid, m, e, dphi=dphi, A_ref=A)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1500 * grid.n_points, peak / grid.n_points
+    return peak / grid.n_points
+
+
+def test_pipeline_peak_memory_per_point(float_rep):
+    """An FD pipeline with A_ref peaks at no more than 1,000 traced bytes per
+    point.
+
+    Each solution-check residual is reduced to its entry before the next is
+    made, the reduced system drops each intermediate after its last reader,
+    and F_potential is built after the checks; the pipeline peaks at about
+    785 B per point.  Keeping the residual grids and the whole cross-check F
+    through the reduced system peaked at about 1,385 B per point, and holding
+    both full 26-column current tables as well at about 2,070."""
+    per_point = _pipeline_peak_per_point(float_rep, analytic=False)
+    assert per_point <= 1000, per_point
+
+
+def test_analytic_pipeline_peak_memory_per_point(float_rep):
+    """The closed-form pipeline has the same bound: its gradient -i p_mu Phi is
+    made one direction at a time (about 775 B per point).  A list of the four
+    direction grids held through the pipeline peaked at about 1,695."""
+    per_point = _pipeline_peak_per_point(float_rep, analytic=True)
+    assert per_point <= 1000, per_point
+
+
+def _frozen_reduced_system_residuals(state, dZ=None):
+    """reduced_system_residuals as it was before each intermediate was dropped
+    after its last reader: the whole cross-check F built as G - G^T, kept as
+    the oracle."""
+    ext, sp = state.extents, state.spacing
+    d = lambda arr, mu: derivatives(arr, sp, (mu,))[0]
+    dJc = derivatives(state.Jcal, sp)
+    div = sum(METRIC_DIAG[mu] * dJc[mu][..., mu] for mu in range(4))
+    box_j = sum(METRIC_DIAG[nu] * d(dJc[nu], nu) for nu in range(4))
+    del dJc
+    grad_div = np.moveaxis(derivatives(div, sp), 0, -1)
+    lhs = box_j - grad_div
+    z = np.where(state.mask, 1.0, state.Z)
+    field_eq = lhs - (2.0 * state.e**2 / state.m) * state.Z[..., None] * state.Jcal
+    if dZ is None:
+        dZ = derivatives(state.Z, sp)
+    conservation = state.Z * div + sum(
+        METRIC_DIAG[mu] * state.Jcal[..., mu] * dZ[mu] for mu in range(4)
+    )
+    box_z = sum(METRIC_DIAG[nu] * d(dZ[nu], nu) for nu in range(4))
+    dz_dz = sum(METRIC_DIAG[mu] * dZ[mu] * dZ[mu] for mu in range(4))
+    jj = np.einsum("...m,...m->...", state.Jcal, state.Jcal * np.array(METRIC_DIAG, dtype=float))
+    modulus = jj - (2.0 / (9.0 * state.m**2)) * (
+        box_z / z - dz_dz / (2.0 * z**2)
+    ) - 4.0 / 9.0
+    a_gf = FieldGrid(ext, sp, FOUR_VECTOR, (1.5 * state.m / state.e) * state.Jcal)
+    G = np.moveaxis(derivatives(a_gf.values, sp), 0, -2)
+    F = G - np.swapaxes(G, -1, -2)
+    div_f = sum(METRIC_DIAG[nu] * d(F[..., nu, :], nu) for nu in range(4))
+    lhs_via_f = (2.0 * state.e / (3.0 * state.m)) * div_f
+    cross = lhs - lhs_via_f
+    for arr in (field_eq, conservation, modulus, cross):
+        arr[state.mask] = 0.0
+    return field_eq, conservation, modulus, cross
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_reduced_residuals_equal_the_frozen_oracle(float_rep, seed):
+    """Reordering the reduced system and taking F a row at a time change no
+    bit of its four residuals, masked points included."""
+    grid, _ = random_fourier_field((7, 5, 6, 4), (0.3, 0.25, 0.35, 0.2), seed=seed)
+    grid.values[3, 2, 4, 1] = 0.0
+    grid.values[0, 0, 0, 0] = 0.0
+    cg = compute_currents_grid(float_rep, grid)
+    assert cg.mask.any() and not cg.mask.all()
+    state = reduced_state(cg, 1.1, 0.8)
+    dZ = derivatives(state.Z, state.spacing)
+    for got in (reduced_system_residuals(state), reduced_system_residuals(state, dZ=dZ)):
+        got = (got.field_eq, got.conservation, got.modulus, got.lhs_cross_check)
+        for a, b in zip(got, _frozen_reduced_system_residuals(state)):
+            assert a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_contraction_with_a_constant_grid_equals_a_full_one(float_rep):
+    """The contraction relations give the same bits with the constant potential
+    as a broadcast view (raised once) and as a writable grid of copies."""
+    m, e, A = 1.1, 0.8, (0.3, -0.2, 0.1, 0.25)
+    grid, _ = _masked_field()
+    const = constant_four_vector_grid(A, grid.extents, grid.spacing)
+    assert not const.values.flags.writeable
+    full = FieldGrid(grid.extents, grid.spacing, FOUR_VECTOR, np.array(const.values))
+    got = divergence_identities(float_rep, grid, const, m, e)
+    want = divergence_identities(float_rep, grid, full, m, e)
+    for name in ("dJ", "dH", "JA", "HA"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64)), name
 
 
 def test_field_strength_of_a_complex_potential(float_rep):

@@ -132,3 +132,20 @@ def test_random_fourier_field_gradient_consistent():
     assert err / scale < 0.1
     # symmetry axes carry no variation at all
     assert np.max(np.abs(dphi[2].values)) == 0.0
+
+
+def test_plane_wave_gradient_is_made_per_direction_and_reiterable():
+    """The closed-form gradient is a sequence of four grids -i p_mu Phi, made
+    when indexed or iterated, with the same values on every pass."""
+    m, e, A = 1.0, 0.6, (0.4, 0.1, 0.0, -0.2)
+    p = on_shell_momentum((0.5, -0.3, 0.2), m, e, A)
+    spec = PlaneWaveSpec(p=p, A=A, m=m, e=e, amplitude=0.7 - 0.2j)
+    grid = manufacture_plane_wave(spec, (4, 3, 5, 2), (0.2, 0.15, 0.1, 0.3))
+    dphi = plane_wave_gradient(spec, grid)
+    assert len(dphi) == 4
+    want = [-1j * spec.p[mu] * grid.values for mu in range(4)]
+    for _ in range(2):
+        got = [g.values for g in dphi]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(dphi[2].values, want[2])
+    assert dphi[1] is not dphi[1]  # made on each access, never kept
