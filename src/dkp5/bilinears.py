@@ -22,6 +22,8 @@ are checked exactly in exact mode.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,19 +96,31 @@ def _pair_products(left, right, table, conj, out=None):
     multiplies their real and imaginary parts, interleaved as the complex
     pairs lie in memory, for a real (n, k) result.
     """
-    real = len(table) == 50
     if out is None:
-        dtype = float if real else np.result_type(left, right, table)
+        dtype = float if len(table) == 50 else np.result_type(left, right, table)
         out = np.empty((len(right), table.shape[1]), dtype=dtype)
+    for _ in _pair_blocks(left, right, table, conj, lambda rows: out[rows]):
+        pass
+    return out
+
+
+def _pair_blocks(left, right, table, conj, dest):
+    """(rows, block) for each block of ``_BLOCK`` points: the products of
+    :func:`_pair_products` at the points ``rows``, written to the real or
+    complex block dest(rows)."""
+    real = len(table) == 50
     for s in range(0, len(right), _BLOCK):
-        a = left[s : s + _BLOCK]
+        rows = slice(s, min(s + _BLOCK, len(right)))
+        a = left[rows]
         # einsum keeps the pair products free of fused multiply-adds, so a
         # constant phase of i or -1 leaves the Hermitian pairs bit-identical.
-        pairs = np.einsum("na,nb->nab", np.conj(a) if conj else a, right[s : s + _BLOCK])
+        pairs = np.einsum("na,nb->nab", np.conj(a) if conj else a, right[rows])
         if real:
             pairs = pairs.view(float)
-        np.matmul(pairs.reshape(len(pairs), -1), table, out=out[s : s + _BLOCK])
-    return out
+        block = dest(rows)
+        np.matmul(pairs.reshape(len(pairs), -1), table, out=block)
+        del a, pairs  # not held while the next block's pairs are made
+        yield rows, block
 
 
 def compute_currents(rep: KemmerRep, phi) -> CurrentSet:
@@ -183,9 +197,22 @@ def derivative_bilinears(rep: KemmerRep, phi, dphi, weights, tilde=False):
     weights are not checked: the inversion passes them through its own
     shape checks."""
     phi = as_wavefunction(phi, rep.mode)
+    out = np.empty((phi[..., 0].size, 4, weights.shape[-1]), dtype=complex)
+    dest = lambda mu, rows: out[rows, mu].view(float)
+    for _ in _derivative_blocks(rep, phi, dphi, weights, tilde, dest):
+        pass
+    return out.reshape(phi.shape[:-1] + out.shape[1:])
+
+
+def _derivative_blocks(rep, phi, dphi, weights, tilde, dest):
+    """(mu, rows, block) for each direction mu in turn and each block of
+    points ``rows``: the bilinears of :func:`derivative_bilinears` there, as
+    a real (len(rows), 2n) block, written to dest(mu, rows).  ``phi`` is a
+    checked wavefunction array."""
     left, n = phi.reshape(-1, 5), weights.shape[-1]
-    out = np.empty((len(left), 4, n), dtype=complex)
-    for mu, d in enumerate(dphi):
+    mu = -1
+    for d in dphi:  # not enumerate, whose cached result would hold d while the next is made
+        mu += 1
         k = rep.current_table @ weights[mu]
         if tilde:
             x, y = k, 1j * k
@@ -194,9 +221,10 @@ def derivative_bilinears(rep: KemmerRep, phi, dphi, weights, tilde=False):
             x, y = k - kt, 1j * (k + kt)
         xy = np.stack([x, y], axis=1)  # rows: the coefficients of Re Q_ab, Im Q_ab
         table = np.stack([xy.real, xy.imag], axis=-1).reshape(50, 2 * n)
-        _pair_products(left, np.reshape(d, (-1, 5)), table, not tilde, out=out[:, mu].view(float))
+        to = functools.partial(dest, mu)
+        for rows, block in _pair_blocks(left, np.reshape(d, (-1, 5)), table, not tilde, to):
+            yield mu, rows, block
         del d  # a stencil direction is freed before the next is taken
-    return out.reshape(phi.shape[:-1] + (4, n))
 
 
 def singular_mask(cs: CurrentSet) -> np.ndarray:
@@ -499,8 +527,10 @@ def lattice_currents(rep: KemmerRep, grid: FieldGrid) -> CurrentGrid:
     """The currents the lattice stack reads: S, Sflat, Z, J, H and Z-tilde (with
     S-tilde, S-tilde-flat); K, tilde_J and tilde_K are None.  Each field equals
     the one of :func:`compute_currents_grid` bit for bit, and only these are
-    checked for overflow."""
-    return _grid_currents(rep, grid, _LATTICE_COLUMNS)
+    checked for overflow.  S, Sflat, J and H are compact copies, so the
+    (n, 10) Hermitian table that they are taken from is freed."""
+    cg = _grid_currents(rep, grid, _LATTICE_COLUMNS)
+    return dataclasses.replace(cg, S=cg.S.copy(), Sflat=cg.Sflat.copy(), J=cg.J.copy(), H=cg.H.copy())
 
 
 def _grid_currents(rep, grid, columns):

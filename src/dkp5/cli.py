@@ -449,12 +449,15 @@ def _resolve_a_ref(args, sidecar):
     return None if a_ref is None else np.array(a_ref)
 
 
-def _lattice_inputs(args, outputs=()):
+def _lattice_inputs(args, outputs=(), outdir=None):
     """Check that the outputs (``outputs`` with --json and --csv) collide with
-    no input, then load: (rep, grid, m, e, dphi, A_ref), dphi None for finite
-    differences and A_ref None when no flag or sidecar gives it."""
+    no input, and that ``outdir``, if it exists, is a directory, then load:
+    (rep, grid, m, e, dphi, A_ref), dphi None for finite differences and
+    A_ref None when no flag or sidecar gives it."""
     sidecar_path = args.sidecar if args.sidecar is not None else args.grid + ".json"
     _check_distinct_paths([args.grid, sidecar_path], [args.json_path, args.csv_path, *outputs])
+    if outdir is not None and os.path.exists(outdir) and not os.path.isdir(outdir):
+        raise ParameterError(f"output directory {outdir!r} exists and is not a directory")
     grid = load_grid(args.grid)
     sidecar = _load_sidecar(sidecar_path, optional=args.sidecar is None)
     m, e = _resolve_physics(args, sidecar)
@@ -481,7 +484,8 @@ _OUTPUT_GRIDS = ("A_full.dkp5", "A_gauge_fixed.dkp5", "gauge_term.dkp5", "F_pote
 
 def cmd_invert(args) -> int:
     grid_paths = [os.path.join(args.outdir, name) for name in _OUTPUT_GRIDS] if args.outdir else []
-    rep, grid, m, e, dphi, a_ref = _lattice_inputs(args, grid_paths)
+    # The -o directory is an output too: it may not be an input or the report.
+    rep, grid, m, e, dphi, a_ref = _lattice_inputs(args, [args.outdir, *grid_paths], args.outdir)
     out, entries = invert_pipeline(rep, grid, m, e, dphi=dphi, A_ref=a_ref, tolerance=args.tolerance)
     payload = _lattice_payload(args, m, e, dphi, out.singular_mask, entries)
     if args.outdir:
@@ -531,16 +535,19 @@ def cmd_residuals(args) -> int:
     if a_ref is None:
         raise ParameterError("need a reference potential (--A flag or sidecar)")
     cg = lattice_currents(rep, grid)
+    mask = cg.mask
+    residuals = _solution_residuals(rep, grid, cg, m, e, a_ref, dphi, field_eq=True)
+    del cg  # freed by the residuals once their reduced state is made
     entries, kept = [], {}
-    for name, values in _solution_residuals(rep, grid, cg, m, e, a_ref, dphi, field_eq=True):
+    for name, values in residuals:
         if name == _FIELD_EQ:
-            field_eq_max_abs, field_eq_rms = norms(values, cg.mask)
+            field_eq_max_abs, field_eq_rms = norms(values, mask)
         else:
-            entries.append(entry_from_values(name, values, cg.mask, args.tolerance))
+            entries.append(entry_from_values(name, values, mask, args.tolerance))
         if args.csv_path and name in _RESIDUAL_CSV_COLUMNS:
             kept[_RESIDUAL_CSV_COLUMNS[name]] = values
         del values  # without --csv, no residual outlives its entry
-    payload = _lattice_payload(args, m, e, dphi, cg.mask, entries)
+    payload = _lattice_payload(args, m, e, dphi, mask, entries)
     payload["diagnostics"] = {
         "reduced_field_eq_max_abs": field_eq_max_abs,
         "reduced_field_eq_rms": field_eq_rms,
@@ -548,7 +555,7 @@ def cmd_residuals(args) -> int:
     if args.json_path:
         write_report(args.json_path, payload)
     if args.csv_path:
-        _residual_csv(args.csv_path, cg.mask, kept)
+        _residual_csv(args.csv_path, mask, kept)
     for entry in entries:
         print(f"{'PASS' if entry['pass'] else 'FAIL'} {entry['identity']}: "
               f"max_abs={entry['max_abs']:.3e}")

@@ -230,7 +230,13 @@ def gradient(grid: FieldGrid):
 def norms(values, mask=None):
     """(max |value|, root-mean-square of |value|) over unmasked points (mask
     covers the four grid axes), row-major order, from one absolute value."""
-    a = np.abs(np.atleast_1d(values))
+    return _norms_of_abs(np.abs(np.atleast_1d(values)), mask)
+
+
+def _norms_of_abs(a, mask=None):
+    """:func:`norms` of the values whose absolute values are ``a``, a float64
+    array of at least one axis that this function may overwrite: it squares
+    the (unmasked) values in place."""
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != a.shape[: mask.ndim]:
@@ -242,7 +248,7 @@ def norms(values, mask=None):
     scale = math.isfinite(top) and top * top * a.size > sys.float_info.max  # squares overflow
     if scale:
         a /= top
-    np.square(a, out=a)  # a is this function's own buffer
+    np.square(a, out=a)
     rms_value = float(np.sqrt(np.mean(a)))
     return top, top * rms_value if scale else rms_value
 

@@ -51,11 +51,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import METRIC_DIAG, KemmerRep
-from .bilinears import CurrentGrid, derivative_bilinears, lattice_currents
+from .bilinears import _BLOCK, CurrentGrid, _derivative_blocks, derivative_bilinears, lattice_currents
 from .errors import EmptyDomainError, ParameterError, ShapeError, SingularZError
 from .grids import FOUR_VECTOR, TENSOR2, FieldGrid, derivatives
 from .planewave import _wavefunction_gradient, constant_four_vector_grid
-from .reports import entry_from_values
+from .reports import _entry_from_temporary, entry_from_values
 
 _SIG = np.array(METRIC_DIAG, dtype=float)
 
@@ -99,9 +99,47 @@ def _trace(dv):
     return sum(METRIC_DIAG[mu] * dv[mu][..., mu] for mu in range(4))
 
 
-def _curl(G, rows=slice(None)):
-    """Rows ``rows`` (all by default) of F = G - G^T, for G[..., mu, nu] = d_mu v_nu."""
-    return G[..., rows, :] - np.swapaxes(G, -1, -2)[..., rows, :]
+def _gradient(v, spacing):
+    """The stacked gradient dv[mu][..., nu] = d_mu v_nu of a four-vector grid,
+    as ``derivatives(v, spacing)`` gives it, but laid out as F: dv[mu] is
+    row mu of a C-contiguous (..., 4, 4) buffer, np.moveaxis(dv, 0, -2).
+    Each direction's stencils are taken in turn."""
+    rows = np.empty(v.shape + (4,), dtype=np.result_type(v, 1.0))
+    for mu in range(4):
+        rows[..., mu, :] = derivatives(v, spacing, (mu,))[0]
+    return np.moveaxis(rows, -2, 0)
+
+
+def _laid_out_as_f(dv):
+    """dv itself if it is a writeable stacked gradient laid out as F, as
+    :func:`_gradient` gives it, else a copy so laid out."""
+    dv = np.asarray(dv)
+    rows = np.moveaxis(dv, 0, -2)
+    if dv.flags.writeable and rows.flags.c_contiguous and not dv.flags.c_contiguous:
+        return dv
+    return np.moveaxis(rows.copy(), -2, 0)
+
+
+def _antisymmetrise(G):
+    """Write F = G - G^T over a stacked gradient G[mu][..., nu] = d_mu v_nu
+    (an array or a list of the four rows), one (mu, nu) pair at a time, so
+    that G[mu] becomes row mu of F; each entry takes the one subtraction
+    that G - G^T takes for it."""
+    for mu in range(4):
+        diagonal = G[mu][..., mu]
+        np.subtract(diagonal, diagonal, out=diagonal)
+        for nu in range(mu + 1, 4):
+            upper, lower = G[mu][..., nu], G[nu][..., mu]
+            f = upper - lower
+            np.subtract(lower, upper, out=lower)
+            upper[...] = f
+
+
+def _eta_add(total, t, mu):
+    """total + eta^{mu mu} t, as sum() adds it (total is 0 before the first
+    term), written over t, which the caller gives up."""
+    t *= METRIC_DIAG[mu]
+    return np.add(total, t, out=t)
 
 
 def _raised(a):
@@ -120,7 +158,8 @@ def _divergence(v, spacing):
 def invert_potential_gauge_fixed(cg: CurrentGrid, m, e) -> FieldGrid:
     """A_mu = (3m/2e) J_mu / Z, the pure-bilinear gauge-fixed route."""
     _check_params(m, e)
-    values = (1.5 * m / e) * cg.J / _masked_z(cg)[..., None]
+    values = (1.5 * m / e) * cg.J
+    values /= _masked_z(cg)[..., None]
     values[cg.mask] = 0.0
     return FieldGrid(cg.extents, cg.spacing, FOUR_VECTOR, values)
 
@@ -138,7 +177,11 @@ def invert_potential_full(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, 
     if d_zeta is None:
         dv = _wavefunction_gradient(phi_grid, dphi)
         d_zeta = derivative_bilinears(rep, phi_grid.values, dv, _ZETA_W)[..., 0]
-    values = (1.5 * m / e) * cg.J / z + ((1j * d_zeta) / (2.0 * e * z)).real
+    values = (1.5 * m / e) * cg.J
+    values /= z
+    zeta_term = 1j * d_zeta
+    zeta_term /= 2.0 * e * z
+    values += zeta_term.real
     values[cg.mask] = 0.0
     return FieldGrid(cg.extents, cg.spacing, FOUR_VECTOR, values)
 
@@ -149,19 +192,30 @@ def gauge_term(rep: KemmerRep, phi_grid: FieldGrid, e, dphi=None, cg=None) -> Fi
     With closed-form derivatives the gradient of the complex density is
     the bilinear 2 Phi_tilde zeta d_mu Phi; with stencils it is the
     numerical derivative of the Zt grid.  |Zt| = |Z|, so the singular
-    mask coincides with the inversion mask.
+    mask coincides with the inversion mask.  Each direction mu is formed in
+    its own d_mu Zt buffer and written to the real output.
     """
     _check_params(e=e)
     cg = _currents(rep, phi_grid, cg)
     if cg.mask.all():
         raise SingularZError("|Ztilde| is below threshold at every point")
-    zt = np.where(cg.mask, 1.0, cg.tilde_Z)[..., None]
     if dphi is not None:
         dv = _wavefunction_gradient(phi_grid, dphi)
-        dzt = 2.0 * derivative_bilinears(rep, phi_grid.values, dv, _ZETA_W, tilde=True)[..., 0]
+        dzt = derivative_bilinears(rep, phi_grid.values, dv, _ZETA_W, tilde=True)[..., 0]
+        direction = lambda mu: 2.0 * dzt[..., mu]
     else:
-        dzt = np.moveaxis(derivatives(cg.tilde_Z, cg.spacing), 0, -1)
-    values = ((1j / (4.0 * e)) * (dzt / zt - dzt.conj() / zt.conj())).real
+        direction = lambda mu: derivatives(cg.tilde_Z, cg.spacing, (mu,))[0]
+    zt = np.where(cg.mask, 1.0, cg.tilde_Z)
+    zt_conj = zt.conj()
+    values = np.empty(cg.extents + (4,))
+    for mu in range(4):
+        dz = direction(mu)
+        q = dz / zt
+        dz = np.conjugate(dz, out=dz)
+        dz /= zt_conj
+        q -= dz
+        q *= 1j / (4.0 * e)
+        values[..., mu] = q.real
     values[cg.mask] = 0.0
     return FieldGrid(cg.extents, cg.spacing, FOUR_VECTOR, values)
 
@@ -170,12 +224,15 @@ def field_strength_from_potential(A: FieldGrid) -> FieldGrid:
     """F_mu_nu = d_mu A_nu - d_nu A_mu, antisymmetric by construction.
 
     A real (float64) potential, as every gauge-fixed one is, takes real
-    stencils and gives a real F.
+    stencils and gives a real F.  The gradient G[..., mu, nu] = d_mu A_nu
+    is taken one direction at a time into F's buffer and antisymmetrised
+    there.
     """
     if A.kind != FOUR_VECTOR:
         raise ShapeError("field strength needs a four-vector potential grid")
-    G = np.moveaxis(derivatives(A.values, A.spacing), 0, -2)  # G[..., mu, nu] = d_mu A_nu
-    return FieldGrid(A.extents, A.spacing, TENSOR2, _curl(G))
+    G = _gradient(A.values, A.spacing)
+    _antisymmetrise(G)
+    return FieldGrid(A.extents, A.spacing, TENSOR2, np.moveaxis(G, 0, -2))
 
 
 def field_strength_bilinear(cg: CurrentGrid, m, e, dJ=None) -> FieldGrid:
@@ -184,18 +241,23 @@ def field_strength_bilinear(cg: CurrentGrid, m, e, dJ=None) -> FieldGrid:
     H is imaginary, so 3mi H_mu J_nu = -3m Im(H_mu) J_nu and F is built in
     real arithmetic; each division by Z is a product with 1/Z, as numpy's
     complex division by a real Z takes it.  ``dJ`` is the stacked gradient
-    dJ[mu][..., nu] = d_mu J_nu, taken here when not given.
+    dJ[mu][..., nu] = d_mu J_nu, taken here when not given.  G[mu][..., nu] =
+    D_mu J_nu is built in F's buffer and antisymmetrised there one (mu, nu)
+    pair at a time.  A writeable dJ laid out as F, as the pipeline takes it
+    (``_gradient``), is that buffer and is overwritten; any other dJ, such as
+    ``derivatives(cg.J, cg.spacing)``, is copied and left as it is.
     """
     _check_params(m, e)
-    rz = (1.0 / _masked_z(cg))[..., None, None]
-    if dJ is None:
-        dJ = derivatives(cg.J, cg.spacing)
-    G = ((-3.0 * m) * cg.H.imag)[..., :, None] * cg.J[..., None, :]
-    G *= rz
-    G += np.moveaxis(dJ, 0, -2)  # G[..., mu, nu] = D_mu J_nu
-    F = _curl(G)
+    rz = (1.0 / _masked_z(cg))[..., None]
+    G = _gradient(cg.J, cg.spacing) if dJ is None else _laid_out_as_f(dJ)
+    for mu in range(4):
+        hj = ((-3.0 * m) * cg.H[..., mu].imag)[..., None] * cg.J
+        hj *= rz
+        G[mu] += hj  # G[mu][..., nu] = D_mu J_nu
+    _antisymmetrise(G)
+    F = np.moveaxis(G, 0, -2)
     F *= 1.5 * m / e
-    F *= rz
+    F *= rz[..., None]
     F[cg.mask] = 0.0
     return FieldGrid(cg.extents, cg.spacing, TENSOR2, F)
 
@@ -245,7 +307,8 @@ def h_elimination_residual(cg: CurrentGrid, m, dZ=None) -> FieldGrid:
     _check_params(m=m)
     if dZ is None:
         dZ = derivatives(cg.Z, cg.spacing)
-    values = cg.H - (1j / (3.0 * m)) * np.moveaxis(dZ, 0, -1)
+    values = np.multiply(1j / (3.0 * m), np.moveaxis(dZ, 0, -1), out=np.empty_like(cg.H))
+    np.subtract(cg.H, values, out=values)
     return FieldGrid(cg.extents, cg.spacing, FOUR_VECTOR, values)
 
 
@@ -294,29 +357,38 @@ class ReducedResiduals:
 
 def reduced_system_residuals(state: ReducedState, dZ=None) -> ReducedResiduals:
     """The reduced residuals; ``dZ`` is the stacked gradient of state.Z,
-    taken here when not given.  Each intermediate grid is dropped after its
-    last reader."""
+    taken here when not given.  Each intermediate grid is written over the
+    one it is made from, or dropped after its last reader; only the
+    cross-check holds a whole 4x4 gradient, and it frees a row at a time."""
     sp = state.spacing
     d = lambda arr, mu: derivatives(arr, sp, (mu,))[0]
 
     # Independent evaluation of the field equation's LHS: A_gf = (3m/2e) Jcal,
     # so eta^{nu nu} d_nu F_nu_mu(A_gf) = (3m/2e) (box - grad div) Jcal_mu,
-    # with F taken one row at a time from the gradient of A_gf.
-    G = np.moveaxis(derivatives((1.5 * state.m / state.e) * state.Jcal, sp), 0, -2)
-    div_f = sum(METRIC_DIAG[nu] * d(_curl(G, nu), nu) for nu in range(4))
-    del G
-    lhs_via_f = (2.0 * state.e / (3.0 * state.m)) * div_f
-    del div_f
+    # with F = G - G^T built over the rows G[nu][..., mu] = d_nu A_gf_mu of
+    # the gradient of A_gf; each row F[..., nu, :] = G[nu] is freed after its
+    # derivative is taken.
+    a_gf = (1.5 * state.m / state.e) * state.Jcal
+    G = [d(a_gf, mu) for mu in range(4)]
+    del a_gf
+    _antisymmetrise(G)
+    lhs_via_f = 0
+    for nu in range(4):
+        lhs_via_f = _eta_add(lhs_via_f, d(G[nu], nu), nu)
+        G[nu] = None
+    lhs_via_f *= 2.0 * state.e / (3.0 * state.m)
 
-    dJc = derivatives(state.Jcal, sp)
-    div = _trace(dJc)
-    box_j = sum(METRIC_DIAG[nu] * d(dJc[nu], nu) for nu in range(4))
-    del dJc
-    lhs = box_j - np.moveaxis(derivatives(div, sp), 0, -1)  # box Jcal - grad div Jcal
-    del box_j
-    cross = lhs - lhs_via_f
-    del lhs_via_f
-    field_eq = lhs - (2.0 * state.e**2 / state.m) * state.Z[..., None] * state.Jcal
+    div = box_j = 0  # div Jcal and box Jcal, one direction of the gradient at a time
+    for nu in range(4):
+        dj = d(state.Jcal, nu)
+        div = div + METRIC_DIAG[nu] * dj[..., nu]
+        box_j = _eta_add(box_j, d(dj, nu), nu)
+        del dj
+    lhs = box_j
+    lhs -= np.moveaxis(derivatives(div, sp), 0, -1)  # box Jcal - grad div Jcal
+    cross = np.subtract(lhs, lhs_via_f, out=lhs_via_f)
+    field_eq = lhs
+    field_eq -= (2.0 * state.e**2 / state.m) * state.Z[..., None] * state.Jcal
     del lhs
 
     if dZ is None:
@@ -364,7 +436,8 @@ def _solution_residuals(rep, phi_grid, cg, m, e, A_ref, dphi=None, d_bc=None, di
 
     Each residual is made when the caller asks for it and is not held here
     after it is handed on, so a caller that reduces each one before asking
-    for the next holds one at a time.  ``d_bc`` and ``div_j`` are passed on
+    for the next holds one at a time.  ``cg`` is not held after the reduced
+    state is made.  ``d_bc`` and ``div_j`` are passed on
     to the divergence relations; the gradient of Z is taken once for the H
     elimination and the reduced system.
     """
@@ -378,8 +451,10 @@ def _solution_residuals(rep, phi_grid, cg, m, e, A_ref, dphi=None, d_bc=None, di
     del div
     dZ = derivatives(cg.Z, cg.spacing)
     yield "h_elimination", h_elimination_residual(cg, m, dZ=dZ).values
-    rres = reduced_system_residuals(reduced_state(cg, m, e), dZ=dZ)
-    del dZ
+    state = reduced_state(cg, m, e)
+    del cg  # the currents are freed here unless the caller holds them too
+    rres = reduced_system_residuals(state, dZ=dZ)
+    del dZ, state
     yield "reduced_conservation", rres.conservation
     yield "reduced_modulus", rres.modulus
     yield "reduced_field_eq_lhs_cross_check", rres.lhs_cross_check
@@ -422,9 +497,67 @@ class InversionOutput:
     singular_mask: np.ndarray
 
 
+def _shared_derivative_bilinears(rep, phi_grid, dphi, contractions):
+    """The pipeline's one derivative-bilinear pass: d_zeta (..., 4), the
+    zeta column of each direction, and with ``contractions`` d_bc (..., 2),
+    the b and c columns added over mu in mu order (the bits of .sum(-2)),
+    each written a block of points at a time (else None)."""
+    weights = _SHARED_W if contractions else _ZETA_W
+    n = phi_grid.n_points
+    d_zeta = np.empty((n, 4), dtype=complex)
+    d_bc = np.empty((n, 2), dtype=complex) if contractions else None
+    buf = np.empty((min(_BLOCK, n), 2 * weights.shape[-1]))  # each block overwrites the last
+    blocks = _derivative_blocks(rep, phi_grid.values, _wavefunction_gradient(phi_grid, dphi), weights,
+                                False, lambda mu, rows: buf[: rows.stop - rows.start])
+    for mu, rows, block in blocks:
+        block = block.view(complex)
+        d_zeta[rows, mu] = block[:, 0]
+        if d_bc is not None and mu:
+            d_bc[rows] += block[:, 1:]
+        elif d_bc is not None:
+            d_bc[rows] = block[:, 1:]
+    grid = lambda a: None if a is None else a.reshape(phi_grid.extents + a.shape[1:])
+    return grid(d_zeta), grid(d_bc)
+
+
+def _pipeline_checks(out, a_ref, tolerance):
+    """The universal entries of the pipeline's grids, then with ``a_ref`` the
+    solution entries on them, in report order.  Each real temporary (the
+    decomposition, F + F^T, the route difference) is made, reduced in its
+    own buffer and dropped before the next."""
+    mask = out.singular_mask
+    a_full, a_gf, g_term = out.a_full.values, out.a_gauge_fixed.values, out.gauge_term.values
+    f_pot, f_bil = out.f_from_potential.values, out.f_bilinear.values
+    entries = []
+
+    def check(name, values, tol=tolerance):
+        entries.append(entry_from_values(name, values, mask, tol))
+
+    def check_temporary(name, values, tol=tolerance):
+        entries.append(_entry_from_temporary(name, values, mask, tol))
+
+    scale = 1.0 + float(np.max(np.abs(a_full[~mask]))) if (~mask).any() else 1.0
+    decomposition = a_full - a_gf
+    decomposition -= g_term
+    check_temporary("decomposition_full_vs_gauge_fixed_plus_gauge_term", decomposition, tolerance * scale)
+    del decomposition
+    check_temporary("f_antisymmetry_potential_route", f_pot + np.swapaxes(f_pot, -1, -2))
+    check_temporary("f_antisymmetry_bilinear_route", f_bil + np.swapaxes(f_bil, -1, -2))
+    if a_ref is not None:
+        diff = a_full - a_ref
+        diff[mask] = 0.0
+        check_temporary("gauge_faithfulness_a_full", diff, tolerance * (1.0 + float(np.max(np.abs(a_ref)))))
+        del diff
+        check("f_from_potential_vanishes", f_pot)
+        check("f_bilinear_vanishes", f_bil)
+        check_temporary("f_route_agreement", f_bil - f_pot)
+    return entries
+
+
 def invert_pipeline(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, A_ref=None, tolerance=1e-10):
     """Run currents -> potentials -> gauge term -> bilinear F -> solution
-    checks -> potential F, each grid dropped after its last reader.
+    checks -> potential F, each grid dropped after its last reader and each
+    stage written into the buffer it keeps or returns.
 
     Returns (InversionOutput, report entries).  The universal checks
     (decomposition identity, antisymmetry of both F routes) are always
@@ -439,35 +572,32 @@ def invert_pipeline(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, A_ref=
     a_ref = None if A_ref is None else _reference_potential(A_ref)
 
     # One derivative-bilinear pass, which takes the Phi gradient one
-    # direction at a time, reduced at once to what the full potential and
-    # the contraction relations (solution checks only) use.
-    d = derivative_bilinears(rep, phi_grid.values, _wavefunction_gradient(phi_grid, dphi),
-                             _ZETA_W if a_ref is None else _SHARED_W)
-    d_zeta = d[..., 0].copy()
-    d_bc = None if a_ref is None else d[..., 1:].sum(-2)
-    del d
+    # direction at a time, reduced as it is made to what the full potential
+    # and the contraction relations (solution checks only) use.
+    d_zeta, d_bc = _shared_derivative_bilinears(rep, phi_grid, dphi, a_ref is not None)
     a_full = invert_potential_full(rep, phi_grid, m, e, dphi=dphi, cg=cg, d_zeta=d_zeta)
     del d_zeta
     a_gf = invert_potential_gauge_fixed(cg, m, e)
     g_term = gauge_term(rep, phi_grid, e, dphi=dphi, cg=cg)
     # The gauge term is the last reader of the tilde currents.
     cg = dataclasses.replace(cg, tilde_S=None, tilde_Sflat=None, tilde_Z=None)
-    dJ = derivatives(cg.J, cg.spacing)
-    f_bil = field_strength_bilinear(cg, m, e, dJ=dJ)
+    # d.J is taken from the gradient of J before the bilinear F builds G in
+    # the gradient's buffer, laid out as F.
+    dJ = _gradient(cg.J, cg.spacing)
     div_j = None if a_ref is None else _trace(dJ)
+    f_bil = field_strength_bilinear(cg, m, e, dJ=dJ)
     del dJ
 
     # The solution checks run before F_potential is built, so the two are
     # never held together, and each residual is reduced to its entry
-    # before the next is made.
+    # before the next is made.  The currents are freed once the checks'
+    # reduced state is made.
     solution = []
-    if a_ref is not None:
-        residuals = _solution_residuals(rep, phi_grid, cg, m, e, a_ref, dphi, d_bc, div_j)
-        del d_bc, div_j
-        for name, values in residuals:
-            solution.append(entry_from_values(name, values, mask, tolerance))
-            del values  # not held while the next residual is made
-    del cg  # the last reader of the currents is done; the mask is kept
+    residuals = () if a_ref is None else _solution_residuals(rep, phi_grid, cg, m, e, a_ref, dphi, d_bc, div_j)
+    del cg, d_bc, div_j
+    for name, values in residuals:
+        solution.append(entry_from_values(name, values, mask, tolerance))
+        del values  # not held while the next residual is made
     f_pot = field_strength_from_potential(a_gf)
     out = InversionOutput(
         a_full=a_full,
@@ -477,24 +607,4 @@ def invert_pipeline(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, A_ref=
         f_bilinear=f_bil,
         singular_mask=mask,
     )
-
-    entries = []
-
-    def check(name, values, tol=tolerance):
-        entries.append(entry_from_values(name, values, mask, tol))
-
-    scale = 1.0 + float(np.max(np.abs(a_full.values[~mask]))) if (~mask).any() else 1.0
-    check("decomposition_full_vs_gauge_fixed_plus_gauge_term",
-          a_full.values - a_gf.values - g_term.values, tolerance * scale)
-    check("f_antisymmetry_potential_route", f_pot.values + np.swapaxes(f_pot.values, -1, -2))
-    check("f_antisymmetry_bilinear_route", f_bil.values + np.swapaxes(f_bil.values, -1, -2))
-    if a_ref is not None:
-        diff = a_full.values - a_ref
-        diff[mask] = 0.0
-        check("gauge_faithfulness_a_full", diff, tolerance * (1.0 + float(np.max(np.abs(a_ref)))))
-        check("f_from_potential_vanishes", f_pot.values)
-        check("f_bilinear_vanishes", f_bil.values)
-        check("f_route_agreement", f_bil.values - f_pot.values)
-        entries += solution
-
-    return out, entries
+    return out, _pipeline_checks(out, a_ref, tolerance) + solution

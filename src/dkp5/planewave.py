@@ -140,6 +140,10 @@ class _PlaneWaveGradient(Sequence):
         g = self._grid
         return FieldGrid(g.extents, g.spacing, WAVEFUNCTION, -1j * self._p[mu] * g.values)
 
+    def __iter__(self):
+        # Sequence.__iter__ would hold each grid until the next one is made.
+        return (self[mu] for mu in range(4))
+
 
 def plane_wave_gradient(spec: PlaneWaveSpec, grid: FieldGrid):
     """Closed-form d_mu Phi = -i p_mu Phi for a manufactured grid: a sequence

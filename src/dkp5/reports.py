@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .grids import norms
+from .grids import _norms_of_abs, norms
 
 
 def report_entry(identity, max_abs_value, rms_value, masked_fraction, tolerance) -> dict:
@@ -31,12 +31,22 @@ def report_entry(identity, max_abs_value, rms_value, masked_fraction, tolerance)
 
 def entry_from_values(identity, values, mask, tolerance) -> dict:
     """Build an entry from a residual array and a grid-axes mask."""
+    return _entry(identity, norms(values, mask), mask, tolerance)
+
+
+def _entry_from_temporary(identity, values, mask, tolerance) -> dict:
+    """:func:`entry_from_values` for a real float64 residual that the caller
+    gives up: its absolute value is taken, and reduced, in its own buffer."""
+    return _entry(identity, _norms_of_abs(np.abs(values, out=values), mask), mask, tolerance)
+
+
+def _entry(identity, norm_pair, mask, tolerance):
     if mask is None:
         frac = 0.0
     else:
         mask = np.asarray(mask, dtype=bool)
         frac = float(mask.sum()) / mask.size if mask.size else 0.0
-    return report_entry(identity, *norms(values, mask), frac, tolerance)
+    return report_entry(identity, *norm_pair, frac, tolerance)
 
 
 def all_pass(entries) -> bool:

@@ -187,6 +187,53 @@ def test_colliding_output_paths_exit_two(tmp_path, case):
     assert not out.exists() and not outdir.exists()
 
 
+@pytest.mark.parametrize("case", ["json_is_outdir", "outdir_is_input_grid", "outdir_is_a_file"])
+def test_outdir_colliding_with_a_path_exits_two_before_loading(tmp_path, monkeypatch, case):
+    """The -o directory counts as an output: naming it as the report, naming
+    the input grid as -o, or naming an existing file as -o exits 2 before
+    the grid is loaded, and nothing is written."""
+    import dkp5.cli
+
+    grid_path = _manufacture(tmp_path)
+    (tmp_path / "notes.txt").write_text("not a directory")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(dkp5.cli, "load_grid", lambda path: pytest.fail("the grid was loaded"))
+    out = tmp_path / "out"
+    argv = {
+        "json_is_outdir": ["--json", str(out), "-o", str(out)],
+        "outdir_is_input_grid": ["--json", str(out), "-o", str(grid_path)],
+        "outdir_is_a_file": ["--json", str(out), "-o", str(tmp_path / "notes.txt")],
+    }[case]
+    assert run("invert", "--grid", str(grid_path), "--fd", *argv) == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_invert_peak_memory_per_point(tmp_path):
+    """`invert --fd --json -o` on a 10^4 plane wave peaks at no more than 650
+    traced bytes per point, the input grid (80 B per point) counted: about
+    580 B per point, against about 845 before the lattice stages wrote in
+    place."""
+    import tracemalloc
+
+    from dkp5 import on_shell_momentum
+
+    A = (0.3, -0.2, 0.1, 0.25)
+    four = lambda v: ",".join(repr(float(x)) for x in v)
+    grid_path = tmp_path / "wave.dkp5"
+    assert run("manufacture", f"--p={four(on_shell_momentum((0.3, 0.2, -0.1), 1.0, 1.0, A))}",
+               f"--A={four(A)}", "--m", "1", "--e", "1", "--amplitude", "0.8,0.3",
+               "--extents", "10,10,10,10", "--spacing", "0.15", "-o", str(grid_path)) == 0
+    tracemalloc.start()
+    try:
+        code = run("invert", "--grid", str(grid_path), "--fd", "--json", str(tmp_path / "r.json"),
+                   "-o", str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 1) and (tmp_path / "out" / "F_bilinear.dkp5").exists()
+    assert peak / 10**4 <= 650, peak / 10**4
+
+
 def test_invert_csv_one_row_per_point(tmp_path):
     grid_path = _manufacture(tmp_path)
     csv_path = tmp_path / "points.csv"

@@ -582,25 +582,29 @@ def _pipeline_peak_per_point(rep, analytic):
 
 
 def test_pipeline_peak_memory_per_point(float_rep):
-    """An FD pipeline with A_ref peaks at no more than 1,000 traced bytes per
+    """An FD pipeline with A_ref peaks at no more than 600 traced bytes per
     point.
 
-    Each solution-check residual is reduced to its entry before the next is
-    made, the reduced system drops each intermediate after its last reader,
-    and F_potential is built after the checks; the pipeline peaks at about
-    785 B per point.  Keeping the residual grids and the whole cross-check F
-    through the reduced system peaked at about 1,385 B per point, and holding
-    both full 26-column current tables as well at about 2,070."""
+    Each stage writes into the buffer that it keeps or returns: the currents
+    are compact copies, the derivative bilinears are reduced a block at a
+    time, both field strengths are antisymmetrised in their gradient's
+    buffer, the reduced system frees its cross-check gradient a row at a
+    time, and the end checks reduce their temporaries in place.  The pipeline
+    peaks at about 520 B per point (`scripts/stage_memory.py`).  Freeing each
+    grid after its last reader but making every stage's temporaries beside
+    its inputs peaked at about 785 B per point, and keeping the residual
+    grids and the whole cross-check F as well at about 1,385."""
     per_point = _pipeline_peak_per_point(float_rep, analytic=False)
-    assert per_point <= 1000, per_point
+    assert per_point <= 600, per_point
 
 
 def test_analytic_pipeline_peak_memory_per_point(float_rep):
     """The closed-form pipeline has the same bound: its gradient -i p_mu Phi is
-    made one direction at a time (about 775 B per point).  A list of the four
-    direction grids held through the pipeline peaked at about 1,695."""
+    made one direction at a time (about 515 B per point; 775 before the
+    stages wrote in place).  A list of the four direction grids held through
+    the pipeline peaked at about 1,695."""
     per_point = _pipeline_peak_per_point(float_rep, analytic=True)
-    assert per_point <= 1000, per_point
+    assert per_point <= 600, per_point
 
 
 def _frozen_reduced_system_residuals(state, dZ=None):

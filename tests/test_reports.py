@@ -5,7 +5,7 @@ import pytest
 
 from dkp5.errors import ShapeError
 from dkp5.grids import max_abs, norms, rms
-from dkp5.reports import entry_from_values
+from dkp5.reports import _entry_from_temporary, entry_from_values
 
 
 def _two_pass_norms(values, mask):
@@ -19,7 +19,8 @@ def _two_pass_norms(values, mask):
 def test_one_pass_norms_equal_two_pass_norms_bit_for_bit(components):
     """Report entries, grids.max_abs and grids.rms all equal the two-pass
     norms exactly on unmasked, partly masked and fully masked grids, also for
-    views whose memory order is not row-major."""
+    views whose memory order is not row-major; so does the entry of a real
+    temporary, reduced in its own buffer."""
     rng = np.random.default_rng(len(components))
     shape = (6, 5, 4, 3) + components
     values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -32,6 +33,8 @@ def test_one_pass_norms_equal_two_pass_norms_bit_for_bit(components):
             assert (entry["max_abs"], entry["rms"]) == (peak, root_mean_sq)
             assert (max_abs(grid, mask), rms(grid, mask)) == (peak, root_mean_sq)
             assert entry["masked_fraction"] == (0.0 if mask is None else float(mask.mean()))
+            if grid.dtype == np.float64:
+                assert _entry_from_temporary("x", grid.copy(), mask, 1.0) == entry
 
 
 def test_norms_reject_a_mask_that_misses_the_grid_axes():
