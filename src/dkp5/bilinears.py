@@ -25,15 +25,16 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import METRIC_DIAG, KemmerRep, minkowski_dot
+from .algebra import METRIC_DIAG, KemmerRep
 from .errors import CurrentOverflowError, ModeError, ShapeError
 from .grids import WAVEFUNCTION, FieldGrid
-from .scalars import EXACT, FLOAT, GaussianRational, checked_matmul, frac
+from .scalars import EXACT, FLOAT, GaussianRational, checked_matmul
 
 #: Relative scale factor of the |Z| singularity threshold.
 Z_EPS = 1e-10
@@ -41,6 +42,9 @@ Z_EPS = 1e-10
 #: Points per block of the current-table product; bounds the pair
 #: products and the BLAS work space whatever the grid size.
 _BLOCK = 1024
+
+#: The metric diagonal as an array, for raising indices.
+_G = np.array(METRIC_DIAG)
 
 
 @dataclass
@@ -64,8 +68,8 @@ class CurrentSet:
 def _exact_entry(c):
     if isinstance(c, GaussianRational):
         return c
-    if isinstance(c, (int, Fraction)):
-        return GaussianRational(c)
+    if isinstance(c, (numbers.Integral, Fraction)):
+        return GaussianRational(c)  # which unboxes numpy integers to Python ints
     raise ModeError(f"exact-mode wavefunction entry {c!r} is not rational")
 
 
@@ -78,13 +82,6 @@ def as_wavefunction(phi, mode):
     if arr.ndim == 0 or arr.shape[-1] != 5:
         raise ShapeError(f"wavefunction has shape {arr.shape}, want (..., 5)")
     return _exact_entries(arr) if mode == EXACT else arr
-
-
-def _one_wavefunction(phi, mode):
-    phi = as_wavefunction(phi, mode)
-    if phi.shape != (5,):
-        raise ShapeError(f"wavefunction has shape {phi.shape}, want (5,)")
-    return phi
 
 
 def _pair_products(left, right, table, conj, out=None):
@@ -264,22 +261,22 @@ class FierzCoefficients:
 
 
 def fierz_decompose(cs: CurrentSet) -> FierzCoefficients:
-    """Closed-form expansion coefficients in terms of the currents."""
-    q = lambda n, d: frac(n, d, cs.mode)
-    a = q(5, 9) * cs.S - q(2, 9) * cs.Sflat
-    j = np.array([q(1, 2) * cs.J[m] for m in range(4)], dtype=object)
-    h = np.array([-q(1, 2) * cs.H[m] for m in range(4)], dtype=object)
-    trace_part = q(2, 9) * cs.S + q(1, 9) * cs.Sflat
-    k = np.empty((4, 4), dtype=object)
-    for m in range(4):
-        for n in range(4):
-            e = METRIC_DIAG[m] if m == n else 0
-            k[m, n] = 2 * (cs.K[n, m] - e * trace_part)
+    """Closed-form expansion coefficients in terms of the currents.
+
+    The row u = (S, Sflat, J, 3H, K) times the weights of :func:`_fierz18`
+    gives 18 w, the weights on the 26 current matrices, which fold onto the
+    basis as a = w_I, j = eta w_b, h = 3 eta w_c3 and
+    k = 2 eta eta^T (w_K + diag(eta) w_b2).
+    """
+    u, d = _point(cs, cs.S, cs.Sflat, cs.J, cs.H, cs.K)
+    w = (u * _C3) @ _FIERZ18
+    k = 2 * np.outer(_G, _G).ravel() * (w[..., 10:] + np.diag(_G).ravel() * w[..., 1:2])
+    folded = [w[..., :1], _G * w[..., 2:6], 3 * _G * w[..., 6:10], k]
+    c = _ratio(np.concatenate(folded, axis=-1), 18 * d)[0]
+    a, j = c[0], c[1:5]
     if cs.mode == FLOAT:
-        j = j.astype(float)
-        h = h.astype(complex)
-        k = k.astype(complex)
-    return FierzCoefficients(a=a, j=j, h=h, k=k)
+        a, j = a.real, j.real  # as S, Sflat and J are
+    return FierzCoefficients(a=a, j=j, h=c[5:9], k=c[9:].reshape(4, 4))
 
 
 def _fierz18():
@@ -289,13 +286,12 @@ def _fierz18():
     the 26 current matrices; the tensor weight is raised, K^{nu mu} on
     b_mu b_nu.  These are the coefficients of :func:`fierz_decompose`.
     """
-    g = np.array(METRIC_DIAG)
     w = np.zeros((26, 26), dtype=np.int64)
     w[:2, :2] = [[10, -4], [-4, -2]]
-    w[2:6, 2:6] = np.diag(9 * g)
-    w[6:10, 6:10] = np.diag(-g)
+    w[2:6, 2:6] = np.diag(9 * _G)
+    w[6:10, 6:10] = np.diag(-_G)
     k = np.arange(16).reshape(4, 4)
-    w[10 + k.T, 10 + k] = 18 * np.outer(g, g)
+    w[10 + k.T, 10 + k] = 18 * np.outer(_G, _G)
     return w
 
 
@@ -314,31 +310,63 @@ def _integer_parts(rows):
     return np.array(nums, dtype=object).reshape((2,) + rows.shape), np.array(dens, dtype=object)[:, None]
 
 
+def _rows(mode, lead, *fields):
+    """Arrays with leading axes ``lead`` side by side, one row per point,
+    (n, k): exact ones as :func:`_integer_parts`, float ones as complex
+    over the denominator 1.  The rearrangement relations run on such rows,
+    the same expressions in both modes, and box their results with
+    :func:`_ratio`.
+    """
+    cols = [np.reshape(f, (-1, math.prod(np.shape(f)[len(lead):]))) for f in fields]
+    rows = np.concatenate(cols, axis=1)
+    return _integer_parts(rows) if mode == EXACT else (rows, 1)
+
+
+def _point(cs, *fields):
+    """The row of ``fields`` of one point's currents ``cs`` (:func:`_rows`);
+    ShapeError if the currents have leading axes."""
+    if np.shape(cs.S) != ():
+        raise ShapeError(f"currents have leading axes {np.shape(cs.S)}, want one point")
+    return _rows(cs.mode, (), *fields)
+
+
+_ZERO = GaussianRational(0)
+_gaussian = np.frompyfunc(
+    lambda re, im, den: GaussianRational(Fraction(re, den), Fraction(im, den)) if re or im else _ZERO,
+    3, 1)
+
+
+def _ratio(num, den, divisor=None):
+    """num / (den divisor), for numerators of :func:`_rows` and a divisor
+    like them: exact ones as Gaussian rationals (the Gaussian-integer
+    divisor cleared by its conjugate), float ones as complex."""
+    if num.dtype != object:
+        return num / den if divisor is None else num / (den * divisor)
+    if divisor is not None:
+        num, den = _times(num, _conj(divisor)), den * (divisor[0] ** 2 + divisor[1] ** 2)
+    return _gaussian(num[0], num[1], den)
+
+
+def _times(x, y):
+    """x y for complex arrays, or for Gaussian integers as (2, ...) parts."""
+    if x.dtype != object:
+        return x * y
+    return np.stack([x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]])
+
+
+def _conj(z):
+    """conj(z) for a complex array, or for Gaussian integers as (2, ...) parts."""
+    return np.conj(z) if z.dtype != object else np.stack([z[0], -z[1]])
+
+
 def _pairs(z, conj):
     """left[a] z[b] for each wavefunction, flattened to 25; left is conj(z) or z.
 
     Exact wavefunctions come as Gaussian integers (2, n, 5), real and
     imaginary part; float ones as complex (n, 5).
     """
-    if z.dtype != object:
-        return np.einsum("na,nb->nab", np.conj(z) if conj else z, z).reshape(-1, 25)
-    s = -1 if conj else 1  # sign of the left factor's imaginary part
-    left, right = z[..., :, None], z[..., None, :]
-    return np.stack([left[0] * right[0] - s * left[1] * right[1],
-                     left[0] * right[1] + s * left[1] * right[0]]).reshape(2, -1, 25)
-
-
-def _current_rows(lead, S, Sflat, J, H, K):
-    """The row (S, Sflat, J, 3H, K) of 26 currents per wavefunction."""
-    cols = [np.reshape(c, lead + (-1,)) for c in (S, Sflat, J, 3 * H, K)]
-    return np.concatenate(cols, axis=-1).reshape(-1, 26)
-
-
-_lcm = np.frompyfunc(math.lcm, 2, 1)
-_ZERO = GaussianRational(0)
-_gaussian = np.frompyfunc(
-    lambda re, im, den: GaussianRational(Fraction(re, den), Fraction(im, den)) if re or im else _ZERO,
-    3, 1)
+    left = _conj(z) if conj else z
+    return _times(left[..., :, None], z[..., None, :]).reshape(z.shape[:-1] + (25,))
 
 
 def fierz_residual(rep: KemmerRep, phi, cs: CurrentSet | None = None):
@@ -350,20 +378,19 @@ def fierz_residual(rep: KemmerRep, phi, cs: CurrentSet | None = None):
     vanish identically for every wavefunction.  The currents come from
     ``cs`` when given, else from Phi.
 
-    Each sector is 18 D R = 18 (D/d^2) Psi Psi_bar - (D/e) U W M, with
-    Psi = d Phi, U/e the current row (S, Sflat, J, 3H, K), W the 18-fold
-    Fierz weights, M the current matrices with c_mu as 3 c_mu, and
-    D = lcm(d^2, e).  Exact mode takes d and e as each wavefunction's and
-    each current row's common denominator, and M and W M from the
-    representation's integer view, so every product runs on Python ints
-    (exact at any size, never wrapping round), all wavefunctions at once;
-    it returns Gaussian rationals.  Float mode runs the same products
-    with d = e = 1.
+    Each sector is 18 d^2 R = 18 Psi Psi_bar - e U W M, with Psi = d Phi,
+    U e / d^2 the current row (S, Sflat, J, 3H, K), W the 18-fold Fierz
+    weights and M the current matrices with c_mu as 3 c_mu.  Without ``cs``,
+    U is the pair products of Psi times the current table and e = 1; with
+    it, d is the common denominator of Phi and its currents, and e = d.
+    Exact mode takes M and W M from the representation's integer view, so
+    every product runs on Python ints (exact at any size, never wrapping
+    round), all wavefunctions at once; it returns Gaussian rationals.
+    Float mode runs the same products with d = 1.
     """
     phi = as_wavefunction(phi, rep.mode)
     lead = phi.shape[:-1]
-    exact = rep.mode == EXACT
-    if exact:
+    if rep.mode == EXACT:
         ints = rep.integers
         weighted = checked_matmul(_FIERZ18, ints.current.reshape(26, 25))
         table, weighted, eta = (m.astype(object) for m in (ints.table, weighted, ints.eta))
@@ -371,23 +398,19 @@ def fierz_residual(rep: KemmerRep, phi, cs: CurrentSet | None = None):
         m3, eta = rep.current_matrices * _C3[:, None, None], rep.eta
         table = (eta @ m3).reshape(26, 25).T  # rep.current_table with c_mu as 3 c_mu
         weighted = _FIERZ18 @ m3.reshape(26, 25)
-    z, d = _integer_parts(phi.reshape(-1, 5)) if exact else (phi.reshape(-1, 5), 1)
-    rows = (None, None) if cs is None else (
-        _current_rows(lead, cs.S, cs.Sflat, cs.J, cs.H, cs.K),
-        _current_rows(lead, cs.tilde_S, cs.tilde_Sflat, cs.tilde_J, 0 * cs.tilde_J, cs.tilde_K))
+    currents = () if cs is None else (  # tilde_J stands in for the zeroed companion term
+        cs.S, cs.Sflat, cs.J, cs.H, cs.K, cs.tilde_S, cs.tilde_Sflat, cs.tilde_J, cs.tilde_J, cs.tilde_K)
+    row, d = _rows(rep.mode, lead, phi, *currents)
+    z = row[..., :5]
+    sectors = (None, None) if cs is None else (row[..., 5:31], row[..., 31:])
     out = []
-    for conj, u in zip((True, False), rows):
+    for conj, u in zip((True, False), sectors):
         pairs = _pairs(z, conj)
-        if u is None:
-            u, e = pairs @ table, d * d
-        else:
-            u, e = _integer_parts(u) if exact else (u, 1)
+        u, e = (pairs @ table, 1) if u is None else (u * _C3, d)
         if not conj:
             u[..., 6:10] = 0  # the tilde expansion omits the companion term
         psi_bar = pairs.reshape(pairs.shape[:-1] + (5, 5)).swapaxes(-1, -2) @ eta
-        big = _lcm(d * d, e)
-        num = 18 * (big // (d * d)) * psi_bar.reshape(pairs.shape) - (big // e) * (u @ weighted)
-        r = _gaussian(num[0], num[1], 18 * big) if exact else num / 18
+        r = _ratio(18 * psi_bar.reshape(pairs.shape) - e * (u @ weighted), 18 * d * d)
         out.append(r.reshape(lead + (5, 5)))
     return tuple(out)
 
@@ -406,31 +429,41 @@ class ConstraintResiduals:
     singular_z: bool
 
 
+def _relations():
+    """The quadratic current relations as (left, right, weights): in the row
+    u = (S, Sflat, J, H, K, Z) of one point, sum_p u[left_p] u[right_p]
+    weights[p, i] is 18 times the scalar rearrangement relation (i = 0),
+    36 times the quadratic constraint (i = 1), and 12 Z (K_mn - K_pred_mn)
+    (i = 2 + 4m + n), with K_pred_mn = -Z eta_mn / 3 - 3 (J_m + H_m)(J_n - H_n) / (4 Z).
+    """
+    e = np.eye(27, dtype=np.int64)
+    S, Sflat, J, H, K, Z = e[0], e[1], e[2:6], e[6:10], e[10:26].reshape(4, 4, 27), e[26]
+    sq = lambda v: np.einsum("m,ma,mb->ab", _G, v, v)  # eta^mn v_m v_n
+    kk = np.einsum("m,r,mra,rmb->ab", _G, _G, K, K)
+    scalar = 2 * np.outer(2 * S + Sflat, 2 * S + Sflat) - 9 * (sq(J) - sq(H)) - 18 * kk
+    quadratic = 9 * (sq(J) - sq(H)) + 4 * np.outer(Z, 4 * S - Sflat)
+    k_elim = (12 * np.einsum("a,mnb->mnab", Z, K) + 4 * np.einsum("mn,a,b->mnab", np.diag(_G), Z, Z)
+              + 9 * np.einsum("ma,nb->mnab", J + H, J - H))
+    table = np.concatenate([scalar[None], quadratic[None], k_elim.reshape(16, 27, 27)])
+    left, right = np.nonzero(table.any(axis=0))  # the pairs that some relation reads
+    return left, right, table[:, left, right].T
+
+
+_LEFT, _RIGHT, _RELATIONS = _relations()
+
+
 def algebraic_constraint_residuals(cs: CurrentSet) -> ConstraintResiduals:
     """Scalar rearrangement relation, tensor-current elimination, and the
-    single surviving quadratic constraint."""
-    q = lambda n, d: frac(n, d, cs.mode)
-    g = METRIC_DIAG
-    jj = minkowski_dot(cs.J, cs.J)
-    hh = minkowski_dot(cs.H, cs.H)
-    kk = sum(
-        g[m] * g[r] * cs.K[m, r] * cs.K[r, m] for m in range(4) for r in range(4)
-    )
-    scalar_fierz = q(1, 9) * (2 * cs.S + cs.Sflat) ** 2 - q(1, 2) * (jj - hh) - kk
-    quadratic = q(1, 4) * (jj - hh) + q(1, 9) * cs.Z * (4 * cs.S - cs.Sflat)
+    single surviving quadratic constraint: quadratic forms in the currents
+    (:func:`_relations`), the elimination divided by 12 Z.
+    """
+    u, d = _point(cs, cs.S, cs.Sflat, cs.J, cs.H, cs.K, cs.Z)
+    q = _times(u[..., _LEFT], u[..., _RIGHT]) @ _RELATIONS
+    scalar_fierz, quadratic = _ratio(q[..., :2], np.array([18, 36]) * d * d)[0]
     singular = z_is_singular(cs)
     k_elim = None
     if not singular:
-        k_elim = np.empty((4, 4), dtype=object)
-        for m in range(4):
-            for n in range(4):
-                e = g[m] if m == n else 0
-                pred = -q(1, 3) * cs.Z * e - q(3, 4) * (cs.J[m] + cs.H[m]) * (
-                    cs.J[n] - cs.H[n]
-                ) / cs.Z
-                k_elim[m, n] = cs.K[m, n] - pred
-        if cs.mode == FLOAT:
-            k_elim = k_elim.astype(complex)
+        k_elim = _ratio(q[..., 2:], 12 * d, u[..., 26:])[0].reshape(4, 4)
     return ConstraintResiduals(
         scalar_fierz=scalar_fierz,
         quadratic=quadratic,
@@ -446,14 +479,24 @@ class ZetaResiduals:
 
 
 def zeta_identity_residuals(rep: KemmerRep, phi, cs: CurrentSet | None = None) -> ZetaResiduals:
-    """zeta Phi Phi_tilde zeta - Ztilde zeta, and Z^2 - |Ztilde|^2."""
-    phi = _one_wavefunction(phi, rep.mode)
+    """zeta Phi Phi_tilde zeta - Ztilde zeta, and Z^2 - |Ztilde|^2.
+
+    Both run on Phi, Z and Ztilde as one row over one denominator: the
+    sandwich is the outer product of zeta Phi and Phi_tilde zeta.
+    """
+    phi = as_wavefunction(phi, rep.mode)
+    if phi.shape != (5,):
+        raise ShapeError(f"wavefunction has shape {phi.shape}, want (5,)")
     if cs is None:
         cs = compute_currents(rep, phi)
-    pt = phi @ rep.eta
-    sandwich = rep.zeta @ np.outer(phi, pt) @ rep.zeta - cs.tilde_Z * rep.zeta
-    modulus = cs.Z * cs.Z - cs.tilde_Z.conjugate() * cs.tilde_Z
-    return ZetaResiduals(sandwich=sandwich, modulus=modulus)
+    row, d = _point(cs, cs.Z, cs.tilde_Z, phi)
+    Z, tilde_Z, z = row[..., :1], row[..., 1:2], row[..., 2:]
+    m = rep.integers if rep.mode == EXACT else rep
+    zeta_phi, phi_zeta = z @ m.zeta.T, z @ m.eta @ m.zeta  # zeta Phi and Phi_tilde zeta
+    outer = _times(zeta_phi[..., :, None], phi_zeta[..., None, :])
+    sandwich = _ratio(outer - d * tilde_Z[..., None] * m.zeta, d * d)
+    modulus = _ratio(_times(Z, Z) - _times(_conj(tilde_Z), tilde_Z), d * d)
+    return ZetaResiduals(sandwich=sandwich[0], modulus=modulus[0, 0])
 
 
 _PARTS = (("Re", "real"), ("Im", "imag"))

@@ -13,6 +13,13 @@ Exact matrices are numpy object arrays whose entries are ``Fraction``
 (real matrices) or :class:`GaussianRational` (complex ones); numpy's
 ``dot``, ``trace``, ``outer`` and friends work through the operator
 protocol, so the same linear-algebra code serves both modes.
+
+:class:`GaussianRational` serves the edges and the test oracles, not the
+hot paths: wavefunctions and hand-built currents come in as Gaussian
+rationals and results go out as them, while the exact stages in between
+run on int64 or Python-int numerators (``KemmerRep.integers`` and the
+integer rows of :mod:`dkp5.bilinears`).  Its zero and real shortcuts
+serve the oracles, which multiply sparse Gaussian-rational matrices.
 """
 
 from __future__ import annotations
@@ -222,11 +229,6 @@ def check_mode(mode):
     if mode not in MODES:
         raise ModeError(f"unknown scalar mode {mode!r}; expected one of {MODES}")
     return mode
-
-
-def frac(num, den, mode):
-    """The rational num/den in the given mode's scalar type."""
-    return Fraction(num, den) if mode == EXACT else num / den
 
 
 def magnitude(x) -> float:

@@ -23,7 +23,7 @@ from dkp5 import (
     zeta_identity_residuals,
 )
 from dkp5.bilinears import CURRENT_COLUMNS, MIRRORED_COLUMNS, CurrentSet, lattice_currents
-from dkp5.errors import CurrentOverflowError, ModeError
+from dkp5.errors import CurrentOverflowError, ModeError, ShapeError
 from dkp5.scalars import GaussianRational, is_exact_zero, random_exact_wavefunction
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -317,6 +317,35 @@ def test_exact_wavefunction_rejects_floats(exact_rep):
         compute_currents(exact_rep, [0.5, 0, 0, 0, 1])
 
 
+def _same_currents(a, b):
+    return all(np.shape(getattr(a, f.name)) == np.shape(getattr(b, f.name))
+               and np.all(np.asarray(getattr(a, f.name)) == np.asarray(getattr(b, f.name)))
+               for f in dataclasses.fields(a))
+
+
+def test_exact_wavefunction_takes_numpy_integers(exact_rep):
+    # Large entries would wrap round if fixed-width arithmetic leaked in.
+    for kind, ints in ((np.int64, [0, 0, 0, 0, 1]), (np.int64, [2, -3, 10**18, 0, 1]),
+                       (np.int32, [2, -3, 2**31 - 1, 0, 1])):
+        got = compute_currents(exact_rep, [kind(x) for x in ints])
+        assert _same_currents(got, compute_currents(exact_rep, ints))
+    with pytest.raises(ModeError):
+        compute_currents(exact_rep, [np.float64(1)] + [0] * 4)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_point_relations_reject_batched_currents(exact_rep, float_rep, mode):
+    rep = exact_rep if mode == "exact" else float_rep
+    phis = [[0, 0, 0, 0, 1], [1, 0, 0, 0, 1]]
+    cs = compute_currents(rep, phis)
+    for relation in (fierz_decompose, algebraic_constraint_residuals):
+        with pytest.raises(ShapeError):
+            relation(cs)
+    for phi in (phis, phis[0]):
+        with pytest.raises(ShapeError):
+            zeta_identity_residuals(rep, phi, cs=cs)
+
+
 def _reference_rank_one_residual(rep, phi, S, Sflat, J, H, K, hermitian):
     """Phi (Phi^dagger or Phi^T) eta minus the closed-form expansion, in Fractions."""
     g = np.array((1, -1, -1, -1))
@@ -482,3 +511,12 @@ def test_mirrored_columns_follow_from_the_representation(float_rep):
         else:
             assert np.array_equal(block(index), block(source_index).T), column
             assert sign == 1, column
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (2, 0, 5)])
+def test_fierz_residual_of_no_wavefunctions(exact_rep, float_rep, shape):
+    for rep in (exact_rep, float_rep):
+        phis = np.zeros(shape, dtype=int)
+        for cs in (None, compute_currents(rep, phis)):
+            r_h, r_c = fierz_residual(rep, phis, cs=cs)
+            assert r_h.shape == r_c.shape == shape[:-1] + (5, 5)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dkp5.scalars import (
     GaussianRational,
     as_fraction,
-    frac,
     is_exact_zero,
     magnitude,
     random_gaussian_rational,
@@ -65,8 +64,6 @@ def test_as_fraction_numpy_ints_unboxed():
 
 
 def test_helpers():
-    assert frac(1, 3, "exact") == Fraction(1, 3)
-    assert frac(1, 4, "float") == 0.25
     assert magnitude(GaussianRational(3, 4)) == pytest.approx(5.0)
     assert magnitude(Fraction(-1, 2)) == 0.5
     assert is_exact_zero(GaussianRational(0))
