@@ -28,8 +28,10 @@ int64 view of them, ``KemmerRep.integers`` (c_mu entering as 3 c_mu),
 which every exact stage reads: the identity families, each one array
 expression over its case axes scaled to clear its denominators; the
 basis rank, by fraction-free Bareiss elimination; the word sweep, the
-currents and the Fierz residuals.  Float mode runs the same expressions
-on the complex matrices.
+currents and the Fierz residuals.  Where a stage's values have no fixed
+bound (the rank, the currents, the Fierz residuals), a bound computed in
+Python ints picks int64 or Python ints (``scalars.bounded``).  Float mode
+runs the same expressions on the complex matrices.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ModeError, RepresentationDefectError
-from .scalars import EXACT, FLOAT, INT64_HALF, check_mode, checked_matmul, exact_int64
+from .scalars import EXACT, FLOAT, INT64_HALF, bounded, check_mode, checked_matmul, exact_int64, top
 
 #: Diagonal of the flat metric eta_{mu nu} = diag(1, -1, -1, -1).
 METRIC_DIAG = (1, -1, -1, -1)
@@ -221,9 +223,11 @@ def _identity_families(b, c3, bsq, eta, zeta, ident):
     c3 = 3 c_mu, so integer matrices give integer residuals.
     """
     e = np.einsum
-    P = e("mij,njk->mnik", b, b)
-    Pb = e("mrij,njk->mrnik", P, b)
-    PP = e("klij,mnjx->klmnix", P, P)
+    # The products as batched matmuls: P[m, n] = b_m b_n, Pb[m, r, n] = b_m b_r b_n
+    # and PP[k, l, m, n] = b_k b_l b_m b_n.
+    P = b[:, None] @ b
+    Pb = P[:, :, None] @ b
+    PP = P[:, :, None, None] @ P
     c3b, bc3 = e("mij,njk->mnik", c3, b), e("mij,njk->mnik", b, c3)
     gg = e("kl,mn->klmn", _G, _G) - e("kn,ml->klmn", _G, _G)
     sq = bsq - ident
@@ -247,9 +251,10 @@ def _identity_families(b, c3, bsq, eta, zeta, ident):
             c3b - 3 * P + 2 * e("mn,ij->mnij", _G, sq), bc3 + c3b], axis=2)]),
         ("beta_square_product", 2, 2, [np.stack([
             2 * (b @ bsq) - 5 * b - c3, 2 * (bsq @ b) - 5 * b + c3], axis=1)]),
+        # eta^mm b_m b_r b_m and eta^mm b_m b_r b_s b_m: the diagonals m = n of Pb and PP
         ("contraction", 1, 2, [
-            e("m,mij,rjk,mkl->ril", _SIG, b, b, b) - b,
-            e("m,mij,rsjk,mkl->rsil", _SIG, b, P, b) - e("rs,ij->rsij", _G, ident)]),
+            np.diagonal(Pb, 0, 0, 2) @ _SIG - b,
+            np.diagonal(PP, 0, 0, 3) @ _SIG - e("rs,ij->rsij", _G, ident)]),
         ("eta_relations", 3, 2, [
             3 * np.stack([eta @ eta - ident, eta - eta.T, eta - np.conj(eta)]),
             np.stack([3 * (eta @ b.transpose(0, 2, 1) @ eta - b),
@@ -303,9 +308,9 @@ def verify_algebra_identities(rep: KemmerRep, tol=1e-12):
     if exact:
         v = rep.integers
         mats = [v.beta, v.c3, v.beta_sq, v.eta, v.zeta, v.identity]
-        top = max(max(int(m.max()), -int(m.min())) for m in mats)
-        if 5**5 * top**6 > INT64_HALF:
-            raise OverflowError(f"int64 identity residuals could reach 5^5 * {top}^6")
+        t = max(map(top, mats))
+        if 5**5 * t**6 > INT64_HALF:
+            raise OverflowError(f"int64 identity residuals could reach 5^5 * {t}^6")
     else:
         mats = [np.stack(rep.beta), 3 * np.stack(rep.beta_dot),
                 rep.beta_sq, rep.eta, rep.zeta, rep.identity]
@@ -322,13 +327,17 @@ def basis_matrices(rep: KemmerRep):
 
 def _bareiss_rank(rows):
     """Rank of an integer matrix by fraction-free elimination (E. H. Bareiss,
-    Math. Comp. 22 (1968) 565-578) on Python ints.
+    Math. Comp. 22 (1968) 565-578), on int64 when the product of
+    max(1, |row|^2) over the rows is within half the int64 range, else on
+    Python ints.
 
     After each pivot every remaining entry is a minor of the input, so the
-    division by the previous pivot is exact: nothing rounds, and nothing
-    wraps round.
+    division by the previous pivot is exact, and by Hadamard's inequality
+    each product of two minors stays within that product: nothing rounds,
+    and nothing wraps round.
     """
     a = np.array(rows, dtype=object)
+    a = bounded(math.prod(max(1, sum(x * x for x in r)) for r in a.tolist()), a)[0]
     rank, prev = 0, 1
     for col in range(a.shape[1]):
         nonzero = np.flatnonzero(a[rank:, col])
@@ -350,7 +359,8 @@ def enumerate_basis(rep: KemmerRep, tol=1e-9):
     25 (e.g. for the trivial representation with all generators zero).
     Also re-checks that b^2 is the metric contraction of the products.
     Exact mode takes both from the integer view: the rank by Bareiss
-    elimination, the contraction in Python ints.
+    elimination (on int64 where its bound allows), the contraction in
+    Python ints.
     """
     _validate_rep(rep)
     mats = basis_matrices(rep)

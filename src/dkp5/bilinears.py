@@ -34,7 +34,7 @@ import numpy as np
 from .algebra import METRIC_DIAG, KemmerRep
 from .errors import CurrentOverflowError, ModeError, ShapeError
 from .grids import WAVEFUNCTION, FieldGrid
-from .scalars import EXACT, FLOAT, GaussianRational, checked_matmul
+from .scalars import EXACT, FLOAT, GaussianRational, bounded, checked_matmul, column_top, top
 
 #: Relative scale factor of the |Z| singularity threshold.
 Z_EPS = 1e-10
@@ -126,8 +126,10 @@ def compute_currents(rep: KemmerRep, phi) -> CurrentSet:
     Every current is conj(Phi) eta M_k Phi (Hermitian) or Phi eta M_k Phi
     (tilde) with M_k one of the 26 current matrices, so each sector is
     the 25 pair products left[a] Phi[b] times ``rep.current_table``.
-    Exact mode multiplies the Python-int pairs of d Phi (d: each Phi's
-    common denominator) by the integer view's table as 3 M_k, over 3 d^2.
+    Exact mode multiplies the integer pairs of d Phi (d: each Phi's common
+    denominator) by the integer view's table, c_mu as 3 c_mu, over d^2 or
+    3 d^2; on int64 when a bound from the largest numerator allows, else
+    on Python ints.
     Fields carry the leading axes of ``phi``: scalars, four-vectors and
     4x4 matrices for one wavefunction.
     """
@@ -147,8 +149,9 @@ def _current_tables(rep, phi, columns=_ALL_COLUMNS):
     right = phi.reshape(-1, 5)
     if rep.mode == EXACT:
         z, d = _integer_parts(right)
-        table = rep.integers.table.astype(object) * (3 // _C3)
-        return [_gaussian(*(_pairs(z, conj) @ table), 3 * d * d) for conj in (True, False)]
+        t, table = top(z), rep.integers.table  # c_mu as 3 c_mu: those columns over 3 d^2
+        z, d, table = bounded(max(2 * t * t * column_top(table), 3 * top(d) ** 2, t), z, d, table)
+        return [_ratio(_pairs(z, conj) @ table, d * d * _C3) for conj in (True, False)]
     table = rep.current_table
     return [_pair_products(right, right, table[:, :k], conj) for k, conj in zip(columns, (True, False))]
 
@@ -338,25 +341,29 @@ _gaussian = np.frompyfunc(
 
 def _ratio(num, den, divisor=None):
     """num / (den divisor), for numerators of :func:`_rows` and a divisor
-    like them: exact ones as Gaussian rationals (the Gaussian-integer
-    divisor cleared by its conjugate), float ones as complex."""
-    if num.dtype != object:
+    like them: exact (int64 or Python-int) ones as Gaussian rationals (the
+    Gaussian-integer divisor cleared by its conjugate), float ones as
+    complex."""
+    if num.dtype.kind not in "iO":
         return num / den if divisor is None else num / (den * divisor)
+    # Boxed from Python ints: a Fraction of numpy integers would wrap round later.
+    num, den = num.astype(object), np.asarray(den, dtype=object)
     if divisor is not None:
+        divisor = divisor.astype(object)
         num, den = _times(num, _conj(divisor)), den * (divisor[0] ** 2 + divisor[1] ** 2)
     return _gaussian(num[0], num[1], den)
 
 
 def _times(x, y):
     """x y for complex arrays, or for Gaussian integers as (2, ...) parts."""
-    if x.dtype != object:
+    if x.dtype.kind not in "iO":
         return x * y
     return np.stack([x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]])
 
 
 def _conj(z):
     """conj(z) for a complex array, or for Gaussian integers as (2, ...) parts."""
-    return np.conj(z) if z.dtype != object else np.stack([z[0], -z[1]])
+    return np.conj(z) if z.dtype.kind not in "iO" else np.stack([z[0], -z[1]])
 
 
 def _pairs(z, conj):
@@ -383,17 +390,20 @@ def fierz_residual(rep: KemmerRep, phi, cs: CurrentSet | None = None):
     weights and M the current matrices with c_mu as 3 c_mu.  Without ``cs``,
     U is the pair products of Psi times the current table and e = 1; with
     it, d is the common denominator of Phi and its currents, and e = d.
-    Exact mode takes M and W M from the representation's integer view, so
-    every product runs on Python ints (exact at any size, never wrapping
-    round), all wavefunctions at once; it returns Gaussian rationals.
+    Exact mode takes M and W M from the representation's integer view and
+    runs every product, all wavefunctions at once, on int64 when a bound
+    from the largest numerator, the column abs-sums of the tables and d
+    keeps every value within half the int64 range, else on Python ints
+    (exact at any size, never wrapping round); it returns Gaussian
+    rationals, boxed from Python ints.
     Float mode runs the same products with d = 1.
     """
     phi = as_wavefunction(phi, rep.mode)
     lead = phi.shape[:-1]
     if rep.mode == EXACT:
         ints = rep.integers
+        table, eta = ints.table, ints.eta
         weighted = checked_matmul(_FIERZ18, ints.current.reshape(26, 25))
-        table, weighted, eta = (m.astype(object) for m in (ints.table, weighted, ints.eta))
     else:
         m3, eta = rep.current_matrices * _C3[:, None, None], rep.eta
         table = (eta @ m3).reshape(26, 25).T  # rep.current_table with c_mu as 3 c_mu
@@ -401,6 +411,13 @@ def fierz_residual(rep: KemmerRep, phi, cs: CurrentSet | None = None):
     currents = () if cs is None else (  # tilde_J stands in for the zeroed companion term
         cs.S, cs.Sflat, cs.J, cs.H, cs.K, cs.tilde_S, cs.tilde_Sflat, cs.tilde_J, cs.tilde_J, cs.tilde_K)
     row, d = _rows(rep.mode, lead, phi, *currents)
+    if rep.mode == EXACT:
+        # |pairs| <= 2 t^2, |U| <= 2 t^2 |table| or 3 t; the residual's two terms
+        # and the denominators 18 d^2 bound every value below.
+        t, dmax = top(row), top(d)
+        u, e = (2 * t * t * column_top(table), 1) if cs is None else (3 * t, dmax)
+        bound = max(36 * t * t * column_top(eta) + e * u * column_top(weighted), 18 * dmax * dmax, t)
+        row, d, table, weighted, eta = bounded(bound, row, d, table, weighted, eta)
     z = row[..., :5]
     sectors = (None, None) if cs is None else (row[..., 5:31], row[..., 31:])
     out = []

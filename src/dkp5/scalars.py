@@ -256,11 +256,31 @@ def exact_int64(mats):
     return np.array([int(x) for x in ints], dtype=np.int64).reshape(np.shape(mats))
 
 
+def top(a):
+    """max |a| of an int64 or Python-int array as a Python int, 0 if it is empty
+    (not np.abs, which wraps round on the most negative int64)."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def column_top(m):
+    """The largest column abs-sum of an integer matrix, in Python ints:
+    |x @ m| <= top(x) column_top(m)."""
+    return top(np.abs(m.astype(object)).sum(axis=0))
+
+
+def bounded(bound, *arrays):
+    """Integer arrays as int64 when ``bound``, a Python int that caps every
+    value the caller's products and sums can take, is within INT64_HALF;
+    else as Python-int object arrays.  Either way the same numpy code then
+    runs exactly, and nothing wraps round."""
+    dtype = np.int64 if bound <= INT64_HALF else object
+    return [np.asarray(a).astype(dtype) for a in arrays]
+
+
 def checked_matmul(a, b):
     """a @ b on int64 arrays; OverflowError unless every entry fits in half the
     range, which leaves room to subtract two checked products."""
-    # In Python ints, since np.abs wraps round on the most negative int64.
-    bound = a.shape[-1] * max(int(a.max()), -int(a.min())) * max(int(b.max()), -int(b.min()))
+    bound = a.shape[-1] * top(a) * top(b)
     if bound > INT64_HALF:
         raise OverflowError(f"int64 product could reach {bound}")
     return a @ b

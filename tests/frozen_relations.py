@@ -2,10 +2,13 @@
 and ``zeta_identity_residuals`` (with the ``frac`` helper they read), as
 they were when each wrote its coefficients as a loop over Gaussian
 rationals or floats, with the ``_one_wavefunction`` check that the last
-one ran.
+one ran; and of ``fierz_residual`` (with the ``_ratio``, ``_times``,
+``_conj`` and ``_pairs`` helpers it reads), as it was when its exact
+branch ran every product on Python ints.
 
 The equivalence tests compare the program against it: exact results
-under ``==``, float ones within the rearrangement suite's bound.
+under ``==``, float ones within the rearrangement suite's bound (and
+``fierz_residual``'s bit for bit).
 """
 
 from fractions import Fraction
@@ -14,16 +17,20 @@ import numpy as np
 
 from dkp5.algebra import METRIC_DIAG, KemmerRep, minkowski_dot
 from dkp5.bilinears import (
+    _C3,
+    _FIERZ18,
     ConstraintResiduals,
     CurrentSet,
     FierzCoefficients,
     ZetaResiduals,
+    _gaussian,
+    _rows,
     as_wavefunction,
     compute_currents,
     z_is_singular,
 )
 from dkp5.errors import ShapeError
-from dkp5.scalars import EXACT, FLOAT
+from dkp5.scalars import EXACT, FLOAT, checked_matmul
 
 
 def _one_wavefunction(phi, mode):
@@ -99,3 +106,65 @@ def zeta_identity_residuals(rep: KemmerRep, phi, cs: CurrentSet | None = None) -
     sandwich = rep.zeta @ np.outer(phi, pt) @ rep.zeta - cs.tilde_Z * rep.zeta
     modulus = cs.Z * cs.Z - cs.tilde_Z.conjugate() * cs.tilde_Z
     return ZetaResiduals(sandwich=sandwich, modulus=modulus)
+
+
+def _ratio(num, den, divisor=None):
+    """num / (den divisor), for numerators of :func:`_rows` and a divisor
+    like them: exact ones as Gaussian rationals (the Gaussian-integer
+    divisor cleared by its conjugate), float ones as complex."""
+    if num.dtype != object:
+        return num / den if divisor is None else num / (den * divisor)
+    if divisor is not None:
+        num, den = _times(num, _conj(divisor)), den * (divisor[0] ** 2 + divisor[1] ** 2)
+    return _gaussian(num[0], num[1], den)
+
+
+def _times(x, y):
+    """x y for complex arrays, or for Gaussian integers as (2, ...) parts."""
+    if x.dtype != object:
+        return x * y
+    return np.stack([x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]])
+
+
+def _conj(z):
+    """conj(z) for a complex array, or for Gaussian integers as (2, ...) parts."""
+    return np.conj(z) if z.dtype != object else np.stack([z[0], -z[1]])
+
+
+def _pairs(z, conj):
+    """left[a] z[b] for each wavefunction, flattened to 25; left is conj(z) or z.
+
+    Exact wavefunctions come as Gaussian integers (2, n, 5), real and
+    imaginary part; float ones as complex (n, 5).
+    """
+    left = _conj(z) if conj else z
+    return _times(left[..., :, None], z[..., None, :]).reshape(z.shape[:-1] + (25,))
+
+
+def fierz_residual(rep: KemmerRep, phi, cs: CurrentSet | None = None):
+    """Residuals of the rank-one rearrangement, Hermitian and complex."""
+    phi = as_wavefunction(phi, rep.mode)
+    lead = phi.shape[:-1]
+    if rep.mode == EXACT:
+        ints = rep.integers
+        weighted = checked_matmul(_FIERZ18, ints.current.reshape(26, 25))
+        table, weighted, eta = (m.astype(object) for m in (ints.table, weighted, ints.eta))
+    else:
+        m3, eta = rep.current_matrices * _C3[:, None, None], rep.eta
+        table = (eta @ m3).reshape(26, 25).T  # rep.current_table with c_mu as 3 c_mu
+        weighted = _FIERZ18 @ m3.reshape(26, 25)
+    currents = () if cs is None else (  # tilde_J stands in for the zeroed companion term
+        cs.S, cs.Sflat, cs.J, cs.H, cs.K, cs.tilde_S, cs.tilde_Sflat, cs.tilde_J, cs.tilde_J, cs.tilde_K)
+    row, d = _rows(rep.mode, lead, phi, *currents)
+    z = row[..., :5]
+    sectors = (None, None) if cs is None else (row[..., 5:31], row[..., 31:])
+    out = []
+    for conj, u in zip((True, False), sectors):
+        pairs = _pairs(z, conj)
+        u, e = (pairs @ table, 1) if u is None else (u * _C3, d)
+        if not conj:
+            u[..., 6:10] = 0  # the tilde expansion omits the companion term
+        psi_bar = pairs.reshape(pairs.shape[:-1] + (5, 5)).swapaxes(-1, -2) @ eta
+        r = _ratio(18 * psi_bar.reshape(pairs.shape) - e * (u @ weighted), 18 * d * d)
+        out.append(r.reshape(lead + (5, 5)))
+    return tuple(out)

@@ -475,3 +475,11 @@ def test_bareiss_rank_matches_elimination():
         m = left[:, :rank] @ right[:rank]
         m = m[rng.permutation(25)][:, rng.permutation(25)]
         assert _elimination_rank(m.tolist()) == _bareiss_rank(m) == rank
+
+
+def test_bareiss_rank_does_not_wrap_round():
+    """2**32 * 2**32 wraps round to 0 in int64, which would report rank 1."""
+    from dkp5.algebra import _bareiss_rank
+
+    assert _bareiss_rank([[2**32, 0], [0, 2**32]]) == 2
+    assert _bareiss_rank(np.array([[2**32, 2**31], [2**31, 2**30]])) == 1

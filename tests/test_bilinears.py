@@ -520,3 +520,26 @@ def test_fierz_residual_of_no_wavefunctions(exact_rep, float_rep, shape):
         for cs in (None, compute_currents(rep, phis)):
             r_h, r_c = fierz_residual(rep, phis, cs=cs)
             assert r_h.shape == r_c.shape == shape[:-1] + (5, 5)
+
+
+def test_numerators_near_2_31_stay_exact(exact_rep):
+    """Pair products of numerators near 2**31 pass 2**62, where int64 would
+    wrap round: the currents still equal their definition, and the Fierz
+    residuals vanish, or equal the definition for shifted currents."""
+    rng = random.Random(31)
+    near = lambda: rng.choice((-1, 1)) * (2**31 - rng.randrange(1000))
+    phis = [[GaussianRational(near(), near()) for _ in range(5)],
+            [GaussianRational(Fraction(near(), 2**31 - 1), near()) for _ in range(5)]]
+    cs = compute_currents(exact_rep, phis)
+    for i, phi in enumerate(phis):
+        _assert_definition(exact_rep, cs, i, phi)
+        _assert_definition(exact_rep, compute_currents(exact_rep, phi), (), phi)
+    for given in (None, cs):
+        assert all(_all_zero(r) for r in fierz_residual(exact_rep, phis, cs=given))
+    cs.S = cs.S + 1
+    r_h, r_c = fierz_residual(exact_rep, phis, cs=cs)
+    for i, phi in enumerate(phis):
+        p = CurrentSet(**{k: v if k == "mode" else v[i] for k, v in vars(cs).items()})
+        want = _reference_rank_one_residual(exact_rep, phi, p.S, p.Sflat, p.J, p.H, p.K, True)
+        assert list(r_h[i].reshape(-1)) == list(want.reshape(-1)) and not _all_zero(r_h[i])
+        assert _all_zero(r_c[i])

@@ -1,6 +1,8 @@
 """The per-point current relations against the frozen copy of their loop
-versions (tests/frozen_relations.py): exact results equal under ``==``,
-float ones within the rearrangement suite's bound."""
+versions, and ``fierz_residual`` against the frozen copy of its Python-int
+version (tests/frozen_relations.py): exact results equal under ``==``,
+float ones within the rearrangement suite's bound (``fierz_residual``'s
+bit for bit)."""
 
 import dataclasses
 import random
@@ -17,8 +19,14 @@ from dkp5 import (
     fierz_residual,
     zeta_identity_residuals,
 )
+import dkp5.bilinears
 from dkp5.bilinears import CurrentSet
-from dkp5.scalars import GaussianRational, random_exact_wavefunction, random_gaussian_rational
+from dkp5.scalars import (
+    GaussianRational,
+    bounded,
+    random_exact_wavefunction,
+    random_gaussian_rational,
+)
 
 
 def _criterion_3_points():
@@ -138,3 +146,66 @@ def test_relations_run_without_gaussian_rational_arithmetic(exact_rep, monkeypat
     assert not res.singular_z and res.k_elimination is not None
     zeta_identity_residuals(exact_rep, phi, cs=cs)
     fierz_residual(exact_rep, phi, cs=cs)
+
+
+def _integer_points(rng, scale):
+    """Gaussian-integer wavefunctions with parts up to ``scale``."""
+    part = lambda: rng.randint(-scale, scale)
+    return [[GaussianRational(part(), part()) for _ in range(5)] for _ in range(3)]
+
+
+def _fierz_inputs():
+    """Wavefunction batches: the 100 points of criterion 3, no wavefunction,
+    the zero one, and integer ones from 2**10 to 2**31, which put the exact
+    products on both sides of the int64 bound with and without currents."""
+    rng = random.Random(15)
+    return [np.array(_criterion_3_points(), dtype=object), np.empty((0, 5), dtype=object),
+            np.zeros((1, 5), dtype=int)] + [
+        np.array(_integer_points(rng, 2**k), dtype=object) for k in (10, 12, 14, 25, 26, 31)]
+
+
+def test_exact_fierz_residual_equals_the_frozen_copy(exact_rep, monkeypatch):
+    taken, dtypes = [], {True: set(), False: set()}  # with and without currents
+
+    def spy(bound, *arrays):
+        out = bounded(bound, *arrays)
+        taken.append(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(dkp5.bilinears, "bounded", spy)
+    for phis in _fierz_inputs():
+        for points in (phis, *phis[:5]):  # the batch, then its first points one at a time
+            for cs in (None, compute_currents(exact_rep, points)):
+                taken.clear()
+                got = fierz_residual(exact_rep, points, cs=cs)
+                dtypes[cs is not None].update(taken)
+                want = frozen.fierz_residual(exact_rep, points, cs=cs)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and g.dtype == w.dtype == object
+                    assert all(isinstance(x, GaussianRational) for x in g.reshape(-1))
+                    assert list(g.reshape(-1)) == list(w.reshape(-1))
+                    assert not any(g.reshape(-1))
+    assert dtypes[False] == dtypes[True] == {np.dtype(np.int64), np.dtype(object)}
+
+
+def test_float_fierz_residual_is_bit_identical_to_the_frozen_copy(float_rep):
+    rng = np.random.default_rng(20240808)
+    phis = rng.standard_normal((100, 5)) + 1j * rng.standard_normal((100, 5))
+    for points in (phis, phis[0], phis[:0]):
+        for cs in (None, compute_currents(float_rep, points)):
+            for g, w in zip(fierz_residual(float_rep, points, cs=cs),
+                            frozen.fierz_residual(float_rep, points, cs=cs)):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_int64_results_are_boxed_from_python_ints(exact_rep):
+    """Currents and Fierz residuals of small Gaussian integers, both taken on
+    int64, hold Python ints: a Fraction of numpy integers would wrap round
+    in later arithmetic."""
+    phis = _integer_points(random.Random(1), 2**10)
+    cs = compute_currents(exact_rep, phis)
+    cs.S = cs.S + 1
+    fields = [cs.S, cs.J, cs.H, cs.K, cs.tilde_K, *fierz_residual(exact_rep, phis, cs=cs)]
+    parts = [f for a in fields for x in np.ravel(a) for f in (x.re, x.im)]
+    assert any(parts)
+    assert all(type(f.numerator) is int and type(f.denominator) is int for f in parts)
