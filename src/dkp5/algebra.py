@@ -21,17 +21,21 @@ re-derives every identity family from the matrices themselves, and
 :func:`enumerate_basis` re-checks that the 25 canonical elements
 {I, b_mu, companion c_mu, b_mu b_nu} are linearly independent.
 
-An exact representation is built in int64 from integer generators
-(ModeError otherwise), every product bounded first (OverflowError, never
-wrap round), and its fields are boxed into Fractions once.  It caches one
-int64 view of them, ``KemmerRep.integers`` (c_mu entering as 3 c_mu),
-which every exact stage reads: the identity families, each one array
-expression over its case axes scaled to clear its denominators; the
-basis rank, by fraction-free Bareiss elimination; the word sweep, the
-currents and the Fierz residuals.  Where a stage's values have no fixed
-bound (the rank, the currents, the Fierz residuals), a bound computed in
-Python ints picks int64 or Python ints (``scalars.bounded``).  Float mode
-runs the same expressions on the complex matrices.
+Both scalar modes build a representation by one code path: b, b^2,
+c3 = b b^2 - b^2 b and eta in int64 from integer generators (exact mode;
+ModeError otherwise, and OverflowError, never wrap round, where a
+product could pass half the int64 range) or in complex128 (float mode).
+Exact fields are then boxed into Fractions once.  Each representation
+caches one scaled view of its fields, ``KemmerRep.integers`` (c_mu
+entering as 3 c_mu), int64 or complex128, which every stage reads: the
+identity families, each one array expression over its case axes scaled
+to clear its denominators; the basis rank; the word sweep, the currents
+and the Fierz residuals.  The modes part only where the meaning does: a
+literal zero against a tolerance, the rank by fraction-free Bareiss
+elimination against the SVD, and the boxing at the public edges.  Where
+an exact stage's values have no fixed bound (the rank, the currents, the
+Fierz residuals), a bound computed in Python ints picks int64 or Python
+ints (``scalars.bounded``).
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ModeError, RepresentationDefectError
-from .scalars import EXACT, FLOAT, INT64_HALF, bounded, check_mode, checked_matmul, exact_int64, top
+from .scalars import (EXACT, FLOAT, INT64_HALF, bounded, check_mode, checked_matmul, column_top,
+                      exact_int64, top)
 
 #: Diagonal of the flat metric eta_{mu nu} = diag(1, -1, -1, -1).
 METRIC_DIAG = (1, -1, -1, -1)
@@ -71,14 +76,33 @@ def _boxed(ints, den=1):
     return np.array([boxes[v] for v in flat], dtype=object).reshape(ints.shape)
 
 
+def _fierz18():
+    """18 times the closed-form Fierz weights, with c_mu taken as 3 c_mu.
+
+    Row vector (S, Sflat, J, 3H, K) times this matrix gives the weights on
+    the 26 current matrices; the tensor weight is raised, K^{nu mu} on
+    b_mu b_nu.  These are the coefficients of ``bilinears.fierz_decompose``.
+    """
+    w = np.zeros((26, 26), dtype=np.int64)
+    w[:2, :2] = [[10, -4], [-4, -2]]
+    w[2:6, 2:6] = np.diag(9 * _SIG)
+    w[6:10, 6:10] = np.diag(-_SIG)
+    k = np.arange(16).reshape(4, 4)
+    w[10 + k.T, 10 + k] = 18 * np.outer(_SIG, _SIG)
+    return w
+
+
+_FIERZ18 = _fierz18()
+
+
 @dataclass(frozen=True, eq=False)
 class KemmerRep:
     """Concrete representation bundle: generators plus derived elements.
 
     All matrices are 5x5; exact mode stores numpy object arrays with
-    Fraction entries, and caches their int64 view in ``integers``; float
-    mode stores complex128 arrays.  Instances are immutable by contract
-    and safe to share across threads.
+    Fraction entries, float mode complex128 arrays, and both cache their
+    scaled view in ``integers``.  Instances are immutable by contract and
+    safe to share across threads.
     """
 
     mode: str
@@ -96,23 +120,28 @@ class KemmerRep:
 
     @cached_property
     def integers(self) -> SimpleNamespace:
-        """The exact fields as int64 (ModeError for a non-integer entry), built once.
+        """The fields scaled so that c_mu enters as c3 = 3 c_mu, built once: int64
+        in exact mode (ModeError for a non-integer entry, every product
+        checked against overflow), complex128 in float mode.
 
-        c_mu enters as c3 = 3 c_mu: ``beta``, ``c3``, ``beta_sq``, ``eta``,
-        ``zeta`` and ``identity``; ``basis`` (25, 5, 5) and ``current``
-        (26, 5, 5) with 3 c_mu, their products checked against overflow;
-        and ``table`` (25, 26), column k holding eta M_k flattened.
+        ``beta``, ``c3``, ``beta_sq``, ``eta``, ``zeta`` and ``identity``;
+        ``basis`` (25, 5, 5) and ``current`` (26, 5, 5) with 3 c_mu;
+        ``table`` (25, 26), column k holding eta M_k flattened; ``weighted``
+        (26, 25), the current matrices under the 18-fold Fierz weights; and
+        ``tops``, the largest column abs-sums of ``table``, ``weighted`` and
+        ``eta`` (``scalars.column_top``), which bound exact Fierz residuals.
         """
-        if self.mode != EXACT:
-            raise ModeError("the integer view belongs to exact representations")
-        m = exact_int64([*self.beta, *(3 * np.stack(self.beta_dot)),
-                         self.beta_sq, self.eta, self.zeta, self.identity])
+        fields = [*self.beta, *(3 * np.stack(self.beta_dot)),
+                  self.beta_sq, self.eta, self.zeta, self.identity]
+        m = exact_int64(fields) if self.mode == EXACT else np.array(fields, dtype=complex)
         b, c3, (bsq, eta, zeta, ident) = m[:4], m[4:8], m[8:]
         pairs = checked_matmul(b[:, None], b).reshape(16, 5, 5)
         current = np.concatenate([ident[None], bsq[None], b, c3, pairs])
         table = checked_matmul(eta, current).reshape(26, 25).T
+        weighted = checked_matmul(_FIERZ18, current.reshape(26, 25))
         return SimpleNamespace(beta=b, c3=c3, beta_sq=bsq, eta=eta, zeta=zeta, identity=ident,
-                               basis=np.delete(current, 1, axis=0), current=current, table=table)
+                               basis=np.delete(current, 1, axis=0), current=current, table=table,
+                               weighted=weighted, tops=tuple(map(column_top, (table, weighted, eta))))
 
     @cached_property
     def basis(self):
@@ -120,10 +149,8 @@ class KemmerRep:
 
         Order: I; b_0..b_3; companions c_0..c_3; b_mu b_nu row-major.
         """
-        if self.mode == EXACT:
-            pairs = _boxed(self.integers.basis[9:])
-        else:
-            pairs = [self.beta[m] @ self.beta[n] for m in range(4) for n in range(4)]
+        pairs = self.integers.basis[9:]
+        pairs = _boxed(pairs) if self.mode == EXACT else pairs
         return (self.identity, *self.beta, *self.beta_dot, *pairs)
 
     @cached_property
@@ -149,36 +176,31 @@ def representation_from_betas(beta, mode) -> KemmerRep:
 
     Used both for the reference representation and for deliberately
     corrupted ones in defect tests; no identity is assumed to hold.
-    Exact mode needs integer generators (ModeError otherwise) and takes
-    every product in int64, raising OverflowError where one could pass
-    half the int64 range.
+    The generators are copied: int64 in exact mode, which needs integer
+    ones (ModeError otherwise) and raises OverflowError where a product
+    could pass half the int64 range, complex128 in float mode.  Every
+    product is then taken the same way in both; exact fields are boxed
+    into Fractions, c_mu = c3 / 3 over the denominator 3.
     """
-    check_mode(mode)
-    if mode == EXACT:
-        b = exact_int64(tuple(beta))
-        ident = np.eye(5, dtype=np.int64)
-        # eta^{mu mu} b_mu b_mu as one checked product, (5, 20) by (20, 5)
-        bsq = checked_matmul(np.concatenate(_SIG[:, None, None] * b, axis=1), b.reshape(20, 5))
-        c3 = checked_matmul(b, bsq) - checked_matmul(bsq, b)
-        eta = 2 * checked_matmul(b[0], b[0]) - ident
-        fields = _boxed(np.concatenate([b, [bsq, eta, ident - bsq, ident]]))
-        return KemmerRep(EXACT, tuple(fields[:4]), tuple(_boxed(c3, 3)), *fields[4:])
-    beta = tuple(beta)
-    ident = np.eye(5, dtype=complex)
-    beta_sq = sum(METRIC_DIAG[m] * (beta[m] @ beta[m]) for m in range(4))
-    beta_dot = tuple((beta[m] @ beta_sq - beta_sq @ beta[m]) * (1 / 3) for m in range(4))
-    eta = 2 * (beta[0] @ beta[0]) - ident
-    return KemmerRep(FLOAT, beta, beta_dot, beta_sq, eta, ident - beta_sq, ident)
+    exact = check_mode(mode) == EXACT
+    b = exact_int64(tuple(beta)) if exact else np.array(beta, dtype=complex)
+    ident = np.eye(5, dtype=b.dtype)
+    # eta^{mu mu} b_mu b_mu as one product, (5, 20) by (20, 5); + 0 turns a
+    # float -0 into 0, the bits of a sum that starts from 0
+    bsq = checked_matmul(np.concatenate(_SIG[:, None, None] * b, axis=1), b.reshape(20, 5)) + 0
+    c3 = checked_matmul(b, bsq) - checked_matmul(bsq, b)
+    eta = 2 * checked_matmul(b[0], b[0]) - ident
+    fields = np.concatenate([b, [bsq, eta, ident - bsq, ident]])
+    fields, beta_dot = (_boxed(fields), _boxed(c3, 3)) if exact else (fields, c3 * (1 / 3))
+    return KemmerRep(mode, tuple(fields[:4]), tuple(beta_dot), *fields[4:])
 
 
 def build_representation(mode=EXACT) -> KemmerRep:
     """The reference representation in the requested scalar mode."""
-    check_mode(mode)
     raised = np.zeros((4, 5, 5), dtype=np.int64)
     raised[range(4), range(4), 4] = 1
     raised[range(4), 4, range(4)] = METRIC_DIAG
-    lower = _SIG[:, None, None] * raised
-    return representation_from_betas(lower if mode == EXACT else lower.astype(complex), mode)
+    return representation_from_betas(_SIG[:, None, None] * raised, mode)
 
 
 def _validate_rep(rep):
@@ -297,23 +319,18 @@ def verify_algebra_identities(rep: KemmerRep, tol=1e-12):
     """Check every matrix identity family; returns one record per family.
 
     Failures are reported in the records, never raised; exceptions are
-    reserved for malformed representations.  Exact mode runs on the
-    integer view, raises OverflowError when a product of six matrices
-    could pass half the int64 range, and passes a family iff every
-    residual entry is exactly zero; float mode passes it iff the maximum
-    absolute residual is below ``tol``.
+    reserved for malformed representations.  Both modes run on the
+    scaled view.  Exact mode raises OverflowError when a product of six
+    matrices could pass half the int64 range, and passes a family iff
+    every residual entry is exactly zero; float mode passes it iff the
+    maximum absolute residual is below ``tol``.
     """
     _validate_rep(rep)
+    v = rep.integers
+    mats = [v.beta, v.c3, v.beta_sq, v.eta, v.zeta, v.identity]
     exact = rep.mode == EXACT
-    if exact:
-        v = rep.integers
-        mats = [v.beta, v.c3, v.beta_sq, v.eta, v.zeta, v.identity]
-        t = max(map(top, mats))
-        if 5**5 * t**6 > INT64_HALF:
-            raise OverflowError(f"int64 identity residuals could reach 5^5 * {t}^6")
-    else:
-        mats = [np.stack(rep.beta), 3 * np.stack(rep.beta_dot),
-                rep.beta_sq, rep.eta, rep.zeta, rep.identity]
+    if exact and 5**5 * (t := max(map(top, mats))) ** 6 > INT64_HALF:
+        raise OverflowError(f"int64 identity residuals could reach 5^5 * {t}^6")
     return [_identity_check(*family, exact, tol) for family in _identity_families(*mats)]
 
 
@@ -358,25 +375,21 @@ def enumerate_basis(rep: KemmerRep, tol=1e-9):
     Raises :class:`RepresentationDefectError` when the rank drops below
     25 (e.g. for the trivial representation with all generators zero).
     Also re-checks that b^2 is the metric contraction of the products.
-    Exact mode takes both from the integer view: the rank by Bareiss
-    elimination (on int64 where its bound allows), the contraction in
-    Python ints.
+    Both come from the scaled view (c_mu as 3 c_mu, which leaves the rank
+    as it is): exact mode takes the rank by Bareiss elimination (on int64
+    where its bound allows) and asks for a zero contraction residual;
+    float mode takes the rank by SVD and holds the residual to ``tol``.
     """
     _validate_rep(rep)
-    mats = basis_matrices(rep)
+    v = rep.integers
     exact = rep.mode == EXACT
-    if exact:
-        basis, beta_sq = (m.astype(object) for m in (rep.integers.basis, rep.integers.beta_sq))
-        rank = _bareiss_rank(basis.reshape(25, 25))
-    else:
-        basis, beta_sq = mats, rep.beta_sq
-        stack = np.stack([m.reshape(-1) for m in mats])
-        rank = int(np.linalg.matrix_rank(stack, tol=tol))
+    rows = v.basis.reshape(25, 25)
+    rank = _bareiss_rank(rows) if exact else int(np.linalg.matrix_rank(rows, tol=tol))
     if rank < 25:
         raise RepresentationDefectError(
             f"canonical basis has rank {rank}, expected 25", rank=rank
         )
-    diff = sum(METRIC_DIAG[m] * basis[9 + 5 * m] for m in range(4)) - beta_sq  # b_m b_m
-    if not (np.count_nonzero(diff) == 0 if exact else np.abs(diff).max() <= tol):
+    diff = checked_matmul(_SIG, rows[9::5]) - v.beta_sq.reshape(25)  # rows b_m b_m
+    if not (not diff.any() if exact else np.abs(diff).max() <= tol):
         raise RepresentationDefectError("b^2 is not the metric trace of the products")
-    return mats, rank
+    return basis_matrices(rep), rank

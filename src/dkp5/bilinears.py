@@ -31,10 +31,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import METRIC_DIAG, KemmerRep
+from .algebra import _FIERZ18, METRIC_DIAG, KemmerRep
 from .errors import CurrentOverflowError, ModeError, ShapeError
 from .grids import WAVEFUNCTION, FieldGrid
-from .scalars import EXACT, FLOAT, GaussianRational, bounded, checked_matmul, column_top, top
+from .scalars import EXACT, FLOAT, GaussianRational, bounded, top
 
 #: Relative scale factor of the |Z| singularity threshold.
 Z_EPS = 1e-10
@@ -127,7 +127,7 @@ def compute_currents(rep: KemmerRep, phi) -> CurrentSet:
     (tilde) with M_k one of the 26 current matrices, so each sector is
     the 25 pair products left[a] Phi[b] times ``rep.current_table``.
     Exact mode multiplies the integer pairs of d Phi (d: each Phi's common
-    denominator) by the integer view's table, c_mu as 3 c_mu, over d^2 or
+    denominator) by the scaled view's table, c_mu as 3 c_mu, over d^2 or
     3 d^2; on int64 when a bound from the largest numerator allows, else
     on Python ints.
     Fields carry the leading axes of ``phi``: scalars, four-vectors and
@@ -149,8 +149,8 @@ def _current_tables(rep, phi, columns=_ALL_COLUMNS):
     right = phi.reshape(-1, 5)
     if rep.mode == EXACT:
         z, d = _integer_parts(right)
-        t, table = top(z), rep.integers.table  # c_mu as 3 c_mu: those columns over 3 d^2
-        z, d, table = bounded(max(2 * t * t * column_top(table), 3 * top(d) ** 2, t), z, d, table)
+        t, v = top(z), rep.integers  # c_mu as 3 c_mu: those columns over 3 d^2
+        z, d, table = bounded(max(2 * t * t * v.tops[0], 3 * top(d) ** 2, t), z, d, v.table)
         return [_ratio(_pairs(z, conj) @ table, d * d * _C3) for conj in (True, False)]
     table = rep.current_table
     return [_pair_products(right, right, table[:, :k], conj) for k, conj in zip(columns, (True, False))]
@@ -266,7 +266,7 @@ class FierzCoefficients:
 def fierz_decompose(cs: CurrentSet) -> FierzCoefficients:
     """Closed-form expansion coefficients in terms of the currents.
 
-    The row u = (S, Sflat, J, 3H, K) times the weights of :func:`_fierz18`
+    The row u = (S, Sflat, J, 3H, K) times the weights of ``algebra._fierz18``
     gives 18 w, the weights on the 26 current matrices, which fold onto the
     basis as a = w_I, j = eta w_b, h = 3 eta w_c3 and
     k = 2 eta eta^T (w_K + diag(eta) w_b2).
@@ -281,24 +281,6 @@ def fierz_decompose(cs: CurrentSet) -> FierzCoefficients:
         a, j = a.real, j.real  # as S, Sflat and J are
     return FierzCoefficients(a=a, j=j, h=c[5:9], k=c[9:].reshape(4, 4))
 
-
-def _fierz18():
-    """18 times the closed-form Fierz weights, with c_mu taken as 3 c_mu.
-
-    Row vector (S, Sflat, J, 3H, K) times this matrix gives the weights on
-    the 26 current matrices; the tensor weight is raised, K^{nu mu} on
-    b_mu b_nu.  These are the coefficients of :func:`fierz_decompose`.
-    """
-    w = np.zeros((26, 26), dtype=np.int64)
-    w[:2, :2] = [[10, -4], [-4, -2]]
-    w[2:6, 2:6] = np.diag(9 * _G)
-    w[6:10, 6:10] = np.diag(-_G)
-    k = np.arange(16).reshape(4, 4)
-    w[10 + k.T, 10 + k] = 18 * np.outer(_G, _G)
-    return w
-
-
-_FIERZ18 = _fierz18()
 
 #: Column factors of the current matrices that take c_mu to 3 c_mu.
 _C3 = np.array([1] * 6 + [3] * 4 + [1] * 16)
@@ -390,24 +372,18 @@ def fierz_residual(rep: KemmerRep, phi, cs: CurrentSet | None = None):
     weights and M the current matrices with c_mu as 3 c_mu.  Without ``cs``,
     U is the pair products of Psi times the current table and e = 1; with
     it, d is the common denominator of Phi and its currents, and e = d.
-    Exact mode takes M and W M from the representation's integer view and
-    runs every product, all wavefunctions at once, on int64 when a bound
-    from the largest numerator, the column abs-sums of the tables and d
-    keeps every value within half the int64 range, else on Python ints
-    (exact at any size, never wrapping round); it returns Gaussian
-    rationals, boxed from Python ints.
+    Both modes take M, W M and the table from the representation's scaled
+    view.  Exact mode runs every product, all wavefunctions at once, on
+    int64 when a bound from the largest numerator, the view's column
+    abs-sums of the tables and d keeps every value within half the int64
+    range, else on Python ints (exact at any size, never wrapping round);
+    it returns Gaussian rationals, boxed from Python ints.
     Float mode runs the same products with d = 1.
     """
     phi = as_wavefunction(phi, rep.mode)
     lead = phi.shape[:-1]
-    if rep.mode == EXACT:
-        ints = rep.integers
-        table, eta = ints.table, ints.eta
-        weighted = checked_matmul(_FIERZ18, ints.current.reshape(26, 25))
-    else:
-        m3, eta = rep.current_matrices * _C3[:, None, None], rep.eta
-        table = (eta @ m3).reshape(26, 25).T  # rep.current_table with c_mu as 3 c_mu
-        weighted = _FIERZ18 @ m3.reshape(26, 25)
+    v = rep.integers
+    table, weighted, eta = v.table, v.weighted, v.eta
     currents = () if cs is None else (  # tilde_J stands in for the zeroed companion term
         cs.S, cs.Sflat, cs.J, cs.H, cs.K, cs.tilde_S, cs.tilde_Sflat, cs.tilde_J, cs.tilde_J, cs.tilde_K)
     row, d = _rows(rep.mode, lead, phi, *currents)
@@ -415,8 +391,9 @@ def fierz_residual(rep: KemmerRep, phi, cs: CurrentSet | None = None):
         # |pairs| <= 2 t^2, |U| <= 2 t^2 |table| or 3 t; the residual's two terms
         # and the denominators 18 d^2 bound every value below.
         t, dmax = top(row), top(d)
-        u, e = (2 * t * t * column_top(table), 1) if cs is None else (3 * t, dmax)
-        bound = max(36 * t * t * column_top(eta) + e * u * column_top(weighted), 18 * dmax * dmax, t)
+        table_top, weighted_top, eta_top = v.tops
+        u, e = (2 * t * t * table_top, 1) if cs is None else (3 * t, dmax)
+        bound = max(36 * t * t * eta_top + e * u * weighted_top, 18 * dmax * dmax, t)
         row, d, table, weighted, eta = bounded(bound, row, d, table, weighted, eta)
     z = row[..., :5]
     sectors = (None, None) if cs is None else (row[..., 5:31], row[..., 31:])
@@ -508,7 +485,7 @@ def zeta_identity_residuals(rep: KemmerRep, phi, cs: CurrentSet | None = None) -
         cs = compute_currents(rep, phi)
     row, d = _point(cs, cs.Z, cs.tilde_Z, phi)
     Z, tilde_Z, z = row[..., :1], row[..., 1:2], row[..., 2:]
-    m = rep.integers if rep.mode == EXACT else rep
+    m = rep.integers
     zeta_phi, phi_zeta = z @ m.zeta.T, z @ m.eta @ m.zeta  # zeta Phi and Phi_tilde zeta
     outer = _times(zeta_phi[..., :, None], phi_zeta[..., None, :])
     sandwich = _ratio(outer - d * tilde_Z[..., None] * m.zeta, d * d)

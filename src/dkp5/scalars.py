@@ -20,6 +20,13 @@ rationals and results go out as them, while the exact stages in between
 run on int64 or Python-int numerators (``KemmerRep.integers`` and the
 integer rows of :mod:`dkp5.bilinears`).  Its zero and real shortcuts
 serve the oracles, which multiply sparse Gaussian-rational matrices.
+
+The scaled view ``KemmerRep.integers`` is int64 in exact mode and
+complex128 in float mode, and one numpy expression serves both: the
+integer helpers below bound what an int64 product can reach
+(:func:`checked_matmul`, which passes float and complex operands
+straight through, :func:`top`, :func:`column_top`) or pick int64 or
+Python ints from such a bound (:func:`bounded`).
 """
 
 from __future__ import annotations
@@ -263,9 +270,9 @@ def top(a):
 
 
 def column_top(m):
-    """The largest column abs-sum of an integer matrix, in Python ints:
-    |x @ m| <= top(x) column_top(m)."""
-    return top(np.abs(m.astype(object)).sum(axis=0))
+    """The largest column abs-sum of a matrix, in Python ints for an integer
+    one: |x @ m| <= top(x) column_top(m)."""
+    return max(np.abs(m.astype(object)).sum(axis=0), default=0)
 
 
 def bounded(bound, *arrays):
@@ -278,11 +285,13 @@ def bounded(bound, *arrays):
 
 
 def checked_matmul(a, b):
-    """a @ b on int64 arrays; OverflowError unless every entry fits in half the
-    range, which leaves room to subtract two checked products."""
-    bound = a.shape[-1] * top(a) * top(b)
-    if bound > INT64_HALF:
-        raise OverflowError(f"int64 product could reach {bound}")
+    """a @ b; on integer arrays OverflowError unless every entry fits in half
+    the range, which leaves room to subtract two checked products.  A float
+    or complex operand cannot wrap round and passes straight through."""
+    if a.dtype.kind not in "fc" and b.dtype.kind not in "fc":
+        bound = a.shape[-1] * top(a) * top(b)
+        if bound > INT64_HALF:
+            raise OverflowError(f"int64 product could reach {bound}")
     return a @ b
 
 

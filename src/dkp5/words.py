@@ -226,25 +226,18 @@ def word_reduction_sweep(rep, max_len, tol=1e-12):
     from P_0 = 3 I, both 6^L times the true values, then compares
     C_L (3 B) with P_L, B the basis matrices flattened.  The last length
     is never held whole, so the next-to-last one sets the peak memory.
-    Exact mode runs in int64 on the representation's integer view and
-    bounds every product first, raising OverflowError rather than wrap
-    round.  Float mode runs on the representation's complex
-    matrices and counts a mismatch where a residual exceeds ``tol``.
+    Both modes run on the representation's scaled view, int64 or
+    complex.  Exact mode bounds every product first, raising
+    OverflowError rather than wrap round, and counts a mismatch where a
+    residual is not zero; float mode counts one where it exceeds ``tol``.
     Returns (words_checked, mismatches, max_abs_residual).
     """
     exact = rep.mode == EXACT
-    if exact:
-        ints = rep.integers
-        six_beta = checked_matmul(ints.beta, 6 * np.eye(5, dtype=np.int64))
-        basis3 = checked_matmul(3 * np.eye(N_BASIS, dtype=np.int64), ints.basis.reshape(N_BASIS, 25))
-        basis3[5:9] = ints.c3.reshape(4, 25)  # the view's basis has 3 c_mu already
-        prods = 3 * np.eye(5, dtype=np.int64)[None]
-        matmul = checked_matmul
-    else:
-        six_beta = 6 * np.stack(rep.beta)
-        basis3 = 3 * np.stack(rep.basis).reshape(N_BASIS, 25)
-        prods = 3 * rep.identity[None]
-        matmul = np.matmul
+    v = rep.integers
+    six_beta = checked_matmul(v.beta, 6 * np.eye(5, dtype=np.int64))
+    basis3 = checked_matmul(3 * np.eye(N_BASIS, dtype=np.int64), v.basis.reshape(N_BASIS, 25))
+    basis3[5:9] = v.c3.reshape(4, 25)  # the view's basis has 3 c_mu already
+    prods = 3 * v.identity[None]
     # Column block nu of the (25, 100) table is 6 R_nu, so row 4 k + nu of
     # the next level extends word k by nu.
     right6 = RIGHT6.transpose(1, 0, 2).reshape(N_BASIS, 4 * N_BASIS)
@@ -259,12 +252,12 @@ def word_reduction_sweep(rep, max_len, tol=1e-12):
             next_prods = np.empty((4 * len(prods), 5, 5), dtype=prods.dtype)
         for s in range(0, len(coeffs), _BLOCK):
             c = checked_matmul(coeffs[s : s + _BLOCK], right6).reshape(-1, N_BASIS)
-            p = matmul(prods[s : s + _BLOCK, None], six_beta).reshape(-1, 5, 5)
+            p = checked_matmul(prods[s : s + _BLOCK, None], six_beta).reshape(-1, 5, 5)
             if keep:
                 next_coeffs[4 * s : 4 * s + len(c)] = c
                 next_prods[4 * s : 4 * s + len(p)] = p
             # In place: the block's arrays stay the only temporaries.
-            lhs = matmul(c, basis3)
+            lhs = checked_matmul(c, basis3)
             lhs -= p.reshape(-1, 25)
             worst = np.abs(lhs, out=lhs).max(axis=1)
             if exact:

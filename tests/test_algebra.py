@@ -363,8 +363,8 @@ def test_float_identities_equal_exact_ones():
 
 
 # ---------------------------------------------------------------------------
-# The integer core: the builder, the cached int64 view and the Bareiss rank,
-# each against the Fraction code it replaced, kept here as the oracle.
+# The builder, the cached scaled view and the Bareiss rank, each against the
+# Fraction (or per-generator complex) code it replaced, kept here as the oracle.
 
 def _fraction_matrix(rows):
     out = np.empty((5, 5), dtype=object)
@@ -381,6 +381,19 @@ def _fraction_representation(betas):
     beta_sq = sum((1, -1, -1, -1)[m] * (beta[m] @ beta[m]) for m in range(4))
     third = Fraction(1, 3)
     beta_dot = tuple((beta[m] @ beta_sq - beta_sq @ beta[m]) * third for m in range(4))
+    eta = 2 * (beta[0] @ beta[0]) - ident
+    return dict(beta=beta, beta_dot=beta_dot, beta_sq=beta_sq, eta=eta,
+                zeta=ident - beta_sq, identity=ident)
+
+
+def _complex_representation(betas):
+    """The float builder as it was before both modes shared one: complex
+    products one generator at a time, b^2 summed in Python, the caller's
+    generator arrays kept as they were passed."""
+    beta = tuple(betas)
+    ident = np.eye(5, dtype=complex)
+    beta_sq = sum((1, -1, -1, -1)[m] * (beta[m] @ beta[m]) for m in range(4))
+    beta_dot = tuple((beta[m] @ beta_sq - beta_sq @ beta[m]) * (1 / 3) for m in range(4))
     eta = 2 * (beta[0] @ beta[0]) - ident
     return dict(beta=beta, beta_dot=beta_dot, beta_sq=beta_sq, eta=eta,
                 zeta=ident - beta_sq, identity=ident)
@@ -437,11 +450,14 @@ def test_non_integer_exact_generators_fail_when_built(exact_rep):
 def test_integer_view_equals_fraction_fields(exact_rep):
     import dataclasses
 
+    from dkp5.algebra import _FIERZ18
+
     reps = list(_corrupted_reps("exact"))
     reps.append(("eta=I", dataclasses.replace(exact_rep, eta=exact_rep.identity)))
     for label, rep in reps:
         ints = rep.integers
-        assert all(m.dtype == np.int64 for m in vars(ints).values()), label
+        *mats, tops = vars(ints).values()
+        assert all(m.dtype == np.int64 for m in mats), label
         fields = {
             "beta": rep.beta, "c3": [3 * c for c in rep.beta_dot], "beta_sq": [rep.beta_sq],
             "eta": [rep.eta], "zeta": [rep.zeta], "identity": [rep.identity],
@@ -452,6 +468,10 @@ def test_integer_view_equals_fraction_fields(exact_rep):
             assert _entries(getattr(ints, name)) == _entries(want), (label, name)
         table = np.stack([(rep.eta @ m).reshape(25) for m in fields["current"]], axis=1)
         assert _entries([ints.table]) == _entries([table]), label
+        weighted = _FIERZ18.astype(object) @ np.stack(fields["current"]).reshape(26, 25)
+        assert _entries([ints.weighted]) == _entries([weighted]), label
+        want = [max(sum(abs(x) for x in col) for col in m.T) for m in (table, weighted, rep.eta)]
+        assert list(tops) == want and all(type(t) is int for t in tops), label
     assert not np.array_equal(reps[-1][1].integers.eta, exact_rep.integers.eta)
 
 
@@ -483,3 +503,52 @@ def test_bareiss_rank_does_not_wrap_round():
 
     assert _bareiss_rank([[2**32, 0], [0, 2**32]]) == 2
     assert _bareiss_rank(np.array([[2**32, 2**31], [2**31, 2**30]])) == 1
+
+
+def _noisy_float_reps():
+    """The noisy float representation of the inversion oracle tests, and one
+    with every generator perturbed."""
+    from test_inversion import _oracle_reps
+
+    yield from ((label, rep) for label, rep in _oracle_reps(build_representation("float"))
+                if "noise" in label)
+    noise = np.random.default_rng(4).standard_normal((2, 4, 5, 5))
+    betas = np.stack(build_representation("float").beta) + 0.2 * (noise[0] + 1j * noise[1])
+    yield "all+noise", representation_from_betas(betas, "float")
+
+
+def test_float_builder_matches_the_per_generator_builder():
+    """Bit for bit on the integer-valued corrupted representations; on noisy
+    ones the products may round differently, within 1e-15 of the largest entry."""
+    for label, rep in [*_corrupted_reps("float"), *_noisy_float_reps()]:
+        for name, want in _complex_representation(list(rep.beta)).items():
+            got, want = (np.stack(v) if isinstance(v, tuple) else v for v in (getattr(rep, name), want))
+            assert got.dtype == complex, (label, name)
+            if "noise" in label:
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), (label, name)
+            else:
+                assert got.tobytes() == want.tobytes(), (label, name)
+
+
+def test_float_rep_copies_its_generators(float_rep):
+    """A float representation does not share its generators with the caller:
+    changing them afterwards leaves it whole."""
+    betas = [b.copy() for b in float_rep.beta]
+    rep = representation_from_betas(betas, "float")
+    betas[1] *= 0
+    assert np.array_equal(rep.beta[1], float_rep.beta[1])
+    assert all(c.passed for c in verify_algebra_identities(rep))
+    assert enumerate_basis(rep)[1] == 25
+
+
+def test_float_view_equals_exact_view():
+    """The float scaled view is the exact one cast to complex, entry for entry."""
+    for (label, exact), (_, flt) in zip(_corrupted_reps("exact"), _corrupted_reps("float")):
+        want, got = vars(exact.integers), vars(flt.integers)
+        assert want.keys() == got.keys(), label
+        for name, value in want.items():
+            if name == "tops":
+                assert list(got[name]) == [float(t) for t in value], label
+            else:
+                assert got[name].dtype == complex, (label, name)
+                assert np.array_equal(got[name], value.astype(complex)), (label, name)

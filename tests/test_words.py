@@ -132,6 +132,12 @@ def test_checked_matmul_bound():
         checked_matmul(big, np.array([[4]]))
     with pytest.raises(OverflowError):
         checked_matmul(np.array([[-2**63]], dtype=np.int64), np.array([[1]]))
+    with pytest.raises(OverflowError):  # batched: 3 * 2**61 per entry
+        checked_matmul(np.full((2, 1, 3), 2**61), np.ones((3, 1), dtype=np.int64))
+    # A float or complex operand cannot wrap round: the product is a @ b as it is.
+    for other in (np.array([[4.0]]), np.array([[4 + 1j]])):
+        assert np.array_equal(checked_matmul(4 * big, other), 4 * big @ other)
+        assert np.array_equal(checked_matmul(other, 4 * big), other @ (4 * big))
 
 
 def test_exact_sweep_needs_integer_generators(exact_rep):
