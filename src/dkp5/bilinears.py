@@ -380,6 +380,17 @@ def fierz_residual(rep: KemmerRep, phi, cs: CurrentSet | None = None):
     it returns Gaussian rationals, boxed from Python ints.
     Float mode runs the same products with d = 1.
     """
+    lead, num, den = _fierz_numerators(rep, phi, cs)
+    r = _ratio(num, den).reshape(lead + (2, 5, 5))
+    return r[..., 0, :, :], r[..., 1, :, :]
+
+
+def _fierz_numerators(rep, phi, cs=None):
+    """(lead, num, den): the residuals of :func:`fierz_residual` for
+    wavefunctions with leading axes ``lead`` as num / den, one row per
+    wavefunction, R_H's 25 entries then R_C's; exact numerators as Gaussian
+    integers (2, n, 50) and den (n, 1), int64 or Python ints, float ones
+    complex (n, 50) over 18."""
     phi = as_wavefunction(phi, rep.mode)
     lead = phi.shape[:-1]
     v = rep.integers
@@ -404,9 +415,8 @@ def fierz_residual(rep: KemmerRep, phi, cs: CurrentSet | None = None):
         if not conj:
             u[..., 6:10] = 0  # the tilde expansion omits the companion term
         psi_bar = pairs.reshape(pairs.shape[:-1] + (5, 5)).swapaxes(-1, -2) @ eta
-        r = _ratio(18 * psi_bar.reshape(pairs.shape) - e * (u @ weighted), 18 * d * d)
-        out.append(r.reshape(lead + (5, 5)))
-    return tuple(out)
+        out.append(18 * psi_bar.reshape(pairs.shape) - e * (u @ weighted))
+    return lead, np.concatenate(out, axis=-1), 18 * d * d
 
 
 @dataclass

@@ -34,8 +34,9 @@ from .bilinears import (
     MIRRORED_COLUMNS,
     compute_currents_grid,
     current_columns,
-    fierz_residual,
     lattice_currents,
+    _fierz_numerators,
+    _ratio,
 )
 from .errors import DkpError, MassShellError, ParameterError
 from .grids import SCALAR, FieldGrid, load_grid, norms, store_grid, valid_spacing
@@ -118,15 +119,24 @@ def _word(text):
     return [int(x) for x in text.split(",")]
 
 
-def build_parser():
+def build_parser(command=None):
+    """The ``dkp`` parser.  Every sub-command is registered with its help
+    line, but only ``command``'s arguments are added (every sub-command's
+    when None): adding an argument costs far more than parsing one."""
     parser = argparse.ArgumentParser(
         prog="dkp",
         description="5-component DKP algebra, currents, and potential inversion",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_arguments(p)
+    return parser
 
-    p = sub.add_parser("verify-algebra", help="check every matrix identity family")
+
+def _verify_algebra_args(p):
     p.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT)
     p.add_argument("--max-word-len", type=_count(0, 10), default=3,
                    help="word-reduction sweep depth, 0..10; 0 skips the sweep")
@@ -139,12 +149,14 @@ def build_parser():
                    help=argparse.SUPPRESS)  # test hook: zero out one generator
     p.set_defaults(func=cmd_verify_algebra)
 
-    p = sub.add_parser("reduce-word", help="expand a generator word on the 25-element basis")
+
+def _reduce_word_args(p):
     p.add_argument("word", type=_word, help="comma-separated indices in 0..3; empty for I")
     p.add_argument("--json", dest="json_path")
     p.set_defaults(func=cmd_reduce_word)
 
-    p = sub.add_parser("manufacture", help="sample an exact plane-wave solution onto a grid file")
+
+def _manufacture_args(p):
     p.add_argument("--p", type=_four_vector, required=True, help="phase momentum, lower index")
     p.add_argument("--A", type=_four_vector, required=True, help="constant potential, lower index")
     p.add_argument("--m", type=_real, required=True)
@@ -155,22 +167,23 @@ def build_parser():
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_manufacture)
 
-    p = sub.add_parser("currents", help="bilinear currents at every point of a stored grid")
+
+def _currents_args(p):
     p.add_argument("--grid", required=True)
     p.add_argument("--json", dest="json_path")
     p.add_argument("--csv", dest="csv_path")
     p.set_defaults(func=cmd_currents)
 
-    p = sub.add_parser("invert", help="reconstruct the potential and field strength from a grid")
+
+def _invert_args(p):
     _add_residual_args(p)
     p.add_argument("-o", "--outdir", help="write the output grids here")
     p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("residuals", help="diagnostic residuals of the constraint and reduced systems")
+
+def _residuals_args(p):
     _add_residual_args(p)
     p.set_defaults(func=cmd_residuals)
-
-    return parser
 
 
 def _add_residual_args(p):
@@ -187,6 +200,17 @@ def _add_residual_args(p):
     p.add_argument("--tolerance", type=_tolerance, default=1e-10, help="check tolerance, >= 0")
     p.add_argument("--json", dest="json_path")
     p.add_argument("--csv", dest="csv_path")
+
+
+#: (name, help line, argument adder) of each sub-command, in the order of ``dkp --help``.
+_SUBCOMMANDS = (
+    ("verify-algebra", "check every matrix identity family", _verify_algebra_args),
+    ("reduce-word", "expand a generator word on the 25-element basis", _reduce_word_args),
+    ("manufacture", "sample an exact plane-wave solution onto a grid file", _manufacture_args),
+    ("currents", "bilinear currents at every point of a stored grid", _currents_args),
+    ("invert", "reconstruct the potential and field strength from a grid", _invert_args),
+    ("residuals", "diagnostic residuals of the constraint and reduced systems", _residuals_args),
+)
 
 
 def cmd_verify_algebra(args) -> int:
@@ -223,12 +247,11 @@ def cmd_verify_algebra(args) -> int:
         exact_rep = rep if args.mode == EXACT else build_representation(EXACT)
         rng = random.Random(args.seed)
         phis = [random_exact_wavefunction(rng) for _ in range(args.fierz_samples)]
-        r_h, r_c = fierz_residual(exact_rep, phis)
-        flat = np.concatenate([r_h, r_c], axis=1).reshape(args.fierz_samples, -1)
-        bad = [row for row in flat if any(row)]
-        worst = max((magnitude(x) for row in bad for x in row), default=0.0)
+        _, num, den = _fierz_numerators(exact_rep, phis)
+        bad = np.flatnonzero(np.any(num != 0, axis=(0, 2)))  # (2, samples, 50) Gaussian integers
+        worst = max(map(magnitude, _ratio(num[:, bad], den[bad]).flat), default=0.0)
         fierz = {"samples": args.fierz_samples, "failures": len(bad), "max_abs": worst}
-        if bad:
+        if len(bad):
             failed.append("fierz_rearrangement_sweep")
 
     payload = {
@@ -564,13 +587,20 @@ def cmd_residuals(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The top-level parser takes no option values, so its first bare token
+    # names the sub-command, if there is one.
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)
     except ArithmeticError as exc:  # finite input whose arithmetic leaves double precision
         print(f"error: the input cannot be handled in double precision ({exc})", file=sys.stderr)
+        return EXIT_STRUCTURAL
+    except MemoryError as exc:  # a grid or request too large for memory
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: not enough memory for this request{detail}", file=sys.stderr)
         return EXIT_STRUCTURAL
     except (DkpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

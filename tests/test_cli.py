@@ -3,11 +3,14 @@ import json
 import math
 import struct
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import dkp5.cli
 from dkp5 import FieldGrid, WAVEFUNCTION, store_grid
+from dkp5.bilinears import _fierz_numerators
 from dkp5.cli import main
 
 
@@ -73,6 +76,44 @@ def test_verify_algebra_fierz_sweep_report(tmp_path):
     report = json.loads(out.read_text())
     assert report["fierz_sweep"] == {"samples": 200, "failures": 0, "max_abs": 0.0}
     assert all("first_failure" not in e for e in report["identities"])
+
+
+def test_verify_algebra_fierz_sweep_counts_and_sizes_failing_samples(tmp_path, monkeypatch):
+    """Samples whose residual numerators are not all zero count as failures,
+    and max_abs is the largest |residual| among them."""
+    seen = {}
+
+    def shifted(rep, phis, cs=None):
+        lead, num, den = _fierz_numerators(rep, phis, cs)
+        num = num.astype(object)
+        num[0, 1, 7] += 5  # R_H of sample 1, real part
+        num[1, 3, 30] -= 3  # R_C of sample 3, imaginary part
+        seen["den"] = den
+        return lead, num, den
+
+    monkeypatch.setattr(dkp5.cli, "_fierz_numerators", shifted)
+    out = tmp_path / "report.json"
+    assert run("verify-algebra", "--max-word-len", "0", "--fierz-samples", "5",
+               "--json", str(out)) == 1
+    report = json.loads(out.read_text())
+    want = max(float(Fraction(5, int(seen["den"][1, 0]))), float(Fraction(3, int(seen["den"][3, 0]))))
+    assert report["fierz_sweep"] == {"samples": 5, "failures": 2, "max_abs": want}
+    assert report["failed"] == ["fierz_rearrangement_sweep"]
+
+
+def test_manufacture_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
+    def allocate(*args):
+        raise MemoryError("Unable to allocate 1.19 PiB for an array with shape "
+                          "(2000, 2000, 2000, 2000, 5) and data type complex128")
+
+    monkeypatch.setattr(dkp5.cli, "manufacture_plane_wave", allocate)
+    out = tmp_path / "x.dkp5"
+    assert run("manufacture", "--p", "1,0,0,0", "--A", "0,0,0,0", "--m", "1", "--e", "1",
+               "--extents", "2000,2000,2000,2000", "--spacing", "0.1", "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory") and "1.19 PiB" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_reduce_word_json(tmp_path, capsys):
