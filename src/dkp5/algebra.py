@@ -30,7 +30,8 @@ caches one scaled view of its fields, ``KemmerRep.integers`` (c_mu
 entering as 3 c_mu), int64 or complex128, which every stage reads: the
 identity families, each one array expression over its case axes scaled
 to clear its denominators; the basis rank; the word sweep, the currents
-and the Fierz residuals.  The modes part only where the meaning does: a
+(the lattice stack's too, its c_mu columns times 1/3) and the Fierz
+residuals.  The modes part only where the meaning does: a
 literal zero against a tolerance, the rank by fraction-free Bareiss
 elimination against the SVD, and the boxing at the public edges.  Where
 an exact stage's values have no fixed bound (the rank, the currents, the
@@ -126,7 +127,9 @@ class KemmerRep:
 
         ``beta``, ``c3``, ``beta_sq``, ``eta``, ``zeta`` and ``identity``;
         ``basis`` (25, 5, 5) and ``current`` (26, 5, 5) with 3 c_mu;
-        ``table`` (25, 26), column k holding eta M_k flattened; ``weighted``
+        ``table`` (25, 26), column k holding eta M_k flattened (row 5a + b
+        pairs left[a] with Phi[b], so the pairs conj(Phi)[a] Phi[b] times
+        column k give Phi_bar M_k Phi); ``weighted``
         (26, 25), the current matrices under the 18-fold Fierz weights; and
         ``tops``, the largest column abs-sums of ``table``, ``weighted`` and
         ``eta`` (``scalars.column_top``), which bound exact Fierz residuals.
@@ -152,23 +155,6 @@ class KemmerRep:
         pairs = self.integers.basis[9:]
         pairs = _boxed(pairs) if self.mode == EXACT else pairs
         return (self.identity, *self.beta, *self.beta_dot, *pairs)
-
-    @cached_property
-    def current_matrices(self):
-        """The 26 current matrices as a (26, 5, 5) stack.
-
-        Order: I; b^2; b_0..b_3; companions c_0..c_3; b_mu b_nu row-major.
-        """
-        return np.stack([self.identity, self.beta_sq, *self.basis[1:]])
-
-    @cached_property
-    def current_table(self):
-        """(25, 26) table whose column k is eta M_k flattened.
-
-        Row 5a + b pairs left[a] with phi[b], so Phi_bar M_k Phi is the
-        product of the pairs conj(phi)[a] phi[b] with column k.
-        """
-        return np.stack([(self.eta @ m).reshape(25) for m in self.current_matrices], axis=1)
 
 
 def representation_from_betas(beta, mode) -> KemmerRep:

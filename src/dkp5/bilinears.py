@@ -84,18 +84,11 @@ def as_wavefunction(phi, mode):
     return _exact_entries(arr) if mode == EXACT else arr
 
 
-def _pair_products(left, right, table, conj, out=None):
+def _pair_products(left, right, table, conj):
     """The pairs left[n, a] right[n, b] of each point n, left conjugated if
-    ``conj`` (a block at a time), times ``table``, in blocks of ``_BLOCK``
-    points, written to ``out`` when given.
-
-    A (25, k) table multiplies the pairs as they are; a real (50, k) table
-    multiplies their real and imaginary parts, interleaved as the complex
-    pairs lie in memory, for a real (n, k) result.
-    """
-    if out is None:
-        dtype = float if len(table) == 50 else np.result_type(left, right, table)
-        out = np.empty((len(right), table.shape[1]), dtype=dtype)
+    ``conj`` (a block at a time), times the (25, k) ``table``, in blocks of
+    ``_BLOCK`` points."""
+    out = np.empty((len(right), table.shape[1]), dtype=np.result_type(left, right, table))
     for _ in _pair_blocks(left, right, table, conj, lambda rows: out[rows]):
         pass
     return out
@@ -103,8 +96,10 @@ def _pair_products(left, right, table, conj, out=None):
 
 def _pair_blocks(left, right, table, conj, dest):
     """(rows, block) for each block of ``_BLOCK`` points: the products of
-    :func:`_pair_products` at the points ``rows``, written to the real or
-    complex block dest(rows)."""
+    :func:`_pair_products` at the points ``rows``, written to the block
+    dest(rows).  A real (50, k) table multiplies the pairs' real and
+    imaginary parts, interleaved as the complex pairs lie in memory, for a
+    real block."""
     real = len(table) == 50
     for s in range(0, len(right), _BLOCK):
         rows = slice(s, min(s + _BLOCK, len(right)))
@@ -125,16 +120,17 @@ def compute_currents(rep: KemmerRep, phi) -> CurrentSet:
 
     Every current is conj(Phi) eta M_k Phi (Hermitian) or Phi eta M_k Phi
     (tilde) with M_k one of the 26 current matrices, so each sector is
-    the 25 pair products left[a] Phi[b] times ``rep.current_table``.
-    Exact mode multiplies the integer pairs of d Phi (d: each Phi's common
-    denominator) by the scaled view's table, c_mu as 3 c_mu, over d^2 or
-    3 d^2; on int64 when a bound from the largest numerator allows, else
-    on Python ints.
+    the 25 pair products left[a] Phi[b] times the scaled view's current
+    table ``rep.integers.table`` (c_mu as 3 c_mu).  Float mode multiplies
+    the complex pairs by it with its c_mu columns times 1/3.  Exact mode
+    multiplies the integer pairs of d Phi (d: each Phi's common
+    denominator) by it over d^2 or 3 d^2; on int64 when a bound from the
+    largest numerator allows, else on Python ints.
     Fields carry the leading axes of ``phi``: scalars, four-vectors and
     4x4 matrices for one wavefunction.
     """
     phi = as_wavefunction(phi, rep.mode)
-    return _current_set(rep.mode, phi.shape[:-1], *_current_tables(rep, phi))
+    return _current_set(rep.mode, phi.shape[:-1], *_bilinear_tables(rep, phi))
 
 
 #: Hermitian and tilde columns of the current table: all 26 of each, or
@@ -143,7 +139,7 @@ _ALL_COLUMNS = (26, 26)
 _LATTICE_COLUMNS = (10, 2)
 
 
-def _current_tables(rep, phi, columns=_ALL_COLUMNS):
+def _bilinear_tables(rep, phi, columns=_ALL_COLUMNS):
     """Hermitian and tilde current tables, (n, k) each with k the leading
     ``columns`` of the 26, of checked wavefunctions."""
     right = phi.reshape(-1, 5)
@@ -152,8 +148,15 @@ def _current_tables(rep, phi, columns=_ALL_COLUMNS):
         t, v = top(z), rep.integers  # c_mu as 3 c_mu: those columns over 3 d^2
         z, d, table = bounded(max(2 * t * t * v.tops[0], 3 * top(d) ** 2, t), z, d, v.table)
         return [_ratio(_pairs(z, conj) @ table, d * d * _C3) for conj in (True, False)]
-    table = rep.current_table
+    table = _float_table(rep)
     return [_pair_products(right, right, table[:, :k], conj) for k, conj in zip(columns, (True, False))]
+
+
+def _float_table(rep):
+    """The scaled view's current table with its c_mu columns times 1/3: the
+    float table of Phi_bar M_k Phi.  A multiply, not a division by 3, which
+    would flip the sign of some of its zeros."""
+    return rep.integers.table * (1 / _C3)
 
 
 def _current_set(mode, lead, h, t):
@@ -189,7 +192,8 @@ def derivative_bilinears(rep: KemmerRep, phi, dphi, weights, tilde=False):
     ``dphi`` yields d_mu Phi for mu = 0..3 in turn (an array, a list, or a
     generator that takes each stencil when asked), so only one direction
     is held at a time.  With the pairs Q_ab = left[a] d_mu Phi[b] and
-    K = eta N (the current table times the weights), the Hermitian form is
+    K = eta N (the float current table of :func:`compute_currents` times
+    the weights), the Hermitian form is
     sum_ab Q_ab K_ab - conj(Q_ab) K_ba = Re Q.(K - K^T) + i Im Q.(K + K^T),
     and the tilde form is Q.K; either is one real product of the pairs,
     viewed as (n, 50) floats, with a (50, 2n) table, written straight into
@@ -209,20 +213,20 @@ def _derivative_blocks(rep, phi, dphi, weights, tilde, dest):
     points ``rows``: the bilinears of :func:`derivative_bilinears` there, as
     a real (len(rows), 2n) block, written to dest(mu, rows).  ``phi`` is a
     checked wavefunction array."""
-    left, n = phi.reshape(-1, 5), weights.shape[-1]
+    left, n, table = phi.reshape(-1, 5), weights.shape[-1], _float_table(rep)
     mu = -1
     for d in dphi:  # not enumerate, whose cached result would hold d while the next is made
         mu += 1
-        k = rep.current_table @ weights[mu]
+        k = table @ weights[mu]
         if tilde:
             x, y = k, 1j * k
         else:
             kt = k.reshape(5, 5, n).swapaxes(0, 1).reshape(25, n)
             x, y = k - kt, 1j * (k + kt)
         xy = np.stack([x, y], axis=1)  # rows: the coefficients of Re Q_ab, Im Q_ab
-        table = np.stack([xy.real, xy.imag], axis=-1).reshape(50, 2 * n)
+        pairs = np.stack([xy.real, xy.imag], axis=-1).reshape(50, 2 * n)
         to = functools.partial(dest, mu)
-        for rows, block in _pair_blocks(left, np.reshape(d, (-1, 5)), table, not tilde, to):
+        for rows, block in _pair_blocks(left, np.reshape(d, (-1, 5)), pairs, not tilde, to):
             yield mu, rows, block
         del d  # a stencil direction is freed before the next is taken
 
@@ -586,7 +590,7 @@ def _grid_currents(rep, grid, columns):
     if grid.kind != WAVEFUNCTION:
         raise ShapeError("grid currents require a wavefunction grid")
     with np.errstate(over="ignore", invalid="ignore"):
-        tables = _current_tables(rep, grid.values, columns)
+        tables = _bilinear_tables(rep, grid.values, columns)
         cs = _current_set(FLOAT, grid.extents, *tables)
     if not all(np.isfinite(v).all() for v in (*tables, cs.Z, cs.tilde_Z)):
         raise CurrentOverflowError("the currents of the grid overflow double precision")

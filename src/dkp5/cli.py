@@ -333,7 +333,14 @@ def cmd_currents(args) -> int:
         row = _json_row([*_INDEX_COLUMNS, *columns], 2)
         blocks = _text_blocks(grid.extents, columns, MIRRORED_COLUMNS, stop=4)
         print("[" + ",".join(row % r for block in blocks for r in block) + "\n]")
-    print(f"{grid.n_points} points, mean S = {float(np.mean(cg.S)):.6g}")
+    # Every S is finite, but their sum can overflow, to inf or, where S takes
+    # both signs, to inf - inf = nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.mean(cg.S)
+    if not np.isfinite(mean):
+        top = np.abs(cg.S).max()
+        mean = np.mean(cg.S / top) * top
+    print(f"{grid.n_points} points, mean S = {float(mean):.6g}")
     return EXIT_PASS
 
 

@@ -31,7 +31,8 @@ S, Sflat, J, H (and so Z) and Z-tilde, 12 of the 52 table columns; the
 tensor current K is eliminated, as in the paper.  The derivative
 bilinears (M = zeta, b^mu, c^mu) are pair products of Phi and d_mu Phi,
 taken one direction mu at a time, times a real table built from the
-current table, one real product per block of points
+current table that ``verify-algebra`` checks (``rep.integers.table``, its
+c_mu columns times 1/3), one real product per block of points
 (:func:`dkp5.bilinears.derivative_bilinears`).
 
 Called alone, each stage computes what it needs.  The pipeline takes

@@ -37,12 +37,19 @@ def _pair_products(left, right, table, conj, out):
     return out
 
 
+def _current_table(rep):
+    """(25, 26): column k is eta M_k flattened, for the 26 current matrices."""
+    mats = (rep.identity, rep.beta_sq, *rep.basis[1:])
+    return np.stack([(rep.eta @ m).reshape(25) for m in mats], axis=1)
+
+
 def derivative_bilinears(rep, phi, dphi, weights, tilde=False):
     phi = as_wavefunction(phi, rep.mode)
     left, n = phi.reshape(-1, 5), weights.shape[-1]
     out = np.empty((len(left), 4, n), dtype=complex)
+    current_table = _current_table(rep)
     for mu, d in enumerate(dphi):
-        k = rep.current_table @ weights[mu]
+        k = current_table @ weights[mu]
         if tilde:
             x, y = k, 1j * k
         else:

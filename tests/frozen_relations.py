@@ -150,8 +150,9 @@ def fierz_residual(rep: KemmerRep, phi, cs: CurrentSet | None = None):
         weighted = checked_matmul(_FIERZ18, ints.current.reshape(26, 25))
         table, weighted, eta = (m.astype(object) for m in (ints.table, weighted, ints.eta))
     else:
-        m3, eta = rep.current_matrices * _C3[:, None, None], rep.eta
-        table = (eta @ m3).reshape(26, 25).T  # rep.current_table with c_mu as 3 c_mu
+        mats = np.stack([rep.identity, rep.beta_sq, *rep.basis[1:]])
+        m3, eta = mats * _C3[:, None, None], rep.eta
+        table = (eta @ m3).reshape(26, 25).T  # the current table with c_mu as 3 c_mu
         weighted = _FIERZ18 @ m3.reshape(26, 25)
     currents = () if cs is None else (  # tilde_J stands in for the zeroed companion term
         cs.S, cs.Sflat, cs.J, cs.H, cs.K, cs.tilde_S, cs.tilde_Sflat, cs.tilde_J, cs.tilde_J, cs.tilde_K)

@@ -462,8 +462,8 @@ def test_integer_view_equals_fraction_fields(exact_rep):
             "beta": rep.beta, "c3": [3 * c for c in rep.beta_dot], "beta_sq": [rep.beta_sq],
             "eta": [rep.eta], "zeta": [rep.zeta], "identity": [rep.identity],
             "basis": [3 * m if 5 <= k < 9 else m for k, m in enumerate(rep.basis)],
-            "current": [3 * m if 6 <= k < 10 else m for k, m in enumerate(rep.current_matrices)],
         }
+        fields["current"] = [rep.identity, rep.beta_sq, *fields["basis"][1:]]
         for name, want in fields.items():
             assert _entries(getattr(ints, name)) == _entries(want), (label, name)
         table = np.stack([(rep.eta @ m).reshape(25) for m in fields["current"]], axis=1)
@@ -473,6 +473,22 @@ def test_integer_view_equals_fraction_fields(exact_rep):
         want = [max(sum(abs(x) for x in col) for col in m.T) for m in (table, weighted, rep.eta)]
         assert list(tops) == want and all(type(t) is int for t in tops), label
     assert not np.array_equal(reps[-1][1].integers.eta, exact_rep.integers.eta)
+
+
+def test_lattice_table_keeps_the_bits_of_eta_times_each_current_matrix():
+    """The float table that the lattice stack reads (the scaled view's, its
+    c_mu columns times 1/3) holds the float64 bits of eta M_k for each of the
+    26 current matrices, signed zeros included, on the reference
+    representation and with each generator zeroed or doubled."""
+    from dkp5.bilinears import _float_table
+
+    bits = lambda a: np.ascontiguousarray(a).view(np.int64)
+    for label, rep in _corrupted_reps("float"):
+        mats = (rep.identity, rep.beta_sq, *rep.basis[1:])
+        want = np.stack([(rep.eta @ m).reshape(25) for m in mats], axis=1)
+        got = _float_table(rep)
+        assert got.dtype == want.dtype and got.shape == want.shape == (25, 26), label
+        assert np.array_equal(bits(got), bits(want)), label
 
 
 def test_bareiss_rank_matches_elimination():

@@ -357,7 +357,8 @@ def _reference_rank_one_residual(rep, phi, S, Sflat, J, H, K, hermitian):
     ])
     phi = np.array(phi, dtype=object)
     left = np.array([x.conjugate() for x in phi]) if hermitian else phi
-    rhs = (weights @ rep.current_matrices.reshape(26, 25)).reshape(5, 5)
+    mats = np.stack([rep.identity, rep.beta_sq, *rep.basis[1:]])
+    rhs = (weights @ mats.reshape(26, 25)).reshape(5, 5)
     return np.outer(phi, left @ rep.eta) - rhs
 
 
@@ -429,14 +430,14 @@ def test_overflowing_density_alone_raises(float_rep, monkeypatch, currents, tabl
     on the full tables and on the lattice stack's columns alike."""
     import dkp5.bilinears
 
-    tables = dkp5.bilinears._current_tables
+    tables = dkp5.bilinears._bilinear_tables
 
     def huge_density(rep, phi, *columns):
         out = tables(rep, phi, *columns)
         out[table][:, :2] = (1e308, -1e308)  # S and Sflat (or their tilde twins)
         return out
 
-    monkeypatch.setattr(dkp5.bilinears, "_current_tables", huge_density)
+    monkeypatch.setattr(dkp5.bilinears, "_bilinear_tables", huge_density)
     rng = np.random.default_rng(7)
     vals = rng.standard_normal((3, 2, 1, 1, 5)) + 1j * rng.standard_normal((3, 2, 1, 1, 5))
     with pytest.raises(CurrentOverflowError):
@@ -499,7 +500,7 @@ def test_mirrored_columns_follow_from_the_representation(float_rep):
 
     def block(index):
         m, n = index
-        return float_rep.current_table[:, 10 + 4 * m + n].reshape(5, 5)
+        return float_rep.integers.table[:, 10 + 4 * m + n].reshape(5, 5)
 
     for column, (source, sign) in MIRRORED_COLUMNS.items():
         field, index, part = fields[column]

@@ -370,6 +370,32 @@ def test_currents_json_matches_csv(tmp_path):
         np.ndindex(2, 3, 1, 2))
 
 
+def _same_sign_field(vals):
+    vals[..., 4] = 3.5e153  # S = 1.225e307 at every point
+
+
+def _mixed_sign_field(vals):
+    flat = vals.reshape(-1, 5)  # numpy sums these 81 S in 8 strided accumulators:
+    flat[0:80:8, 4] = 5e153  # S = +2.5e307 ten times in one, as eta is +1 on Phi_4,
+    flat[1:80:8, 1] = 5e153  # and S = -2.5e307 ten times in the next, as eta is -1 on Phi_1
+
+
+@pytest.mark.parametrize("fill, mean", [(_same_sign_field, "1.225e+307"),
+                                        (_mixed_sign_field, "0")])
+def test_currents_mean_of_an_overflowing_sum(tmp_path, capsys, fill, mean):
+    """Every S is finite but their sum overflows, to inf or, with both signs,
+    to nan (+inf and -inf in two of numpy's pairwise accumulators): the
+    summary's mean is taken on S scaled by its largest |S|, and every row is
+    written."""
+    vals = np.zeros((3, 3, 3, 3, 5), dtype=complex)
+    fill(vals)
+    grid_path, csv_path = tmp_path / "big.dkp5", tmp_path / "big.csv"
+    store_grid(FieldGrid((3,) * 4, (0.1,) * 4, WAVEFUNCTION, vals), grid_path)
+    assert run("currents", "--grid", str(grid_path), "--csv", str(csv_path)) == 0
+    assert capsys.readouterr().out == f"81 points, mean S = {mean}\n"
+    assert len(csv_path.read_text().splitlines()) == 82
+
+
 @pytest.mark.parametrize("args", [["--max-word-len", "-2"], ["--max-word-len", "11"],
                                   ["--max-word-len", "two"], ["--fierz-samples", "-1"]])
 def test_verify_algebra_counts_out_of_range_exit_two(args):

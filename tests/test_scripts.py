@@ -1,6 +1,7 @@
 """The example scripts run end to end against the package in ``src``."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +36,42 @@ def test_stage_memory_prints_every_stage():
         assert out.count(stage) == 2, stage
     peaks = [float(line.split()[-1]) for line in out.splitlines() if "pipeline peak" in line]
     assert len(peaks) == 2 and all(p > 0 for p in peaks)
+
+
+_COUNTED = '''"""Module docstring,
+two lines."""
+
+import os  # code with a comment
+
+# a comment line
+
+
+def f(x):
+    """A function docstring."""
+    y = (x +
+         1)
+    return y
+
+
+class C:
+    """A class docstring."""
+
+    s = """a string that is
+    not a docstring"""
+'''
+
+
+def test_code_lines_counts_code_not_docstrings_or_comments():
+    """scripts/code_lines.py counts each line that holds code once, every line
+    of a statement that spans several, and no blank, comment or docstring
+    line; run, it prints the count of each src/dkp5 module and their total."""
+    script = str(ROOT / "scripts" / "code_lines.py")
+    code_lines = runpy.run_path(script)["code_lines"]
+    assert code_lines(_COUNTED) == 8
+    assert code_lines("# only a comment\n\n") == 0
+    proc = subprocess.run([sys.executable, script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[1] for line in lines] == [
+        p.name for p in sorted((ROOT / "src" / "dkp5").glob("*.py"))] + ["total"]
+    assert int(lines[-1].split()[0]) == sum(int(line.split()[0]) for line in lines[:-1])
