@@ -39,8 +39,9 @@ from .scalars import EXACT, FLOAT, GaussianRational, bounded, top
 #: Relative scale factor of the |Z| singularity threshold.
 Z_EPS = 1e-10
 
-#: Points per block of the current-table product; bounds the pair
-#: products and the BLAS work space whatever the grid size.
+#: Points per block of the current-table product and the derivative
+#: bilinears; bounds the pair products and the BLAS work space whatever
+#: the grid size.
 _BLOCK = 1024
 
 #: The metric diagonal as an array, for raising indices.
@@ -86,33 +87,17 @@ def as_wavefunction(phi, mode):
 
 def _pair_products(left, right, table, conj):
     """The pairs left[n, a] right[n, b] of each point n, left conjugated if
-    ``conj`` (a block at a time), times the (25, k) ``table``, in blocks of
-    ``_BLOCK`` points."""
+    ``conj``, times the (25, k) ``table``, in blocks of ``_BLOCK`` points."""
     out = np.empty((len(right), table.shape[1]), dtype=np.result_type(left, right, table))
-    for _ in _pair_blocks(left, right, table, conj, lambda rows: out[rows]):
-        pass
-    return out
-
-
-def _pair_blocks(left, right, table, conj, dest):
-    """(rows, block) for each block of ``_BLOCK`` points: the products of
-    :func:`_pair_products` at the points ``rows``, written to the block
-    dest(rows).  A real (50, k) table multiplies the pairs' real and
-    imaginary parts, interleaved as the complex pairs lie in memory, for a
-    real block."""
-    real = len(table) == 50
     for s in range(0, len(right), _BLOCK):
         rows = slice(s, min(s + _BLOCK, len(right)))
         a = left[rows]
         # einsum keeps the pair products free of fused multiply-adds, so a
         # constant phase of i or -1 leaves the Hermitian pairs bit-identical.
         pairs = np.einsum("na,nb->nab", np.conj(a) if conj else a, right[rows])
-        if real:
-            pairs = pairs.view(float)
-        block = dest(rows)
-        np.matmul(pairs.reshape(len(pairs), -1), table, out=block)
+        np.matmul(pairs.reshape(len(pairs), -1), table, out=out[rows])
         del a, pairs  # not held while the next block's pairs are made
-        yield rows, block
+    return out
 
 
 def compute_currents(rep: KemmerRep, phi) -> CurrentSet:
@@ -195,40 +180,70 @@ def derivative_bilinears(rep: KemmerRep, phi, dphi, weights, tilde=False):
     K = eta N (the float current table of :func:`compute_currents` times
     the weights), the Hermitian form is
     sum_ab Q_ab K_ab - conj(Q_ab) K_ba = Re Q.(K - K^T) + i Im Q.(K + K^T),
-    and the tilde form is Q.K; either is one real product of the pairs,
-    viewed as (n, 50) floats, with a (50, 2n) table, written straight into
-    the output viewed as floats.  eta N need not be Hermitian.  dphi and
-    weights are not checked: the inversion passes them through its own
-    shape checks."""
+    and the tilde form is Q.K: a real (50, 2n) table on the pairs' real
+    and imaginary parts, of which :func:`_derivative_blocks` forms only
+    the parts that the table reads.  eta N need not be Hermitian.  dphi
+    and weights are not checked: the inversion passes them through its
+    own shape checks."""
+    if rep.mode != FLOAT:
+        raise ModeError("derivative bilinears require a float-mode representation")
     phi = as_wavefunction(phi, rep.mode)
-    out = np.empty((phi[..., 0].size, 4, weights.shape[-1]), dtype=complex)
-    dest = lambda mu, rows: out[rows, mu].view(float)
-    for _ in _derivative_blocks(rep, phi, dphi, weights, tilde, dest):
-        pass
+    out = np.zeros((phi[..., 0].size, 4, weights.shape[-1]), dtype=complex)
+    _derivative_blocks(rep, phi, dphi, weights, tilde, lambda mu, rows: out[rows, mu].view(float).T)
     return out.reshape(phi.shape[:-1] + out.shape[1:])
 
 
 def _derivative_blocks(rep, phi, dphi, weights, tilde, dest):
-    """(mu, rows, block) for each direction mu in turn and each block of
-    points ``rows``: the bilinears of :func:`derivative_bilinears` there, as
-    a real (len(rows), 2n) block, written to dest(mu, rows).  ``phi`` is a
-    checked wavefunction array."""
-    left, n, table = phi.reshape(-1, 5), weights.shape[-1], _float_table(rep)
+    """Add the bilinears of :func:`derivative_bilinears` for each direction
+    mu in turn and each block of points ``rows`` to the 2n real columns
+    dest(mu, rows) (real, imaginary part of each of the n), which start
+    at zero or hold the sum over the directions before.
+
+    Each column is the sum, in row order, of its nonzero coefficients
+    times the real or imaginary pair parts that they read, each part
+    formed once a block from the two component columns (two products and
+    a sum, which the complex pair product rounds alike).  On the
+    reference representation a column has one coefficient, or two in
+    {+-1, +-2}, so it takes one rounding, as a product with all 50 rows
+    of the table would, in any order; the zero start makes an all-zero
+    column +0.0, as that product does.  ``phi`` is a checked wavefunction
+    array."""
+    left, table = phi.reshape(-1, 5), _float_table(rep)
+    # Re and Im of left[a] d[b], left conjugated in the Hermitian sector
+    re, im = (np.subtract, np.add) if tilde else (np.add, np.subtract)
     mu = -1
     for d in dphi:  # not enumerate, whose cached result would hold d while the next is made
         mu += 1
-        k = table @ weights[mu]
-        if tilde:
-            x, y = k, 1j * k
-        else:
-            kt = k.reshape(5, 5, n).swapaxes(0, 1).reshape(25, n)
-            x, y = k - kt, 1j * (k + kt)
-        xy = np.stack([x, y], axis=1)  # rows: the coefficients of Re Q_ab, Im Q_ab
-        pairs = np.stack([xy.real, xy.imag], axis=-1).reshape(50, 2 * n)
-        to = functools.partial(dest, mu)
-        for rows, block in _pair_blocks(left, np.reshape(d, (-1, 5)), pairs, not tilde, to):
-            yield mu, rows, block
-        del d  # a stencil direction is freed before the next is taken
+        coef = _derivative_table(table, weights[mu], tilde)
+        columns = [(np.flatnonzero(c), c) for c in coef.T]
+        # row r reads the real (r even) or imaginary part of the pair (i, j)
+        reads = [(r, r // 10, r // 2 % 5) for r in np.flatnonzero(coef.any(axis=1))]
+        right = np.reshape(d, (-1, 5))
+        for s in range(0, len(right), _BLOCK):
+            rows = slice(s, min(s + _BLOCK, len(right)))
+            a, b = left[rows], right[rows]
+            parts = {r: im(a[:, i].real * b[:, j].imag, a[:, i].imag * b[:, j].real) if r % 2
+                     else re(a[:, i].real * b[:, j].real, a[:, i].imag * b[:, j].imag) for r, i, j in reads}
+            for (used, c), target in zip(columns, dest(mu, rows)):
+                if used.size:
+                    target += functools.reduce(np.add, (c[r] * parts[r] for r in used))
+            del a, b  # b is a view of d
+        del d, right  # a stencil direction is freed before the next is taken
+
+
+def _derivative_table(table, weights, tilde):
+    """The real (50, 2n) table of one direction, from the float current
+    table and that direction's (26, n) weights: row 2(5a + b) + p holds the
+    coefficients of Re Q_ab (p = 0) or Im Q_ab, column 2j + q those of the
+    real (q = 0) or imaginary part of bilinear j."""
+    k, n = table @ weights, weights.shape[-1]
+    if tilde:
+        x, y = k, 1j * k
+    else:
+        kt = k.reshape(5, 5, n).swapaxes(0, 1).reshape(25, n)
+        x, y = k - kt, 1j * (k + kt)
+    xy = np.stack([x, y], axis=1)  # rows: the coefficients of Re Q_ab, Im Q_ab
+    return np.stack([xy.real, xy.imag], axis=-1).reshape(50, 2 * n)
 
 
 def singular_mask(cs: CurrentSet) -> np.ndarray:

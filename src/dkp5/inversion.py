@@ -32,8 +32,9 @@ tensor current K is eliminated, as in the paper.  The derivative
 bilinears (M = zeta, b^mu, c^mu) are pair products of Phi and d_mu Phi,
 taken one direction mu at a time, times a real table built from the
 current table that ``verify-algebra`` checks (``rep.integers.table``, its
-c_mu columns times 1/3), one real product per block of points
-(:func:`dkp5.bilinears.derivative_bilinears`).
+c_mu columns times 1/3).  Only the pair parts with a nonzero coefficient
+are formed: 3 of the 25 pairs per direction on the reference
+representation (:func:`dkp5.bilinears.derivative_bilinears`).
 
 Called alone, each stage computes what it needs.  The pipeline takes
 each derivative once and hands it on: one derivative-bilinear pass for
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import METRIC_DIAG, KemmerRep
-from .bilinears import _BLOCK, CurrentGrid, _derivative_blocks, derivative_bilinears, lattice_currents
+from .bilinears import CurrentGrid, _derivative_blocks, derivative_bilinears, lattice_currents
 from .errors import EmptyDomainError, ParameterError, ShapeError, SingularZError
 from .grids import FOUR_VECTOR, TENSOR2, FieldGrid, derivatives
 from .planewave import _wavefunction_gradient, constant_four_vector_grid
@@ -502,21 +503,14 @@ def _shared_derivative_bilinears(rep, phi_grid, dphi, contractions):
     """The pipeline's one derivative-bilinear pass: d_zeta (..., 4), the
     zeta column of each direction, and with ``contractions`` d_bc (..., 2),
     the b and c columns added over mu in mu order (the bits of .sum(-2)),
-    each written a block of points at a time (else None)."""
+    each column written straight into its buffer (else None)."""
     weights = _SHARED_W if contractions else _ZETA_W
     n = phi_grid.n_points
-    d_zeta = np.empty((n, 4), dtype=complex)
-    d_bc = np.empty((n, 2), dtype=complex) if contractions else None
-    buf = np.empty((min(_BLOCK, n), 2 * weights.shape[-1]))  # each block overwrites the last
-    blocks = _derivative_blocks(rep, phi_grid.values, _wavefunction_gradient(phi_grid, dphi), weights,
-                                False, lambda mu, rows: buf[: rows.stop - rows.start])
-    for mu, rows, block in blocks:
-        block = block.view(complex)
-        d_zeta[rows, mu] = block[:, 0]
-        if d_bc is not None and mu:
-            d_bc[rows] += block[:, 1:]
-        elif d_bc is not None:
-            d_bc[rows] = block[:, 1:]
+    d_zeta = np.zeros((n, 4), dtype=complex)
+    d_bc = np.zeros((n, 2), dtype=complex) if contractions else None
+    zeta, bc = d_zeta.view(float), () if d_bc is None else d_bc.view(float).T
+    _derivative_blocks(rep, phi_grid.values, _wavefunction_gradient(phi_grid, dphi), weights, False,
+                       lambda mu, rows: [*zeta[rows, 2 * mu : 2 * mu + 2].T, *(c[rows] for c in bc)])
     grid = lambda a: None if a is None else a.reshape(phi_grid.extents + a.shape[1:])
     return grid(d_zeta), grid(d_bc)
 

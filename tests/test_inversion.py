@@ -27,8 +27,9 @@ from dkp5 import (
     singular_mask,
     solution_checks,
 )
-from dkp5.bilinears import derivative_bilinears
-from dkp5.errors import EmptyDomainError, ParameterError, SingularZError
+from dkp5.bilinears import _derivative_table, _float_table, derivative_bilinears
+from dkp5.errors import EmptyDomainError, ModeError, ParameterError, SingularZError
+from dkp5.inversion import _SHARED_W, _UPPER_W, _ZETA_W
 from dkp5.grids import derivatives, gradient
 
 
@@ -457,6 +458,32 @@ def test_derivative_bilinears_match_einsum_oracle(float_rep):
         want = ((1j / (4.0 * e)) * (tilde / zt - tilde.conj() / zt.conj())).real
         want[mask] = 0.0
         assert _close(gauge_term(rep, grid, e, dphi=dphi, cg=cg).values, want), label
+
+
+def test_derivative_tables_round_each_column_once(float_rep):
+    """The derivative kernel sums only the nonzero coefficients of a column,
+    in row order.  That keeps the bits of a product with the whole table
+    only while each column is one term, or two with exact multipliers; and
+    the Hermitian tables read only the pairs (mu, 4), (4, mu) and (4, 4)."""
+    table = _float_table(float_rep)
+    for name, weights in (("zeta", _ZETA_W), ("upper", _UPPER_W), ("shared", _SHARED_W)):
+        for tilde in (False, True):
+            for mu in range(4):
+                coef = _derivative_table(table, weights[mu], tilde)
+                for col, c in enumerate(coef.T):
+                    where = f"{name} weights, tilde={tilde}, mu={mu}, column {col}"
+                    terms = c[c != 0]
+                    assert len(terms) <= 2, f"{where} sums {len(terms)} terms: more than one rounding"
+                    assert len(terms) < 2 or set(np.abs(terms)) <= {1.0, 2.0}, (
+                        f"{where}: products by {terms} are not exact, so the sum rounds twice")
+                pairs = {divmod(r // 2, 5) for r in np.flatnonzero(coef.any(axis=1))}
+                assert tilde or pairs <= {(mu, 4), (4, mu), (4, 4)}, (
+                    f"{name} weights, mu={mu}: the Hermitian table reads the pairs {sorted(pairs)}")
+
+
+def test_derivative_bilinears_require_float(exact_rep):
+    with pytest.raises(ModeError):
+        derivative_bilinears(exact_rep, np.ones((2, 5), dtype=int), np.ones((4, 2, 5), dtype=int), _ZETA_W)
 
 
 def test_pipeline_without_dphi_takes_stencil_gauge_term(float_rep):

@@ -23,6 +23,7 @@ from dkp5 import (
 )
 from dkp5.bilinears import derivative_bilinears
 from dkp5.grids import derivatives
+from dkp5.planewave import _wavefunction_gradient
 
 M, E, A = 1.1, 0.8, (0.3, -0.2, 0.1, 0.25)
 
@@ -107,3 +108,37 @@ def test_stages_called_alone_equal_the_frozen_stages(float_rep, case):
     assert _same(field_strength_from_potential(a_gf).values,
                  frozen.field_strength_from_potential(a_gf.values, a_gf.spacing))
     assert _same(h_elimination_residual(cg, M).values, frozen.h_elimination_residual(cg, M))
+
+
+def _multi_block_field():
+    """A random Fourier field of 2,160 points, more than two blocks of 1,024,
+    with whole points zeroed in each block and at both seams, and zeros of
+    either sign in single components."""
+    grid, dphi = random_fourier_field((9, 8, 6, 5), (0.3, 0.25, 0.3, 0.35), seed=7)
+    flat = grid.values.reshape(-1, 5)
+    flat[[0, 17, 1023, 1024, 1500, 2047, 2048, 2159]] = 0.0  # Z = 0 there
+    flat[100:140, 4] = complex(-0.0, -0.0)
+    flat[1010:1040, 0] = complex(-0.0, 0.0)
+    flat[2030:2060, 2:4] = 0.0
+    return grid, dphi
+
+
+@pytest.mark.parametrize("analytic", [False, True])
+def test_derivative_bilinears_across_block_seams(float_rep, analytic):
+    """Past one block of points: the derivative bilinears of every weight set
+    and sector, and the whole pipeline, bit for bit."""
+    grid, dphi = _multi_block_field()
+    dphi = dphi if analytic else None
+    dv = list(_wavefunction_gradient(grid, dphi))
+    for weights in (frozen._ZETA_W, frozen._UPPER_W, frozen._SHARED_W):
+        for tilde in (False, True):
+            assert _same(derivative_bilinears(float_rep, grid.values, dv, weights, tilde),
+                         frozen.derivative_bilinears(float_rep, grid.values, dv, weights, tilde))
+    for A_ref in (None, A):
+        out, entries = invert_pipeline(float_rep, grid, M, E, dphi=dphi, A_ref=A_ref)
+        want, want_entries = frozen.invert_pipeline(float_rep, grid, M, E, dphi=dphi, A_ref=A_ref)
+        for g, w in zip((out.a_full, out.a_gauge_fixed, out.gauge_term, out.f_from_potential,
+                         out.f_bilinear), want):
+            assert _same(g.values, w)
+        assert np.array_equal(out.singular_mask, want[5]) and out.singular_mask.any()
+        _same_entries(entries, want_entries)
