@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Traced memory of each stage of the inversion pipeline, in bytes per point.
+"""Traced memory, in bytes per point, and wall time of each stage of the inversion pipeline.
 
 Runs ``invert_pipeline`` with a reference potential on a manufactured
 plane wave, once with finite differences and once with the closed-form
@@ -10,13 +10,18 @@ Every stage that the pipeline calls by name in ``dkp5.inversion`` is
 wrapped, and each call prints one row: the traced memory when the stage
 starts, its peak while it runs, and the memory when it returns, each
 divided by the number of points.  Nested stages are indented under their
-caller.
+caller.  After each memory table it prints each stage's wall time (nested
+stages included, summed over the stage's calls in one run), the median
+of ``REPEATS`` untraced runs, and that of the whole pipeline.
 
     PYTHONPATH=src python scripts/stage_memory.py --extent 8
 """
 
 import argparse
+import contextlib
 import functools
+import statistics
+import time
 import tracemalloc
 
 import dkp5.inversion
@@ -39,6 +44,9 @@ STAGES = (
 )
 
 M, E, A = 1.0, 1.0, (0.3, -0.2, 0.1, 0.25)
+
+#: Untraced pipeline runs per derivative mode behind each median wall time.
+REPEATS = 5
 
 
 class StageTrace:
@@ -73,24 +81,71 @@ class StageTrace:
         return traced
 
 
+class StageTimer:
+    """Per run, the wall time of each wrapped stage summed over its calls,
+    and its depth under the open stages at its first call."""
+
+    def __init__(self):
+        self.runs, self.depth, self._open = [], {}, 0
+
+    def wrap(self, name, func):
+        @functools.wraps(func)
+        def timed(*args, **kwargs):
+            run = self.runs[-1]
+            run.setdefault(name, 0.0)
+            self.depth.setdefault(name, self._open)
+            self._open += 1
+            start = time.perf_counter()
+            try:
+                return func(*args, **kwargs)
+            finally:
+                run[name] += time.perf_counter() - start
+                self._open -= 1
+        return timed
+
+
+@contextlib.contextmanager
+def wrapped_stages(wrap):
+    """The pipeline's stages in dkp5.inversion replaced by wrap(name, stage)."""
+    saved = {name: getattr(dkp5.inversion, name) for name in STAGES if hasattr(dkp5.inversion, name)}
+    for name, func in saved.items():
+        setattr(dkp5.inversion, name, wrap(name, func))
+    try:
+        yield
+    finally:
+        for name, func in saved.items():
+            setattr(dkp5.inversion, name, func)
+
+
 def trace_pipeline(rep, spec, grid, analytic):
     """(rows, pipeline peak in bytes) of one traced pipeline run."""
     trace = StageTrace()
-    saved = {name: getattr(dkp5.inversion, name) for name in STAGES if hasattr(dkp5.inversion, name)}
-    for name, func in saved.items():
-        setattr(dkp5.inversion, name, trace.wrap(name, func))
-    tracemalloc.start()
-    try:
-        dphi = plane_wave_gradient(spec, grid) if analytic else None
-        trace._lift()
-        tracemalloc.reset_peak()
-        invert_pipeline(rep, grid, M, E, dphi=dphi, A_ref=A)
-        peak = max(tracemalloc.get_traced_memory()[1], max((r[3] for r in trace.rows), default=0))
-    finally:
-        tracemalloc.stop()
-        for name, func in saved.items():
-            setattr(dkp5.inversion, name, func)
+    with wrapped_stages(trace.wrap):
+        tracemalloc.start()
+        try:
+            dphi = plane_wave_gradient(spec, grid) if analytic else None
+            trace._lift()
+            tracemalloc.reset_peak()
+            invert_pipeline(rep, grid, M, E, dphi=dphi, A_ref=A)
+            peak = max(tracemalloc.get_traced_memory()[1], max((r[3] for r in trace.rows), default=0))
+        finally:
+            tracemalloc.stop()
     return trace.rows, peak
+
+
+def time_pipeline(rep, spec, grid, analytic):
+    """(rows, whole) of ``REPEATS`` untraced pipeline runs: rows (depth, name,
+    median s) of each stage in first-call order, whole the median s of the
+    whole pipeline."""
+    timer, whole = StageTimer(), []
+    with wrapped_stages(timer.wrap):
+        for _ in range(REPEATS):
+            timer.runs.append({})
+            start = time.perf_counter()
+            invert_pipeline(rep, grid, M, E, dphi=plane_wave_gradient(spec, grid) if analytic else None, A_ref=A)
+            whole.append(time.perf_counter() - start)
+    rows = [(timer.depth[name], name, statistics.median(run[name] for run in timer.runs)) for name in timer.runs[0]]
+    return rows, statistics.median(whole)
 
 
 def main():
@@ -110,6 +165,11 @@ def main():
         for depth, name, start, top, end in rows:
             print(f"  {'  ' * depth + name:<34}{start / n:8.0f}{top / n:8.0f}{end / n:8.0f}")
         print(f"  {'pipeline peak':<34}{'':>8}{peak / n:8.0f}")
+        rows, whole = time_pipeline(rep, spec, grid, analytic)
+        print(f"  {'stage':<34}{'ms':>8}   (wall time, median of {REPEATS} untraced runs)")
+        for depth, name, seconds in rows:
+            print(f"  {'  ' * depth + name:<34}{seconds * 1e3:8.3f}")
+        print(f"  {'whole pipeline':<34}{whole * 1e3:8.3f}")
         print()
 
 

@@ -39,10 +39,14 @@ from .scalars import EXACT, FLOAT, GaussianRational, bounded, top
 #: Relative scale factor of the |Z| singularity threshold.
 Z_EPS = 1e-10
 
-#: Points per block of the current-table product and the derivative
-#: bilinears; bounds the pair products and the BLAS work space whatever
-#: the grid size.
+#: Points per block of the current-table product; bounds the pair products
+#: and the BLAS work space whatever the grid size.
 _BLOCK = 1024
+
+#: Points per block of the derivative bilinears.  Their kernel makes some 45
+#: numpy calls a block, each on a few pair parts of 8 bytes a point, so it
+#: takes larger blocks than the pair products: fewer calls, parts in cache.
+_DERIVATIVE_BLOCK = 4096
 
 #: The metric diagonal as an array, for raising indices.
 _G = np.array(METRIC_DIAG)
@@ -195,9 +199,9 @@ def derivative_bilinears(rep: KemmerRep, phi, dphi, weights, tilde=False):
 
 def _derivative_blocks(rep, phi, dphi, weights, tilde, dest):
     """Add the bilinears of :func:`derivative_bilinears` for each direction
-    mu in turn and each block of points ``rows`` to the 2n real columns
-    dest(mu, rows) (real, imaginary part of each of the n), which start
-    at zero or hold the sum over the directions before.
+    mu in turn and each block of ``_DERIVATIVE_BLOCK`` points ``rows`` to
+    the 2n real columns dest(mu, rows) (real, imaginary part of each of
+    the n), which start at zero or hold the sum over the directions before.
 
     Each column is the sum, in row order, of its nonzero coefficients
     times the real or imaginary pair parts that they read, each part
@@ -219,8 +223,8 @@ def _derivative_blocks(rep, phi, dphi, weights, tilde, dest):
         # row r reads the real (r even) or imaginary part of the pair (i, j)
         reads = [(r, r // 10, r // 2 % 5) for r in np.flatnonzero(coef.any(axis=1))]
         right = np.reshape(d, (-1, 5))
-        for s in range(0, len(right), _BLOCK):
-            rows = slice(s, min(s + _BLOCK, len(right)))
+        for s in range(0, len(right), _DERIVATIVE_BLOCK):
+            rows = slice(s, min(s + _DERIVATIVE_BLOCK, len(right)))
             a, b = left[rows], right[rows]
             parts = {r: im(a[:, i].real * b[:, j].imag, a[:, i].imag * b[:, j].real) if r % 2
                      else re(a[:, i].real * b[:, j].real, a[:, i].imag * b[:, j].imag) for r, i, j in reads}

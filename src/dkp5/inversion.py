@@ -55,11 +55,15 @@ import numpy as np
 from .algebra import METRIC_DIAG, KemmerRep
 from .bilinears import CurrentGrid, _derivative_blocks, derivative_bilinears, lattice_currents
 from .errors import EmptyDomainError, ParameterError, ShapeError, SingularZError
-from .grids import FOUR_VECTOR, TENSOR2, FieldGrid, derivatives
+from .grids import FOUR_VECTOR, TENSOR2, FieldGrid, derivatives, max_abs
 from .planewave import _wavefunction_gradient, constant_four_vector_grid
 from .reports import _entry_from_temporary, entry_from_values
 
 _SIG = np.array(METRIC_DIAG, dtype=float)
+
+#: Points per block of the antisymmetrisation F = G - G^T, whose scratch
+#: block of 16 entries a point stays in cache.
+_F_BLOCK = 1024
 
 #: Weights on the 26 current matrices for derivative_bilinears: zeta = I - b^2
 #: in every direction, and the raised b^mu and c^mu for direction mu.
@@ -123,10 +127,24 @@ def _laid_out_as_f(dv):
 
 
 def _antisymmetrise(G):
-    """Write F = G - G^T over a stacked gradient G[mu][..., nu] = d_mu v_nu
-    (an array or a list of the four rows), one (mu, nu) pair at a time, so
-    that G[mu] becomes row mu of F; each entry takes the one subtraction
-    that G - G^T takes for it."""
+    """Write F = G - G^T over a stacked gradient G[mu][..., nu] = d_mu v_nu,
+    so that G[mu] becomes row mu of F; each entry takes the one subtraction
+    G_mu_nu - G_nu_mu, and the diagonal becomes +0.0.
+
+    An array laid out as F, as :func:`_gradient` gives it, takes one
+    subtraction G - G^T per block of ``_F_BLOCK`` points into a scratch
+    block, which is copied back.  A list of the four rows, each its own
+    contiguous array, is taken one (mu, nu) pair at a time, which on such
+    rows is faster than gathering them into blocks."""
+    if isinstance(G, np.ndarray):
+        F = np.moveaxis(G, 0, -2).reshape(-1, 4, 4)  # a view: the buffer is C-contiguous
+        scratch = np.empty((min(len(F), _F_BLOCK), 4, 4), dtype=F.dtype)
+        for s in range(0, len(F), _F_BLOCK):
+            block = F[s : s + _F_BLOCK]
+            f = scratch[: len(block)]
+            np.subtract(block, block.swapaxes(-1, -2), out=f)
+            block[...] = f
+        return
     for mu in range(4):
         diagonal = G[mu][..., mu]
         np.subtract(diagonal, diagonal, out=diagonal)
@@ -244,8 +262,8 @@ def field_strength_bilinear(cg: CurrentGrid, m, e, dJ=None) -> FieldGrid:
     real arithmetic; each division by Z is a product with 1/Z, as numpy's
     complex division by a real Z takes it.  ``dJ`` is the stacked gradient
     dJ[mu][..., nu] = d_mu J_nu, taken here when not given.  G[mu][..., nu] =
-    D_mu J_nu is built in F's buffer and antisymmetrised there one (mu, nu)
-    pair at a time.  A writeable dJ laid out as F, as the pipeline takes it
+    D_mu J_nu is built in F's buffer and antisymmetrised there a block of
+    points at a time.  A writeable dJ laid out as F, as the pipeline takes it
     (``_gradient``), is that buffer and is overwritten; any other dJ, such as
     ``derivatives(cg.J, cg.spacing)``, is copied and left as it is.
     """
@@ -531,7 +549,7 @@ def _pipeline_checks(out, a_ref, tolerance):
     def check_temporary(name, values, tol=tolerance):
         entries.append(_entry_from_temporary(name, values, mask, tol))
 
-    scale = 1.0 + float(np.max(np.abs(a_full[~mask]))) if (~mask).any() else 1.0
+    scale = 1.0 + max_abs(a_full, mask)
     decomposition = a_full - a_gf
     decomposition -= g_term
     check_temporary("decomposition_full_vs_gauge_fixed_plus_gauge_term", decomposition, tolerance * scale)

@@ -29,6 +29,7 @@ from dkp5 import (
 )
 from dkp5.bilinears import _derivative_table, _float_table, derivative_bilinears
 from dkp5.errors import EmptyDomainError, ModeError, ParameterError, SingularZError
+from dkp5 import inversion
 from dkp5.inversion import _SHARED_W, _UPPER_W, _ZETA_W
 from dkp5.grids import derivatives, gradient
 
@@ -776,3 +777,55 @@ def test_real_fields_stay_real(float_rep):
         assert getattr(out, name).values.dtype == np.float64, name
     A = FieldGrid(grid.extents, grid.spacing, FOUR_VECTOR, out.a_full.values * (1 + 1j))
     assert field_strength_from_potential(A).values.dtype == complex
+
+
+def _pair_loop_antisymmetrise(G):
+    """_antisymmetrise as it was, one (mu, nu) pair at a time, kept as the oracle."""
+    for mu in range(4):
+        diagonal = G[mu][..., mu]
+        np.subtract(diagonal, diagonal, out=diagonal)
+        for nu in range(mu + 1, 4):
+            upper, lower = G[mu][..., nu], G[nu][..., mu]
+            f = upper - lower
+            np.subtract(lower, upper, out=lower)
+            upper[...] = f
+
+
+def _gradient_with_ties(dtype):
+    """A stacked gradient laid out as F, (3, 4, 5, 7) points, with zeros of
+    either sign, pairs G_mu_nu == G_nu_mu bit for bit, and pairs +0.0 / -0.0."""
+    rng = np.random.default_rng(21)
+    g = rng.standard_normal((3, 4, 5, 7, 4, 4)).astype(dtype)
+    if dtype == complex:
+        g += 1j * rng.standard_normal(g.shape)
+    flat = g.reshape(-1, 4, 4)
+    flat[5:40, 1, 2] = flat[5:40, 2, 1]  # equal pairs
+    flat[50:90, 0, 3] = flat[50:90, 3, 0] = -0.0  # equal pairs of -0.0
+    flat[100:130, 2, 3], flat[100:130, 3, 2] = -0.0, 0.0  # -0.0 - 0.0 is -0.0
+    flat[140:170, 1, 1] = -0.0
+    flat[200:260, 0, :] = -0.0
+    return g
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("block", [None, 64, 1])
+def test_antisymmetrise_equals_the_pair_loop(monkeypatch, dtype, block):
+    """The blocked F = G - G^T of an array laid out as F, and the pair loop of
+    a list of rows, give the bits of the pair loop; blocks that do not divide
+    the 420 points included.  Equal pairs and the diagonal become +0.0."""
+    if block is not None:
+        monkeypatch.setattr(inversion, "_F_BLOCK", block)
+    g = _gradient_with_ties(dtype)
+    want = np.moveaxis(g.copy(), -2, 0)
+    _pair_loop_antisymmetrise(want)
+    as_f = np.moveaxis(g.copy(), -2, 0)  # rows of one C-contiguous (..., 4, 4) buffer
+    rows = [np.ascontiguousarray(g[..., mu, :]) for mu in range(4)]
+    bits = lambda a: np.ascontiguousarray(a).view(np.int64)
+    for G in (as_f, rows):
+        inversion._antisymmetrise(G)
+        for mu in range(4):
+            assert np.array_equal(bits(G[mu]), bits(want[mu])), mu
+    f = np.moveaxis(as_f, 0, -2).reshape(-1, 4, 4)
+    for zeros in (f[:, range(4), range(4)], f[5:40, 1, 2], f[5:40, 2, 1], f[50:90, 0, 3], f[50:90, 3, 0]):
+        assert not bits(zeros).any()  # +0.0
+    assert np.signbit(f[100:130, 2, 3].real).all()

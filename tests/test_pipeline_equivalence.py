@@ -21,6 +21,7 @@ from dkp5 import (
     plane_wave_gradient,
     random_fourier_field,
 )
+from dkp5 import bilinears, inversion
 from dkp5.bilinears import derivative_bilinears
 from dkp5.grids import derivatives
 from dkp5.planewave import _wavefunction_gradient
@@ -110,10 +111,15 @@ def test_stages_called_alone_equal_the_frozen_stages(float_rep, case):
     assert _same(h_elimination_residual(cg, M).values, frozen.h_elimination_residual(cg, M))
 
 
+#: Points per block of every blocked kernel in the seam test: the 2,160-point
+#: field then crosses two seams of each.
+_SEAM_BLOCK = 1024
+
+
 def _multi_block_field():
-    """A random Fourier field of 2,160 points, more than two blocks of 1,024,
-    with whole points zeroed in each block and at both seams, and zeros of
-    either sign in single components."""
+    """A random Fourier field of 2,160 points, more than two blocks of
+    ``_SEAM_BLOCK``, with whole points zeroed in each block and at both
+    seams, and zeros of either sign in single components."""
     grid, dphi = random_fourier_field((9, 8, 6, 5), (0.3, 0.25, 0.3, 0.35), seed=7)
     flat = grid.values.reshape(-1, 5)
     flat[[0, 17, 1023, 1024, 1500, 2047, 2048, 2159]] = 0.0  # Z = 0 there
@@ -124,9 +130,13 @@ def _multi_block_field():
 
 
 @pytest.mark.parametrize("analytic", [False, True])
-def test_derivative_bilinears_across_block_seams(float_rep, analytic):
-    """Past one block of points: the derivative bilinears of every weight set
-    and sector, and the whole pipeline, bit for bit."""
+def test_derivative_bilinears_across_block_seams(float_rep, analytic, monkeypatch):
+    """Past one block of points of the pair products, the derivative
+    bilinears and the antisymmetrisation, each set to ``_SEAM_BLOCK``: the
+    derivative bilinears of every weight set and sector, and the whole
+    pipeline, bit for bit."""
+    for module, name in ((bilinears, "_BLOCK"), (bilinears, "_DERIVATIVE_BLOCK"), (inversion, "_F_BLOCK")):
+        monkeypatch.setattr(module, name, _SEAM_BLOCK)
     grid, dphi = _multi_block_field()
     dphi = dphi if analytic else None
     dv = list(_wavefunction_gradient(grid, dphi))

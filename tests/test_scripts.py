@@ -23,7 +23,8 @@ def test_script_runs(script):
 
 def test_stage_memory_prints_every_stage():
     """scripts/stage_memory.py prints start, peak and end per stage, and the
-    pipeline peak, for both derivative modes."""
+    pipeline peak, then each stage's median wall time and the whole
+    pipeline's, for both derivative modes."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "stage_memory.py"), "--extent", "5"],
@@ -33,9 +34,17 @@ def test_stage_memory_prints_every_stage():
     assert "finite differences, 5^4 = 625 points" in out and "closed form, 5^4" in out
     for stage in ("lattice_currents", "field_strength_bilinear", "reduced_system_residuals",
                   "field_strength_from_potential", "_pipeline_checks"):
-        assert out.count(stage) == 2, stage
+        assert out.count(stage) == 4, stage
     peaks = [float(line.split()[-1]) for line in out.splitlines() if "pipeline peak" in line]
     assert len(peaks) == 2 and all(p > 0 for p in peaks)
+    tables = [block.split("\n\n")[0].splitlines()[1:]
+              for block in out.split("(wall time, median of 5 untraced runs)")[1:]]
+    assert len(tables) == 2
+    for table, stages in zip(tables, (12, 13)):  # closed form adds the gauge term's derivative_bilinears
+        times = dict(line.strip().rsplit(None, 1) for line in table)
+        assert len(times) == stages + 1 and all(float(t) > 0 for t in times.values()), table
+        whole = float(times.pop("whole pipeline"))
+        assert whole >= max(float(t) for t in times.values())
 
 
 _COUNTED = '''"""Module docstring,
