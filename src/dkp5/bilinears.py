@@ -12,6 +12,16 @@ K_munu = Phi_bar b_mu b_nu Phi (K*_munu = K_numu), with the scalar
 density Z = S - Sflat.  The tilde currents use Phi_tilde instead; the
 companion tilde current vanishes identically and K-tilde is symmetric.
 
+In float mode one kernel, :func:`_add_pair_parts`, evaluates them all
+on the current table that ``verify-algebra`` checks: the whole table in
+:func:`compute_currents` (and so :func:`compute_currents_grid` and
+``dkp currents``), its 12 columns that the lattice stack reads in
+:func:`lattice_currents`, and the derivative tables in
+:func:`derivative_bilinears`.  It forms only the real and imaginary pair
+parts that some coefficient reads and sums each column from its nonzero
+coefficients in row order, from +0.0.  It makes no BLAS call, so no
+current depends on the BLAS build or its thread count.
+
 The rank-one rearrangement machinery lives here as residual evaluators:
 the expansion of Phi Phi_bar on the algebra basis, its complex twin for
 Phi Phi_tilde, the quadratic relations among the currents, the
@@ -22,7 +32,6 @@ are checked exactly in exact mode.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import numbers
@@ -39,14 +48,10 @@ from .scalars import EXACT, FLOAT, GaussianRational, bounded, top
 #: Relative scale factor of the |Z| singularity threshold.
 Z_EPS = 1e-10
 
-#: Points per block of the current-table product; bounds the pair products
-#: and the BLAS work space whatever the grid size.
-_BLOCK = 1024
-
-#: Points per block of the derivative bilinears.  Their kernel makes some 45
-#: numpy calls a block, each on a few pair parts of 8 bytes a point, so it
-#: takes larger blocks than the pair products: fewer calls, parts in cache.
-_DERIVATIVE_BLOCK = 4096
+#: Points per block of the pair-part kernel :func:`_add_pair_parts`.  It
+#: makes some 45 to 250 numpy calls a block, each on a few pair parts of 8
+#: bytes a point, so blocks are large: fewer calls, the parts in cache.
+_BLOCK = 4096
 
 #: The metric diagonal as an array, for raising indices.
 _G = np.array(METRIC_DIAG)
@@ -89,29 +94,14 @@ def as_wavefunction(phi, mode):
     return _exact_entries(arr) if mode == EXACT else arr
 
 
-def _pair_products(left, right, table, conj):
-    """The pairs left[n, a] right[n, b] of each point n, left conjugated if
-    ``conj``, times the (25, k) ``table``, in blocks of ``_BLOCK`` points."""
-    out = np.empty((len(right), table.shape[1]), dtype=np.result_type(left, right, table))
-    for s in range(0, len(right), _BLOCK):
-        rows = slice(s, min(s + _BLOCK, len(right)))
-        a = left[rows]
-        # einsum keeps the pair products free of fused multiply-adds, so a
-        # constant phase of i or -1 leaves the Hermitian pairs bit-identical.
-        pairs = np.einsum("na,nb->nab", np.conj(a) if conj else a, right[rows])
-        np.matmul(pairs.reshape(len(pairs), -1), table, out=out[rows])
-        del a, pairs  # not held while the next block's pairs are made
-    return out
-
-
 def compute_currents(rep: KemmerRep, phi) -> CurrentSet:
     """All Hermitian and tilde currents of wavefunctions of shape (..., 5).
 
     Every current is conj(Phi) eta M_k Phi (Hermitian) or Phi eta M_k Phi
     (tilde) with M_k one of the 26 current matrices, so each sector is
     the 25 pair products left[a] Phi[b] times the scaled view's current
-    table ``rep.integers.table`` (c_mu as 3 c_mu).  Float mode multiplies
-    the complex pairs by it with its c_mu columns times 1/3.  Exact mode
+    table ``rep.integers.table`` (c_mu as 3 c_mu).  Float mode takes it
+    with its c_mu columns times 1/3 to :func:`_add_pair_parts`.  Exact mode
     multiplies the integer pairs of d Phi (d: each Phi's common
     denominator) by it over d^2 or 3 d^2; on int64 when a bound from the
     largest numerator allows, else on Python ints.
@@ -122,23 +112,19 @@ def compute_currents(rep: KemmerRep, phi) -> CurrentSet:
     return _current_set(rep.mode, phi.shape[:-1], *_bilinear_tables(rep, phi))
 
 
-#: Hermitian and tilde columns of the current table: all 26 of each, or
-#: the lattice stack's S, Sflat, J, H and S-tilde, S-tilde-flat.
-_ALL_COLUMNS = (26, 26)
-_LATTICE_COLUMNS = (10, 2)
-
-
-def _bilinear_tables(rep, phi, columns=_ALL_COLUMNS):
-    """Hermitian and tilde current tables, (n, k) each with k the leading
-    ``columns`` of the 26, of checked wavefunctions."""
+def _bilinear_tables(rep, phi):
+    """Hermitian and tilde current tables, (n, 26) each, of checked wavefunctions."""
     right = phi.reshape(-1, 5)
     if rep.mode == EXACT:
         z, d = _integer_parts(right)
         t, v = top(z), rep.integers  # c_mu as 3 c_mu: those columns over 3 d^2
         z, d, table = bounded(max(2 * t * t * v.tops[0], 3 * top(d) ** 2, t), z, d, v.table)
         return [_ratio(_pairs(z, conj) @ table, d * d * _C3) for conj in (True, False)]
-    table = _float_table(rep)
-    return [_pair_products(right, right, table[:, :k], conj) for k, conj in zip(columns, (True, False))]
+    coef = _pair_table(_float_table(rep), hermitian=False)
+    out = np.zeros((2, len(right), 26), dtype=complex)
+    for conj, o in zip((True, False), out):
+        _add_pair_parts(right, right, conj, coef, lambda rows: o[rows].view(float).T)
+    return out
 
 
 def _float_table(rep):
@@ -150,8 +136,7 @@ def _float_table(rep):
 
 def _current_set(mode, lead, h, t):
     """The fields of the two tables; t's columns 6..9 (companion tilde current)
-    vanish.  Lattice tables leave K, tilde_J and tilde_K None."""
-    full = t.shape[-1] == 26
+    vanish."""
     h, t = h.reshape(lead + h.shape[-1:]), t.reshape(lead + t.shape[-1:])
     S, Sflat, J = h[..., 0][()], h[..., 1][()], h[..., 2:6]
     tS, tSflat = t[..., 0][()], t[..., 1][()]
@@ -164,12 +149,12 @@ def _current_set(mode, lead, h, t):
         Sflat=Sflat,
         J=J,
         H=h[..., 6:10],
-        K=h[..., 10:].reshape(lead + (4, 4)) if full else None,
+        K=h[..., 10:].reshape(lead + (4, 4)),
         Z=S - Sflat,
         tilde_S=tS,
         tilde_Sflat=tSflat,
-        tilde_J=t[..., 2:6] if full else None,
-        tilde_K=t[..., 10:].reshape(lead + (4, 4)) if full else None,
+        tilde_J=t[..., 2:6],
+        tilde_K=t[..., 10:].reshape(lead + (4, 4)),
         tilde_Z=tS - tSflat,
     )
 
@@ -199,55 +184,71 @@ def derivative_bilinears(rep: KemmerRep, phi, dphi, weights, tilde=False):
 
 def _derivative_blocks(rep, phi, dphi, weights, tilde, dest):
     """Add the bilinears of :func:`derivative_bilinears` for each direction
-    mu in turn and each block of ``_DERIVATIVE_BLOCK`` points ``rows`` to
-    the 2n real columns dest(mu, rows) (real, imaginary part of each of
-    the n), which start at zero or hold the sum over the directions before.
-
-    Each column is the sum, in row order, of its nonzero coefficients
-    times the real or imaginary pair parts that they read, each part
-    formed once a block from the two component columns (two products and
-    a sum, which the complex pair product rounds alike).  On the
-    reference representation a column has one coefficient, or two in
-    {+-1, +-2}, so it takes one rounding, as a product with all 50 rows
-    of the table would, in any order; the zero start makes an all-zero
-    column +0.0, as that product does.  ``phi`` is a checked wavefunction
-    array."""
+    mu in turn and each block of points ``rows`` to the 2n real columns
+    dest(mu, rows) (real, imaginary part of each of the n), which start at
+    zero or hold the sum over the directions before, by
+    :func:`_add_pair_parts`.  On the reference representation a column has
+    one coefficient, or two in {+-1, +-2}, so it takes one rounding, as a
+    product with all 50 rows of the table would, in any order.  ``phi`` is
+    a checked wavefunction array."""
     left, table = phi.reshape(-1, 5), _float_table(rep)
-    # Re and Im of left[a] d[b], left conjugated in the Hermitian sector
-    re, im = (np.subtract, np.add) if tilde else (np.add, np.subtract)
     mu = -1
     for d in dphi:  # not enumerate, whose cached result would hold d while the next is made
         mu += 1
-        coef = _derivative_table(table, weights[mu], tilde)
-        columns = [(np.flatnonzero(c), c) for c in coef.T]
-        # row r reads the real (r even) or imaginary part of the pair (i, j)
-        reads = [(r, r // 10, r // 2 % 5) for r in np.flatnonzero(coef.any(axis=1))]
-        right = np.reshape(d, (-1, 5))
-        for s in range(0, len(right), _DERIVATIVE_BLOCK):
-            rows = slice(s, min(s + _DERIVATIVE_BLOCK, len(right)))
-            a, b = left[rows], right[rows]
-            parts = {r: im(a[:, i].real * b[:, j].imag, a[:, i].imag * b[:, j].real) if r % 2
-                     else re(a[:, i].real * b[:, j].real, a[:, i].imag * b[:, j].imag) for r, i, j in reads}
-            for (used, c), target in zip(columns, dest(mu, rows)):
-                if used.size:
-                    target += functools.reduce(np.add, (c[r] * parts[r] for r in used))
-            del a, b  # b is a view of d
-        del d, right  # a stencil direction is freed before the next is taken
+        # einsum, not a BLAS product: no current kernel makes a BLAS call
+        coef = _pair_table(np.einsum("kc,cn->kn", table, weights[mu]), hermitian=not tilde)
+        _add_pair_parts(left, np.reshape(d, (-1, 5)), not tilde, coef, functools.partial(dest, mu))
+        del d  # a stencil direction is freed before the next is taken
 
 
-def _derivative_table(table, weights, tilde):
-    """The real (50, 2n) table of one direction, from the float current
-    table and that direction's (26, n) weights: row 2(5a + b) + p holds the
+def _add_pair_parts(left, right, conj, coef, dest):
+    """Add to the k real columns dest(rows) of each block of
+    ``_BLOCK`` points ``rows`` the bilinears of the real (50, k)
+    table ``coef`` (:func:`_pair_table`) on the pairs Q_ab = left[a] right[b],
+    left conjugated if ``conj``.
+
+    Each column is the sum (:func:`_column_sum`), in row order, of its
+    nonzero coefficients times the real or imaginary pair parts that they
+    read, each part formed once a block from the two component columns
+    (two products and a sum, which the complex pair product rounds alike),
+    and is added to its destination.  Into a zeroed one, that is the sum
+    from +0.0 in row order of the whole column, zero coefficients
+    included, and an all-zero column is +0.0."""
+    re, im = (np.add, np.subtract) if conj else (np.subtract, np.add)
+    columns = [(np.flatnonzero(c), c) for c in coef.T]
+    # row r reads the real (r even) or imaginary part of the pair (i, j)
+    reads = [(r, r // 10, r // 2 % 5) for r in np.flatnonzero(coef.any(axis=1))]
+    for s in range(0, len(right), _BLOCK):
+        rows = slice(s, min(s + _BLOCK, len(right)))
+        a, b = left[rows], right[rows]
+        parts = {r: im(a[:, i].real * b[:, j].imag, a[:, i].imag * b[:, j].real) if r % 2
+                 else re(a[:, i].real * b[:, j].real, a[:, i].imag * b[:, j].imag) for r, i, j in reads}
+        for (used, c), target in zip(columns, dest(rows)):
+            if used.size:
+                target += _column_sum(c, used, parts)
+
+
+def _column_sum(c, used, parts):
+    """sum_r c[r] parts[r] over the rows ``used``, in order.  A coefficient of
+    1 or -1 adds or subtracts its part with no product, the same bits: most
+    coefficients of the current tables are +-1, and a product is one more
+    numpy call a block."""
+    total = parts[used[0]] if c[used[0]] == 1 else c[used[0]] * parts[used[0]]
+    for r in used[1:]:
+        total = total + parts[r] if c[r] == 1 else total - parts[r] if c[r] == -1 else total + c[r] * parts[r]
+    return total
+
+
+def _pair_table(k, hermitian):
+    """The real (50, 2n) table of the bilinears Q.k of the pairs Q_ab, for k
+    complex (25, n), or with ``hermitian`` sum_ab Q_ab k_ab - conj(Q_ab) k_ba
+    = Re Q.(k - k^T) + i Im Q.(k + k^T): row 2(5a + b) + p holds the
     coefficients of Re Q_ab (p = 0) or Im Q_ab, column 2j + q those of the
     real (q = 0) or imaginary part of bilinear j."""
-    k, n = table @ weights, weights.shape[-1]
-    if tilde:
-        x, y = k, 1j * k
-    else:
-        kt = k.reshape(5, 5, n).swapaxes(0, 1).reshape(25, n)
-        x, y = k - kt, 1j * (k + kt)
+    kt = k.reshape(5, 5, -1).swapaxes(0, 1).reshape(k.shape)  # k_ba in row (a, b)
+    x, y = (k - kt, 1j * (k + kt)) if hermitian else (k, 1j * k)
     xy = np.stack([x, y], axis=1)  # rows: the coefficients of Re Q_ab, Im Q_ab
-    return np.stack([xy.real, xy.imag], axis=-1).reshape(50, 2 * n)
+    return np.stack([xy.real, xy.imag], axis=-1).reshape(50, 2 * k.shape[-1])
 
 
 def singular_mask(cs: CurrentSet) -> np.ndarray:
@@ -590,27 +591,54 @@ class CurrentGrid(CurrentSet):
 
 def compute_currents_grid(rep: KemmerRep, grid: FieldGrid) -> CurrentGrid:
     """Currents at every grid point; CurrentOverflowError unless all (Z, Z-tilde too) are finite."""
-    return _grid_currents(rep, grid, _ALL_COLUMNS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = _bilinear_tables(rep, _grid_values(rep, grid))
+        cs = _current_set(FLOAT, grid.extents, *tables)
+    return _checked_grid(cs, tables, grid)
 
 
 def lattice_currents(rep: KemmerRep, grid: FieldGrid) -> CurrentGrid:
     """The currents the lattice stack reads: S, Sflat, Z, J, H and Z-tilde (with
     S-tilde, S-tilde-flat); K, tilde_J and tilde_K are None.  Each field equals
     the one of :func:`compute_currents_grid` bit for bit, and only these are
-    checked for overflow.  S, Sflat, J and H are compact copies, so the
-    (n, 10) Hermitian table that they are taken from is freed."""
-    cg = _grid_currents(rep, grid, _LATTICE_COLUMNS)
-    return dataclasses.replace(cg, S=cg.S.copy(), Sflat=cg.Sflat.copy(), J=cg.J.copy(), H=cg.H.copy())
+    checked for overflow.  They come from the 12 columns of the current table
+    that hold them (:func:`_lattice_fields`), not from the whole table."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fields = [f.reshape(grid.extents + f.shape[1:]) for f in _lattice_fields(rep, _grid_values(rep, grid))]
+        S, Sflat, J, H, tS, tSflat = fields
+        cs = CurrentSet(FLOAT, S, Sflat, J, H, None, S - Sflat, tS, tSflat, None, None, tS - tSflat)
+    return _checked_grid(cs, fields, grid)
 
 
-def _grid_currents(rep, grid, columns):
+def _grid_values(rep, grid):
     if rep.mode != FLOAT:
         raise ModeError("grid currents require a float-mode representation")
     if grid.kind != WAVEFUNCTION:
         raise ShapeError("grid currents require a wavefunction grid")
-    with np.errstate(over="ignore", invalid="ignore"):
-        tables = _bilinear_tables(rep, grid.values, columns)
-        cs = _current_set(FLOAT, grid.extents, *tables)
-    if not all(np.isfinite(v).all() for v in (*tables, cs.Z, cs.tilde_Z)):
+    return grid.values
+
+
+def _checked_grid(cs, fields, grid):
+    """``cs`` as a :class:`CurrentGrid` of ``grid``; CurrentOverflowError
+    unless the ``fields`` it was taken from, Z and Z-tilde are finite."""
+    if not all(np.isfinite(v).all() for v in (*fields, cs.Z, cs.tilde_Z)):
         raise CurrentOverflowError("the currents of the grid overflow double precision")
     return CurrentGrid(**vars(cs), extents=grid.extents, spacing=grid.spacing, mask=singular_mask(cs))
+
+
+def _lattice_fields(rep, phi):
+    """S, Sflat, J, H, S-tilde and S-tilde-flat of checked wavefunctions, one
+    row per point, each written by :func:`_add_pair_parts` into its own
+    zeroed, contiguous array: the columns of :func:`compute_currents`, so
+    its bits.  On the reference representation the kernel forms the parts
+    of 13 of the 25 Hermitian pairs and of 5 tilde pairs."""
+    phi, table = phi.reshape(-1, 5), _float_table(rep)
+    S, Sflat = np.zeros((2, len(phi)))
+    J, h = np.zeros((len(phi), 4)), np.zeros((len(phi), 8))  # h: H as (real, imaginary) pairs
+    t = np.zeros((2, len(phi), 2))  # S-tilde and S-tilde-flat likewise
+    # the real parts of S, Sflat and J, both parts of H; both parts of the tilde pair
+    _add_pair_parts(phi, phi, True, _pair_table(table[:, :10], False)[:, [0, 2, 4, 6, 8, 10, *range(12, 20)]],
+                    lambda rows: [S[rows], Sflat[rows], *J[rows].T, *h[rows].T])
+    _add_pair_parts(phi, phi, False, _pair_table(table[:, :2], False),
+                    lambda rows: [*t[0, rows].T, *t[1, rows].T])
+    return S, Sflat, J, h.view(complex), *t.view(complex)[..., 0]

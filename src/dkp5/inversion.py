@@ -57,7 +57,7 @@ from .bilinears import CurrentGrid, _derivative_blocks, derivative_bilinears, la
 from .errors import EmptyDomainError, ParameterError, ShapeError, SingularZError
 from .grids import FOUR_VECTOR, TENSOR2, FieldGrid, derivatives, max_abs
 from .planewave import _wavefunction_gradient, constant_four_vector_grid
-from .reports import _entry_from_temporary, entry_from_values
+from .reports import _entry, _entry_from_temporary, entry_from_values
 
 _SIG = np.array(METRIC_DIAG, dtype=float)
 
@@ -536,8 +536,10 @@ def _shared_derivative_bilinears(rep, phi_grid, dphi, contractions):
 def _pipeline_checks(out, a_ref, tolerance):
     """The universal entries of the pipeline's grids, then with ``a_ref`` the
     solution entries on them, in report order.  Each real temporary (the
-    decomposition, F + F^T, the route difference) is made, reduced in its
-    own buffer and dropped before the next."""
+    decomposition, the route difference) is made, reduced in its own buffer
+    and dropped before the next.  Both routes build F_nu_mu as the exact
+    negative of F_mu_nu, so F + F^T is made only where F is not finite,
+    where it reads inf or nan."""
     mask = out.singular_mask
     a_full, a_gf, g_term = out.a_full.values, out.a_gauge_fixed.values, out.gauge_term.values
     f_pot, f_bil = out.f_from_potential.values, out.f_bilinear.values
@@ -554,8 +556,11 @@ def _pipeline_checks(out, a_ref, tolerance):
     decomposition -= g_term
     check_temporary("decomposition_full_vs_gauge_fixed_plus_gauge_term", decomposition, tolerance * scale)
     del decomposition
-    check_temporary("f_antisymmetry_potential_route", f_pot + np.swapaxes(f_pot, -1, -2))
-    check_temporary("f_antisymmetry_bilinear_route", f_bil + np.swapaxes(f_bil, -1, -2))
+    for name, f in (("f_antisymmetry_potential_route", f_pot), ("f_antisymmetry_bilinear_route", f_bil)):
+        if np.isfinite(f).all():  # F_nu_mu is the exact negative of F_mu_nu: F + F^T is 0.0
+            entries.append(_entry(name, (0.0, 0.0), mask, tolerance))
+        else:
+            check_temporary(name, f + np.swapaxes(f, -1, -2))
     if a_ref is not None:
         diff = a_full - a_ref
         diff[mask] = 0.0

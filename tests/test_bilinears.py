@@ -418,49 +418,91 @@ def test_fierz_residual_on_broken_reps_matches_definition(exact_rep):
         assert all(not _all_zero((r_h, r_c)[k]) for k in broken)
 
 
-@pytest.mark.parametrize("currents, table", [
-    pytest.param(compute_currents_grid, 0, id="0"),
-    pytest.param(compute_currents_grid, 1, id="1"),
-    pytest.param(lattice_currents, 0, id="lattice-0"),
-    pytest.param(lattice_currents, 1, id="lattice-1"),
+@pytest.mark.parametrize("currents, kernel, density", [
+    pytest.param(compute_currents_grid, "_bilinear_tables", lambda out: out[0][:, :2].T, id="0"),
+    pytest.param(compute_currents_grid, "_bilinear_tables", lambda out: out[1][:, :2].T, id="1"),
+    pytest.param(lattice_currents, "_lattice_fields", lambda out: out[:2], id="lattice-0"),
+    pytest.param(lattice_currents, "_lattice_fields", lambda out: out[4:], id="lattice-1"),
 ])
-def test_overflowing_density_alone_raises(float_rep, monkeypatch, currents, table):
-    """Z = S - Sflat (table 0) or Z-tilde (table 1) can overflow where every
-    entry of the current tables is finite; the grid check reads them too,
-    on the full tables and on the lattice stack's columns alike."""
+def test_overflowing_density_alone_raises(float_rep, monkeypatch, currents, kernel, density):
+    """Z = S - Sflat (0) or Z-tilde (1) can overflow where every current that
+    it is taken from is finite; the grid check reads them too, on the full
+    tables and on the lattice stack's fields alike."""
     import dkp5.bilinears
 
-    tables = dkp5.bilinears._bilinear_tables
+    fields = getattr(dkp5.bilinears, kernel)
 
-    def huge_density(rep, phi, *columns):
-        out = tables(rep, phi, *columns)
-        out[table][:, :2] = (1e308, -1e308)  # S and Sflat (or their tilde twins)
+    def huge_density(rep, phi):
+        out = fields(rep, phi)
+        s, sflat = density(out)  # S and Sflat (or their tilde twins)
+        s[...], sflat[...] = 1e308, -1e308
         return out
 
-    monkeypatch.setattr(dkp5.bilinears, "_bilinear_tables", huge_density)
+    monkeypatch.setattr(dkp5.bilinears, kernel, huge_density)
     rng = np.random.default_rng(7)
     vals = rng.standard_normal((3, 2, 1, 1, 5)) + 1j * rng.standard_normal((3, 2, 1, 1, 5))
     with pytest.raises(CurrentOverflowError):
         currents(float_rep, FieldGrid((3, 2, 1, 1), (0.1,) * 4, WAVEFUNCTION, vals))
 
 
-def test_lattice_currents_equal_the_grid_currents(float_rep):
-    """The lattice stack's currents are the fields of compute_currents_grid
-    bit for bit, across more than one block of points and at a Z-singular
-    point; the currents it does not read are None.  The grid mask is the
-    per-point decision at every point."""
+def _dense_currents(rep, phi, conj):
+    """The float current table, (n, 26), of wavefunctions (n, 5) as the
+    product of all 25 pairs Q with the complex table k: the real and
+    imaginary part of each column summed from +0.0 over the pairs in row
+    order, zero coefficients included, Re Q Re k - Im Q Im k and
+    Re Q Im k + Im Q Re k, with each pair part and each term rounded on
+    its own."""
+    import dkp5.bilinears
+
+    a, table = (np.conj(phi) if conj else phi), dkp5.bilinears._float_table(rep)
+    re = (a.real[:, :, None] * phi.real[:, None, :] - a.imag[:, :, None] * phi.imag[:, None, :]).reshape(-1, 25)
+    im = (a.real[:, :, None] * phi.imag[:, None, :] + a.imag[:, :, None] * phi.real[:, None, :]).reshape(-1, 25)
+    out = np.zeros((len(phi), 26), dtype=complex)
+    for r, k in enumerate(table):
+        out.real += re[:, r, None] * k.real
+        out.real -= im[:, r, None] * k.imag
+        out.imag += re[:, r, None] * k.imag
+        out.imag += im[:, r, None] * k.real
+    return out
+
+
+def test_lattice_currents_equal_the_grid_currents(float_rep, monkeypatch):
+    """compute_currents_grid gives every current of the dense product of the
+    pairs with the whole table, and lattice_currents the ones it reads, bit
+    for bit, zeros' signs included: across the seams of blocks of
+    ``_SEAM_BLOCK`` points, at Z-singular points, and at components of
+    either zero; the currents the lattice stack does not read are None.
+    The grid mask is the per-point decision at every point."""
+    import dkp5.bilinears
+    from test_pipeline_equivalence import _SEAM_BLOCK, _multi_block_field
+
+    monkeypatch.setattr(dkp5.bilinears, "_BLOCK", _SEAM_BLOCK)
     grid, _ = random_fourier_field((9, 8, 6, 5), (0.3, 0.25, 0.3, 0.35), seed=4)
     grid.values[3, 2, 4, 1] = 0.0
-    full, lean = compute_currents_grid(float_rep, grid), lattice_currents(float_rep, grid)
-    assert singular_mask(lean)[3, 2, 4, 1] and singular_mask(lean).sum() == 1
-    per_point = [z_is_singular(compute_currents(float_rep, phi)) for phi in grid.values.reshape(-1, 5)]
-    assert np.array_equal(np.reshape(per_point, grid.extents), full.mask)
-    for name in ("S", "Sflat", "J", "H", "Z", "tilde_S", "tilde_Sflat", "tilde_Z", "mask"):
-        want, got = getattr(full, name), getattr(lean, name)
-        assert got.dtype == want.dtype and got.shape == want.shape, name
-        assert (got == want).all(), name
-    assert lean.K is lean.tilde_J is lean.tilde_K is None
-    assert (lean.extents, lean.spacing) == (full.extents, full.spacing)
+    seams, _ = _multi_block_field()
+    bits = lambda a: np.ascontiguousarray(a).view(np.int64 if a.dtype.kind in "fc" else np.int8)
+    # Z = 0 at the zeroed points, and on the seam field where Phi_4 = -0.0 too
+    singular = ([np.ravel_multi_index((3, 2, 4, 1), grid.extents)],
+                [0, 17, *range(100, 140), 1023, 1024, 1500, 2047, 2048, 2159])
+    for grid, points in zip((grid, seams), singular):
+        full, lean = compute_currents_grid(float_rep, grid), lattice_currents(float_rep, grid)
+        phi = grid.values.reshape(-1, 5)
+        dense = dkp5.bilinears._current_set(
+            "float", grid.extents, *(_dense_currents(float_rep, phi, conj) for conj in (True, False)))
+        for name, want in vars(dense).items():
+            got = getattr(full, name)
+            if name != "mode":
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert np.array_equal(bits(got), bits(want)), name
+        assert np.flatnonzero(singular_mask(lean)).tolist() == points
+        per_point = [z_is_singular(compute_currents(float_rep, p)) for p in phi]
+        assert np.array_equal(np.reshape(per_point, grid.extents), full.mask)
+        for name in ("S", "Sflat", "J", "H", "Z", "tilde_S", "tilde_Sflat", "tilde_Z", "mask"):
+            want, got = getattr(full, name), getattr(lean, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert np.array_equal(bits(got), bits(want)), name
+        assert lean.K is lean.tilde_J is lean.tilde_K is None
+        assert (lean.extents, lean.spacing) == (full.extents, full.spacing)
 
 
 def test_threshold_past_double_precision_is_infinite(float_rep):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from dkp5 import (
     singular_mask,
     solution_checks,
 )
-from dkp5.bilinears import _derivative_table, _float_table, derivative_bilinears
+from dkp5.bilinears import _float_table, _pair_table, derivative_bilinears
 from dkp5.errors import EmptyDomainError, ModeError, ParameterError, SingularZError
 from dkp5 import inversion
 from dkp5.inversion import _SHARED_W, _UPPER_W, _ZETA_W
@@ -470,7 +472,7 @@ def test_derivative_tables_round_each_column_once(float_rep):
     for name, weights in (("zeta", _ZETA_W), ("upper", _UPPER_W), ("shared", _SHARED_W)):
         for tilde in (False, True):
             for mu in range(4):
-                coef = _derivative_table(table, weights[mu], tilde)
+                coef = _pair_table(np.einsum("kc,cn->kn", table, weights[mu]), hermitian=not tilde)
                 for col, c in enumerate(coef.T):
                     where = f"{name} weights, tilde={tilde}, mu={mu}, column {col}"
                     terms = c[c != 0]
@@ -574,6 +576,42 @@ def test_pipeline_equals_stages_called_alone(float_rep, analytic, A_ref):
         rres_alone = reduced_system_residuals(reduced_state(cg, m, e))
         for name in ("field_eq", "conservation", "modulus", "lhs_cross_check"):
             assert np.array_equal(getattr(rres, name), getattr(rres_alone, name)), name
+
+
+@pytest.mark.parametrize("stage, route", [("field_strength_from_potential", "potential"),
+                                          ("field_strength_bilinear", "bilinear")])
+def test_f_antisymmetry_entries_build_f_plus_f_transpose_only_where_f_is_not_finite(
+        float_rep, monkeypatch, stage, route):
+    """On a finite F, each F-antisymmetry entry is the entry of F + F^T byte
+    for byte, with masked points.  With F_mu_nu = -F_nu_mu = inf at an
+    unmasked point, as where a - b and b - a overflow, F + F^T is taken and
+    is inf - inf there: a FloatingPointError under the CLI's errstate, and
+    a nan entry where invalid values are ignored."""
+    from dkp5.reports import _entry_from_temporary
+
+    m, e, A_ref = 1.1, 0.8, (0.3, -0.2, 0.1, 0.25)
+    name = f"f_antisymmetry_{route}_route"
+    grid, _ = _masked_field()
+    out, entries = invert_pipeline(float_rep, grid, m, e, A_ref=A_ref)
+    f = getattr(out, "f_from_potential" if route == "potential" else "f_bilinear").values
+    want = _entry_from_temporary(name, f + np.swapaxes(f, -1, -2), out.singular_mask, 1e-10)
+    assert out.singular_mask.any() and not out.singular_mask[0, 0, 0, 0]
+    assert [json.dumps(entry) for entry in entries if entry["identity"] == name] == [json.dumps(want)]
+
+    original = getattr(inversion, stage)
+
+    def overflowing(*args, **kwargs):
+        F = original(*args, **kwargs)
+        F.values[0, 0, 0, 0, 1, 2], F.values[0, 0, 0, 0, 2, 1] = np.inf, -np.inf
+        return F
+
+    monkeypatch.setattr(inversion, stage, overflowing)
+    with np.errstate(over="raise", divide="raise", invalid="raise"), pytest.raises(FloatingPointError):
+        invert_pipeline(float_rep, grid, m, e, A_ref=A_ref)
+    with np.errstate(all="ignore"):
+        _, entries = invert_pipeline(float_rep, grid, m, e, A_ref=A_ref)
+    [got] = [entry for entry in entries if entry["identity"] == name]
+    assert np.isnan(got["max_abs"]) and np.isnan(got["rms"]) and not got["pass"]
 
 
 def test_pipeline_takes_each_stencil_once(float_rep, monkeypatch):

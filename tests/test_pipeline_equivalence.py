@@ -131,11 +131,11 @@ def _multi_block_field():
 
 @pytest.mark.parametrize("analytic", [False, True])
 def test_derivative_bilinears_across_block_seams(float_rep, analytic, monkeypatch):
-    """Past one block of points of the pair products, the derivative
-    bilinears and the antisymmetrisation, each set to ``_SEAM_BLOCK``: the
+    """Past one block of points of the pair-part kernel and of the
+    antisymmetrisation, each set to ``_SEAM_BLOCK``: the
     derivative bilinears of every weight set and sector, and the whole
     pipeline, bit for bit."""
-    for module, name in ((bilinears, "_BLOCK"), (bilinears, "_DERIVATIVE_BLOCK"), (inversion, "_F_BLOCK")):
+    for module, name in ((bilinears, "_BLOCK"), (inversion, "_F_BLOCK")):
         monkeypatch.setattr(module, name, _SEAM_BLOCK)
     grid, dphi = _multi_block_field()
     dphi = dphi if analytic else None
