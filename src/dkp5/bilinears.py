@@ -13,14 +13,12 @@ density Z = S - Sflat.  The tilde currents use Phi_tilde instead; the
 companion tilde current vanishes identically and K-tilde is symmetric.
 
 In float mode one kernel, :func:`_add_pair_parts`, evaluates them all
-on the current table that ``verify-algebra`` checks: the whole table in
-:func:`compute_currents` (and so :func:`compute_currents_grid` and
-``dkp currents``), its 12 columns that the lattice stack reads in
-:func:`lattice_currents`, and the derivative tables in
-:func:`derivative_bilinears`.  It forms only the real and imaginary pair
-parts that some coefficient reads and sums each column from its nonzero
-coefficients in row order, from +0.0.  It makes no BLAS call, so no
-current depends on the BLAS build or its thread count.
+on the current table that ``verify-algebra`` checks: the currents asked
+of :func:`_float_fields`, each into its own array, and the derivative
+tables of :func:`derivative_bilinears`.  It forms only the real and
+imaginary pair parts that some coefficient reads and sums each column
+from its nonzero coefficients in row order, from +0.0.  It makes no BLAS
+call, so no current depends on the BLAS build or its thread count.
 
 The rank-one rearrangement machinery lives here as residual evaluators:
 the expansion of Phi Phi_bar on the algebra basis, its complex twin for
@@ -32,7 +30,6 @@ are checked exactly in exact mode.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -94,6 +91,22 @@ def as_wavefunction(phi, mode):
     return _exact_entries(arr) if mode == EXACT else arr
 
 
+#: The current fields: name -> (tilde sector, first column of the current
+#: table, shape per point, real: S, Sflat and J are by construction).  The
+#: companion tilde current (columns 6..9) vanishes.
+_FIELDS = {
+    "S": (False, 0, (), True),
+    "Sflat": (False, 1, (), True),
+    "J": (False, 2, (4,), True),
+    "H": (False, 6, (4,), False),
+    "K": (False, 10, (4, 4), False),
+    "tilde_S": (True, 0, (), False),
+    "tilde_Sflat": (True, 1, (), False),
+    "tilde_J": (True, 2, (4,), False),
+    "tilde_K": (True, 10, (4, 4), False),
+}
+
+
 def compute_currents(rep: KemmerRep, phi) -> CurrentSet:
     """All Hermitian and tilde currents of wavefunctions of shape (..., 5).
 
@@ -101,29 +114,45 @@ def compute_currents(rep: KemmerRep, phi) -> CurrentSet:
     (tilde) with M_k one of the 26 current matrices, so each sector is
     the 25 pair products left[a] Phi[b] times the scaled view's current
     table ``rep.integers.table`` (c_mu as 3 c_mu).  Float mode takes it
-    with its c_mu columns times 1/3 to :func:`_add_pair_parts`.  Exact mode
-    multiplies the integer pairs of d Phi (d: each Phi's common
-    denominator) by it over d^2 or 3 d^2; on int64 when a bound from the
-    largest numerator allows, else on Python ints.
+    with its c_mu columns times 1/3 to :func:`_float_fields`.  Exact mode
+    (:func:`_exact_fields`) multiplies the integer pairs of d Phi (d: each
+    Phi's common denominator) by it over d^2 or 3 d^2; on int64 when a
+    bound from the largest numerator allows, else on Python ints.
     Fields carry the leading axes of ``phi``: scalars, four-vectors and
     4x4 matrices for one wavefunction.
     """
     phi = as_wavefunction(phi, rep.mode)
-    return _current_set(rep.mode, phi.shape[:-1], *_bilinear_tables(rep, phi))
+    fields = _float_fields(rep, phi, _FIELDS) if rep.mode == FLOAT else _exact_fields(rep, phi)
+    return _current_set(rep.mode, fields)
 
 
-def _bilinear_tables(rep, phi):
-    """Hermitian and tilde current tables, (n, 26) each, of checked wavefunctions."""
-    right = phi.reshape(-1, 5)
-    if rep.mode == EXACT:
-        z, d = _integer_parts(right)
-        t, v = top(z), rep.integers  # c_mu as 3 c_mu: those columns over 3 d^2
-        z, d, table = bounded(max(2 * t * t * v.tops[0], 3 * top(d) ** 2, t), z, d, v.table)
-        return [_ratio(_pairs(z, conj) @ table, d * d * _C3) for conj in (True, False)]
-    coef = _pair_table(_float_table(rep), hermitian=False)
-    out = np.zeros((2, len(right), 26), dtype=complex)
-    for conj, o in zip((True, False), out):
-        _add_pair_parts(right, right, conj, coef, lambda rows: o[rows].view(float).T)
+def _exact_fields(rep, phi):
+    """The exact currents by name of checked wavefunctions: the Hermitian and
+    tilde current tables, (n, 26) each, sliced by ``_FIELDS``."""
+    z, d = _integer_parts(phi.reshape(-1, 5))
+    t, v = top(z), rep.integers  # c_mu as 3 c_mu: those columns over 3 d^2
+    z, d, table = bounded(max(2 * t * t * v.tops[0], 3 * top(d) ** 2, t), z, d, v.table)
+    tables = [_ratio(_pairs(z, conj) @ table, d * d * _C3) for conj in (True, False)]
+    return {name: tables[tilde][:, first:first + math.prod(shape)].reshape(phi.shape[:-1] + shape)
+            for name, (tilde, first, shape, _) in _FIELDS.items()}
+
+
+def _float_fields(rep, phi, fields):
+    """The float currents named ``fields`` of checked wavefunctions, each a
+    zeroed, contiguous array with their leading axes, into which one
+    :func:`_add_pair_parts` call per sector adds the columns that
+    ``_FIELDS`` gives."""
+    lead, phi = phi.shape[:-1], phi.reshape(-1, 5)
+    coef, out = _pair_table(_float_table(rep), hermitian=False), {}
+    for tilde in (False, True):
+        columns, dest = [], []
+        for name, (sector, first, shape, real) in _FIELDS.items():
+            if sector == tilde and name in fields:
+                size = math.prod(shape)
+                out[name] = np.zeros(lead + shape, dtype=float if real else complex)
+                columns += range(2 * first, 2 * (first + size), 2 if real else 1)  # real parts, or both
+                dest += list(out[name].reshape(-1, size).view(float).T)
+        _add_pair_parts(phi, phi, not tilde, coef[:, columns], dest)
     return out
 
 
@@ -134,29 +163,11 @@ def _float_table(rep):
     return rep.integers.table * (1 / _C3)
 
 
-def _current_set(mode, lead, h, t):
-    """The fields of the two tables; t's columns 6..9 (companion tilde current)
-    vanish."""
-    h, t = h.reshape(lead + h.shape[-1:]), t.reshape(lead + t.shape[-1:])
-    S, Sflat, J = h[..., 0][()], h[..., 1][()], h[..., 2:6]
-    tS, tSflat = t[..., 0][()], t[..., 1][()]
-    if mode == FLOAT:
-        # S, Sflat and J are real by construction; drop the round-off phase.
-        S, Sflat, J = S.real, Sflat.real, J.real
-    return CurrentSet(
-        mode=mode,
-        S=S,
-        Sflat=Sflat,
-        J=J,
-        H=h[..., 6:10],
-        K=h[..., 10:].reshape(lead + (4, 4)),
-        Z=S - Sflat,
-        tilde_S=tS,
-        tilde_Sflat=tSflat,
-        tilde_J=t[..., 2:6],
-        tilde_K=t[..., 10:].reshape(lead + (4, 4)),
-        tilde_Z=tS - tSflat,
-    )
+def _current_set(mode, fields):
+    """The CurrentSet of the fields by name (S, Sflat and their tilde twins
+    among them) with Z and Z-tilde; a field not given is None."""
+    f = {name: fields[name][()] if name in fields else None for name in _FIELDS}
+    return CurrentSet(mode=mode, **f, Z=f["S"] - f["Sflat"], tilde_Z=f["tilde_S"] - f["tilde_Sflat"])
 
 
 def derivative_bilinears(rep: KemmerRep, phi, dphi, weights, tilde=False):
@@ -178,34 +189,32 @@ def derivative_bilinears(rep: KemmerRep, phi, dphi, weights, tilde=False):
         raise ModeError("derivative bilinears require a float-mode representation")
     phi = as_wavefunction(phi, rep.mode)
     out = np.zeros((phi[..., 0].size, 4, weights.shape[-1]), dtype=complex)
-    _derivative_blocks(rep, phi, dphi, weights, tilde, lambda mu, rows: out[rows, mu].view(float).T)
+    _derivative_blocks(rep, phi, dphi, weights, tilde, [list(out.view(float)[:, mu].T) for mu in range(4)])
     return out.reshape(phi.shape[:-1] + out.shape[1:])
 
 
 def _derivative_blocks(rep, phi, dphi, weights, tilde, dest):
     """Add the bilinears of :func:`derivative_bilinears` for each direction
-    mu in turn and each block of points ``rows`` to the 2n real columns
-    dest(mu, rows) (real, imaginary part of each of the n), which start at
-    zero or hold the sum over the directions before, by
-    :func:`_add_pair_parts`.  On the reference representation a column has
-    one coefficient, or two in {+-1, +-2}, so it takes one rounding, as a
-    product with all 50 rows of the table would, in any order.  ``phi`` is
-    a checked wavefunction array."""
-    left, table = phi.reshape(-1, 5), _float_table(rep)
-    mu = -1
-    for d in dphi:  # not enumerate, whose cached result would hold d while the next is made
-        mu += 1
+    mu in turn to the 2n real per-point columns dest[mu] (real, imaginary
+    part of each of the n), which start at zero or hold the sum over the
+    directions before, by :func:`_add_pair_parts`.  On the reference
+    representation a column has one coefficient, or two in {+-1, +-2}, so
+    it takes one rounding, as a product with all 50 rows of the table
+    would, in any order.  ``phi`` is a checked wavefunction array."""
+    left, table, dphi = phi.reshape(-1, 5), _float_table(rep), iter(dphi)
+    for mu, columns in enumerate(dest):
+        d = next(dphi)  # not enumerate(dphi), whose cached result holds d while the next is made
         # einsum, not a BLAS product: no current kernel makes a BLAS call
         coef = _pair_table(np.einsum("kc,cn->kn", table, weights[mu]), hermitian=not tilde)
-        _add_pair_parts(left, np.reshape(d, (-1, 5)), not tilde, coef, functools.partial(dest, mu))
+        _add_pair_parts(left, np.reshape(d, (-1, 5)), not tilde, coef, columns)
         del d  # a stencil direction is freed before the next is taken
 
 
 def _add_pair_parts(left, right, conj, coef, dest):
-    """Add to the k real columns dest(rows) of each block of
-    ``_BLOCK`` points ``rows`` the bilinears of the real (50, k)
-    table ``coef`` (:func:`_pair_table`) on the pairs Q_ab = left[a] right[b],
-    left conjugated if ``conj``.
+    """Add to the k real per-point columns ``dest``, a block of ``_BLOCK``
+    points at a time, the bilinears of the real (50, k) table ``coef``
+    (:func:`_pair_table`) on the pairs Q_ab = left[a] right[b], left
+    conjugated if ``conj``.
 
     Each column is the sum (:func:`_column_sum`), in row order, of its
     nonzero coefficients times the real or imaginary pair parts that they
@@ -215,7 +224,7 @@ def _add_pair_parts(left, right, conj, coef, dest):
     from +0.0 in row order of the whole column, zero coefficients
     included, and an all-zero column is +0.0."""
     re, im = (np.add, np.subtract) if conj else (np.subtract, np.add)
-    columns = [(np.flatnonzero(c), c) for c in coef.T]
+    columns = [(np.flatnonzero(c), c, target) for c, target in zip(coef.T, dest) if c.any()]
     # row r reads the real (r even) or imaginary part of the pair (i, j)
     reads = [(r, r // 10, r // 2 % 5) for r in np.flatnonzero(coef.any(axis=1))]
     for s in range(0, len(right), _BLOCK):
@@ -223,9 +232,8 @@ def _add_pair_parts(left, right, conj, coef, dest):
         a, b = left[rows], right[rows]
         parts = {r: im(a[:, i].real * b[:, j].imag, a[:, i].imag * b[:, j].real) if r % 2
                  else re(a[:, i].real * b[:, j].real, a[:, i].imag * b[:, j].imag) for r, i, j in reads}
-        for (used, c), target in zip(columns, dest(rows)):
-            if used.size:
-                target += _column_sum(c, used, parts)
+        for used, c, target in columns:
+            target[rows] += _column_sum(c, used, parts)
 
 
 def _column_sum(c, used, parts):
@@ -591,54 +599,27 @@ class CurrentGrid(CurrentSet):
 
 def compute_currents_grid(rep: KemmerRep, grid: FieldGrid) -> CurrentGrid:
     """Currents at every grid point; CurrentOverflowError unless all (Z, Z-tilde too) are finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        tables = _bilinear_tables(rep, _grid_values(rep, grid))
-        cs = _current_set(FLOAT, grid.extents, *tables)
-    return _checked_grid(cs, tables, grid)
+    return _grid_set(rep, grid, _FIELDS)
 
 
 def lattice_currents(rep: KemmerRep, grid: FieldGrid) -> CurrentGrid:
     """The currents the lattice stack reads: S, Sflat, Z, J, H and Z-tilde (with
     S-tilde, S-tilde-flat); K, tilde_J and tilde_K are None.  Each field equals
     the one of :func:`compute_currents_grid` bit for bit, and only these are
-    checked for overflow.  They come from the 12 columns of the current table
-    that hold them (:func:`_lattice_fields`), not from the whole table."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        fields = [f.reshape(grid.extents + f.shape[1:]) for f in _lattice_fields(rep, _grid_values(rep, grid))]
-        S, Sflat, J, H, tS, tSflat = fields
-        cs = CurrentSet(FLOAT, S, Sflat, J, H, None, S - Sflat, tS, tSflat, None, None, tS - tSflat)
-    return _checked_grid(cs, fields, grid)
+    checked for overflow.  On the reference representation they read the
+    parts of 13 of the 25 Hermitian pairs and of 5 tilde pairs."""
+    return _grid_set(rep, grid, ("S", "Sflat", "J", "H", "tilde_S", "tilde_Sflat"))
 
 
-def _grid_values(rep, grid):
+def _grid_set(rep, grid, fields):
+    """The currents ``fields`` of a wavefunction grid as a CurrentGrid;
+    CurrentOverflowError unless all it holds (Z, Z-tilde too) are finite."""
     if rep.mode != FLOAT:
         raise ModeError("grid currents require a float-mode representation")
     if grid.kind != WAVEFUNCTION:
         raise ShapeError("grid currents require a wavefunction grid")
-    return grid.values
-
-
-def _checked_grid(cs, fields, grid):
-    """``cs`` as a :class:`CurrentGrid` of ``grid``; CurrentOverflowError
-    unless the ``fields`` it was taken from, Z and Z-tilde are finite."""
-    if not all(np.isfinite(v).all() for v in (*fields, cs.Z, cs.tilde_Z)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        cs = _current_set(FLOAT, _float_fields(rep, grid.values, fields))
+    if not all(np.isfinite(v).all() for v in vars(cs).values() if isinstance(v, np.ndarray)):
         raise CurrentOverflowError("the currents of the grid overflow double precision")
     return CurrentGrid(**vars(cs), extents=grid.extents, spacing=grid.spacing, mask=singular_mask(cs))
-
-
-def _lattice_fields(rep, phi):
-    """S, Sflat, J, H, S-tilde and S-tilde-flat of checked wavefunctions, one
-    row per point, each written by :func:`_add_pair_parts` into its own
-    zeroed, contiguous array: the columns of :func:`compute_currents`, so
-    its bits.  On the reference representation the kernel forms the parts
-    of 13 of the 25 Hermitian pairs and of 5 tilde pairs."""
-    phi, table = phi.reshape(-1, 5), _float_table(rep)
-    S, Sflat = np.zeros((2, len(phi)))
-    J, h = np.zeros((len(phi), 4)), np.zeros((len(phi), 8))  # h: H as (real, imaginary) pairs
-    t = np.zeros((2, len(phi), 2))  # S-tilde and S-tilde-flat likewise
-    # the real parts of S, Sflat and J, both parts of H; both parts of the tilde pair
-    _add_pair_parts(phi, phi, True, _pair_table(table[:, :10], False)[:, [0, 2, 4, 6, 8, 10, *range(12, 20)]],
-                    lambda rows: [S[rows], Sflat[rows], *J[rows].T, *h[rows].T])
-    _add_pair_parts(phi, phi, False, _pair_table(table[:, :2], False),
-                    lambda rows: [*t[0, rows].T, *t[1, rows].T])
-    return S, Sflat, J, h.view(complex), *t.view(complex)[..., 0]

@@ -416,10 +416,10 @@ def _write_points(extents, columns, mirrors, csv_path=None, json_path=None):
 
 def _check_distinct_paths(inputs, outputs):
     """ParameterError unless each given output path differs from every input
-    and every other output."""
-    seen = {os.path.abspath(path): "an input" for path in inputs}
+    and every other output, symbolic links resolved."""
+    seen = {os.path.realpath(path): "an input" for path in inputs}
     for out in filter(None, outputs):
-        path = os.path.abspath(out)
+        path = os.path.realpath(out)
         if path in seen:
             raise ParameterError(f"output path {out!r} collides with {seen[path]}")
         seen[path] = "another output"
@@ -439,11 +439,14 @@ def _load_sidecar(path, optional):
 
 
 def _sidecar_value(sidecar, key, convert=_real):
-    """sidecar[key] through ``convert``; None without a sidecar or that key."""
+    """sidecar[key] through ``convert``; None without a sidecar or that key.
+    Not a JSON number or list of them (a bool, a string read char by char):
+    passed on as None, which every ``convert`` refuses."""
     if sidecar is None or key not in sidecar:
         return None
+    numbers = sidecar[key] if isinstance(sidecar[key], list) else [sidecar[key]]
     try:
-        return convert(sidecar[key])
+        return convert(sidecar[key] if all(type(x) in (int, float) for x in numbers) else None)
     except (TypeError, ValueError, IndexError, argparse.ArgumentTypeError) as exc:
         raise ParameterError(f"sidecar field {key!r} is malformed: {sidecar[key]!r}") from exc
 
@@ -464,7 +467,7 @@ def _resolve_derivatives(args, sidecar, grid):
     wave = {
         key: _sidecar_value(sidecar, key, convert)
         for key, convert in (("p", _reals), ("A", _reals), ("m", _real), ("e", _real),
-                             ("amplitude", lambda a: complex(*_reals(a[:2]))))
+                             ("amplitude", lambda a: complex(*_reals(a))))
     }
     missing = [key for key, value in wave.items() if value is None]
     if missing:

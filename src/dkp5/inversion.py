@@ -528,7 +528,7 @@ def _shared_derivative_bilinears(rep, phi_grid, dphi, contractions):
     d_bc = np.zeros((n, 2), dtype=complex) if contractions else None
     zeta, bc = d_zeta.view(float), () if d_bc is None else d_bc.view(float).T
     _derivative_blocks(rep, phi_grid.values, _wavefunction_gradient(phi_grid, dphi), weights, False,
-                       lambda mu, rows: [*zeta[rows, 2 * mu : 2 * mu + 2].T, *(c[rows] for c in bc)])
+                       [[*zeta[:, 2 * mu : 2 * mu + 2].T, *bc] for mu in range(4)])
     grid = lambda a: None if a is None else a.reshape(phi_grid.extents + a.shape[1:])
     return grid(d_zeta), grid(d_bc)
 

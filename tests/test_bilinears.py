@@ -418,31 +418,58 @@ def test_fierz_residual_on_broken_reps_matches_definition(exact_rep):
         assert all(not _all_zero((r_h, r_c)[k]) for k in broken)
 
 
-@pytest.mark.parametrize("currents, kernel, density", [
-    pytest.param(compute_currents_grid, "_bilinear_tables", lambda out: out[0][:, :2].T, id="0"),
-    pytest.param(compute_currents_grid, "_bilinear_tables", lambda out: out[1][:, :2].T, id="1"),
-    pytest.param(lattice_currents, "_lattice_fields", lambda out: out[:2], id="lattice-0"),
-    pytest.param(lattice_currents, "_lattice_fields", lambda out: out[4:], id="lattice-1"),
+@pytest.mark.parametrize("currents, density", [
+    pytest.param(compute_currents_grid, ("S", "Sflat"), id="0"),
+    pytest.param(compute_currents_grid, ("tilde_S", "tilde_Sflat"), id="1"),
+    pytest.param(lattice_currents, ("S", "Sflat"), id="lattice-0"),
+    pytest.param(lattice_currents, ("tilde_S", "tilde_Sflat"), id="lattice-1"),
 ])
-def test_overflowing_density_alone_raises(float_rep, monkeypatch, currents, kernel, density):
+def test_overflowing_density_alone_raises(float_rep, monkeypatch, currents, density):
     """Z = S - Sflat (0) or Z-tilde (1) can overflow where every current that
-    it is taken from is finite; the grid check reads them too, on the full
-    tables and on the lattice stack's fields alike."""
+    it is taken from is finite; the grid check reads them too, for all
+    currents and for the lattice stack's alike."""
     import dkp5.bilinears
 
-    fields = getattr(dkp5.bilinears, kernel)
+    fields = dkp5.bilinears._float_fields
 
-    def huge_density(rep, phi):
-        out = fields(rep, phi)
-        s, sflat = density(out)  # S and Sflat (or their tilde twins)
+    def huge_density(rep, phi, names):
+        out = fields(rep, phi, names)
+        s, sflat = (out[name] for name in density)  # S and Sflat (or their tilde twins)
         s[...], sflat[...] = 1e308, -1e308
         return out
 
-    monkeypatch.setattr(dkp5.bilinears, kernel, huge_density)
+    monkeypatch.setattr(dkp5.bilinears, "_float_fields", huge_density)
     rng = np.random.default_rng(7)
     vals = rng.standard_normal((3, 2, 1, 1, 5)) + 1j * rng.standard_normal((3, 2, 1, 1, 5))
     with pytest.raises(CurrentOverflowError):
         currents(float_rep, FieldGrid((3, 2, 1, 1), (0.1,) * 4, WAVEFUNCTION, vals))
+
+
+def test_grid_overflow_check_agrees_with_the_whole_tables(float_rep):
+    """The grid check reads only the fields it returns, not Im S, Im Sflat,
+    Im J or the vanishing companion tilde columns, and still raises
+    CurrentOverflowError (``dkp currents`` exits 2) exactly where some
+    column of either dense table, Z or Z-tilde is not finite: seeded
+    two-point fields near the overflow edge, real and imaginary parts
+    uniform in (-s, s) for one s of 10^152 to 10^155 a field, 30% zero."""
+    rng = np.random.default_rng(22)
+    raised = []
+    for _ in range(600):
+        parts = rng.uniform(-1, 1, (2, 2, 5)) * 10.0 ** rng.uniform(152, 155)
+        parts[rng.random((2, 2, 5)) < 0.3] = 0.0
+        phi = np.empty((2, 5), dtype=complex)
+        phi.real, phi.imag = parts
+        with np.errstate(over="ignore", invalid="ignore"):
+            h, t = (_dense_currents(float_rep, phi, conj) for conj in (True, False))
+            want = not all(np.isfinite(v).all() for v in (h, t, h[:, 0].real - h[:, 1].real, t[:, 0] - t[:, 1]))
+        grid = FieldGrid((2, 1, 1, 1), (0.1,) * 4, WAVEFUNCTION, phi.reshape(2, 1, 1, 1, 5))
+        try:
+            compute_currents_grid(float_rep, grid)
+            raised.append(False)
+        except CurrentOverflowError:
+            raised.append(True)
+        assert raised[-1] == want, phi
+    assert 100 < sum(raised) < 500  # both outcomes, often
 
 
 def _dense_currents(rep, phi, conj):
@@ -487,13 +514,17 @@ def test_lattice_currents_equal_the_grid_currents(float_rep, monkeypatch):
     for grid, points in zip((grid, seams), singular):
         full, lean = compute_currents_grid(float_rep, grid), lattice_currents(float_rep, grid)
         phi = grid.values.reshape(-1, 5)
-        dense = dkp5.bilinears._current_set(
-            "float", grid.extents, *(_dense_currents(float_rep, phi, conj) for conj in (True, False)))
-        for name, want in vars(dense).items():
-            got = getattr(full, name)
-            if name != "mode":
-                assert got.dtype == want.dtype and got.shape == want.shape, name
-                assert np.array_equal(bits(got), bits(want)), name
+        h, t = (_dense_currents(float_rep, phi, conj) for conj in (True, False))
+        S, Sflat = h[:, 0].real, h[:, 1].real  # real by construction: the round-off phase dropped
+        dense = {"S": S, "Sflat": Sflat, "J": h[:, 2:6].real, "H": h[:, 6:10],
+                 "K": h[:, 10:].reshape(-1, 4, 4), "Z": S - Sflat,
+                 "tilde_S": t[:, 0], "tilde_Sflat": t[:, 1], "tilde_J": t[:, 2:6],  # t[:, 6:10] vanishes
+                 "tilde_K": t[:, 10:].reshape(-1, 4, 4), "tilde_Z": t[:, 0] - t[:, 1]}
+        assert set(dense) == set(vars(full)) - {"mode", "extents", "spacing", "mask"}
+        for name, want in dense.items():
+            want, got = want.reshape(grid.extents + want.shape[1:]), getattr(full, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert np.array_equal(bits(got), bits(want)), name
         assert np.flatnonzero(singular_mask(lean)).tolist() == points
         per_point = [z_is_singular(compute_currents(float_rep, p)) for p in phi]
         assert np.array_equal(np.reshape(per_point, grid.extents), full.mask)

@@ -210,21 +210,30 @@ def test_output_path_colliding_with_input_exits_two(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["currents_json_is_csv", "invert_json_is_sidecar",
-                                  "invert_csv_is_output_grid"])
+                                  "invert_csv_is_output_grid", "currents_json_links_to_grid",
+                                  "currents_csv_links_to_grid", "invert_outdir_links_to_grid_dir"])
 def test_colliding_output_paths_exit_two(tmp_path, case):
-    """No output overwrites an input or another output: every file is as before."""
-    grid_path = _manufacture(tmp_path)
-    sidecar = tmp_path / "pw.dkp5.json"
-    before = sidecar.read_bytes()
-    out, outdir = tmp_path / "x", tmp_path / "grids"
+    """No output overwrites an input or another output, also through a
+    symbolic link: every file is as before.  The grid is named as an
+    output grid of -o, so that -o through a link to its directory would
+    write over it."""
+    grid_path, sidecar = tmp_path / "A_full.dkp5", tmp_path / "A_full.dkp5.json"
+    _manufacture(tmp_path).rename(grid_path)
+    (tmp_path / "pw.dkp5.json").rename(sidecar)
+    out, outdir, link = tmp_path / "x", tmp_path / "grids", tmp_path / "link"
+    link.symlink_to(tmp_path if case == "invert_outdir_links_to_grid_dir" else grid_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
     argv = {
         "currents_json_is_csv": ["currents", "--json", str(out), "--csv", str(out)],
         "invert_json_is_sidecar": ["invert", "--fd", "--json", str(sidecar)],
         "invert_csv_is_output_grid": ["invert", "--fd", "-o", str(outdir),
                                       "--csv", str(outdir / "mask.dkp5")],
+        "currents_json_links_to_grid": ["currents", "--json", str(link)],
+        "currents_csv_links_to_grid": ["currents", "--csv", str(link)],
+        "invert_outdir_links_to_grid_dir": ["invert", "--fd", "-o", str(link)],
     }[case]
     assert run(*argv, "--grid", str(grid_path)) == 2
-    assert sidecar.read_bytes() == before
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
     assert not out.exists() and not outdir.exists()
 
 
@@ -337,15 +346,24 @@ def test_manufacture_infinite_spacing_exits_two(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("edit", ["{bad", "[1, 2]", "amplitude", "p", "A", "m", "NaN"])
+@pytest.mark.parametrize("edit", [
+    "{bad", "[1, 2]", "amplitude", "p", "A", "m", "NaN",
+    pytest.param({"A": "1234"}, id="A-string"), pytest.param({"amplitude": "23"}, id="amplitude-string"),
+    pytest.param({"m": True}, id="m-bool"), pytest.param({"m": "1.2"}, id="m-string"),
+    pytest.param({"amplitude": [1, 2, 3]}, id="amplitude-three"),
+])
 def test_malformed_sidecar_exits_two(tmp_path, edit):
+    """A field that is missing, not finite or not a JSON number (or list of
+    numbers) exits 2, as a string whose characters read as digits does."""
     grid_path = _manufacture(tmp_path)
     sidecar = tmp_path / "pw.dkp5.json"
     if edit in ("{bad", "[1, 2]"):
         sidecar.write_text(edit)
     else:
         data = json.loads(sidecar.read_text())
-        if edit == "NaN":
+        if isinstance(edit, dict):
+            data.update(edit)
+        elif edit == "NaN":
             data["A"][0] = float("nan")
         else:
             del data[edit]

@@ -126,7 +126,7 @@ def test_residual_csv_is_byte_identical(tmp_path, monkeypatch, command):
 @pytest.mark.parametrize("flag", ["--csv", "--json"])
 def test_currents_writer_memory_does_not_grow_with_the_grid(tmp_path, flag):
     """Peak traced memory of ``dkp currents`` grows by at most 1,200 B per
-    point from 6^4 to 8^4: the current table (832 B per point) and the grid,
+    point from 6^4 to 8^4: the current fields (720 B per point) and the grid,
     not text for every point."""
     peaks = []
     for extent in (6, 8):
