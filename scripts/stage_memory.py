@@ -6,6 +6,10 @@ plane wave, once with finite differences and once with the closed-form
 gradient, under ``tracemalloc`` (numpy reports its buffers to it).  The
 input grid is made before tracing starts and is not counted; the
 closed-form gradient is made inside the traced window, as the CLI does.
+``dkp invert`` frees its input grid once the derivative pass has read it,
+before the stage that sets the peak, so the pipeline peak stands for
+that command's peak RSS less the interpreter's (and the allocator's
+slack).
 Every stage that the pipeline calls by name in ``dkp5.inversion`` is
 wrapped, and each call prints one row: the traced memory when the stage
 starts, its peak while it runs, and the memory when it returns, each
@@ -36,8 +40,7 @@ from dkp5 import (
 
 #: The names that the pipeline and its stages look up in dkp5.inversion.
 STAGES = (
-    "lattice_currents", "_shared_derivative_bilinears", "derivative_bilinears",
-    "invert_potential_full",
+    "lattice_currents", "_shared_derivative_bilinears", "invert_potential_full",
     "invert_potential_gauge_fixed", "gauge_term", "field_strength_bilinear",
     "divergence_identities", "h_elimination_residual", "reduced_state",
     "reduced_system_residuals", "field_strength_from_potential", "_pipeline_checks",

@@ -185,36 +185,56 @@ def derivative_bilinears(rep: KemmerRep, phi, dphi, weights, tilde=False):
     the parts that the table reads.  eta N need not be Hermitian.  dphi
     and weights are not checked: the inversion passes them through its
     own shape checks."""
+    dphi = iter(dphi)
+    return _gradient_bilinears(rep, phi, lambda mu, read: np.reshape(next(dphi), (-1, 5)), weights, tilde)
+
+
+def _gradient_bilinears(rep, phi, gradient, weights, tilde=False):
+    """:func:`derivative_bilinears`, with d_mu Phi given by ``gradient`` as
+    :func:`_derivative_blocks` asks for it."""
     if rep.mode != FLOAT:
         raise ModeError("derivative bilinears require a float-mode representation")
     phi = as_wavefunction(phi, rep.mode)
     out = np.zeros((phi[..., 0].size, 4, weights.shape[-1]), dtype=complex)
-    _derivative_blocks(rep, phi, dphi, weights, tilde, [list(out.view(float)[:, mu].T) for mu in range(4)])
+    dest = [list(out.view(float)[:, mu].T) for mu in range(4)]
+    _derivative_blocks(rep, phi, gradient, [(weights, tilde, dest)])
     return out.reshape(phi.shape[:-1] + out.shape[1:])
 
 
-def _derivative_blocks(rep, phi, dphi, weights, tilde, dest):
-    """Add the bilinears of :func:`derivative_bilinears` for each direction
-    mu in turn to the 2n real per-point columns dest[mu] (real, imaginary
+def _derivative_blocks(rep, phi, gradient, tables):
+    """For each direction mu in turn, add the bilinears of
+    :func:`derivative_bilinears` of each (weights, tilde, dest) in
+    ``tables`` to the 2n real per-point columns dest[mu] (real, imaginary
     part of each of the n), which start at zero or hold the sum over the
-    directions before, by :func:`_add_pair_parts`.  On the reference
-    representation a column has one coefficient, or two in {+-1, +-2}, so
-    it takes one rounding, as a product with all 50 rows of the table
-    would, in any order.  ``phi`` is a checked wavefunction array."""
-    left, table, dphi = phi.reshape(-1, 5), _float_table(rep), iter(dphi)
-    for mu, columns in enumerate(dest):
-        d = next(dphi)  # not enumerate(dphi), whose cached result holds d while the next is made
+    directions before, by :func:`_add_pair_parts`.
+
+    The components of d_mu Phi that the tables read are those of their
+    rows with a nonzero coefficient: on the reference representation mu
+    and 4, two of the five, and a column has one coefficient, or two in
+    {+-1, +-2}, so it takes one rounding, as a product with all 50 rows of
+    the table would, in any order.  ``gradient(mu, read)`` gives d_mu Phi:
+    just the components of the list ``read``, in its order, or all five,
+    of which only those are read.  ``phi`` is a checked wavefunction
+    array."""
+    left, table = phi.reshape(-1, 5), _float_table(rep)
+    for mu in range(4):
         # einsum, not a BLAS product: no current kernel makes a BLAS call
-        coef = _pair_table(np.einsum("kc,cn->kn", table, weights[mu]), hermitian=not tilde)
-        _add_pair_parts(left, np.reshape(d, (-1, 5)), not tilde, coef, columns)
-        del d  # a stencil direction is freed before the next is taken
+        coefs = [_pair_table(np.einsum("kc,cn->kn", table, weights[mu]), hermitian=not tilde)
+                 for weights, tilde, _ in tables]
+        read = sorted({int(r) // 2 % 5 for coef in coefs for r in np.flatnonzero(coef.any(axis=1))})
+        d = np.reshape(gradient(mu, read), (len(left), -1))
+        components = read if d.shape[1] == len(read) else range(5)
+        for coef, (_, tilde, dest) in zip(coefs, tables):
+            _add_pair_parts(left, d, not tilde, coef, dest[mu], components)
+        del d  # a direction is freed before the next is taken
 
 
-def _add_pair_parts(left, right, conj, coef, dest):
+def _add_pair_parts(left, right, conj, coef, dest, components=range(5)):
     """Add to the k real per-point columns ``dest``, a block of ``_BLOCK``
     points at a time, the bilinears of the real (50, k) table ``coef``
     (:func:`_pair_table`) on the pairs Q_ab = left[a] right[b], left
-    conjugated if ``conj``.
+    conjugated if ``conj``; column q of ``right`` holds component
+    components[q], and every component that the table reads is there.
 
     Each column is the sum (:func:`_column_sum`), in row order, of its
     nonzero coefficients times the real or imaginary pair parts that they
@@ -225,13 +245,13 @@ def _add_pair_parts(left, right, conj, coef, dest):
     included, and an all-zero column is +0.0."""
     re, im = (np.add, np.subtract) if conj else (np.subtract, np.add)
     columns = [(np.flatnonzero(c), c, target) for c, target in zip(coef.T, dest) if c.any()]
-    # row r reads the real (r even) or imaginary part of the pair (i, j)
-    reads = [(r, r // 10, r // 2 % 5) for r in np.flatnonzero(coef.any(axis=1))]
+    # row r reads the real (r even) or imaginary part of the pair (i, j), j at column q
+    reads = [(r, r // 10, components.index(r // 2 % 5)) for r in np.flatnonzero(coef.any(axis=1))]
     for s in range(0, len(right), _BLOCK):
         rows = slice(s, min(s + _BLOCK, len(right)))
         a, b = left[rows], right[rows]
-        parts = {r: im(a[:, i].real * b[:, j].imag, a[:, i].imag * b[:, j].real) if r % 2
-                 else re(a[:, i].real * b[:, j].real, a[:, i].imag * b[:, j].imag) for r, i, j in reads}
+        parts = {r: im(a[:, i].real * b[:, q].imag, a[:, i].imag * b[:, q].real) if r % 2
+                 else re(a[:, i].real * b[:, q].real, a[:, i].imag * b[:, q].imag) for r, i, q in reads}
         for used, c, target in columns:
             target[rows] += _column_sum(c, used, parts)
 

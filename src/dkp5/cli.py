@@ -103,13 +103,16 @@ def _spacing(text):
     return tuple(parts)
 
 
+def _amplitude(values):
+    """The complex amplitude of one or two finite reals, re or (re, im)."""
+    parts = _reals(values)
+    if len(parts) not in (1, 2):
+        raise argparse.ArgumentTypeError(f"amplitude is re or re,im, got {values!r}")
+    return complex(*parts)
+
+
 def _complex_amplitude(text):
-    parts = _reals(text.split(","))
-    if len(parts) == 1:
-        return complex(parts[0], 0.0)
-    if len(parts) == 2:
-        return complex(parts[0], parts[1])
-    raise argparse.ArgumentTypeError(f"amplitude is re or re,im, got {text!r}")
+    return _amplitude(text.split(","))
 
 
 def _word(text):
@@ -467,7 +470,7 @@ def _resolve_derivatives(args, sidecar, grid):
     wave = {
         key: _sidecar_value(sidecar, key, convert)
         for key, convert in (("p", _reals), ("A", _reals), ("m", _real), ("e", _real),
-                             ("amplitude", lambda a: complex(*_reals(a))))
+                             ("amplitude", _amplitude))
     }
     missing = [key for key, value in wave.items() if value is None]
     if missing:
@@ -485,8 +488,9 @@ def _resolve_a_ref(args, sidecar):
 def _lattice_inputs(args, outputs=(), outdir=None):
     """Check that the outputs (``outputs`` with --json and --csv) collide with
     no input, and that ``outdir``, if it exists, is a directory, then load:
-    (rep, grid, m, e, dphi, A_ref), dphi None for finite differences and
-    A_ref None when no flag or sidecar gives it."""
+    {rep, grid, m, e, dphi, a_ref}, dphi None for finite differences and
+    a_ref None when no flag or sidecar gives it.  A caller pops the grid
+    and dphi as it hands them on, so that it does not hold them."""
     sidecar_path = args.sidecar if args.sidecar is not None else args.grid + ".json"
     _check_distinct_paths([args.grid, sidecar_path], [args.json_path, args.csv_path, *outputs])
     if outdir is not None and os.path.exists(outdir) and not os.path.isdir(outdir):
@@ -494,17 +498,17 @@ def _lattice_inputs(args, outputs=(), outdir=None):
     grid = load_grid(args.grid)
     sidecar = _load_sidecar(sidecar_path, optional=args.sidecar is None)
     m, e = _resolve_physics(args, sidecar)
-    dphi = _resolve_derivatives(args, sidecar, grid)
-    return build_representation(FLOAT), grid, m, e, dphi, _resolve_a_ref(args, sidecar)
+    return dict(rep=build_representation(FLOAT), grid=grid, m=m, e=e,
+                dphi=_resolve_derivatives(args, sidecar, grid), a_ref=_resolve_a_ref(args, sidecar))
 
 
-def _lattice_payload(args, m, e, dphi, mask, entries):
+def _lattice_payload(args, inputs, mask, entries):
     """The report head that invert and residuals share."""
     return {
         "grid": args.grid,
-        "m": m,
-        "e": e,
-        "derivatives": "analytic" if dphi is not None else "finite-difference",
+        "m": inputs["m"],
+        "e": inputs["e"],
+        "derivatives": "analytic" if args.analytic else "finite-difference",
         "masked_fraction": float(mask.mean()),
         "checks": entries,
     }
@@ -518,12 +522,15 @@ _OUTPUT_GRIDS = ("A_full.dkp5", "A_gauge_fixed.dkp5", "gauge_term.dkp5", "F_pote
 def cmd_invert(args) -> int:
     grid_paths = [os.path.join(args.outdir, name) for name in _OUTPUT_GRIDS] if args.outdir else []
     # The -o directory is an output too: it may not be an input or the report.
-    rep, grid, m, e, dphi, a_ref = _lattice_inputs(args, [args.outdir, *grid_paths], args.outdir)
-    out, entries = invert_pipeline(rep, grid, m, e, dphi=dphi, A_ref=a_ref, tolerance=args.tolerance)
-    payload = _lattice_payload(args, m, e, dphi, out.singular_mask, entries)
+    inputs = _lattice_inputs(args, [args.outdir, *grid_paths], args.outdir)
+    # The grid and its gradient are popped into the call, so the pipeline,
+    # which frees them after its derivative pass, holds their last reference.
+    out, entries = invert_pipeline(inputs["rep"], inputs.pop("grid"), inputs["m"], inputs["e"],
+                                   dphi=inputs.pop("dphi"), A_ref=inputs["a_ref"], tolerance=args.tolerance)
+    payload = _lattice_payload(args, inputs, out.singular_mask, entries)
     if args.outdir:
         os.makedirs(args.outdir, exist_ok=True)
-        mask_grid = FieldGrid(grid.extents, grid.spacing, SCALAR, out.singular_mask.astype(float))
+        mask_grid = FieldGrid(out.a_full.extents, out.a_full.spacing, SCALAR, out.singular_mask.astype(float))
         for values, path in zip((out.a_full, out.a_gauge_fixed, out.gauge_term, out.f_from_potential,
                                  out.f_bilinear, mask_grid), grid_paths):
             store_grid(values, path)
@@ -564,13 +571,15 @@ _RESIDUAL_CSV_COLUMNS = {
 
 
 def cmd_residuals(args) -> int:
-    rep, grid, m, e, dphi, a_ref = _lattice_inputs(args)
+    inputs = _lattice_inputs(args)
+    rep, m, e, a_ref = inputs["rep"], inputs["m"], inputs["e"], inputs["a_ref"]
     if a_ref is None:
         raise ParameterError("need a reference potential (--A flag or sidecar)")
-    cg = lattice_currents(rep, grid)
+    cg = lattice_currents(rep, inputs["grid"])
     mask = cg.mask
-    residuals = _solution_residuals(rep, grid, cg, m, e, a_ref, dphi, field_eq=True)
-    del cg  # freed by the residuals once their reduced state is made
+    residuals = _solution_residuals(rep, inputs.pop("grid"), cg, m, e, a_ref, inputs.pop("dphi"),
+                                    field_eq=True)
+    del cg  # the residuals free the currents once their reduced state is made, and the grid before that
     entries, kept = [], {}
     for name, values in residuals:
         if name == _FIELD_EQ:
@@ -580,7 +589,7 @@ def cmd_residuals(args) -> int:
         if args.csv_path and name in _RESIDUAL_CSV_COLUMNS:
             kept[_RESIDUAL_CSV_COLUMNS[name]] = values
         del values  # without --csv, no residual outlives its entry
-    payload = _lattice_payload(args, m, e, dphi, mask, entries)
+    payload = _lattice_payload(args, inputs, mask, entries)
     payload["diagnostics"] = {
         "reduced_field_eq_max_abs": field_eq_max_abs,
         "reduced_field_eq_rms": field_eq_rms,

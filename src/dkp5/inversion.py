@@ -34,14 +34,20 @@ taken one direction mu at a time, times a real table built from the
 current table that ``verify-algebra`` checks (``rep.integers.table``, its
 c_mu columns times 1/3).  Only the pair parts with a nonzero coefficient
 are formed: 3 of the 25 pairs per direction on the reference
-representation (:func:`dkp5.bilinears.derivative_bilinears`).
+representation (:func:`dkp5.bilinears.derivative_bilinears`), which read
+2 of the 5 components of d_mu Phi; only those are stencilled.
 
-Called alone, each stage computes what it needs.  The pipeline takes
-each derivative once and hands it on: one derivative-bilinear pass for
-the full potential and the contraction relations, which takes each
-direction of the Phi gradient in turn, one gradient of J for the
-bilinear field strength and d.J, and one gradient of Z for the H
-elimination and the reduced system.
+Called alone, each stage computes what it needs, its derivative
+bilinears from only the components of d_mu Phi that they read.  The
+pipeline takes each derivative once and hands it on: one
+derivative-bilinear pass, which takes each direction of the Phi
+gradient in turn, for the full potential, the contraction relations and
+(with closed-form derivatives) the gauge term; one gradient of J for the
+bilinear field strength and d.J; and one gradient of Z for the H
+elimination and the reduced system.  The pass is the last reader of Phi
+and its gradient, which the pipeline drops right after it, so a caller
+that hands them over without keeping a reference (as ``dkp invert``
+does) has the input grid freed before the later stages run.
 """
 
 from __future__ import annotations
@@ -53,10 +59,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import METRIC_DIAG, KemmerRep
-from .bilinears import CurrentGrid, _derivative_blocks, derivative_bilinears, lattice_currents
+from .bilinears import CurrentGrid, _derivative_blocks, _gradient_bilinears, lattice_currents
 from .errors import EmptyDomainError, ParameterError, ShapeError, SingularZError
 from .grids import FOUR_VECTOR, TENSOR2, FieldGrid, derivatives, max_abs
-from .planewave import _wavefunction_gradient, constant_four_vector_grid
+from .planewave import _gradient_columns, constant_four_vector_grid
 from .reports import _entry, _entry_from_temporary, entry_from_values
 
 _SIG = np.array(METRIC_DIAG, dtype=float)
@@ -98,6 +104,12 @@ def _masked_z(cg):
 
 def _currents(rep, phi_grid, cg):
     return cg if cg is not None else lattice_currents(rep, phi_grid)
+
+
+def _grid_bilinears(rep, phi_grid, dphi, weights, tilde=False):
+    """derivative_bilinears of the grid, each direction from the stencils (or
+    closed-form columns) of only the components of d_mu Phi that it reads."""
+    return _gradient_bilinears(rep, phi_grid.values, _gradient_columns(phi_grid, dphi), weights, tilde)
 
 
 def _trace(dv):
@@ -195,8 +207,7 @@ def invert_potential_full(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, 
     cg = _currents(rep, phi_grid, cg)
     z = _masked_z(cg)[..., None]
     if d_zeta is None:
-        dv = _wavefunction_gradient(phi_grid, dphi)
-        d_zeta = derivative_bilinears(rep, phi_grid.values, dv, _ZETA_W)[..., 0]
+        d_zeta = _grid_bilinears(rep, phi_grid, dphi, _ZETA_W)[..., 0]
     values = (1.5 * m / e) * cg.J
     values /= z
     zeta_term = 1j * d_zeta
@@ -206,30 +217,28 @@ def invert_potential_full(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, 
     return FieldGrid(cg.extents, cg.spacing, FOUR_VECTOR, values)
 
 
-def gauge_term(rep: KemmerRep, phi_grid: FieldGrid, e, dphi=None, cg=None) -> FieldGrid:
+def gauge_term(rep: KemmerRep, phi_grid: FieldGrid, e, dphi=None, cg=None, d_tilde=None) -> FieldGrid:
     """(i/4e)(d_mu Zt / Zt - d_mu Zt* / Zt*), the pure-gauge part.
 
     With closed-form derivatives the gradient of the complex density is
     the bilinear 2 Phi_tilde zeta d_mu Phi; with stencils it is the
     numerical derivative of the Zt grid.  |Zt| = |Z|, so the singular
     mask coincides with the inversion mask.  Each direction mu is formed in
-    its own d_mu Zt buffer and written to the real output.
+    its own d_mu Zt buffer and written to the real output.  ``d_tilde``
+    (..., 4) is Phi_tilde zeta d_mu Phi; given, it takes the closed-form
+    route without Phi, else with ``dphi`` it is computed here.
     """
     _check_params(e=e)
     cg = _currents(rep, phi_grid, cg)
     if cg.mask.all():
         raise SingularZError("|Ztilde| is below threshold at every point")
-    if dphi is not None:
-        dv = _wavefunction_gradient(phi_grid, dphi)
-        dzt = derivative_bilinears(rep, phi_grid.values, dv, _ZETA_W, tilde=True)[..., 0]
-        direction = lambda mu: 2.0 * dzt[..., mu]
-    else:
-        direction = lambda mu: derivatives(cg.tilde_Z, cg.spacing, (mu,))[0]
+    if d_tilde is None and dphi is not None:
+        d_tilde = _grid_bilinears(rep, phi_grid, dphi, _ZETA_W, tilde=True)[..., 0]
     zt = np.where(cg.mask, 1.0, cg.tilde_Z)
     zt_conj = zt.conj()
     values = np.empty(cg.extents + (4,))
     for mu in range(4):
-        dz = direction(mu)
+        dz = derivatives(cg.tilde_Z, cg.spacing, (mu,))[0] if d_tilde is None else 2.0 * d_tilde[..., mu]
         q = dz / zt
         dz = np.conjugate(dz, out=dz)
         dz /= zt_conj
@@ -304,15 +313,16 @@ def divergence_identities(rep: KemmerRep, phi_grid: FieldGrid, A_grid: FieldGrid
     summed over mu, and ``div_j`` is d_mu J^mu; each is computed here when
     not given.
     """
-    if phi_grid.extents != A_grid.extents:
+    if (phi_grid if cg is None else cg).extents != A_grid.extents:
         raise ShapeError("field and potential grids must share extents")
     _check_params(m, e, divides_by_e=False)
     cg = _currents(rep, phi_grid, cg)
     a_up = _raised(A_grid.values)
     contract = lambda v: e * np.einsum("...m,...m->...", v, a_up)
-    if d_bc is None:
-        dv = _wavefunction_gradient(phi_grid, dphi)
-        d_bc = derivative_bilinears(rep, phi_grid.values, dv, _UPPER_W).sum(-2)
+    if d_bc is None:  # the b and c columns, added over mu as each direction is made
+        d_bc = np.zeros(cg.extents + (2,), dtype=complex)
+        _derivative_blocks(rep, phi_grid.values, _gradient_columns(phi_grid, dphi),
+                           [(_UPPER_W, False, [list(d_bc.reshape(-1, 2).view(float).T)] * 4)])
     return DivergenceResiduals(
         dJ=_divergence(cg.J, cg.spacing) if div_j is None else div_j,
         dH=_divergence(cg.H, cg.spacing) - (1j * m / 3.0) * (4.0 * cg.Sflat - 10.0 * cg.S),
@@ -456,15 +466,17 @@ def _solution_residuals(rep, phi_grid, cg, m, e, A_ref, dphi=None, d_bc=None, di
 
     Each residual is made when the caller asks for it and is not held here
     after it is handed on, so a caller that reduces each one before asking
-    for the next holds one at a time.  ``cg`` is not held after the reduced
-    state is made.  ``d_bc`` and ``div_j`` are passed on
-    to the divergence relations; the gradient of Z is taken once for the H
-    elimination and the reduced system.
+    for the next holds one at a time.  ``phi_grid`` and ``dphi`` are not
+    held after the divergence relations, nor ``cg`` after the reduced
+    state is made; ``phi_grid`` may be None when ``d_bc`` is given.
+    ``d_bc`` and ``div_j`` are passed on to the divergence relations; the
+    gradient of Z is taken once for the H elimination and the reduced
+    system.
     """
     _domain_mask(cg)
     A_grid = constant_four_vector_grid(_reference_potential(A_ref), cg.extents, cg.spacing)
     div = divergence_identities(rep, phi_grid, A_grid, m, e, dphi=dphi, cg=cg, d_bc=d_bc, div_j=div_j)
-    del d_bc, div_j
+    del phi_grid, dphi, d_bc, div_j  # the divergence relations are their last reader
     yield from zip(("current_conservation", "companion_divergence",
                     "current_potential_contraction", "companion_potential_contraction"),
                    (div.dJ, div.dH, div.JA, div.HA))
@@ -518,19 +530,27 @@ class InversionOutput:
 
 
 def _shared_derivative_bilinears(rep, phi_grid, dphi, contractions):
-    """The pipeline's one derivative-bilinear pass: d_zeta (..., 4), the
-    zeta column of each direction, and with ``contractions`` d_bc (..., 2),
-    the b and c columns added over mu in mu order (the bits of .sum(-2)),
-    each column written straight into its buffer (else None)."""
-    weights = _SHARED_W if contractions else _ZETA_W
+    """The pipeline's one derivative-bilinear pass, the last reader of Phi and
+    its gradient: (d_zeta, d_bc, d_tilde).  d_zeta (..., 4) is the zeta
+    column of each direction; with ``contractions`` d_bc (..., 2) holds the
+    b and c columns added over mu in mu order (the bits of .sum(-2)); with
+    closed-form ``dphi`` d_tilde (..., 4) is the gauge term's
+    Phi_tilde zeta d_mu Phi (else None).  Each column is written straight
+    into its buffer, and each direction takes only the components of
+    d_mu Phi that its tables read."""
     n = phi_grid.n_points
     d_zeta = np.zeros((n, 4), dtype=complex)
     d_bc = np.zeros((n, 2), dtype=complex) if contractions else None
+    d_tilde = None if dphi is None else np.zeros((n, 4), dtype=complex)
     zeta, bc = d_zeta.view(float), () if d_bc is None else d_bc.view(float).T
-    _derivative_blocks(rep, phi_grid.values, _wavefunction_gradient(phi_grid, dphi), weights, False,
-                       [[*zeta[:, 2 * mu : 2 * mu + 2].T, *bc] for mu in range(4)])
+    tables = [(_SHARED_W if contractions else _ZETA_W, False,
+               [[*zeta[:, 2 * mu : 2 * mu + 2].T, *bc] for mu in range(4)])]
+    if d_tilde is not None:
+        tilde = d_tilde.view(float)
+        tables.append((_ZETA_W, True, [list(tilde[:, 2 * mu : 2 * mu + 2].T) for mu in range(4)]))
+    _derivative_blocks(rep, phi_grid.values, _gradient_columns(phi_grid, dphi), tables)
     grid = lambda a: None if a is None else a.reshape(phi_grid.extents + a.shape[1:])
-    return grid(d_zeta), grid(d_bc)
+    return grid(d_zeta), grid(d_bc), grid(d_tilde)
 
 
 def _pipeline_checks(out, a_ref, tolerance):
@@ -590,13 +610,17 @@ def invert_pipeline(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, A_ref=
     a_ref = None if A_ref is None else _reference_potential(A_ref)
 
     # One derivative-bilinear pass, which takes the Phi gradient one
-    # direction at a time, reduced as it is made to what the full potential
-    # and the contraction relations (solution checks only) use.
-    d_zeta, d_bc = _shared_derivative_bilinears(rep, phi_grid, dphi, a_ref is not None)
-    a_full = invert_potential_full(rep, phi_grid, m, e, dphi=dphi, cg=cg, d_zeta=d_zeta)
+    # direction at a time, reduced as it is made to what the full potential,
+    # the contraction relations (solution checks only) and the closed-form
+    # gauge term use.  It is the last reader of Phi and its gradient: the
+    # stages after it take extents and spacing from the currents.
+    d_zeta, d_bc, d_tilde = _shared_derivative_bilinears(rep, phi_grid, dphi, a_ref is not None)
+    del phi_grid, dphi  # freed here unless the caller holds them too
+    a_full = invert_potential_full(rep, None, m, e, cg=cg, d_zeta=d_zeta)
     del d_zeta
     a_gf = invert_potential_gauge_fixed(cg, m, e)
-    g_term = gauge_term(rep, phi_grid, e, dphi=dphi, cg=cg)
+    g_term = gauge_term(rep, None, e, cg=cg, d_tilde=d_tilde)
+    del d_tilde
     # The gauge term is the last reader of the tilde currents.
     cg = dataclasses.replace(cg, tilde_S=None, tilde_Sflat=None, tilde_Z=None)
     # d.J is taken from the gradient of J before the bilinear F builds G in
@@ -611,7 +635,7 @@ def invert_pipeline(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, A_ref=
     # before the next is made.  The currents are freed once the checks'
     # reduced state is made.
     solution = []
-    residuals = () if a_ref is None else _solution_residuals(rep, phi_grid, cg, m, e, a_ref, dphi, d_bc, div_j)
+    residuals = () if a_ref is None else _solution_residuals(rep, None, cg, m, e, a_ref, None, d_bc, div_j)
     del cg, d_bc, div_j
     for name, values in residuals:
         solution.append(entry_from_values(name, values, mask, tolerance))

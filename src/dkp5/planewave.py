@@ -167,21 +167,30 @@ class DkpResidual:
     conjugate: FieldGrid
 
 
-def _wavefunction_gradient(phi_grid, dphi):
-    """d_mu Phi for mu = 0..3, in turn, each taken when the caller reaches that
-    direction: the values of the closed-form grids ``dphi``, or without them
-    each direction's stencils."""
+def _gradient_columns(phi_grid, dphi):
+    """The function (mu, read) -> d_mu Phi: the closed-form grid dphi[mu],
+    all five components, or without ``dphi`` the stencils of just the
+    components ``read`` of Phi, in one stencil call."""
     if dphi is None:
-        return (derivatives(phi_grid.values, phi_grid.spacing, (mu,))[0] for mu in range(4))
+        return lambda mu, read: derivatives(phi_grid.values[..., read], phi_grid.spacing, (mu,))[0]
     if len(dphi) != 4:
         raise ShapeError("dphi must supply all four derivative grids")
 
-    def values(g):
+    def columns(mu, read):
+        g = dphi[mu]
         if g.extents != phi_grid.extents:
             raise ShapeError("derivative grid shape does not match the field")
         return g.values
 
-    return map(values, dphi)
+    return columns
+
+
+def _wavefunction_gradient(phi_grid, dphi):
+    """d_mu Phi for mu = 0..3, in turn, each taken when the caller reaches that
+    direction: the values of the closed-form grids ``dphi``, or without them
+    each direction's stencils."""
+    columns = _gradient_columns(phi_grid, dphi)
+    return (columns(mu, slice(None)) for mu in range(4))
 
 
 def dkp_residual(rep: KemmerRep, phi_grid: FieldGrid, A_grid: FieldGrid, m, e, dphi=None) -> DkpResidual:

@@ -2,13 +2,17 @@ import csv
 import json
 import math
 import struct
+import sys
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import dkp5.cli
+import dkp5.grids
+import dkp5.inversion
 from dkp5 import FieldGrid, WAVEFUNCTION, store_grid
 from dkp5.bilinears import _fierz_numerators
 from dkp5.cli import main
@@ -351,6 +355,7 @@ def test_manufacture_infinite_spacing_exits_two(tmp_path):
     pytest.param({"A": "1234"}, id="A-string"), pytest.param({"amplitude": "23"}, id="amplitude-string"),
     pytest.param({"m": True}, id="m-bool"), pytest.param({"m": "1.2"}, id="m-string"),
     pytest.param({"amplitude": [1, 2, 3]}, id="amplitude-three"),
+    pytest.param({"amplitude": []}, id="amplitude-empty"),
 ])
 def test_malformed_sidecar_exits_two(tmp_path, edit):
     """A field that is missing, not finite or not a JSON number (or list of
@@ -369,6 +374,55 @@ def test_malformed_sidecar_exits_two(tmp_path, edit):
             del data[edit]
         sidecar.write_text(json.dumps(data))
     assert run("invert", "--grid", str(grid_path), "--analytic", "--m", "1", "--e", "1") == 2
+
+
+_MOVES_CALL_ARGUMENTS = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="the caller's stack holds the arguments of a call before CPython 3.11")
+
+
+@pytest.mark.parametrize("command, stage", [
+    pytest.param("invert --fd --tolerance 0.1 -o {out}", "field_strength_bilinear", id="invert-fd",
+                 marks=_MOVES_CALL_ARGUMENTS),
+    pytest.param("invert --analytic -o {out}", "field_strength_bilinear", id="invert-analytic",
+                 marks=_MOVES_CALL_ARGUMENTS),
+    pytest.param("residuals --fd --tolerance 0.1", "reduced_system_residuals", id="residuals-fd"),
+])
+def test_the_input_grid_is_freed_after_its_last_reader(tmp_path, monkeypatch, command, stage):
+    """The command hands the loaded grid (and the closed-form gradient, which
+    holds it) on without keeping it: it is freed after the derivative pass
+    of invert and after the divergence relations of residuals, before
+    ``stage`` runs."""
+    grid_path = _manufacture(tmp_path)
+    grids, seen = [], []
+
+    def load(path):
+        grid = dkp5.grids.load_grid(path)
+        grids.append(weakref.ref(grid))
+        return grid
+
+    def spy(*args, **kwargs):
+        seen.append(grids[0]() is None)
+        return original(*args, **kwargs)
+
+    original = getattr(dkp5.inversion, stage)
+    monkeypatch.setattr(dkp5.cli, "load_grid", load)
+    monkeypatch.setattr(dkp5.inversion, stage, spy)
+    assert run(*command.format(out=tmp_path / "out").split(), "--grid", str(grid_path)) == 0
+    assert seen == [True]
+
+
+def test_invert_calls_the_pipeline_by_its_cli_name(tmp_path, monkeypatch):
+    """cmd_invert looks up ``dkp5.cli.invert_pipeline`` at call time, the
+    name that the benchmark's traced run wraps."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return dkp5.inversion.invert_pipeline(*args, **kwargs)
+
+    monkeypatch.setattr(dkp5.cli, "invert_pipeline", spy)
+    assert run("invert", "--grid", str(_manufacture(tmp_path)), "--analytic") == 0
+    assert len(calls) == 1
 
 
 def test_currents_json_matches_csv(tmp_path):

@@ -25,6 +25,7 @@ from dkp5 import bilinears, inversion
 from dkp5.bilinears import derivative_bilinears
 from dkp5.grids import derivatives
 from dkp5.planewave import _wavefunction_gradient
+from test_inversion import _close, _oracle_reps
 
 M, E, A = 1.1, 0.8, (0.3, -0.2, 0.1, 0.25)
 
@@ -129,12 +130,25 @@ def _multi_block_field():
     return grid, dphi
 
 
-@pytest.mark.parametrize("analytic", [False, True])
-def test_derivative_bilinears_across_block_seams(float_rep, analytic, monkeypatch):
+@pytest.mark.parametrize("rep_name, analytic", [
+    pytest.param("reference", False, id="False"), pytest.param("reference", True, id="True"),
+    pytest.param("b1+noise", False, id="b1+noise-False"),
+])
+def test_derivative_bilinears_across_block_seams(float_rep, rep_name, analytic, monkeypatch):
     """Past one block of points of the pair-part kernel and of the
     antisymmetrisation, each set to ``_SEAM_BLOCK``: the
     derivative bilinears of every weight set and sector, and the whole
-    pipeline, bit for bit."""
+    pipeline, bit for bit.
+
+    b1+noise, the corrupted representation of the einsum oracle test, has
+    tables that read every component of d_mu Phi, where the reference one
+    reads two a direction.  A column then sums many inexact terms, which
+    the frozen BLAS product adds in its own order, so there each grid that
+    is built from the derivative bilinears, and each entry, agrees to
+    round-off; every other grid, bit for bit."""
+    rep = dict(_oracle_reps(float_rep))[rep_name]
+    exact = rep_name == "reference"
+    agree = _same if exact else _close
     for module, name in ((bilinears, "_BLOCK"), (inversion, "_F_BLOCK")):
         monkeypatch.setattr(module, name, _SEAM_BLOCK)
     grid, dphi = _multi_block_field()
@@ -142,13 +156,18 @@ def test_derivative_bilinears_across_block_seams(float_rep, analytic, monkeypatc
     dv = list(_wavefunction_gradient(grid, dphi))
     for weights in (frozen._ZETA_W, frozen._UPPER_W, frozen._SHARED_W):
         for tilde in (False, True):
-            assert _same(derivative_bilinears(float_rep, grid.values, dv, weights, tilde),
-                         frozen.derivative_bilinears(float_rep, grid.values, dv, weights, tilde))
+            assert agree(derivative_bilinears(rep, grid.values, dv, weights, tilde),
+                         frozen.derivative_bilinears(rep, grid.values, dv, weights, tilde))
     for A_ref in (None, A):
-        out, entries = invert_pipeline(float_rep, grid, M, E, dphi=dphi, A_ref=A_ref)
-        want, want_entries = frozen.invert_pipeline(float_rep, grid, M, E, dphi=dphi, A_ref=A_ref)
+        out, entries = invert_pipeline(rep, grid, M, E, dphi=dphi, A_ref=A_ref)
+        want, want_entries = frozen.invert_pipeline(rep, grid, M, E, dphi=dphi, A_ref=A_ref)
         for g, w in zip((out.a_full, out.a_gauge_fixed, out.gauge_term, out.f_from_potential,
                          out.f_bilinear), want):
-            assert _same(g.values, w)
+            assert (agree if g is out.a_full else _same)(g.values, w)
         assert np.array_equal(out.singular_mask, want[5]) and out.singular_mask.any()
-        _same_entries(entries, want_entries)
+        if exact:
+            _same_entries(entries, want_entries)
+        else:
+            assert [e["identity"] for e in entries] == [e["identity"] for e in want_entries]
+            for g, w in zip(entries, want_entries):
+                assert _close(np.array([g["max_abs"], g["rms"]]), np.array([w["max_abs"], w["rms"]])), g
