@@ -15,10 +15,11 @@ companion tilde current vanishes identically and K-tilde is symmetric.
 In float mode one kernel, :func:`_add_pair_parts`, evaluates them all
 on the current table that ``verify-algebra`` checks: the currents asked
 of :func:`_float_fields`, each into its own array, and the derivative
-tables of :func:`derivative_bilinears`.  It forms only the real and
-imaginary pair parts that some coefficient reads and sums each column
-from its nonzero coefficients in row order, from +0.0.  It makes no BLAS
-call, so no current depends on the BLAS build or its thread count.
+tables of :func:`_derivative_blocks`, one call per sector and direction.
+It forms only the real and imaginary pair parts that some coefficient
+reads and sums each column from its nonzero coefficients in row order,
+from +0.0.  It makes no BLAS call, so no current depends on the BLAS
+build or its thread count.
 
 The rank-one rearrangement machinery lives here as residual evaluators:
 the expansion of Phi Phi_bar on the algebra basis, its complex twin for
@@ -184,20 +185,13 @@ def derivative_bilinears(rep: KemmerRep, phi, dphi, weights, tilde=False):
     and imaginary parts, of which :func:`_derivative_blocks` forms only
     the parts that the table reads.  eta N need not be Hermitian.  dphi
     and weights are not checked: the inversion passes them through its
-    own shape checks."""
-    dphi = iter(dphi)
-    return _gradient_bilinears(rep, phi, lambda mu, read: np.reshape(next(dphi), (-1, 5)), weights, tilde)
-
-
-def _gradient_bilinears(rep, phi, gradient, weights, tilde=False):
-    """:func:`derivative_bilinears`, with d_mu Phi given by ``gradient`` as
-    :func:`_derivative_blocks` asks for it."""
-    if rep.mode != FLOAT:
-        raise ModeError("derivative bilinears require a float-mode representation")
+    own shape checks.  The grid stages reach the same kernel through one
+    pass, ``inversion._shared_derivative_bilinears``."""
     phi = as_wavefunction(phi, rep.mode)
     out = np.zeros((phi[..., 0].size, 4, weights.shape[-1]), dtype=complex)
     dest = [list(out.view(float)[:, mu].T) for mu in range(4)]
-    _derivative_blocks(rep, phi, gradient, [(weights, tilde, dest)])
+    dphi = iter(dphi)
+    _derivative_blocks(rep, phi, lambda mu, read: np.reshape(next(dphi), (-1, 5)), [(weights, tilde, dest)])
     return out.reshape(phi.shape[:-1] + out.shape[1:])
 
 
@@ -206,7 +200,9 @@ def _derivative_blocks(rep, phi, gradient, tables):
     :func:`derivative_bilinears` of each (weights, tilde, dest) in
     ``tables`` to the 2n real per-point columns dest[mu] (real, imaginary
     part of each of the n), which start at zero or hold the sum over the
-    directions before, by :func:`_add_pair_parts`.
+    directions before.  The tables of a sector are stacked into one
+    :func:`_add_pair_parts` call per sector and direction, so each pair
+    part is formed once a block for all of them.
 
     The components of d_mu Phi that the tables read are those of their
     rows with a nonzero coefficient: on the reference representation mu
@@ -216,16 +212,22 @@ def _derivative_blocks(rep, phi, gradient, tables):
     just the components of the list ``read``, in its order, or all five,
     of which only those are read.  ``phi`` is a checked wavefunction
     array."""
+    if rep.mode != FLOAT:
+        raise ModeError("derivative bilinears require a float-mode representation")
     left, table = phi.reshape(-1, 5), _float_table(rep)
+    sectors = {}  # tilde -> the (weights, dest) of the sector's tables
+    for weights, tilde, dest in tables:
+        sectors.setdefault(tilde, []).append((weights, dest))
     for mu in range(4):
         # einsum, not a BLAS product: no current kernel makes a BLAS call
-        coefs = [_pair_table(np.einsum("kc,cn->kn", table, weights[mu]), hermitian=not tilde)
-                 for weights, tilde, _ in tables]
-        read = sorted({int(r) // 2 % 5 for coef in coefs for r in np.flatnonzero(coef.any(axis=1))})
+        coefs = {tilde: _pair_table(np.einsum("kc,cn->kn", table, np.hstack([w[mu] for w, _ in own])),
+                                    hermitian=not tilde) for tilde, own in sectors.items()}
+        read = sorted({int(r) // 2 % 5 for coef in coefs.values() for r in np.flatnonzero(coef.any(axis=1))})
         d = np.reshape(gradient(mu, read), (len(left), -1))
         components = read if d.shape[1] == len(read) else range(5)
-        for coef, (_, tilde, dest) in zip(coefs, tables):
-            _add_pair_parts(left, d, not tilde, coef, dest[mu], components)
+        for tilde, coef in coefs.items():
+            dest = [column for _, columns in sectors[tilde] for column in columns[mu]]
+            _add_pair_parts(left, d, not tilde, coef, dest, components)
         del d  # a direction is freed before the next is taken
 
 

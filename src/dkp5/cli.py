@@ -434,7 +434,7 @@ def _load_sidecar(path, optional):
     try:
         with open(path) as fh:
             sidecar = json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested deeper than the parser goes
         raise ParameterError(f"sidecar {path} is not valid JSON: {exc}") from exc
     if not isinstance(sidecar, dict):
         raise ParameterError(f"sidecar {path} is not a JSON object")

@@ -37,17 +37,19 @@ are formed: 3 of the 25 pairs per direction on the reference
 representation (:func:`dkp5.bilinears.derivative_bilinears`), which read
 2 of the 5 components of d_mu Phi; only those are stencilled.
 
-Called alone, each stage computes what it needs, its derivative
-bilinears from only the components of d_mu Phi that they read.  The
-pipeline takes each derivative once and hands it on: one
-derivative-bilinear pass, which takes each direction of the Phi
-gradient in turn, for the full potential, the contraction relations and
-(with closed-form derivatives) the gauge term; one gradient of J for the
-bilinear field strength and d.J; and one gradient of Z for the H
-elimination and the reduced system.  The pass is the last reader of Phi
-and its gradient, which the pipeline drops right after it, so a caller
-that hands them over without keeping a reference (as ``dkp invert``
-does) has the input grid freed before the later stages run.
+Every derivative bilinear comes from one pass,
+:func:`_shared_derivative_bilinears`, which takes each direction of the
+Phi gradient in turn and makes one kernel call per sector (Hermitian,
+tilde) and direction.  Called alone, each stage computes what it needs
+and asks the pass for its one output.  The pipeline takes each
+derivative once and hands it on: one pass for the full potential, the
+contraction relations and (with closed-form derivatives) the gauge term;
+one gradient of J for the bilinear field strength and d.J; and one
+gradient of Z for the H elimination and the reduced system.  The pass
+is the last reader of Phi and its gradient, which the pipeline drops
+right after it, so a caller that hands them over without keeping a
+reference (as ``dkp invert`` does) has the input grid freed before the
+later stages run.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import METRIC_DIAG, KemmerRep
-from .bilinears import CurrentGrid, _derivative_blocks, _gradient_bilinears, lattice_currents
+from .bilinears import CurrentGrid, _derivative_blocks, lattice_currents
 from .errors import EmptyDomainError, ParameterError, ShapeError, SingularZError
 from .grids import FOUR_VECTOR, TENSOR2, FieldGrid, derivatives, max_abs
 from .planewave import _gradient_columns, constant_four_vector_grid
@@ -71,14 +73,12 @@ _SIG = np.array(METRIC_DIAG, dtype=float)
 #: block of 16 entries a point stays in cache.
 _F_BLOCK = 1024
 
-#: Weights on the 26 current matrices for derivative_bilinears: zeta = I - b^2
+#: Weights on the 26 current matrices for the derivative bilinears: zeta = I - b^2
 #: in every direction, and the raised b^mu and c^mu for direction mu.
 _ZETA_W = np.zeros((4, 26, 1))
 _ZETA_W[:, :2, 0] = (1.0, -1.0)
 _UPPER_W = np.zeros((4, 26, 2))
 _UPPER_W[range(4), range(2, 6), 0] = _UPPER_W[range(4), range(6, 10), 1] = _SIG
-#: Both at once, columns (zeta, b^mu, c^mu), for the pipeline's single pass.
-_SHARED_W = np.concatenate([_ZETA_W, _UPPER_W], axis=-1)
 
 
 def _check_params(m=None, e=None, divides_by_e=True):
@@ -106,10 +106,28 @@ def _currents(rep, phi_grid, cg):
     return cg if cg is not None else lattice_currents(rep, phi_grid)
 
 
-def _grid_bilinears(rep, phi_grid, dphi, weights, tilde=False):
-    """derivative_bilinears of the grid, each direction from the stencils (or
-    closed-form columns) of only the components of d_mu Phi that it reads."""
-    return _gradient_bilinears(rep, phi_grid.values, _gradient_columns(phi_grid, dphi), weights, tilde)
+def _shared_derivative_bilinears(rep, phi_grid, dphi, zeta=True, bc=False, tilde=False):
+    """The one derivative-bilinear pass of every stage, the last reader of Phi
+    and its gradient: (d_zeta, d_bc, d_tilde), each None unless asked for.
+    d_zeta (..., 4) is the zeta column of each direction; d_bc (..., 2)
+    holds the b and c columns added over mu in mu order (the bits of
+    .sum(-2)); d_tilde (..., 4) is the gauge term's Phi_tilde zeta d_mu Phi.
+    Each column is written straight into its buffer, the Hermitian ones
+    by one kernel call a direction, and each direction takes only the
+    components of d_mu Phi that its tables read."""
+    n, tables = phi_grid.n_points, []
+    d_zeta, d_bc, d_tilde = (np.zeros((n, width), dtype=complex) if asked else None
+                             for asked, width in ((zeta, 4), (bc, 2), (tilde, 4)))
+    per_direction = lambda a: [list(a.view(float)[:, 2 * mu : 2 * mu + 2].T) for mu in range(4)]
+    if zeta:
+        tables.append((_ZETA_W, False, per_direction(d_zeta)))
+    if bc:  # every direction adds to the same b and c columns
+        tables.append((_UPPER_W, False, [list(d_bc.view(float).T)] * 4))
+    if tilde:
+        tables.append((_ZETA_W, True, per_direction(d_tilde)))
+    _derivative_blocks(rep, phi_grid.values, _gradient_columns(phi_grid, dphi), tables)
+    grid = lambda a: None if a is None else a.reshape(phi_grid.extents + a.shape[1:])
+    return grid(d_zeta), grid(d_bc), grid(d_tilde)
 
 
 def _trace(dv):
@@ -207,7 +225,7 @@ def invert_potential_full(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, 
     cg = _currents(rep, phi_grid, cg)
     z = _masked_z(cg)[..., None]
     if d_zeta is None:
-        d_zeta = _grid_bilinears(rep, phi_grid, dphi, _ZETA_W)[..., 0]
+        d_zeta = _shared_derivative_bilinears(rep, phi_grid, dphi)[0]
     values = (1.5 * m / e) * cg.J
     values /= z
     zeta_term = 1j * d_zeta
@@ -233,7 +251,7 @@ def gauge_term(rep: KemmerRep, phi_grid: FieldGrid, e, dphi=None, cg=None, d_til
     if cg.mask.all():
         raise SingularZError("|Ztilde| is below threshold at every point")
     if d_tilde is None and dphi is not None:
-        d_tilde = _grid_bilinears(rep, phi_grid, dphi, _ZETA_W, tilde=True)[..., 0]
+        d_tilde = _shared_derivative_bilinears(rep, phi_grid, dphi, zeta=False, tilde=True)[2]
     zt = np.where(cg.mask, 1.0, cg.tilde_Z)
     zt_conj = zt.conj()
     values = np.empty(cg.extents + (4,))
@@ -319,10 +337,8 @@ def divergence_identities(rep: KemmerRep, phi_grid: FieldGrid, A_grid: FieldGrid
     cg = _currents(rep, phi_grid, cg)
     a_up = _raised(A_grid.values)
     contract = lambda v: e * np.einsum("...m,...m->...", v, a_up)
-    if d_bc is None:  # the b and c columns, added over mu as each direction is made
-        d_bc = np.zeros(cg.extents + (2,), dtype=complex)
-        _derivative_blocks(rep, phi_grid.values, _gradient_columns(phi_grid, dphi),
-                           [(_UPPER_W, False, [list(d_bc.reshape(-1, 2).view(float).T)] * 4)])
+    if d_bc is None:
+        d_bc = _shared_derivative_bilinears(rep, phi_grid, dphi, zeta=False, bc=True)[1]
     return DivergenceResiduals(
         dJ=_divergence(cg.J, cg.spacing) if div_j is None else div_j,
         dH=_divergence(cg.H, cg.spacing) - (1j * m / 3.0) * (4.0 * cg.Sflat - 10.0 * cg.S),
@@ -529,30 +545,6 @@ class InversionOutput:
     singular_mask: np.ndarray
 
 
-def _shared_derivative_bilinears(rep, phi_grid, dphi, contractions):
-    """The pipeline's one derivative-bilinear pass, the last reader of Phi and
-    its gradient: (d_zeta, d_bc, d_tilde).  d_zeta (..., 4) is the zeta
-    column of each direction; with ``contractions`` d_bc (..., 2) holds the
-    b and c columns added over mu in mu order (the bits of .sum(-2)); with
-    closed-form ``dphi`` d_tilde (..., 4) is the gauge term's
-    Phi_tilde zeta d_mu Phi (else None).  Each column is written straight
-    into its buffer, and each direction takes only the components of
-    d_mu Phi that its tables read."""
-    n = phi_grid.n_points
-    d_zeta = np.zeros((n, 4), dtype=complex)
-    d_bc = np.zeros((n, 2), dtype=complex) if contractions else None
-    d_tilde = None if dphi is None else np.zeros((n, 4), dtype=complex)
-    zeta, bc = d_zeta.view(float), () if d_bc is None else d_bc.view(float).T
-    tables = [(_SHARED_W if contractions else _ZETA_W, False,
-               [[*zeta[:, 2 * mu : 2 * mu + 2].T, *bc] for mu in range(4)])]
-    if d_tilde is not None:
-        tilde = d_tilde.view(float)
-        tables.append((_ZETA_W, True, [list(tilde[:, 2 * mu : 2 * mu + 2].T) for mu in range(4)]))
-    _derivative_blocks(rep, phi_grid.values, _gradient_columns(phi_grid, dphi), tables)
-    grid = lambda a: None if a is None else a.reshape(phi_grid.extents + a.shape[1:])
-    return grid(d_zeta), grid(d_bc), grid(d_tilde)
-
-
 def _pipeline_checks(out, a_ref, tolerance):
     """The universal entries of the pipeline's grids, then with ``a_ref`` the
     solution entries on them, in report order.  Each real temporary (the
@@ -614,7 +606,8 @@ def invert_pipeline(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, A_ref=
     # the contraction relations (solution checks only) and the closed-form
     # gauge term use.  It is the last reader of Phi and its gradient: the
     # stages after it take extents and spacing from the currents.
-    d_zeta, d_bc, d_tilde = _shared_derivative_bilinears(rep, phi_grid, dphi, a_ref is not None)
+    d_zeta, d_bc, d_tilde = _shared_derivative_bilinears(rep, phi_grid, dphi, bc=a_ref is not None,
+                                                         tilde=dphi is not None)
     del phi_grid, dphi  # freed here unless the caller holds them too
     a_full = invert_potential_full(rep, None, m, e, cg=cg, d_zeta=d_zeta)
     del d_zeta

@@ -356,13 +356,17 @@ def test_manufacture_infinite_spacing_exits_two(tmp_path):
     pytest.param({"m": True}, id="m-bool"), pytest.param({"m": "1.2"}, id="m-string"),
     pytest.param({"amplitude": [1, 2, 3]}, id="amplitude-three"),
     pytest.param({"amplitude": []}, id="amplitude-empty"),
+    pytest.param("[" * 100000, id="nested-too-deep"),
+    pytest.param('{"m": ' + "[" * 100000 + "]" * 100000 + "}", id="m-nested-too-deep"),
 ])
 def test_malformed_sidecar_exits_two(tmp_path, edit):
     """A field that is missing, not finite or not a JSON number (or list of
-    numbers) exits 2, as a string whose characters read as digits does."""
+    numbers) exits 2, as a string whose characters read as digits does, and
+    so does JSON nested deeper than the parser goes, on `invert` and on
+    `residuals`, which takes m from the sidecar."""
     grid_path = _manufacture(tmp_path)
     sidecar = tmp_path / "pw.dkp5.json"
-    if edit in ("{bad", "[1, 2]"):
+    if isinstance(edit, str) and edit[0] in "{[":
         sidecar.write_text(edit)
     else:
         data = json.loads(sidecar.read_text())
@@ -374,6 +378,7 @@ def test_malformed_sidecar_exits_two(tmp_path, edit):
             del data[edit]
         sidecar.write_text(json.dumps(data))
     assert run("invert", "--grid", str(grid_path), "--analytic", "--m", "1", "--e", "1") == 2
+    assert run("residuals", "--grid", str(grid_path), "--analytic", "--e", "1") == 2
 
 
 _MOVES_CALL_ARGUMENTS = pytest.mark.skipif(

@@ -1,3 +1,4 @@
+import collections
 import json
 
 import numpy as np
@@ -29,10 +30,10 @@ from dkp5 import (
     singular_mask,
     solution_checks,
 )
-from dkp5.bilinears import _float_table, _pair_table, derivative_bilinears
+from dkp5.bilinears import derivative_bilinears, lattice_currents
 from dkp5.errors import EmptyDomainError, ModeError, ParameterError, SingularZError
-from dkp5 import inversion
-from dkp5.inversion import _SHARED_W, _UPPER_W, _ZETA_W
+from dkp5 import bilinears, inversion
+from dkp5.inversion import _ZETA_W, _shared_derivative_bilinears, _solution_residuals
 from dkp5.grids import derivatives, gradient
 
 
@@ -463,25 +464,33 @@ def test_derivative_bilinears_match_einsum_oracle(float_rep):
         assert _close(gauge_term(rep, grid, e, dphi=dphi, cg=cg).values, want), label
 
 
-def test_derivative_tables_round_each_column_once(float_rep):
+def test_derivative_tables_round_each_column_once(float_rep, monkeypatch):
     """The derivative kernel sums only the nonzero coefficients of a column,
     in row order.  That keeps the bits of a product with the whole table
     only while each column is one term, or two with exact multipliers; and
-    the Hermitian tables read only the pairs (mu, 4), (4, mu) and (4, 4)."""
-    table = _float_table(float_rep)
-    for name, weights in (("zeta", _ZETA_W), ("upper", _UPPER_W), ("shared", _SHARED_W)):
-        for tilde in (False, True):
-            for mu in range(4):
-                coef = _pair_table(np.einsum("kc,cn->kn", table, weights[mu]), hermitian=not tilde)
-                for col, c in enumerate(coef.T):
-                    where = f"{name} weights, tilde={tilde}, mu={mu}, column {col}"
-                    terms = c[c != 0]
-                    assert len(terms) <= 2, f"{where} sums {len(terms)} terms: more than one rounding"
-                    assert len(terms) < 2 or set(np.abs(terms)) <= {1.0, 2.0}, (
-                        f"{where}: products by {terms} are not exact, so the sum rounds twice")
-                pairs = {divmod(r // 2, 5) for r in np.flatnonzero(coef.any(axis=1))}
-                assert tilde or pairs <= {(mu, 4), (4, mu), (4, 4)}, (
-                    f"{name} weights, mu={mu}: the Hermitian table reads the pairs {sorted(pairs)}")
+    the Hermitian tables read only the pairs (mu, 4), (4, mu) and (4, 4).
+    Checked on the table of each sector and direction that the pass hands
+    the kernel when asked for all three outputs: zeta, b and c stacked in
+    the Hermitian sector, and the tilde zeta column."""
+    tables = {True: [], False: []}  # the Hermitian sector conjugates, the tilde one does not
+    kernel = bilinears._add_pair_parts
+    monkeypatch.setattr(bilinears, "_add_pair_parts",
+                        lambda left, right, conj, coef, *args: tables[conj].append(coef)
+                        or kernel(left, right, conj, coef, *args))
+    grid, dphi = random_fourier_field((3, 3, 3, 3), (0.3,) * 4, seed=1)
+    _shared_derivative_bilinears(float_rep, grid, dphi, bc=True, tilde=True)
+    assert [[coef.shape for coef in tables[conj]] for conj in (True, False)] == [[(50, 6)] * 4, [(50, 2)] * 4]
+    for hermitian, coefs in tables.items():
+        for mu, coef in enumerate(coefs):
+            for col, c in enumerate(coef.T):
+                where = f"hermitian={hermitian}, mu={mu}, column {col}"
+                terms = c[c != 0]
+                assert len(terms) <= 2, f"{where} sums {len(terms)} terms: more than one rounding"
+                assert len(terms) < 2 or set(np.abs(terms)) <= {1.0, 2.0}, (
+                    f"{where}: products by {terms} are not exact, so the sum rounds twice")
+            pairs = {divmod(r // 2, 5) for r in np.flatnonzero(coef.any(axis=1))}
+            assert not hermitian or pairs <= {(mu, 4), (4, mu), (4, 4)}, (
+                f"mu={mu}: the Hermitian table reads the pairs {sorted(pairs)}")
 
 
 def test_derivative_bilinears_require_float(exact_rep):
@@ -626,6 +635,57 @@ def test_pipeline_takes_each_stencil_once(float_rep, monkeypatch):
     grid, _ = random_fourier_field((5, 5, 5, 5), (0.3,) * 4, seed=3)
     invert_pipeline(float_rep, grid, 1.0, 1.0, A_ref=(0.1, 0.0, 0.2, 0.0))
     assert len(calls) <= 48
+
+
+#: (kernel calls, stencils) of each route on a 5^4 field with A_ref, with
+#: finite differences and in closed form.  The currents make 2 kernel calls
+#: (one per sector), and a derivative pass one per sector and direction: 4
+#: with finite differences, where zeta and the b and c columns share the
+#: Hermitian call, and 8 in closed form, which adds the tilde column.
+_CALLS = {
+    "pipeline": ((6, 48), (10, 40)),
+    "residuals": ((6, 40), (6, 36)),
+    "invert_potential_full": ((6, 4), (6, 0)),
+    "gauge_term": ((2, 4), (6, 0)),
+    "divergence_identities": ((6, 12), (6, 8)),
+}
+
+
+@pytest.mark.parametrize("analytic", [False, True], ids=["fd", "closed-form"])
+def test_kernel_and_stencil_calls_of_each_route(float_rep, monkeypatch, analytic):
+    """The pipeline, the route of `dkp residuals` (its currents, then
+    ``_solution_residuals``) and each stage called alone run one
+    derivative-bilinear pass, with the kernel and stencil calls of
+    ``_CALLS``; the gauge term with finite differences takes the stencils
+    of Zt and makes no pass."""
+    import dkp5.grids
+
+    m, e, A = 1.0, 1.0, (0.1, 0.0, 0.2, 0.0)
+    grid, dphi = random_fourier_field((5,) * 4, (0.3,) * 4, seed=3)
+    dphi = dphi if analytic else None
+    a_grid = constant_four_vector_grid(A, grid.extents, grid.spacing)
+    routes = {
+        "pipeline": lambda: invert_pipeline(float_rep, grid, m, e, dphi=dphi, A_ref=A),
+        "residuals": lambda: list(_solution_residuals(float_rep, grid, lattice_currents(float_rep, grid),
+                                                      m, e, A, dphi)),
+        "invert_potential_full": lambda: invert_potential_full(float_rep, grid, m, e, dphi=dphi),
+        "gauge_term": lambda: gauge_term(float_rep, grid, e, dphi=dphi),
+        "divergence_identities": lambda: divergence_identities(float_rep, grid, a_grid, m, e, dphi=dphi),
+    }
+    calls = collections.Counter()
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for module, name in ((bilinears, "_add_pair_parts"), (dkp5.grids, "stencil_derivative")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for route, run in routes.items():
+        calls.clear()
+        run()
+        assert (calls["_add_pair_parts"], calls["stencil_derivative"]) == _CALLS[route][analytic], route
 
 
 def _pipeline_peak_per_point(rep, analytic):
