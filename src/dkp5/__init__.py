@@ -72,7 +72,6 @@ from .inversion import (
     invert_potential_gauge_fixed,
     reduced_state,
     reduced_system_residuals,
-    solution_checks,
 )
 from .planewave import (
     DkpResidual,

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import random
+import reprlib
 import sys
 
 import numpy as np
@@ -450,8 +451,8 @@ def _sidecar_value(sidecar, key, convert=_real):
     numbers = sidecar[key] if isinstance(sidecar[key], list) else [sidecar[key]]
     try:
         return convert(sidecar[key] if all(type(x) in (int, float) for x in numbers) else None)
-    except (TypeError, ValueError, IndexError, argparse.ArgumentTypeError) as exc:
-        raise ParameterError(f"sidecar field {key!r} is malformed: {sidecar[key]!r}") from exc
+    except (TypeError, ValueError, IndexError, OverflowError, argparse.ArgumentTypeError) as exc:
+        raise ParameterError(f"sidecar field {key!r} is malformed: {reprlib.repr(sidecar[key])}") from exc
 
 
 def _resolve_physics(args, sidecar):
@@ -577,8 +578,7 @@ def cmd_residuals(args) -> int:
         raise ParameterError("need a reference potential (--A flag or sidecar)")
     cg = lattice_currents(rep, inputs["grid"])
     mask = cg.mask
-    residuals = _solution_residuals(rep, inputs.pop("grid"), cg, m, e, a_ref, inputs.pop("dphi"),
-                                    field_eq=True)
+    residuals = _solution_residuals(rep, inputs.pop("grid"), cg, m, e, a_ref, inputs.pop("dphi"))
     del cg  # the residuals free the currents once their reduced state is made, and the grid before that
     entries, kept = [], {}
     for name, values in residuals:

@@ -475,10 +475,10 @@ def _reference_potential(A_ref):
 _FIELD_EQ = "reduced_field_eq"
 
 
-def _solution_residuals(rep, phi_grid, cg, m, e, A_ref, dphi=None, d_bc=None, div_j=None,
-                        field_eq=False):
-    """(name, values) of each solution-check residual in report order, and
-    with ``field_eq`` then (_FIELD_EQ, values).
+def _solution_residuals(rep, phi_grid, cg, m, e, A_ref, dphi=None, d_bc=None, div_j=None):
+    """(name, values) of each solution-check residual in report order, then
+    (_FIELD_EQ, values): the reduced field equation, a diagnostic that
+    `dkp residuals` reports apart and the pipeline skips.
 
     Each residual is made when the caller asks for it and is not held here
     after it is handed on, so a caller that reduces each one before asking
@@ -506,31 +506,7 @@ def _solution_residuals(rep, phi_grid, cg, m, e, A_ref, dphi=None, d_bc=None, di
     yield "reduced_conservation", rres.conservation
     yield "reduced_modulus", rres.modulus
     yield "reduced_field_eq_lhs_cross_check", rres.lhs_cross_check
-    if field_eq:
-        yield _FIELD_EQ, rres.field_eq
-
-
-def solution_checks(rep: KemmerRep, phi_grid: FieldGrid, cg: CurrentGrid, m, e, A_ref, dphi=None,
-                    tolerance=1e-10, d_bc=None, div_j=None):
-    """Checks that hold when Phi solves the equation in the constant potential A_ref.
-
-    Returns (entries, divergence residuals, H-elimination residual,
-    reduced residuals): the eight report entries and the residuals
-    behind them.  ``d_bc`` and ``div_j`` are passed on to the stages; the
-    gradient of Z is taken once for the H elimination and the reduced
-    system.
-    """
-    r = dict(_solution_residuals(rep, phi_grid, cg, m, e, A_ref, dphi, d_bc, div_j, field_eq=True))
-    entries = [entry_from_values(name, values, cg.mask, tolerance)
-               for name, values in r.items() if name != _FIELD_EQ]
-    div = DivergenceResiduals(dJ=r["current_conservation"], dH=r["companion_divergence"],
-                              JA=r["current_potential_contraction"],
-                              HA=r["companion_potential_contraction"])
-    hres = FieldGrid(cg.extents, cg.spacing, FOUR_VECTOR, r["h_elimination"])
-    rres = ReducedResiduals(field_eq=r[_FIELD_EQ], conservation=r["reduced_conservation"],
-                            modulus=r["reduced_modulus"],
-                            lhs_cross_check=r["reduced_field_eq_lhs_cross_check"])
-    return entries, div, hres, rres
+    yield _FIELD_EQ, rres.field_eq
 
 
 @dataclass
@@ -631,7 +607,8 @@ def invert_pipeline(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, A_ref=
     residuals = () if a_ref is None else _solution_residuals(rep, None, cg, m, e, a_ref, None, d_bc, div_j)
     del cg, d_bc, div_j
     for name, values in residuals:
-        solution.append(entry_from_values(name, values, mask, tolerance))
+        if name != _FIELD_EQ:  # a diagnostic, not a check
+            solution.append(entry_from_values(name, values, mask, tolerance))
         del values  # not held while the next residual is made
     f_pot = field_strength_from_potential(a_gf)
     out = InversionOutput(

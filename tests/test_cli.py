@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -358,12 +359,17 @@ def test_manufacture_infinite_spacing_exits_two(tmp_path):
     pytest.param({"amplitude": []}, id="amplitude-empty"),
     pytest.param("[" * 100000, id="nested-too-deep"),
     pytest.param('{"m": ' + "[" * 100000 + "]" * 100000 + "}", id="m-nested-too-deep"),
+    pytest.param({"m": list(range(100000))}, id="m-long-list"),
+    pytest.param('{"m": ' + "[" * 980 + "1" + "]" * 980 + "}", id="m-nested-980"),
+    pytest.param({"m": 10**400}, id="m-int-too-large"),
 ])
-def test_malformed_sidecar_exits_two(tmp_path, edit):
+def test_malformed_sidecar_exits_two(tmp_path, capsys, edit):
     """A field that is missing, not finite or not a JSON number (or list of
     numbers) exits 2, as a string whose characters read as digits does, and
     so does JSON nested deeper than the parser goes, on `invert` and on
-    `residuals`, which takes m from the sidecar."""
+    `residuals`, which takes m from the sidecar.  Each says so in one line
+    of at most 200 characters besides the sidecar's path, which names a
+    malformed field however long, deep or large its value."""
     grid_path = _manufacture(tmp_path)
     sidecar = tmp_path / "pw.dkp5.json"
     if isinstance(edit, str) and edit[0] in "{[":
@@ -377,8 +383,15 @@ def test_malformed_sidecar_exits_two(tmp_path, edit):
         else:
             del data[edit]
         sidecar.write_text(json.dumps(data))
-    assert run("invert", "--grid", str(grid_path), "--analytic", "--m", "1", "--e", "1") == 2
-    assert run("residuals", "--grid", str(grid_path), "--analytic", "--e", "1") == 2
+    capsys.readouterr()
+    # A new thread's Python stack starts empty, as the `dkp` command's does,
+    # so JSON nests as deep in it as there.
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        for command, flags in (("invert", ("--m", "1", "--e", "1")), ("residuals", ("--e", "1"))):
+            assert pool.submit(run, command, "--grid", str(grid_path), "--analytic", *flags).result() == 2
+            err = capsys.readouterr().err.replace(str(sidecar), "<sidecar>")
+            assert err.count("\n") == 1 and len(err) <= 200, (command, err[:300])
+            assert not isinstance(edit, dict) or all(repr(key) in err for key in edit), err
 
 
 _MOVES_CALL_ARGUMENTS = pytest.mark.skipif(

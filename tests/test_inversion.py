@@ -28,13 +28,13 @@ from dkp5 import (
     reduced_system_residuals,
     representation_from_betas,
     singular_mask,
-    solution_checks,
 )
 from dkp5.bilinears import derivative_bilinears, lattice_currents
 from dkp5.errors import EmptyDomainError, ModeError, ParameterError, SingularZError
 from dkp5 import bilinears, inversion
 from dkp5.inversion import _ZETA_W, _shared_derivative_bilinears, _solution_residuals
 from dkp5.grids import derivatives, gradient
+from dkp5.reports import entry_from_values
 
 
 def _solution(m=1.0, e=1.0, A=(0.0, 0.0, 0.0, 0.0), spatial=(0.0, 0.0, 0.0),
@@ -552,7 +552,10 @@ def _masked_field():
 @pytest.mark.parametrize("A_ref", [None, (0.3, -0.2, 0.1, 0.25)])
 def test_pipeline_equals_stages_called_alone(float_rep, analytic, A_ref):
     """The pipeline's shared derivatives, bilinears and mask change no bit of
-    its grids or its entries."""
+    its grids or its entries.  The solution-check stream yields each
+    residual of its stage called alone, bit for bit, in report order with
+    the reduced field equation last, and the pipeline's last eight entries
+    are those of the first eight."""
     m, e, tol = 1.1, 0.8, 1e-10
     grid, dphi = _masked_field()
     dphi = dphi if analytic else None
@@ -575,16 +578,26 @@ def test_pipeline_equals_stages_called_alone(float_rep, analytic, A_ref):
 
     assert len(entries) == (3 if A_ref is None else 15)
     if A_ref is not None:
-        checks, div, hres, rres = solution_checks(float_rep, grid, cg, m, e, A_ref, dphi=dphi, tolerance=tol)
-        assert entries[-8:] == checks
+        stream = dict(_solution_residuals(float_rep, grid, cg, m, e, A_ref, dphi))
         a_grid = constant_four_vector_grid(A_ref, grid.extents, grid.spacing)
-        div_alone = divergence_identities(float_rep, grid, a_grid, m, e, dphi=dphi)
-        for name in ("dJ", "dH", "JA", "HA"):
-            assert np.array_equal(getattr(div, name), getattr(div_alone, name)), name
-        assert np.array_equal(hres.values, h_elimination_residual(cg, m).values)
-        rres_alone = reduced_system_residuals(reduced_state(cg, m, e))
-        for name in ("field_eq", "conservation", "modulus", "lhs_cross_check"):
-            assert np.array_equal(getattr(rres, name), getattr(rres_alone, name)), name
+        div = divergence_identities(float_rep, grid, a_grid, m, e, dphi=dphi)
+        rres = reduced_system_residuals(reduced_state(cg, m, e))
+        residuals_alone = {
+            "current_conservation": div.dJ,
+            "companion_divergence": div.dH,
+            "current_potential_contraction": div.JA,
+            "companion_potential_contraction": div.HA,
+            "h_elimination": h_elimination_residual(cg, m).values,
+            "reduced_conservation": rres.conservation,
+            "reduced_modulus": rres.modulus,
+            "reduced_field_eq_lhs_cross_check": rres.lhs_cross_check,
+            "reduced_field_eq": rres.field_eq,
+        }
+        assert list(stream) == list(residuals_alone)
+        for name, want in residuals_alone.items():
+            assert np.array_equal(stream[name], want), name
+        checks = list(stream.items())[:8]
+        assert entries[-8:] == [entry_from_values(name, values, mask, tol) for name, values in checks]
 
 
 @pytest.mark.parametrize("stage, route", [("field_strength_from_potential", "potential"),
@@ -623,25 +636,13 @@ def test_f_antisymmetry_entries_build_f_plus_f_transpose_only_where_f_is_not_fin
     assert np.isnan(got["max_abs"]) and np.isnan(got["rms"]) and not got["pass"]
 
 
-def test_pipeline_takes_each_stencil_once(float_rep, monkeypatch):
-    """One FD pipeline with A_ref runs 48 stencils: 4 for Phi, 4 for Zt, 4 for
-    each F route, 4 for d.H, 4 for Z and 24 in the reduced system."""
-    import dkp5.grids
-
-    calls = []
-    stencil = dkp5.grids.stencil_derivative
-    monkeypatch.setattr(dkp5.grids, "stencil_derivative",
-                        lambda *a, **k: calls.append(a[1]) or stencil(*a, **k))
-    grid, _ = random_fourier_field((5, 5, 5, 5), (0.3,) * 4, seed=3)
-    invert_pipeline(float_rep, grid, 1.0, 1.0, A_ref=(0.1, 0.0, 0.2, 0.0))
-    assert len(calls) <= 48
-
-
 #: (kernel calls, stencils) of each route on a 5^4 field with A_ref, with
 #: finite differences and in closed form.  The currents make 2 kernel calls
 #: (one per sector), and a derivative pass one per sector and direction: 4
 #: with finite differences, where zeta and the b and c columns share the
-#: Hermitian call, and 8 in closed form, which adds the tilde column.
+#: Hermitian call, and 8 in closed form, which adds the tilde column.  The
+#: 48 stencils of the FD pipeline are 4 for Phi, 4 for Zt, 4 for each F
+#: route, 4 for d.H, 4 for Z and 24 in the reduced system.
 _CALLS = {
     "pipeline": ((6, 48), (10, 40)),
     "residuals": ((6, 40), (6, 36)),
