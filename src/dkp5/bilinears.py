@@ -159,8 +159,8 @@ def _float_fields(rep, phi, fields):
 
 def _float_table(rep):
     """The scaled view's current table with its c_mu columns times 1/3: the
-    float table of Phi_bar M_k Phi.  A multiply, not a division by 3, which
-    would flip the sign of some of its zeros."""
+    float table of Phi_bar M_k Phi, the bits of eta M_k on integer generators.
+    A multiply, not a division by 3, which would flip the sign of some zeros."""
     return rep.integers.table * (1 / _C3)
 
 

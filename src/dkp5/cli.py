@@ -295,12 +295,10 @@ def cmd_reduce_word(args) -> int:
         "labels": list(BASIS_LABELS),
         "coefficients": combo.to_json_obj(),
     }
-    text = json.dumps(payload, indent=2)
     if args.json_path:
-        with open(args.json_path, "w") as fh:
-            fh.write(text + "\n")
+        write_report(args.json_path, payload)
     else:
-        print(text)
+        print(json.dumps(payload, indent=2))
     return EXIT_PASS
 
 

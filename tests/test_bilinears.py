@@ -22,7 +22,7 @@ from dkp5 import (
     z_is_singular,
     zeta_identity_residuals,
 )
-from dkp5.bilinears import CURRENT_COLUMNS, MIRRORED_COLUMNS, CurrentSet, lattice_currents
+from dkp5.bilinears import CURRENT_COLUMNS, MIRRORED_COLUMNS, Z_EPS, CurrentSet, lattice_currents
 from dkp5.errors import CurrentOverflowError, ModeError, ShapeError
 from dkp5.scalars import GaussianRational, is_exact_zero, random_exact_wavefunction
 
@@ -534,6 +534,17 @@ def test_lattice_currents_equal_the_grid_currents(float_rep, monkeypatch):
             assert np.array_equal(bits(got), bits(want)), name
         assert lean.K is lean.tilde_J is lean.tilde_K is None
         assert (lean.extents, lean.spacing) == (full.extents, full.spacing)
+
+
+def test_mask_threshold_is_z_eps(float_rep):
+    """With Phi = (0, 0, 0, 0, Phi_4), Z = -3 |Phi_4|^2, and for a small Phi_4
+    the threshold's scale is 1: |Z| = 1.5 Z_EPS stays unmasked, 0.9 Z_EPS is
+    masked."""
+    vals = np.zeros((3, 1, 1, 1, 5), dtype=complex)
+    vals[..., 4] = np.sqrt(np.array([1.5, 0.9, 3e10]) * Z_EPS / 3)[:, None, None, None]
+    cs = lattice_currents(float_rep, FieldGrid((3, 1, 1, 1), (0.1, 1, 1, 1), WAVEFUNCTION, vals))
+    assert np.allclose(-cs.Z.ravel() / Z_EPS, [1.5, 0.9, 3e10], rtol=1e-12)
+    assert singular_mask(cs).ravel().tolist() == [False, True, False]
 
 
 def test_threshold_past_double_precision_is_infinite(float_rep):

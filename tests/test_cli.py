@@ -7,6 +7,7 @@ import sys
 import warnings
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +131,11 @@ def test_reduce_word_json(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     nonzero = [i for i, entry in enumerate(payload["coefficients"]) if entry[0] != 0]
     assert nonzero == [payload["labels"].index("b2")]
+    out = tmp_path / "word.json"
+    assert run("reduce-word", "0,1,0", "--json", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    assert run("reduce-word", "0,1,0") == 0
+    assert out.read_text() == capsys.readouterr().out
 
 
 def test_reduce_word_bad_index():
@@ -559,6 +565,16 @@ def test_negative_tolerance_exits_two(tmp_path, argv):
 
 def test_zero_tolerance_is_accepted(tmp_path):
     assert run("verify-algebra", "--mode", "float", "--max-word-len", "0", "--tol", "0") in (0, 1)
+
+
+def test_zero_residual_passes_zero_tolerance(capsys):
+    """An entry whose max_abs equals its tolerance passes: both antisymmetry
+    entries read 0.0 under --tolerance 0, while the run fails on the others."""
+    grid = Path(__file__).parent / "golden" / "lattice" / "wave.dkp5"
+    assert run("invert", "--grid", str(grid), "--fd", "--tolerance", "0") == 1
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if "f_antisymmetry_" in ln]
+    assert lines == [f"PASS f_antisymmetry_{route}_route: max_abs=0.000e+00 tol=0.000e+00"
+                     for route in ("potential", "bilinear")]
 
 
 def test_manufacture_overflow_exits_two(tmp_path, capsys):

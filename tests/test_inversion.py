@@ -84,6 +84,22 @@ def test_gauge_fixed_zero_current_gives_zero(float_rep):
     assert np.max(np.abs(a_gf.values)) == 0.0
 
 
+def test_gauge_fixed_zeroes_masked_points_with_current(float_rep):
+    """A masked point where J != 0: Phi_4 = 1e-6 gives Z = -3e-12, below the
+    threshold, and J of order 1e-6.  Both the stage and the pipeline write
+    0.0 there, not J / Z."""
+    vals = np.tile(np.array([0.6, 0.3, -0.2, 0.4, 1.0], dtype=complex), (3, 1, 1, 1, 1))
+    vals[1, ..., 4] = 1e-6
+    grid = FieldGrid((3, 1, 1, 1), (0.1, 1, 1, 1), WAVEFUNCTION, vals)
+    cg = lattice_currents(float_rep, grid)
+    assert cg.mask.ravel().tolist() == [False, True, False]
+    assert np.all(np.abs(cg.J[1]) > 1e-7)
+    out, _ = invert_pipeline(float_rep, grid, 1.0, 1.0)
+    for a_gf in (invert_potential_gauge_fixed(cg, 1.0, 1.0), out.a_gauge_fixed):
+        assert np.all(a_gf.values[1] == 0.0)
+        assert np.all(a_gf.values[[0, 2]] != 0.0)
+
+
 def test_full_inversion_fd_second_order(float_rep):
     m, e = 1.0, 1.0
     A = (0.3, 0.25, 0.0, 0.0)
