@@ -20,7 +20,10 @@ import math
 import os
 import random
 import reprlib
+import signal
 import sys
+import traceback
+import warnings
 
 import numpy as np
 
@@ -351,12 +354,17 @@ _INDEX_COLUMNS = ("it", "ix", "iy", "iz")
 #: Points per block of formatted rows.
 _BLOCK_ROWS = 128
 
+#: Row-formatting processes at most (:func:`_write_points`): the count
+#: measured, on 2 CPUs.  More were never timed.
+_ROW_PROCESSES = 2
 
-def _text_blocks(extents, columns, mirrors, stop=None):
+
+def _text_blocks(extents, columns, mirrors, stop=None, start=0, step=1):
     """The rows of the first ``stop`` points (all by default) in row-major
     order, in blocks of ``_BLOCK_ROWS``: each row a tuple of the reprs of
     the point's index (it, ix, iy, iz) and of ``columns`` (name: array over
-    the grid) at the point.
+    the grid) at the point.  Only blocks ``start``, ``start + step``, ...
+    are made.
 
     Each column is formatted once per block.  A column in ``mirrors`` (name:
     (source column, sign)) whose block holds the same float64 bits as its
@@ -365,7 +373,7 @@ def _text_blocks(extents, columns, mirrors, stop=None):
     """
     n = math.prod(extents) if stop is None else min(stop, math.prod(extents))
     flat = {name: np.reshape(values, -1) for name, values in columns.items()}
-    for s in range(0, n, _BLOCK_ROWS):
+    for s in range(start * _BLOCK_ROWS, n, step * _BLOCK_ROWS):
         rows = slice(s, min(s + _BLOCK_ROWS, n))
         index = np.unravel_index(np.arange(rows.start, rows.stop), extents)
         texts = dict(zip(_INDEX_COLUMNS, (list(map(repr, i.tolist())) for i in index)))
@@ -394,10 +402,35 @@ def _write_points(extents, columns, mirrors, csv_path=None, json_path=None):
     """One row per point (:func:`_text_blocks`), a block at a time: as CSV,
     laid out as csv.writer writes ints and floats (no quoting, so each row is
     the texts joined), and as the JSON report {"extents", "points"} laid out
-    as :func:`write_report` writes it."""
+    as :func:`write_report` writes it.
+
+    Nearly all the time goes to ``repr`` of the floats, which holds the GIL,
+    so the blocks are formatted by processes, not threads: ``k`` of them,
+    one per CPU in this process's affinity mask, but no more than
+    ``_ROW_PROCESSES`` and no more than there are blocks.  A CPU quota is
+    not seen: the mask still lists every CPU.  Where ``os`` has no
+    ``sched_getaffinity`` or no ``fork``, ``k = 1``.  The caller is process
+    0 and forks ``k - 1`` workers (:func:`_row_workers`); process ``w``
+    formats blocks ``w, w + k, ...``.  The caller writes the blocks in
+    order, formatting its own and reading each worker's when its turn
+    comes; a full pipe stops a worker until then, so each process holds
+    about one block.  With ``k = 1`` no process is forked.
+    """
     names = [*_INDEX_COLUMNS, *columns]
     row = _json_row(names, 4)
+    n_blocks = -(-math.prod(extents) // _BLOCK_ROWS)
+    can_fork = hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
+    k = min(_ROW_PROCESSES, len(os.sched_getaffinity(0)) if can_fork else 1, n_blocks)
+
+    def texts(block):
+        return ("".join(",".join(r) + "\r\n" for r in block) if csv_path else "",
+                ",".join(row % r for r in block) if json_path else "")
+
+    def work(w):
+        return map(texts, _text_blocks(extents, columns, mirrors, start=w, step=k))
+
     with contextlib.ExitStack() as stack:
+        pipes = stack.enter_context(_row_workers(k, work))
         json_fh = stack.enter_context(open(json_path, "w")) if json_path else None
         csv_fh = stack.enter_context(open(csv_path, "w", newline="")) if csv_path else None
         if json_fh:
@@ -405,15 +438,88 @@ def _write_points(extents, columns, mirrors, csv_path=None, json_path=None):
                           + '\n  ],\n  "points": [')
         if csv_fh:
             csv_fh.write(",".join(names) + "\r\n")
-        sep = ""
-        for block in _text_blocks(extents, columns, mirrors):
+        own = work(0)
+        for b in range(n_blocks):
+            pipe = pipes[b % k - 1] if b % k else None
+            csv_text, json_text = (_receive(pipe), _receive(pipe)) if pipe else next(own)
             if json_fh:
-                json_fh.write(sep + ",".join(row % r for r in block))
-                sep = ","
+                json_fh.write(("," if b else "") + json_text)
             if csv_fh:
-                csv_fh.writelines(",".join(r) + "\r\n" for r in block)
+                csv_fh.write(csv_text)
         if json_fh:
             json_fh.write("\n  ]\n}\n")
+
+
+@contextlib.contextmanager
+def _row_workers(k, work):
+    """Fork ``k - 1`` workers and yield the read ends of their pipes, in
+    worker order.  Worker ``w`` (1 to k - 1) sends each tuple of texts that
+    ``work(w)`` yields down its own pipe and flushes after each tuple.  Each
+    text is one record: its UTF-8 length as 8 signed little-endian bytes,
+    then the bytes.  An exception in the worker is sent as one last record
+    of negative length, the exception's last traceback line; the worker
+    prints nothing and leaves with ``os._exit``.  On leaving, by return or
+    by any exception, every worker is killed and reaped, so none outlives
+    the caller; each has sent all it had to once its last record is read.
+
+    A worker runs only numpy indexing, ``repr`` and writes to its pipe; it
+    calls no BLAS routine and takes no lock that another thread of the
+    caller may hold, so OpenBLAS's threads cannot stop it.  CPython 3.12
+    and later warn at every fork in a process with more than one thread;
+    as the fork is safe here, the warning is ignored at it.
+    """
+    pids, pipes = [], []
+    try:
+        for w in range(1, k):
+            r, wfd = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(wfd, "wb") as out:  # the caller's copy is closed on leaving
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "This process .*is multi-threaded",
+                                            DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    try:
+                        for pipe in pipes:
+                            pipe.close()
+                        try:
+                            for texts in work(w):
+                                for text in texts:
+                                    _send(out, text)
+                                out.flush()  # else the block's last record, often 8 bytes, waits
+                        except BaseException as exc:
+                            _send(out, traceback.format_exception_only(exc)[-1].strip(), -1)
+                        out.close()
+                    finally:
+                        os._exit(0)
+            pids.append(pid)
+        yield pipes
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
+def _send(out, text, sign=1):
+    """Write ``text`` to ``out`` as one record that :func:`_receive` reads."""
+    data = text.encode()
+    out.write((sign * len(data)).to_bytes(8, "little", signed=True))
+    out.write(data)
+
+
+def _receive(pipe):
+    """The next text a row worker sent down ``pipe``; OSError, with the
+    worker's exception if it sent one, if the worker ended first."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little", signed=True)
+    data = pipe.read(abs(size))
+    if len(head) < 8 or len(data) < abs(size):
+        raise OSError("a row-formatting worker process ended before sending all its rows")
+    if size < 0:
+        raise OSError(f"a row-formatting worker process failed: {data.decode()}")
+    return data.decode()
 
 
 def _check_distinct_paths(inputs, outputs):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +25,8 @@ from dkp5 import (
 )
 from dkp5.bilinears import CURRENT_COLUMNS, MIRRORED_COLUMNS, Z_EPS, CurrentSet, lattice_currents
 from dkp5.errors import CurrentOverflowError, ModeError, ShapeError
-from dkp5.scalars import GaussianRational, is_exact_zero, random_exact_wavefunction
+from dkp5.scalars import (INT64_HALF, GaussianRational, bounded, is_exact_zero,
+                          random_exact_wavefunction)
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 exact_wavefunctions = st.lists(
@@ -628,3 +630,40 @@ def test_numerators_near_2_31_stay_exact(exact_rep):
         want = _reference_rank_one_residual(exact_rep, phi, p.S, p.Sflat, p.J, p.H, p.K, True)
         assert list(r_h[i].reshape(-1)) == list(want.reshape(-1)) and not _all_zero(r_h[i])
         assert _all_zero(r_c[i])
+
+
+def test_exact_currents_take_int64_only_within_the_bound(exact_rep, monkeypatch):
+    """At the edge of ``_exact_fields``'s int64 bound, parts up to t with
+    t^2 tops <= INT64_HALF < 2 t^2 tops: parts of equal size, t(1 ± i),
+    make a tilde pair sum 16 t^2 = 2 t^2 tops, past INT64_HALF, so the
+    currents are taken on Python ints; with t^2 tops a quarter of
+    INT64_HALF they are taken on int64.  Both equal their definition and
+    the currents forced onto Python ints."""
+    import dkp5.bilinears
+
+    tops = exact_rep.integers.tops[0]
+    edge = math.isqrt(INT64_HALF // tops)
+    assert edge * edge * tops <= INT64_HALF < 2 * edge * edge * tops
+    taken = []
+
+    def spy(bound, *arrays):
+        out = bounded(bound, *arrays)
+        taken.append(out[0].dtype)
+        return out
+
+    for t, dtype in ((edge, object), (math.isqrt(INT64_HALF // (4 * tops)), np.int64)):
+        phi = [GaussianRational(t, s * t) for s in (1, -1, -1, -1, 1)]
+        z = np.array([[[t] * 5], [[t, -t, -t, -t, t]]], dtype=object)
+        sums = dkp5.bilinears._pairs(z, False) @ exact_rep.integers.table.astype(object)
+        assert (np.abs(sums).max() > INT64_HALF) == (dtype is object)
+        monkeypatch.setattr(dkp5.bilinears, "bounded", spy)
+        taken.clear()
+        cs = compute_currents(exact_rep, phi)
+        assert taken == [np.dtype(dtype)]
+        _assert_definition(exact_rep, cs, (), phi)
+        monkeypatch.setattr(dkp5.bilinears, "bounded",
+                            lambda bound, *arrays: bounded(INT64_HALF + 1, *arrays))
+        boxed = compute_currents(exact_rep, phi)
+        for name, value in vars(cs).items():
+            assert np.array_equal(np.asarray(value, dtype=object),
+                                  np.asarray(getattr(boxed, name), dtype=object)), name

@@ -5,10 +5,13 @@ the stdout preview must stay byte-identical; the memory the writer holds
 must not grow with the grid."""
 
 import contextlib
+import errno
 import io
 import itertools
 import json
+import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -89,10 +92,14 @@ FIELDS = {
 @pytest.mark.parametrize("name", FIELDS)
 def test_currents_outputs_are_byte_identical(tmp_path, capsys, name):
     grid = FIELDS[name]()
-    grid_path = str(tmp_path / "g.dkp5")
-    store_grid(grid, grid_path)
     if name == "near_overflow":
         assert np.abs(compute_currents_grid(build_representation("float"), grid).S).max() > 1e300
+    _assert_currents_outputs_match(tmp_path, capsys, grid)
+
+
+def _assert_currents_outputs_match(tmp_path, capsys, grid):
+    grid_path = str(tmp_path / "g.dkp5")
+    store_grid(grid, grid_path)
     new_json, new_csv = str(tmp_path / "new.json"), str(tmp_path / "new.csv")
     old_json, old_csv = str(tmp_path / "old.json"), str(tmp_path / "old.csv")
 
@@ -109,6 +116,10 @@ def test_currents_outputs_are_byte_identical(tmp_path, capsys, name):
 
 @pytest.mark.parametrize("command", ["invert", "residuals"])
 def test_residual_csv_is_byte_identical(tmp_path, monkeypatch, command):
+    _assert_residual_csv_matches(tmp_path, monkeypatch, command)
+
+
+def _assert_residual_csv_matches(tmp_path, monkeypatch, command):
     grid_path = tmp_path / "pw.dkp5"
     assert cli.main(["manufacture", "--p", "1.25,0.75,0,0", "--A", "0,0,0,0", "--m", "1",
                      "--e", "1", "--extents", "9,5,3,4", "--spacing", "0.1",
@@ -141,3 +152,175 @@ def test_currents_writer_memory_does_not_grow_with_the_grid(tmp_path, flag):
         finally:
             tracemalloc.stop()
     assert (peaks[1] - peaks[0]) / (8 ** 4 - 6 ** 4) <= 1200, peaks
+
+
+# --- one to three row-formatting processes ------------------------------------
+
+def _cpus(monkeypatch, cpus, cap=cli._ROW_PROCESSES):
+    """Let the writer see ``cpus`` CPUs and use at most ``cap`` processes;
+    returns the pids of the workers it forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(cli, "_ROW_PROCESSES", cap)
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+WORKER_FIELDS = {
+    "currents_csv_6^4": FIELDS["currents_csv_6^4"],  # 11 blocks
+    "ragged_5x3x7x2": FIELDS["ragged_5x3x7x2"],  # 2 blocks, fewer than 3 CPUs
+    "one_block_4x4x4x2": lambda: _field((4, 4, 4, 2), 7),  # 128 points
+}
+
+# (CPUs, cap): 3 CPUs at the shipped cap of 2 fork one worker; a cap of 3
+# holds the split over three processes to the same bytes.
+CPU_COUNTS = pytest.mark.parametrize("cpus,cap", [(1, 2), (2, 2), (3, 2), (3, 3)],
+                                     ids=["1cpu", "2cpus", "3cpus", "3cpus_cap3"])
+
+
+@CPU_COUNTS
+@pytest.mark.parametrize("name", WORKER_FIELDS)
+def test_currents_outputs_for_each_cpu_count(tmp_path, capsys, monkeypatch, name, cpus, cap):
+    assert cli._ROW_PROCESSES == 2
+    grid = WORKER_FIELDS[name]()
+    forks = _cpus(monkeypatch, cpus, cap)
+    _assert_currents_outputs_match(tmp_path, capsys, grid)
+    # the file run forks; the stdout preview, 4 rows, does not
+    assert len(forks) == min(cpus, cap, -(-grid.n_points // cli._BLOCK_ROWS)) - 1
+
+
+@CPU_COUNTS
+@pytest.mark.parametrize("command", ["invert", "residuals"])
+def test_residual_csv_for_each_cpu_count(tmp_path, monkeypatch, command, cpus, cap):
+    forks = _cpus(monkeypatch, cpus, cap)
+    _assert_residual_csv_matches(tmp_path, monkeypatch, command)
+    assert len(forks) == min(cpus, cap) - 1  # 540 points, 5 blocks
+
+
+@pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
+def test_currents_outputs_without_fork_or_affinity(tmp_path, capsys, monkeypatch, missing):
+    """Where ``os`` lacks either (``sched_getaffinity`` on macOS, ``fork`` on
+    Windows), one process writes the same bytes."""
+    monkeypatch.delattr(os, missing)
+    _assert_currents_outputs_match(tmp_path, capsys, FIELDS["currents_csv_6^4"]())
+
+
+def test_fork_warning_is_ignored(tmp_path, capsys, monkeypatch):
+    """CPython 3.12 and later warn in the caller at each fork in a process
+    with more than one thread; under an error filter the fork must still
+    hand back its worker."""
+    forks = _cpus(monkeypatch, 2)
+    counted = os.fork
+
+    def warning():
+        pid = counted()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_currents_outputs_match(tmp_path, capsys, FIELDS["currents_csv_6^4"]())
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def _currents_argv(tmp_path):
+    grid_path = str(tmp_path / "g.dkp5")
+    store_grid(FIELDS["currents_csv_6^4"](), grid_path)
+    return ["currents", "--grid", grid_path, "--csv", str(tmp_path / "out.csv"),
+            "--json", str(tmp_path / "out.json")]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_failed_cleanly(code, err):
+    """Exit 2 with one error line, from the caller or a worker, and no worker left."""
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+    _assert_no_child_left()
+
+
+def test_failed_write_reaps_the_workers(tmp_path, capfd, monkeypatch):
+    argv = _currents_argv(tmp_path)
+    forks = _cpus(monkeypatch, 3, cap=3)
+    writes, real_open = [], open
+
+    class Full:
+        """An output file; the sixth write to either fails, as on a full
+        disk.  It is block 1's CSV text, a worker's, after both headers,
+        block 0 (the caller's) and block 1's JSON text."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            writes.append(text)
+            if len(writes) == 6:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(text)
+
+    def full_open(file, mode="r", **kwargs):  # the worker pipes open as they are
+        fh = real_open(file, mode, **kwargs)
+        return Full(fh) if mode == "w" else fh
+
+    monkeypatch.setattr(cli, "open", full_open, raising=False)
+    _assert_failed_cleanly(cli.main(argv), capfd.readouterr().err)
+    assert len(writes) == 6 and len(forks) == 2
+
+
+@pytest.mark.parametrize("how,message", [
+    ("raises", "a row-formatting worker process failed: RuntimeError: worker failed"),
+    ("exits", "a row-formatting worker process ended before sending all its rows")])
+def test_worker_that_dies_is_an_error(tmp_path, capfd, monkeypatch, how, message):
+    argv = _currents_argv(tmp_path)
+    _cpus(monkeypatch, 2)
+    caller, text_blocks = os.getpid(), cli._text_blocks
+
+    def dying(*args, **kwargs):
+        for i, block in enumerate(text_blocks(*args, **kwargs)):
+            if i == 2 and os.getpid() != caller:  # the worker's third block of five
+                if how == "exits":
+                    os._exit(1)
+                raise RuntimeError("worker failed")
+            yield block
+
+    monkeypatch.setattr(cli, "_text_blocks", dying)
+    code = cli.main(argv)
+    err = capfd.readouterr().err
+    assert err == f"error: {message}\n"
+    _assert_failed_cleanly(code, err)
+
+
+def test_interrupt_reaps_the_workers(tmp_path, monkeypatch):
+    argv = _currents_argv(tmp_path)
+    _cpus(monkeypatch, 3, cap=3)
+    received, receive = [], cli._receive
+
+    def interrupted(pipe):
+        received.append(pipe)
+        if len(received) == 3:
+            raise KeyboardInterrupt
+        return receive(pipe)
+
+    monkeypatch.setattr(cli, "_receive", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(argv)
+    _assert_no_child_left()
