@@ -18,7 +18,7 @@ zero residuals literally.
 
 Nothing here trusts the construction: :func:`verify_algebra_identities`
 re-derives every identity family from the matrices themselves, and
-:func:`enumerate_basis` re-checks that the 25 canonical elements
+:func:`basis_rank` re-checks that the 25 canonical elements
 {I, b_mu, companion c_mu, b_mu b_nu} are linearly independent.
 
 Both scalar modes build a representation by one code path: b, b^2,
@@ -26,7 +26,7 @@ c3 = b b^2 - b^2 b and eta in int64 from integer generators (exact mode;
 ModeError otherwise, and OverflowError, never wrap round, where a
 product could pass half the int64 range) or in complex128 (float mode).
 Exact fields are then boxed into Fractions once.  Each representation
-caches one scaled view of its fields, ``KemmerRep.integers`` (c_mu
+holds one scaled view of its fields, ``KemmerRep.integers`` (c_mu
 entering as 3 c_mu), int64 or complex128, which every stage reads: the
 identity families, each one array expression over its case axes scaled
 to clear its denominators; the basis rank; the word sweep, the currents
@@ -96,6 +96,30 @@ def _fierz18():
 _FIERZ18 = _fierz18()
 
 
+def _scaled_view(m) -> SimpleNamespace:
+    """The scaled view ``KemmerRep.integers`` of the 14 matrices ``m``: b_0..b_3,
+    c3_0..c3_3 (c3 = 3 c_mu), b^2, eta, zeta and I, int64 (every product
+    checked against overflow) or complex128.
+
+    ``beta``, ``c3``, ``beta_sq``, ``eta``, ``zeta`` and ``identity``;
+    ``basis`` (25, 5, 5) and ``current`` (26, 5, 5) with 3 c_mu; ``table``
+    (25, 26), column k holding eta M_k flattened (row 5a + b pairs left[a]
+    with Phi[b], so the pairs conj(Phi)[a] Phi[b] times column k give
+    Phi_bar M_k Phi); ``weighted`` (26, 25), the current matrices under the
+    18-fold Fierz weights; and ``tops``, the largest column abs-sums of
+    ``table``, ``weighted`` and ``eta`` (``scalars.column_top``), which bound
+    exact Fierz residuals.
+    """
+    b, c3, (bsq, eta, zeta, ident) = m[:4], m[4:8], m[8:]
+    pairs = checked_matmul(b[:, None], b).reshape(16, 5, 5)
+    current = np.concatenate([ident[None], bsq[None], b, c3, pairs])
+    table = checked_matmul(eta, current).reshape(26, 25).T
+    weighted = checked_matmul(_FIERZ18, current.reshape(26, 25))
+    return SimpleNamespace(beta=b, c3=c3, beta_sq=bsq, eta=eta, zeta=zeta, identity=ident,
+                           basis=np.delete(current, 1, axis=0), current=current, table=table,
+                           weighted=weighted, tops=tuple(map(column_top, (table, weighted, eta))))
+
+
 @dataclass(frozen=True, eq=False)
 class KemmerRep:
     """Concrete representation bundle: generators plus derived elements.
@@ -121,30 +145,20 @@ class KemmerRep:
 
     @cached_property
     def integers(self) -> SimpleNamespace:
-        """The fields scaled so that c_mu enters as c3 = 3 c_mu, built once: int64
-        in exact mode (ModeError for a non-integer entry, every product
-        checked against overflow), complex128 in float mode.
+        """The fields scaled so that c_mu enters as c3 = 3 c_mu (:func:`_scaled_view`),
+        built once: int64 in exact mode (ModeError for a non-integer entry),
+        complex128 in float mode.
 
-        ``beta``, ``c3``, ``beta_sq``, ``eta``, ``zeta`` and ``identity``;
-        ``basis`` (25, 5, 5) and ``current`` (26, 5, 5) with 3 c_mu;
-        ``table`` (25, 26), column k holding eta M_k flattened (row 5a + b
-        pairs left[a] with Phi[b], so the pairs conj(Phi)[a] Phi[b] times
-        column k give Phi_bar M_k Phi); ``weighted``
-        (26, 25), the current matrices under the 18-fold Fierz weights; and
-        ``tops``, the largest column abs-sums of ``table``, ``weighted`` and
-        ``eta`` (``scalars.column_top``), which bound exact Fierz residuals.
+        An exact representation from :func:`representation_from_betas` comes
+        with this view already set, built from the int64 matrices that its
+        Fraction fields were boxed from, so it never unboxes them.  Any other
+        instance builds the view here from its own fields on first use; a
+        ``dataclasses.replace`` copy is one, since the view is not a field.
         """
         fields = [*self.beta, *(3 * np.stack(self.beta_dot)),
                   self.beta_sq, self.eta, self.zeta, self.identity]
-        m = exact_int64(fields) if self.mode == EXACT else np.array(fields, dtype=complex)
-        b, c3, (bsq, eta, zeta, ident) = m[:4], m[4:8], m[8:]
-        pairs = checked_matmul(b[:, None], b).reshape(16, 5, 5)
-        current = np.concatenate([ident[None], bsq[None], b, c3, pairs])
-        table = checked_matmul(eta, current).reshape(26, 25).T
-        weighted = checked_matmul(_FIERZ18, current.reshape(26, 25))
-        return SimpleNamespace(beta=b, c3=c3, beta_sq=bsq, eta=eta, zeta=zeta, identity=ident,
-                               basis=np.delete(current, 1, axis=0), current=current, table=table,
-                               weighted=weighted, tops=tuple(map(column_top, (table, weighted, eta))))
+        return _scaled_view(exact_int64(fields) if self.mode == EXACT
+                            else np.array(fields, dtype=complex))
 
     @cached_property
     def basis(self):
@@ -166,7 +180,11 @@ def representation_from_betas(beta, mode) -> KemmerRep:
     ones (ModeError otherwise) and raises OverflowError where a product
     could pass half the int64 range, complex128 in float mode.  Every
     product is then taken the same way in both; exact fields are boxed
-    into Fractions, c_mu = c3 / 3 over the denominator 3.
+    into Fractions, c_mu = c3 / 3 over the denominator 3, and the int64
+    matrices they were boxed from are kept as the representation's scaled
+    view, ``KemmerRep.integers``, which is then never unboxed.  Float mode
+    leaves the view to be built on first use, from c_mu times 3: it is
+    rounded from c3 * (1/3) and need not give back c3's bits.
     """
     exact = check_mode(mode) == EXACT
     b = exact_int64(tuple(beta)) if exact else np.array(beta, dtype=complex)
@@ -177,8 +195,12 @@ def representation_from_betas(beta, mode) -> KemmerRep:
     c3 = checked_matmul(b, bsq) - checked_matmul(bsq, b)
     eta = 2 * checked_matmul(b[0], b[0]) - ident
     fields = np.concatenate([b, [bsq, eta, ident - bsq, ident]])
-    fields, beta_dot = (_boxed(fields), _boxed(c3, 3)) if exact else (fields, c3 * (1 / 3))
-    return KemmerRep(mode, tuple(fields[:4]), tuple(beta_dot), *fields[4:])
+    if not exact:
+        return KemmerRep(mode, tuple(fields[:4]), tuple(c3 * (1 / 3)), *fields[4:])
+    boxed = _boxed(fields)
+    rep = KemmerRep(mode, tuple(boxed[:4]), tuple(_boxed(c3, 3)), *boxed[4:])
+    rep.__dict__["integers"] = _scaled_view(np.concatenate([b, c3, fields[4:]]))
+    return rep
 
 
 def build_representation(mode=EXACT) -> KemmerRep:
@@ -361,10 +383,23 @@ def enumerate_basis(rep: KemmerRep, tol=1e-9):
     Raises :class:`RepresentationDefectError` when the rank drops below
     25 (e.g. for the trivial representation with all generators zero).
     Also re-checks that b^2 is the metric contraction of the products.
-    Both come from the scaled view (c_mu as 3 c_mu, which leaves the rank
-    as it is): exact mode takes the rank by Bareiss elimination (on int64
-    where its bound allows) and asks for a zero contraction residual;
-    float mode takes the rank by SVD and holds the residual to ``tol``.
+    Both checks are :func:`basis_rank`'s; a caller that wants the rank
+    alone, as ``dkp verify-algebra`` does, calls that and leaves the
+    boxed basis (``KemmerRep.basis``) unbuilt.
+    """
+    rank = basis_rank(rep, tol)
+    return basis_matrices(rep), rank
+
+
+def basis_rank(rep: KemmerRep, tol=1e-9):
+    """The rank of the 25 canonical basis matrices as 25-vectors, from the
+    scaled view alone (c_mu as 3 c_mu, which leaves the rank as it is).
+
+    Raises :class:`RepresentationDefectError` when the rank drops below 25
+    or b^2 is not the metric contraction of the products.  Exact mode takes
+    the rank by Bareiss elimination (on int64 where its bound allows) and
+    asks for a zero contraction residual; float mode takes the rank by SVD
+    and holds the residual to ``tol``.
     """
     _validate_rep(rep)
     v = rep.integers
@@ -378,4 +413,4 @@ def enumerate_basis(rep: KemmerRep, tol=1e-9):
     diff = checked_matmul(_SIG, rows[9::5]) - v.beta_sq.reshape(25)  # rows b_m b_m
     if not (not diff.any() if exact else np.abs(diff).max() <= tol):
         raise RepresentationDefectError("b^2 is not the metric trace of the products")
-    return basis_matrices(rep), rank
+    return rank

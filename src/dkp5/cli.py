@@ -22,6 +22,7 @@ import random
 import reprlib
 import signal
 import sys
+import threading
 import traceback
 import warnings
 
@@ -29,8 +30,8 @@ import numpy as np
 
 from . import __version__
 from .algebra import (
+    basis_rank,
     build_representation,
-    enumerate_basis,
     representation_from_betas,
     verify_algebra_identities,
 )
@@ -128,8 +129,12 @@ def _word(text):
 
 def build_parser(command=None):
     """The ``dkp`` parser.  Every sub-command is registered with its help
-    line, but only ``command``'s arguments are added (every sub-command's
-    when None): adding an argument costs far more than parsing one."""
+    line, but only ``command``'s arguments, and its ``-h``, are added (every
+    sub-command's when None): adding an argument costs far more than parsing
+    one.  The sub-command that parses argv is the one its first bare token
+    names, ``command`` in :func:`main`, so no other sub-parser ever parses
+    and none needs a help action; ``dkp --help`` and the invalid-choice
+    message list the sub-commands by name and help line alone."""
     parser = argparse.ArgumentParser(
         prog="dkp",
         description="5-component DKP algebra, currents, and potential inversion",
@@ -137,8 +142,9 @@ def build_parser(command=None):
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, add_arguments in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        if command is None or command == name:
+        parses = command is None or command == name
+        p = sub.add_parser(name, help=help_text, add_help=parses)
+        if parses:
             add_arguments(p)
     return parser
 
@@ -275,7 +281,7 @@ def cmd_verify_algebra(args) -> int:
         return EXIT_FAIL
 
     try:
-        _, rank = enumerate_basis(rep)
+        rank = basis_rank(rep)
     except DkpError as exc:
         print(f"representation defect: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
@@ -538,12 +544,32 @@ def _load_sidecar(path, optional):
         return None
     try:
         with open(path) as fh:
-            sidecar = json.load(fh)
+            sidecar = _parse_json(fh.read())
     except (ValueError, RecursionError) as exc:  # RecursionError: nested deeper than the parser goes
         raise ParameterError(f"sidecar {path} is not valid JSON: {exc}") from exc
     if not isinstance(sidecar, dict):
         raise ParameterError(f"sidecar {path} is not a JSON object")
     return sidecar
+
+
+def _parse_json(text):
+    """``json.loads(text)`` on a new thread, whose Python stack starts empty:
+    how deep the JSON may nest then depends on the recursion limit alone,
+    not on how deep the caller's stack is."""
+    out, errors = [], []
+
+    def parse():
+        try:
+            out.append(json.loads(text))
+        except Exception as exc:  # raised again in the caller's thread
+            errors.append(exc)
+
+    thread = threading.Thread(target=parse)
+    thread.start()
+    thread.join()
+    if errors:
+        raise errors[0]
+    return out[0]
 
 
 def _sidecar_value(sidecar, key, convert=_real):

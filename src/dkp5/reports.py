@@ -54,7 +54,10 @@ def all_pass(entries) -> bool:
 
 
 def write_report(path, payload):
-    """Serialize a report dict with stable key order and trailing newline."""
+    """Serialize a report dict with stable key order and trailing newline.
+
+    The whole text is made before ``path`` is opened, so a payload that JSON
+    cannot hold raises without creating or truncating the file."""
+    text = json.dumps(payload, indent=2) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)

@@ -475,6 +475,38 @@ def test_integer_view_equals_fraction_fields(exact_rep):
     assert not np.array_equal(reps[-1][1].integers.eta, exact_rep.integers.eta)
 
 
+def test_seeded_view_equals_the_view_unboxed_from_the_fraction_fields(exact_rep):
+    """An exact representation from the builder comes with its scaled view
+    set, made from the int64 matrices it boxed: the reference one and each
+    with one generator zeroed, as ``--corrupt-generator`` builds them.  Every
+    field of that view equals, in dtype and value, the one that
+    ``KemmerRep.integers`` unboxes from the Fraction fields.  A copy made by
+    ``dataclasses.replace`` has no view set and unboxes its own fields."""
+    import dataclasses
+
+    from dkp5.algebra import KemmerRep
+
+    unboxed = KemmerRep.integers.func
+    reps = [("reference", build_representation("exact"))]
+    for k in range(4):
+        betas = [0 * b if mu == k else b for mu, b in enumerate(exact_rep.beta)]
+        reps.append((f"b{k}=0", representation_from_betas(betas, "exact")))
+    replaced = dataclasses.replace(exact_rep, eta=-exact_rep.eta)
+    assert "integers" not in vars(replaced)
+    reps.append(("eta=-eta", replaced))
+    for label, rep in reps:
+        assert ("integers" in vars(rep)) == (rep is not replaced), label
+        got, want = vars(rep.integers), vars(unboxed(rep))
+        assert list(got) == list(want), label
+        for name, value in want.items():
+            if name == "tops":
+                assert got[name] == value and all(type(t) is int for t in got[name]), label
+            else:
+                assert got[name].dtype == value.dtype == np.int64, (label, name)
+                assert np.array_equal(got[name], value), (label, name)
+    assert np.array_equal(replaced.integers.eta, -exact_rep.integers.eta)
+
+
 def test_lattice_table_keeps_the_bits_of_eta_times_each_current_matrix():
     """The float table that the lattice stack reads (the scaled view's, its
     c_mu columns times 1/3) holds the float64 bits of eta M_k for each of the

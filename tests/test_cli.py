@@ -390,14 +390,37 @@ def test_malformed_sidecar_exits_two(tmp_path, capsys, edit):
             del data[edit]
         sidecar.write_text(json.dumps(data))
     capsys.readouterr()
-    # A new thread's Python stack starts empty, as the `dkp` command's does,
-    # so JSON nests as deep in it as there.
-    with concurrent.futures.ThreadPoolExecutor(1) as pool:
-        for command, flags in (("invert", ("--m", "1", "--e", "1")), ("residuals", ("--e", "1"))):
-            assert pool.submit(run, command, "--grid", str(grid_path), "--analytic", *flags).result() == 2
-            err = capsys.readouterr().err.replace(str(sidecar), "<sidecar>")
-            assert err.count("\n") == 1 and len(err) <= 200, (command, err[:300])
-            assert not isinstance(edit, dict) or all(repr(key) in err for key in edit), err
+    for command, flags in (("invert", ("--m", "1", "--e", "1")), ("residuals", ("--e", "1"))):
+        assert run(command, "--grid", str(grid_path), "--analytic", *flags) == 2
+        err = capsys.readouterr().err.replace(str(sidecar), "<sidecar>")
+        assert err.count("\n") == 1 and len(err) <= 200, (command, err[:300])
+        assert not isinstance(edit, dict) or all(repr(key) in err for key in edit), err
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"m": ' + "[" * 980 + "1" + "]" * 980 + "}", id="m-nested-980"),
+    pytest.param("[" * 100000, id="nested-too-deep"),
+])
+def test_sidecar_verdict_does_not_depend_on_the_callers_stack_depth(tmp_path, capsys, text):
+    """A sidecar that nests deep gives the same exit code and error line
+    whether ``main`` is called from an empty Python stack, as the `dkp`
+    command's is, or from one 100 frames short of the recursion limit."""
+    grid_path = _manufacture(tmp_path)
+    (tmp_path / "pw.dkp5.json").write_text(text)
+    argv = ["invert", "--grid", str(grid_path), "--analytic", "--m", "1", "--e", "1"]
+
+    def at_depth(n):
+        return at_depth(n - 1) if n else main(argv)
+
+    capsys.readouterr()
+    outcomes = []
+    for depth in (0, sys.getrecursionlimit() - 100):
+        # A new thread's Python stack starts empty.
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            outcomes.append((pool.submit(at_depth, depth).result(), capsys.readouterr().err))
+    shallow, deep = outcomes
+    assert shallow[0] == 2 and shallow[1].count("\n") == 1, shallow
+    assert deep == shallow
 
 
 _MOVES_CALL_ARGUMENTS = pytest.mark.skipif(

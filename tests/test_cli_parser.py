@@ -1,4 +1,4 @@
-"""`dkp` adds only the arguments of the sub-command it runs.
+"""`dkp` adds only the arguments, and the -h, of the sub-command it runs.
 
 ``build_parser(name)`` must help, parse and fail exactly as
 ``build_parser()``, which adds every sub-command's arguments.  The two
@@ -47,7 +47,8 @@ def test_one_subcommand_helps_parses_and_fails_as_with_all(name, capsys):
     parsed = _outcome(one.parse_args, [name, *valid.split()], capsys)
     assert isinstance(parsed[0], argparse.Namespace)
     assert parsed == _outcome(full.parse_args, [name, *valid.split()], capsys)
-    for argv in ([name, *bad.split()], [name, "--help"]):
+    # With "-h" first, the top-level help runs before the sub-command is parsed.
+    for argv in ([name, *bad.split()], [name, "--help"], [name, "-h"], ["-h", name]):
         want = _outcome(full.parse_args, argv, capsys)
         assert want[0] in (0, 2)
         assert _outcome(one.parse_args, argv, capsys) == want
@@ -68,6 +69,7 @@ def test_main_adds_the_arguments_of_its_subcommand_only(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(build(command)) or built[-1])
     assert cli.main(["verify-algebra", "--max-word-len", "0"]) == 0
     [parser] = built
-    has_arguments = {name for name, p in _subparsers(parser).items() if len(p._actions) > 1}
-    assert has_arguments == {"verify-algebra"}
+    # Not even -h: only the sub-command that parses argv can print its help.
+    has_actions = {name for name, p in _subparsers(parser).items() if p._actions}
+    assert has_actions == {"verify-algebra"}
     assert all(len(p._actions) > 1 for p in _subparsers(build()).values())

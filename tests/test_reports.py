@@ -5,7 +5,7 @@ import pytest
 
 from dkp5.errors import ShapeError
 from dkp5.grids import max_abs, norms, rms
-from dkp5.reports import _entry_from_temporary, entry_from_values
+from dkp5.reports import _entry_from_temporary, entry_from_values, write_report
 
 
 def _two_pass_norms(values, mask):
@@ -54,3 +54,17 @@ def test_norms_of_huge_residuals_stay_finite():
     big = np.full(4, 1e154)  # each square fits, their sum does not
     assert norms(big) == (1e154, pytest.approx(1e154, rel=1e-15))
     assert norms(np.array([np.inf, 1.0])) == (np.inf, np.inf)
+
+
+def test_a_report_that_json_cannot_hold_leaves_no_file(tmp_path):
+    """The payload is serialised before the file is opened: one that fails
+    part way neither creates the file nor truncates one that is there."""
+    path = tmp_path / "report.json"
+    payload = {"identities": [{"max_abs": 0.0}], "rank": np.int64(25)}
+    with pytest.raises(TypeError):
+        write_report(path, payload)
+    assert not path.exists()
+    write_report(path, {"rank": 25})
+    with pytest.raises(TypeError):
+        write_report(path, payload)
+    assert path.read_text() == '{\n  "rank": 25\n}\n'
