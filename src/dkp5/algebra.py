@@ -137,7 +137,6 @@ class KemmerRep:
     eta: np.ndarray      # involution matrix implementing transpose equivalence
     zeta: np.ndarray     # I - b^2, the scaled projector (zeta^2 = -3 zeta)
     identity: np.ndarray
-    metric: tuple = METRIC_DIAG
 
     def beta_upper(self, mu):
         """Raised-index generator b^mu = eta^{mu mu} b_mu."""

@@ -41,7 +41,7 @@ import numpy as np
 from .algebra import _FIERZ18, METRIC_DIAG, KemmerRep
 from .errors import CurrentOverflowError, ModeError, ShapeError
 from .grids import WAVEFUNCTION, FieldGrid
-from .scalars import EXACT, FLOAT, GaussianRational, bounded, top
+from .scalars import _GR_ZERO, EXACT, FLOAT, GaussianRational, bounded, top
 
 #: Relative scale factor of the |Z| singularity threshold.
 Z_EPS = 1e-10
@@ -369,9 +369,8 @@ def _point(cs, *fields):
     return _rows(cs.mode, (), *fields)
 
 
-_ZERO = GaussianRational(0)
 _gaussian = np.frompyfunc(
-    lambda re, im, den: GaussianRational(Fraction(re, den), Fraction(im, den)) if re or im else _ZERO,
+    lambda re, im, den: GaussianRational(Fraction(re, den), Fraction(im, den)) if re or im else _GR_ZERO,
     3, 1)
 
 

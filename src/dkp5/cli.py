@@ -18,6 +18,7 @@ import contextlib
 import json
 import math
 import os
+import pickle
 import random
 import reprlib
 import signal
@@ -360,10 +361,6 @@ _INDEX_COLUMNS = ("it", "ix", "iy", "iz")
 #: Points per block of formatted rows.
 _BLOCK_ROWS = 128
 
-#: Row-formatting processes at most (:func:`_write_points`): the count
-#: measured, on 2 CPUs.  More were never timed.
-_ROW_PROCESSES = 2
-
 
 def _text_blocks(extents, columns, mirrors, stop=None, start=0, step=1):
     """The rows of the first ``stop`` points (all by default) in row-major
@@ -411,32 +408,30 @@ def _write_points(extents, columns, mirrors, csv_path=None, json_path=None):
     as :func:`write_report` writes it.
 
     Nearly all the time goes to ``repr`` of the floats, which holds the GIL,
-    so the blocks are formatted by processes, not threads: ``k`` of them,
-    one per CPU in this process's affinity mask, but no more than
-    ``_ROW_PROCESSES`` and no more than there are blocks.  A CPU quota is
-    not seen: the mask still lists every CPU.  Where ``os`` has no
-    ``sched_getaffinity`` or no ``fork``, ``k = 1``.  The caller is process
-    0 and forks ``k - 1`` workers (:func:`_row_workers`); process ``w``
-    formats blocks ``w, w + k, ...``.  The caller writes the blocks in
-    order, formatting its own and reading each worker's when its turn
-    comes; a full pipe stops a worker until then, so each process holds
-    about one block.  With ``k = 1`` no process is forked.
+    so the blocks are formatted by two processes, not threads, where this
+    process's affinity mask lists two CPUs or more and there are two blocks
+    or more (only two processes were ever timed; a CPU quota is not seen,
+    as the mask still lists every CPU).  Where ``os`` has no
+    ``sched_getaffinity`` or no ``fork``, or one process is all there is to
+    use, the caller formats every block and forks nothing.  Otherwise it
+    formats the even blocks and one forked worker (:func:`_row_worker`) the
+    odd ones; the caller writes the blocks in order, reading each of the
+    worker's when its turn comes.  A full pipe stops the worker until then,
+    so each process holds about one block.
     """
     names = [*_INDEX_COLUMNS, *columns]
     row = _json_row(names, 4)
     n_blocks = -(-math.prod(extents) // _BLOCK_ROWS)
     can_fork = hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
-    k = min(_ROW_PROCESSES, len(os.sched_getaffinity(0)) if can_fork else 1, n_blocks)
+    k = min(2, len(os.sched_getaffinity(0)) if can_fork else 1, n_blocks)
 
-    def texts(block):
-        return ("".join(",".join(r) + "\r\n" for r in block) if csv_path else "",
-                ",".join(row % r for r in block) if json_path else "")
-
-    def work(w):
-        return map(texts, _text_blocks(extents, columns, mirrors, start=w, step=k))
+    def texts(start):
+        for block in _text_blocks(extents, columns, mirrors, start=start, step=k):
+            yield ("".join(",".join(r) + "\r\n" for r in block) if csv_path else "",
+                   ",".join(row % r for r in block) if json_path else "")
 
     with contextlib.ExitStack() as stack:
-        pipes = stack.enter_context(_row_workers(k, work))
+        pipe = _row_worker(stack, texts(1)) if k == 2 else None
         json_fh = stack.enter_context(open(json_path, "w")) if json_path else None
         csv_fh = stack.enter_context(open(csv_path, "w", newline="")) if csv_path else None
         if json_fh:
@@ -444,10 +439,9 @@ def _write_points(extents, columns, mirrors, csv_path=None, json_path=None):
                           + '\n  ],\n  "points": [')
         if csv_fh:
             csv_fh.write(",".join(names) + "\r\n")
-        own = work(0)
+        own = texts(0)
         for b in range(n_blocks):
-            pipe = pipes[b % k - 1] if b % k else None
-            csv_text, json_text = (_receive(pipe), _receive(pipe)) if pipe else next(own)
+            csv_text, json_text = _receive(pipe) if b % k else next(own)
             if json_fh:
                 json_fh.write(("," if b else "") + json_text)
             if csv_fh:
@@ -456,76 +450,56 @@ def _write_points(extents, columns, mirrors, csv_path=None, json_path=None):
             json_fh.write("\n  ]\n}\n")
 
 
-@contextlib.contextmanager
-def _row_workers(k, work):
-    """Fork ``k - 1`` workers and yield the read ends of their pipes, in
-    worker order.  Worker ``w`` (1 to k - 1) sends each tuple of texts that
-    ``work(w)`` yields down its own pipe and flushes after each tuple.  Each
-    text is one record: its UTF-8 length as 8 signed little-endian bytes,
-    then the bytes.  An exception in the worker is sent as one last record
-    of negative length, the exception's last traceback line; the worker
-    prints nothing and leaves with ``os._exit``.  On leaving, by return or
-    by any exception, every worker is killed and reaped, so none outlives
-    the caller; each has sent all it had to once its last record is read.
+def _row_worker(stack, blocks):
+    """Fork a worker and return the read end of its pipe.  The worker
+    pickles each item that ``blocks`` yields down the pipe and flushes after
+    each.  An exception in the worker is sent as one pickled OSError that
+    names it; the worker prints nothing and leaves with ``os._exit``.  On
+    leaving ``stack``, by return or by any exception, the worker is killed
+    and reaped, so it never outlives the caller; it has sent all it had once
+    its last block is read.
 
-    A worker runs only numpy indexing, ``repr`` and writes to its pipe; it
+    The worker runs only numpy indexing, ``repr`` and writes to its pipe; it
     calls no BLAS routine and takes no lock that another thread of the
     caller may hold, so OpenBLAS's threads cannot stop it.  CPython 3.12
     and later warn at every fork in a process with more than one thread;
     as the fork is safe here, the warning is ignored at it.
     """
-    pids, pipes = [], []
-    try:
-        for w in range(1, k):
-            r, wfd = os.pipe()
-            pipes.append(open(r, "rb"))
-            with open(wfd, "wb") as out:  # the caller's copy is closed on leaving
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("ignore", "This process .*is multi-threaded",
-                                            DeprecationWarning)
-                    pid = os.fork()
-                if pid == 0:
-                    try:
-                        for pipe in pipes:
-                            pipe.close()
-                        try:
-                            for texts in work(w):
-                                for text in texts:
-                                    _send(out, text)
-                                out.flush()  # else the block's last record, often 8 bytes, waits
-                        except BaseException as exc:
-                            _send(out, traceback.format_exception_only(exc)[-1].strip(), -1)
-                        out.close()
-                    finally:
-                        os._exit(0)
-            pids.append(pid)
-        yield pipes
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for pipe in pipes:
-            pipe.close()
-
-
-def _send(out, text, sign=1):
-    """Write ``text`` to ``out`` as one record that :func:`_receive` reads."""
-    data = text.encode()
-    out.write((sign * len(data)).to_bytes(8, "little", signed=True))
-    out.write(data)
+    r, w = os.pipe()
+    pipe = stack.enter_context(open(r, "rb"))
+    with open(w, "wb") as out:  # the caller's copy is closed on return
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "This process .*is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            try:
+                pipe.close()
+                try:
+                    for item in blocks:
+                        pickle.dump(item, out)
+                        out.flush()  # else the block's tail waits in the buffer
+                except BaseException as exc:
+                    line = traceback.format_exception_only(exc)[-1].strip()
+                    pickle.dump(OSError(f"a row-formatting worker process failed: {line}"), out)
+                out.close()
+            finally:
+                os._exit(0)
+    stack.callback(os.waitpid, pid, 0)
+    stack.callback(os.kill, pid, signal.SIGKILL)  # run before the waitpid
+    return pipe
 
 
 def _receive(pipe):
-    """The next text a row worker sent down ``pipe``; OSError, with the
-    worker's exception if it sent one, if the worker ended first."""
-    head = pipe.read(8)
-    size = int.from_bytes(head, "little", signed=True)
-    data = pipe.read(abs(size))
-    if len(head) < 8 or len(data) < abs(size):
-        raise OSError("a row-formatting worker process ended before sending all its rows")
-    if size < 0:
-        raise OSError(f"a row-formatting worker process failed: {data.decode()}")
-    return data.decode()
+    """The next block of texts the row worker sent down ``pipe``: OSError
+    with the worker's exception if it sent one, or if it ended first."""
+    try:
+        item = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise OSError("a row-formatting worker process ended before sending all its rows") from None
+    if isinstance(item, OSError):
+        raise item
+    return item
 
 
 def _check_distinct_paths(inputs, outputs):

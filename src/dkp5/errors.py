@@ -64,5 +64,5 @@ class CurrentOverflowError(DkpError):
     """The currents of a finite grid overflow double precision."""
 
 
-class EmptyDomainError(DkpError):
+class EmptyDomainError(SingularZError):
     """Every grid point is masked as singular; nothing to invert."""

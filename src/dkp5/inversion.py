@@ -62,7 +62,7 @@ import numpy as np
 
 from .algebra import METRIC_DIAG, KemmerRep
 from .bilinears import CurrentGrid, _derivative_blocks, lattice_currents
-from .errors import EmptyDomainError, ParameterError, ShapeError, SingularZError
+from .errors import EmptyDomainError, ParameterError, ShapeError
 from .grids import FOUR_VECTOR, TENSOR2, FieldGrid, derivatives, max_abs
 from .planewave import _gradient_columns, constant_four_vector_grid
 from .reports import _entry, _entry_from_temporary, entry_from_values
@@ -248,8 +248,7 @@ def gauge_term(rep: KemmerRep, phi_grid: FieldGrid, e, dphi=None, cg=None, d_til
     """
     _check_params(e=e)
     cg = _currents(rep, phi_grid, cg)
-    if cg.mask.all():
-        raise SingularZError("|Ztilde| is below threshold at every point")
+    _domain_mask(cg)
     if d_tilde is None and dphi is not None:
         d_tilde = _shared_derivative_bilinears(rep, phi_grid, dphi, zeta=False, tilde=True)[2]
     zt = np.where(cg.mask, 1.0, cg.tilde_Z)
@@ -373,10 +372,7 @@ class ReducedState:
 
 def reduced_state(cg: CurrentGrid, m, e) -> ReducedState:
     _check_params(m, e)
-    if cg.mask.all():
-        raise SingularZError("Z is singular at every point; no reduced state")
-    z = np.where(cg.mask, 1.0, cg.Z)
-    jcal = cg.J / z[..., None]
+    jcal = cg.J / _masked_z(cg)[..., None]
     jcal[cg.mask] = 0.0
     return ReducedState(
         extents=cg.extents, spacing=cg.spacing, Z=cg.Z, Jcal=jcal, m=m, e=e, mask=cg.mask

@@ -25,7 +25,7 @@ from dkp5 import (
 )
 from dkp5.bilinears import CURRENT_COLUMNS, MIRRORED_COLUMNS, Z_EPS, CurrentSet, lattice_currents
 from dkp5.errors import CurrentOverflowError, ModeError, ShapeError
-from dkp5.scalars import (INT64_HALF, GaussianRational, bounded, is_exact_zero,
+from dkp5.scalars import (_GR_ZERO, INT64_HALF, GaussianRational, bounded, is_exact_zero,
                           random_exact_wavefunction)
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -106,6 +106,13 @@ def test_fierz_decompose_pure_scalar_case(exact_rep):
 def test_fierz_residual_slot4(exact_rep):
     r_h, r_c = fierz_residual(exact_rep, [0, 0, 0, 0, 1])
     assert _all_zero(r_h) and _all_zero(r_c)
+
+
+def test_exact_zero_residual_is_the_shared_zero(exact_rep):
+    """A zero entry of an exact residual is the one Gaussian zero, so the
+    ``is _GR_ZERO`` shortcuts of GaussianRational's arithmetic take it."""
+    r_h, r_c = fierz_residual(exact_rep, [1, 2, 0, -1, 1])
+    assert all(x is _GR_ZERO for x in np.concatenate([r_h.reshape(-1), r_c.reshape(-1)]))
 
 
 def test_constraints_slot4(exact_rep):

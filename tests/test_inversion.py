@@ -358,6 +358,21 @@ def test_empty_domain_errors(float_rep):
         invert_pipeline(float_rep, grid, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("stage", [
+    lambda rep, grid, cg: invert_potential_full(rep, grid, 1.0, 1.0, cg=cg),
+    lambda rep, grid, cg: invert_potential_gauge_fixed(cg, 1.0, 1.0),
+    lambda rep, grid, cg: field_strength_bilinear(cg, 1.0, 1.0),
+    lambda rep, grid, cg: gauge_term(rep, grid, 1.0, cg=cg),
+    lambda rep, grid, cg: reduced_state(cg, 1.0, 1.0),
+], ids=["invert_potential_full", "invert_potential_gauge_fixed", "field_strength_bilinear",
+        "gauge_term", "reduced_state"])
+def test_every_stage_has_one_empty_domain_error(float_rep, stage):
+    """Every point masked is one condition, EmptyDomainError, whichever stage meets it."""
+    zero = FieldGrid.zeros((4, 1, 1, 1), (0.1, 1, 1, 1), WAVEFUNCTION)
+    with pytest.raises(EmptyDomainError, match="every grid point is Z-singular"):
+        stage(float_rep, zero, compute_currents_grid(float_rep, zero))
+
+
 def test_parameter_errors(float_rep):
     spec, grid = _solution()
     with pytest.raises(ParameterError):

@@ -154,13 +154,11 @@ def test_currents_writer_memory_does_not_grow_with_the_grid(tmp_path, flag):
     assert (peaks[1] - peaks[0]) / (8 ** 4 - 6 ** 4) <= 1200, peaks
 
 
-# --- one to three row-formatting processes ------------------------------------
+# --- one or two row-formatting processes -------------------------------------
 
-def _cpus(monkeypatch, cpus, cap=cli._ROW_PROCESSES):
-    """Let the writer see ``cpus`` CPUs and use at most ``cap`` processes;
-    returns the pids of the workers it forks."""
+def _cpus(monkeypatch, cpus):
+    """Let the writer see ``cpus`` CPUs; returns the pids of the workers it forks."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(cli, "_ROW_PROCESSES", cap)
     forks, fork = [], os.fork
 
     def counted():
@@ -179,29 +177,26 @@ WORKER_FIELDS = {
     "one_block_4x4x4x2": lambda: _field((4, 4, 4, 2), 7),  # 128 points
 }
 
-# (CPUs, cap): 3 CPUs at the shipped cap of 2 fork one worker; a cap of 3
-# holds the split over three processes to the same bytes.
-CPU_COUNTS = pytest.mark.parametrize("cpus,cap", [(1, 2), (2, 2), (3, 2), (3, 3)],
-                                     ids=["1cpu", "2cpus", "3cpus", "3cpus_cap3"])
+# 3 CPUs still fork one worker.
+CPU_COUNTS = pytest.mark.parametrize("cpus", [1, 2, 3], ids=["1cpu", "2cpus", "3cpus"])
 
 
 @CPU_COUNTS
 @pytest.mark.parametrize("name", WORKER_FIELDS)
-def test_currents_outputs_for_each_cpu_count(tmp_path, capsys, monkeypatch, name, cpus, cap):
-    assert cli._ROW_PROCESSES == 2
+def test_currents_outputs_for_each_cpu_count(tmp_path, capsys, monkeypatch, name, cpus):
     grid = WORKER_FIELDS[name]()
-    forks = _cpus(monkeypatch, cpus, cap)
+    forks = _cpus(monkeypatch, cpus)
     _assert_currents_outputs_match(tmp_path, capsys, grid)
     # the file run forks; the stdout preview, 4 rows, does not
-    assert len(forks) == min(cpus, cap, -(-grid.n_points // cli._BLOCK_ROWS)) - 1
+    assert len(forks) == min(cpus, 2, -(-grid.n_points // cli._BLOCK_ROWS)) - 1
 
 
 @CPU_COUNTS
 @pytest.mark.parametrize("command", ["invert", "residuals"])
-def test_residual_csv_for_each_cpu_count(tmp_path, monkeypatch, command, cpus, cap):
-    forks = _cpus(monkeypatch, cpus, cap)
+def test_residual_csv_for_each_cpu_count(tmp_path, monkeypatch, command, cpus):
+    forks = _cpus(monkeypatch, cpus)
     _assert_residual_csv_matches(tmp_path, monkeypatch, command)
-    assert len(forks) == min(cpus, cap) - 1  # 540 points, 5 blocks
+    assert len(forks) == min(cpus, 2) - 1  # 540 points, 5 blocks
 
 
 @pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
@@ -254,7 +249,7 @@ def _assert_failed_cleanly(code, err):
 
 def test_failed_write_reaps_the_workers(tmp_path, capfd, monkeypatch):
     argv = _currents_argv(tmp_path)
-    forks = _cpus(monkeypatch, 3, cap=3)
+    forks = _cpus(monkeypatch, 3)
     writes, real_open = [], open
 
     class Full:
@@ -277,13 +272,13 @@ def test_failed_write_reaps_the_workers(tmp_path, capfd, monkeypatch):
                 raise OSError(errno.ENOSPC, "No space left on device")
             return self.fh.write(text)
 
-    def full_open(file, mode="r", **kwargs):  # the worker pipes open as they are
+    def full_open(file, mode="r", **kwargs):  # the worker's pipe opens as it is
         fh = real_open(file, mode, **kwargs)
         return Full(fh) if mode == "w" else fh
 
     monkeypatch.setattr(cli, "open", full_open, raising=False)
     _assert_failed_cleanly(cli.main(argv), capfd.readouterr().err)
-    assert len(writes) == 6 and len(forks) == 2
+    assert len(writes) == 6 and len(forks) == 1
 
 
 @pytest.mark.parametrize("how,message", [
@@ -311,7 +306,7 @@ def test_worker_that_dies_is_an_error(tmp_path, capfd, monkeypatch, how, message
 
 def test_interrupt_reaps_the_workers(tmp_path, monkeypatch):
     argv = _currents_argv(tmp_path)
-    _cpus(monkeypatch, 3, cap=3)
+    _cpus(monkeypatch, 3)
     received, receive = [], cli._receive
 
     def interrupted(pipe):
