@@ -42,7 +42,7 @@ from dkp5 import (
 STAGES = (
     "lattice_currents", "_shared_derivative_bilinears", "invert_potential_full",
     "invert_potential_gauge_fixed", "gauge_term", "field_strength_bilinear",
-    "divergence_identities", "h_elimination_residual", "reduced_state",
+    "_solution_entries", "divergence_identities", "h_elimination_residual", "reduced_state",
     "reduced_system_residuals", "field_strength_from_potential", "_pipeline_checks",
 )
 

@@ -41,7 +41,7 @@ import numpy as np
 from .algebra import _FIERZ18, METRIC_DIAG, KemmerRep
 from .errors import CurrentOverflowError, ModeError, ShapeError
 from .grids import WAVEFUNCTION, FieldGrid
-from .scalars import _GR_ZERO, EXACT, FLOAT, GaussianRational, bounded, top
+from .scalars import _GR_ZERO, EXACT, FLOAT, GaussianRational, bounded, magnitude, top
 
 #: Relative scale factor of the |Z| singularity threshold.
 Z_EPS = 1e-10
@@ -470,6 +470,17 @@ def _fierz_numerators(rep, phi, cs=None):
         psi_bar = pairs.reshape(pairs.shape[:-1] + (5, 5)).swapaxes(-1, -2) @ eta
         out.append(18 * psi_bar.reshape(pairs.shape) - e * (u @ weighted))
     return lead, np.concatenate(out, axis=-1), 18 * d * d
+
+
+def fierz_sweep(rep: KemmerRep, phis):
+    """(failures, max_abs) of the rank-one rearrangement over the
+    wavefunctions ``phis``, all at once, on an exact ``rep``: the number
+    whose residual (:func:`fierz_residual`) has an entry that is not
+    literally zero, and the largest |entry| among them (0.0 when none).
+    Only the failing samples' numerators are divided out."""
+    _, num, den = _fierz_numerators(rep, phis)
+    bad = np.flatnonzero(np.any(num != 0, axis=(0, 2)))  # (2, samples, 50) Gaussian integers
+    return len(bad), max(map(magnitude, _ratio(num[:, bad], den[bad]).flat), default=0.0)
 
 
 @dataclass

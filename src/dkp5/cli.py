@@ -36,20 +36,13 @@ from .algebra import (
     representation_from_betas,
     verify_algebra_identities,
 )
-from .bilinears import (
-    MIRRORED_COLUMNS,
-    compute_currents_grid,
-    current_columns,
-    lattice_currents,
-    _fierz_numerators,
-    _ratio,
-)
+from .bilinears import MIRRORED_COLUMNS, compute_currents_grid, current_columns, fierz_sweep
 from .errors import DkpError, MassShellError, ParameterError
-from .grids import SCALAR, FieldGrid, load_grid, norms, store_grid, valid_spacing
-from .inversion import _FIELD_EQ, _solution_residuals, invert_pipeline
+from .grids import SCALAR, FieldGrid, load_grid, store_grid, valid_spacing
+from .inversion import invert_pipeline, solution_report
 from .planewave import PlaneWaveSpec, manufacture_plane_wave, plane_wave_gradient
-from .reports import all_pass, entry_from_values, report_entry, write_report
-from .scalars import EXACT, FLOAT, magnitude, random_exact_wavefunction
+from .reports import all_pass, report_entry, write_report
+from .scalars import EXACT, FLOAT, random_exact_wavefunction
 from .words import BASIS_LABELS, reduce_word, word_reduction_sweep
 
 EXIT_PASS = 0
@@ -240,8 +233,6 @@ def cmd_verify_algebra(args) -> int:
     ]
     located = {}
     for entry, check in zip(entries, checks):
-        # In exact mode pass/fail is literal zero, not a tolerance comparison.
-        entry["pass"] = check.passed
         if not check.passed:
             case, at = check.first_failure
             entry["first_failure"] = {"case": list(case), "entry": list(at)}
@@ -261,11 +252,9 @@ def cmd_verify_algebra(args) -> int:
         exact_rep = rep if args.mode == EXACT else build_representation(EXACT)
         rng = random.Random(args.seed)
         phis = [random_exact_wavefunction(rng) for _ in range(args.fierz_samples)]
-        _, num, den = _fierz_numerators(exact_rep, phis)
-        bad = np.flatnonzero(np.any(num != 0, axis=(0, 2)))  # (2, samples, 50) Gaussian integers
-        worst = max(map(magnitude, _ratio(num[:, bad], den[bad]).flat), default=0.0)
-        fierz = {"samples": args.fierz_samples, "failures": len(bad), "max_abs": worst}
-        if len(bad):
+        failures, worst = fierz_sweep(exact_rep, phis)
+        fierz = {"samples": args.fierz_samples, "failures": failures, "max_abs": worst}
+        if failures:
             failed.append("fierz_rearrangement_sweep")
 
     payload = {
@@ -671,28 +660,20 @@ _RESIDUAL_CSV_COLUMNS = {
     "h_elimination": "h_elimination",
     "reduced_conservation": "reduced_conservation",
     "reduced_modulus": "reduced_modulus",
-    _FIELD_EQ: "reduced_field_eq",
+    "reduced_field_eq": "reduced_field_eq",
 }
 
 
 def cmd_residuals(args) -> int:
     inputs = _lattice_inputs(args)
-    rep, m, e, a_ref = inputs["rep"], inputs["m"], inputs["e"], inputs["a_ref"]
-    if a_ref is None:
+    if inputs["a_ref"] is None:
         raise ParameterError("need a reference potential (--A flag or sidecar)")
-    cg = lattice_currents(rep, inputs["grid"])
-    mask = cg.mask
-    residuals = _solution_residuals(rep, inputs.pop("grid"), cg, m, e, a_ref, inputs.pop("dphi"))
-    del cg  # the residuals free the currents once their reduced state is made, and the grid before that
-    entries, kept = [], {}
-    for name, values in residuals:
-        if name == _FIELD_EQ:
-            field_eq_max_abs, field_eq_rms = norms(values, mask)
-        else:
-            entries.append(entry_from_values(name, values, mask, args.tolerance))
-        if args.csv_path and name in _RESIDUAL_CSV_COLUMNS:
-            kept[_RESIDUAL_CSV_COLUMNS[name]] = values
-        del values  # without --csv, no residual outlives its entry
+    # The grid and its gradient are popped into the call, whose residual
+    # stream frees them after the divergence relations.
+    entries, (field_eq_max_abs, field_eq_rms), mask, kept = solution_report(
+        inputs["rep"], inputs.pop("grid"), inputs["m"], inputs["e"], inputs["a_ref"],
+        dphi=inputs.pop("dphi"), tolerance=args.tolerance,
+        keep=_RESIDUAL_CSV_COLUMNS if args.csv_path else ())
     payload = _lattice_payload(args, inputs, mask, entries)
     payload["diagnostics"] = {
         "reduced_field_eq_max_abs": field_eq_max_abs,
@@ -701,7 +682,7 @@ def cmd_residuals(args) -> int:
     if args.json_path:
         write_report(args.json_path, payload)
     if args.csv_path:
-        _residual_csv(args.csv_path, mask, kept)
+        _residual_csv(args.csv_path, mask, {_RESIDUAL_CSV_COLUMNS[name]: v for name, v in kept.items()})
     for entry in entries:
         print(f"{'PASS' if entry['pass'] else 'FAIL'} {entry['identity']}: "
               f"max_abs={entry['max_abs']:.3e}")

@@ -50,6 +50,14 @@ is the last reader of Phi and its gradient, which the pipeline drops
 right after it, so a caller that hands them over without keeping a
 reference (as ``dkp invert`` does) has the input grid freed before the
 later stages run.
+
+The solution checks (divergence and contraction relations, H
+elimination, reduced system) are one stream, :func:`_solution_residuals`,
+made a residual at a time, and the stream has one reader,
+:func:`_solution_entries`, which reduces each residual to its report
+entry before the next is made.  Both the pipeline and
+:func:`solution_report`, the checks of ``dkp residuals``, read the stream
+through it.
 """
 
 from __future__ import annotations
@@ -63,7 +71,7 @@ import numpy as np
 from .algebra import METRIC_DIAG, KemmerRep
 from .bilinears import CurrentGrid, _derivative_blocks, lattice_currents
 from .errors import EmptyDomainError, ParameterError, ShapeError
-from .grids import FOUR_VECTOR, TENSOR2, FieldGrid, derivatives, max_abs
+from .grids import FOUR_VECTOR, TENSOR2, FieldGrid, derivatives, max_abs, norms
 from .planewave import _gradient_columns, constant_four_vector_grid
 from .reports import _entry, _entry_from_temporary, entry_from_values
 
@@ -474,7 +482,7 @@ _FIELD_EQ = "reduced_field_eq"
 def _solution_residuals(rep, phi_grid, cg, m, e, A_ref, dphi=None, d_bc=None, div_j=None):
     """(name, values) of each solution-check residual in report order, then
     (_FIELD_EQ, values): the reduced field equation, a diagnostic that
-    `dkp residuals` reports apart and the pipeline skips.
+    :func:`solution_report` reports apart and the pipeline skips.
 
     Each residual is made when the caller asks for it and is not held here
     after it is handed on, so a caller that reduces each one before asking
@@ -503,6 +511,44 @@ def _solution_residuals(rep, phi_grid, cg, m, e, A_ref, dphi=None, d_bc=None, di
     yield "reduced_modulus", rres.modulus
     yield "reduced_field_eq_lhs_cross_check", rres.lhs_cross_check
     yield _FIELD_EQ, rres.field_eq
+
+
+def _solution_entries(residuals, mask, tolerance, keep=()):
+    """The one reader of the solution-check stream ``residuals``
+    (:func:`_solution_residuals`): (entries, kept), the report entry of each
+    check in report order and {name: values} of the residuals named in
+    ``keep``.  The reduced field equation is a diagnostic and has no entry.
+    Each residual is reduced as it is made and, unless kept, is not held
+    while the next one is made."""
+    entries, kept = [], {}
+    for name, values in residuals:
+        if name != _FIELD_EQ:
+            entries.append(entry_from_values(name, values, mask, tolerance))
+        if name in keep:
+            kept[name] = values
+        del values
+    return entries, kept
+
+
+def solution_report(rep: KemmerRep, phi_grid: FieldGrid, m, e, A_ref, dphi=None, tolerance=1e-10, keep=()):
+    """The solution checks of a field alone, as `dkp residuals` reports them:
+    (entries, (max_abs, rms) of the reduced field equation, the singular
+    mask, {name: values} of the residuals named in ``keep``).
+
+    The currents, ``phi_grid`` and ``dphi`` are held only by the stream, so
+    a caller that hands the grid over without keeping a reference has it
+    freed after the divergence relations, and the currents once the
+    reduced state is made.
+    """
+    cg = lattice_currents(rep, phi_grid)
+    mask = cg.mask
+    residuals = _solution_residuals(rep, phi_grid, cg, m, e, A_ref, dphi)
+    del phi_grid, dphi, cg
+    entries, kept = _solution_entries(residuals, mask, tolerance, (*keep, _FIELD_EQ))
+    field_eq = norms(kept[_FIELD_EQ], mask)
+    if _FIELD_EQ not in keep:
+        del kept[_FIELD_EQ]
+    return entries, field_eq, mask, kept
 
 
 @dataclass
@@ -599,13 +645,9 @@ def invert_pipeline(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, A_ref=
     # never held together, and each residual is reduced to its entry
     # before the next is made.  The currents are freed once the checks'
     # reduced state is made.
-    solution = []
     residuals = () if a_ref is None else _solution_residuals(rep, None, cg, m, e, a_ref, None, d_bc, div_j)
     del cg, d_bc, div_j
-    for name, values in residuals:
-        if name != _FIELD_EQ:  # a diagnostic, not a check
-            solution.append(entry_from_values(name, values, mask, tolerance))
-        del values  # not held while the next residual is made
+    solution, _ = _solution_entries(residuals, mask, tolerance)
     f_pot = field_strength_from_potential(a_gf)
     out = InversionOutput(
         a_full=a_full,

@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import csv
 import json
@@ -12,12 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dkp5.bilinears
 import dkp5.cli
 import dkp5.grids
 import dkp5.inversion
 from dkp5 import FieldGrid, WAVEFUNCTION, store_grid
 from dkp5.bilinears import _fierz_numerators
 from dkp5.cli import main
+from dkp5.errors import RepresentationDefectError
 
 
 def run(*argv):
@@ -97,7 +100,7 @@ def test_verify_algebra_fierz_sweep_counts_and_sizes_failing_samples(tmp_path, m
         seen["den"] = den
         return lead, num, den
 
-    monkeypatch.setattr(dkp5.cli, "_fierz_numerators", shifted)
+    monkeypatch.setattr(dkp5.bilinears, "_fierz_numerators", shifted)
     out = tmp_path / "report.json"
     assert run("verify-algebra", "--max-word-len", "0", "--fierz-samples", "5",
                "--json", str(out)) == 1
@@ -702,3 +705,74 @@ def test_arithmetic_beyond_double_precision_exits_two(tmp_path, capsys, command,
     assert run(command, "--grid", str(grid_path), *flags) == 2
     err = capsys.readouterr().err
     assert "cannot be handled in double precision" in err and "Traceback" not in err
+
+
+def test_manufacture_three_extents_exit_two(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("manufacture", "--p", "1,0,0,0", "--A", "0,0,0,0", "--m", "1", "--e", "1",
+            "--extents", "1,2,3", "--spacing", "0.1", "-o", str(tmp_path / "x.dkp5"))
+    assert exc.value.code == 2
+    assert "need 4 positive ints, got '1,2,3'" in capsys.readouterr().err
+    assert not (tmp_path / "x.dkp5").exists()
+
+
+def test_reduce_empty_word_is_the_identity(capsys):
+    assert run("reduce-word", "") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["word"] == []
+    nonzero = [label for label, entry in zip(payload["labels"], payload["coefficients"])
+               if entry != [0, 1, 0, 1]]
+    assert nonzero == [payload["labels"][0]]
+    assert payload["coefficients"][0] == [1, 1, 0, 1]
+
+
+def _grid_without_sidecar(tmp_path):
+    grid_path = _manufacture(tmp_path)
+    (tmp_path / "pw.dkp5.json").unlink()
+    return grid_path
+
+
+def test_invert_analytic_without_sidecar_exits_two(tmp_path, capsys):
+    grid_path = _grid_without_sidecar(tmp_path)
+    assert run("invert", "--grid", str(grid_path), "--m", "1", "--e", "1", "--analytic") == 2
+    assert capsys.readouterr().err == "error: --analytic requires a plane-wave sidecar\n"
+
+
+def test_residuals_without_reference_potential_exits_two(tmp_path, capsys):
+    grid_path = _grid_without_sidecar(tmp_path)
+    assert run("residuals", "--grid", str(grid_path), "--m", "1", "--e", "1") == 2
+    assert capsys.readouterr().err == "error: need a reference potential (--A flag or sidecar)\n"
+
+
+def test_word_sweep_mismatch_after_the_identities_pass_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dkp5.cli, "word_reduction_sweep", lambda rep, max_len, tol: (20, 3, 0.5))
+    out = tmp_path / "report.json"
+    assert run("verify-algebra", "--max-word-len", "2", "--json", str(out)) == 1
+    assert capsys.readouterr().out == "FAIL: word_reduction_sweep\n"
+    report = json.loads(out.read_text())
+    assert all(entry["pass"] for entry in report["identities"])
+    assert report["word_sweep"] == {"words": 20, "mismatches": 3, "max_abs": 0.5}
+    assert report["failed"] == ["word_reduction_sweep"]
+
+
+def test_basis_rank_defect_exits_two(tmp_path, capsys, monkeypatch):
+    def defect(rep):
+        raise RepresentationDefectError("canonical basis has rank 24, expected 25", rank=24)
+
+    monkeypatch.setattr(dkp5.cli, "basis_rank", defect)
+    out = tmp_path / "report.json"
+    assert run("verify-algebra", "--max-word-len", "0", "--json", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "representation defect: canonical basis has rank 24, expected 25\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_cli_imports_no_private_library_name():
+    """cli.py reports what the library builds: it imports no underscore-prefixed
+    name from a dkp5 module."""
+    tree = ast.parse(Path(dkp5.cli.__file__).read_text())
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module  # not `from . import __version__`
+               and (node.level > 0 or node.module.split(".")[0] == "dkp5")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

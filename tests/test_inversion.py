@@ -32,7 +32,7 @@ from dkp5 import (
 from dkp5.bilinears import derivative_bilinears, lattice_currents
 from dkp5.errors import EmptyDomainError, ModeError, ParameterError, SingularZError
 from dkp5 import bilinears, inversion
-from dkp5.inversion import _ZETA_W, _shared_derivative_bilinears, _solution_residuals
+from dkp5.inversion import _ZETA_W, _shared_derivative_bilinears, _solution_residuals, solution_report
 from dkp5.grids import derivatives, gradient
 from dkp5.reports import entry_from_values
 
@@ -685,11 +685,10 @@ _CALLS = {
 
 @pytest.mark.parametrize("analytic", [False, True], ids=["fd", "closed-form"])
 def test_kernel_and_stencil_calls_of_each_route(float_rep, monkeypatch, analytic):
-    """The pipeline, the route of `dkp residuals` (its currents, then
-    ``_solution_residuals``) and each stage called alone run one
-    derivative-bilinear pass, with the kernel and stencil calls of
-    ``_CALLS``; the gauge term with finite differences takes the stencils
-    of Zt and makes no pass."""
+    """The pipeline, the route of `dkp residuals` (``solution_report``) and
+    each stage called alone run one derivative-bilinear pass, with the
+    kernel and stencil calls of ``_CALLS``; the gauge term with finite
+    differences takes the stencils of Zt and makes no pass."""
     import dkp5.grids
 
     m, e, A = 1.0, 1.0, (0.1, 0.0, 0.2, 0.0)
@@ -698,8 +697,7 @@ def test_kernel_and_stencil_calls_of_each_route(float_rep, monkeypatch, analytic
     a_grid = constant_four_vector_grid(A, grid.extents, grid.spacing)
     routes = {
         "pipeline": lambda: invert_pipeline(float_rep, grid, m, e, dphi=dphi, A_ref=A),
-        "residuals": lambda: list(_solution_residuals(float_rep, grid, lattice_currents(float_rep, grid),
-                                                      m, e, A, dphi)),
+        "residuals": lambda: solution_report(float_rep, grid, m, e, A, dphi),
         "invert_potential_full": lambda: invert_potential_full(float_rep, grid, m, e, dphi=dphi),
         "gauge_term": lambda: gauge_term(float_rep, grid, e, dphi=dphi),
         "divergence_identities": lambda: divergence_identities(float_rep, grid, a_grid, m, e, dphi=dphi),

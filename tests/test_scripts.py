@@ -32,17 +32,17 @@ def test_stage_memory_prints_every_stage():
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout
     assert "finite differences, 5^4 = 625 points" in out and "closed form, 5^4" in out
-    for stage in ("lattice_currents", "field_strength_bilinear", "reduced_system_residuals",
-                  "field_strength_from_potential", "_pipeline_checks"):
+    for stage in ("lattice_currents", "field_strength_bilinear", "_solution_entries",
+                  "reduced_system_residuals", "field_strength_from_potential", "_pipeline_checks"):
         assert out.count(stage) == 4, stage
     peaks = [float(line.split()[-1]) for line in out.splitlines() if "pipeline peak" in line]
     assert len(peaks) == 2 and all(p > 0 for p in peaks)
     tables = [block.split("\n\n")[0].splitlines()[1:]
               for block in out.split("(wall time, median of 5 untraced runs)")[1:]]
     assert len(tables) == 2
-    for table in tables:  # the same 12 stages: the derivative pass forms the gauge term's bilinears too
+    for table in tables:  # the same 13 stages: the derivative pass forms the gauge term's bilinears too
         times = dict(line.strip().rsplit(None, 1) for line in table)
-        assert len(times) == 12 + 1 and all(float(t) > 0 for t in times.values()), table
+        assert len(times) == 13 + 1 and all(float(t) > 0 for t in times.values()), table
         whole = float(times.pop("whole pipeline"))
         assert whole >= max(float(t) for t in times.values())
 
