@@ -22,7 +22,6 @@ of ``REPEATS`` untraced runs, and that of the whole pipeline.
 """
 
 import argparse
-import contextlib
 import functools
 import statistics
 import time
@@ -39,6 +38,8 @@ from dkp5 import (
 )
 
 #: The names that the pipeline and its stages look up in dkp5.inversion.
+#: A name that dkp5.inversion lacks is skipped, so that the script also
+#: measures a version of the package without that stage.
 STAGES = (
     "lattice_currents", "_shared_derivative_bilinears", "invert_potential_full",
     "invert_potential_gauge_fixed", "gauge_term", "field_strength_bilinear",
@@ -52,103 +53,62 @@ M, E, A = 1.0, 1.0, (0.3, -0.2, 0.1, 0.25)
 REPEATS = 5
 
 
-class StageTrace:
-    """Rows (depth, name, start, peak, end) in bytes, one per wrapped call.
+class StageRecorder:
+    """Rows [depth, name, start, peak, end], one per wrapped call in call
+    order, depth the number of calls open when it starts.  While
+    tracemalloc traces, start, peak and end are traced bytes; while it does
+    not, start and end are perf_counter seconds.
 
-    tracemalloc keeps one peak, so each call resets it on entry after
-    handing the peak reached so far to every open caller."""
+    tracemalloc keeps one peak, so each reading hands the peak reached so
+    far to every open call and then resets it."""
 
     def __init__(self):
         self.rows, self._open = [], []
 
-    def _lift(self):
-        peak = tracemalloc.get_traced_memory()[1]
+    def _read(self):
+        if not tracemalloc.is_tracing():
+            return time.perf_counter()
+        current, peak = tracemalloc.get_traced_memory()
         for row in self._open:
             row[3] = max(row[3], peak)
+        tracemalloc.reset_peak()
+        return current
 
     def wrap(self, name, func):
         @functools.wraps(func)
-        def traced(*args, **kwargs):
-            self._lift()
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
+        def recorded(*args, **kwargs):
+            start = self._read()
             row = [len(self._open), name, start, start, start]
             self.rows.append(row)
             self._open.append(row)
             try:
                 return func(*args, **kwargs)
             finally:
-                self._lift()
+                row[4] = self._read()
                 self._open.pop()
-                row[4] = tracemalloc.get_traced_memory()[0]
-        return traced
+        return recorded
 
 
-class StageTimer:
-    """Per run, the wall time of each wrapped stage summed over its calls,
-    and its depth under the open stages at its first call."""
-
-    def __init__(self):
-        self.runs, self.depth, self._open = [], {}, 0
-
-    def wrap(self, name, func):
-        @functools.wraps(func)
-        def timed(*args, **kwargs):
-            run = self.runs[-1]
-            run.setdefault(name, 0.0)
-            self.depth.setdefault(name, self._open)
-            self._open += 1
-            start = time.perf_counter()
-            try:
-                return func(*args, **kwargs)
-            finally:
-                run[name] += time.perf_counter() - start
-                self._open -= 1
-        return timed
-
-
-@contextlib.contextmanager
-def wrapped_stages(wrap):
-    """The pipeline's stages in dkp5.inversion replaced by wrap(name, stage)."""
+def run_pipeline(rep, spec, grid, analytic, traced=False):
+    """The StageRecorder rows of one pipeline run, under tracemalloc when
+    ``traced``: first the whole run's, then one per stage call.  The stages
+    are wrapped before tracing starts, and the closed-form gradient is made
+    just before the run, inside the traced window."""
+    recorder = StageRecorder()
+    whole = recorder.wrap("whole pipeline", invert_pipeline)
     saved = {name: getattr(dkp5.inversion, name) for name in STAGES if hasattr(dkp5.inversion, name)}
     for name, func in saved.items():
-        setattr(dkp5.inversion, name, wrap(name, func))
+        setattr(dkp5.inversion, name, recorder.wrap(name, func))
     try:
-        yield
+        if traced:
+            tracemalloc.start()
+        whole(rep, grid, M, E, dphi=plane_wave_gradient(spec, grid) if analytic else None, A_ref=A)
     finally:
+        if traced:
+            tracemalloc.stop()
         for name, func in saved.items():
             setattr(dkp5.inversion, name, func)
-
-
-def trace_pipeline(rep, spec, grid, analytic):
-    """(rows, pipeline peak in bytes) of one traced pipeline run."""
-    trace = StageTrace()
-    with wrapped_stages(trace.wrap):
-        tracemalloc.start()
-        try:
-            dphi = plane_wave_gradient(spec, grid) if analytic else None
-            trace._lift()
-            tracemalloc.reset_peak()
-            invert_pipeline(rep, grid, M, E, dphi=dphi, A_ref=A)
-            peak = max(tracemalloc.get_traced_memory()[1], max((r[3] for r in trace.rows), default=0))
-        finally:
-            tracemalloc.stop()
-    return trace.rows, peak
-
-
-def time_pipeline(rep, spec, grid, analytic):
-    """(rows, whole) of ``REPEATS`` untraced pipeline runs: rows (depth, name,
-    median s) of each stage in first-call order, whole the median s of the
-    whole pipeline."""
-    timer, whole = StageTimer(), []
-    with wrapped_stages(timer.wrap):
-        for _ in range(REPEATS):
-            timer.runs.append({})
-            start = time.perf_counter()
-            invert_pipeline(rep, grid, M, E, dphi=plane_wave_gradient(spec, grid) if analytic else None, A_ref=A)
-            whole.append(time.perf_counter() - start)
-    rows = [(timer.depth[name], name, statistics.median(run[name] for run in timer.runs)) for name in timer.runs[0]]
-    return rows, statistics.median(whole)
+    return recorder.rows
 
 
 def main():
@@ -162,17 +122,21 @@ def main():
     rep = build_representation("float")
     n = grid.n_points
     for label, analytic in (("finite differences", False), ("closed form", True)):
-        rows, peak = trace_pipeline(rep, spec, grid, analytic)
+        (_, _, _, peak, _), *rows = run_pipeline(rep, spec, grid, analytic, traced=True)
         print(f"{label}, {args.extent}^4 = {n} points, B per point (input grid not counted)")
         print(f"  {'stage':<34}{'start':>8}{'peak':>8}{'end':>8}")
         for depth, name, start, top, end in rows:
-            print(f"  {'  ' * depth + name:<34}{start / n:8.0f}{top / n:8.0f}{end / n:8.0f}")
+            print(f"  {'  ' * (depth - 1) + name:<34}{start / n:8.0f}{top / n:8.0f}{end / n:8.0f}")
         print(f"  {'pipeline peak':<34}{'':>8}{peak / n:8.0f}")
-        rows, whole = time_pipeline(rep, spec, grid, analytic)
+        runs = [{} for _ in range(REPEATS)]  # {name: [depth, seconds over its calls]}, first-call order
+        for run in runs:
+            for depth, name, start, _, end in run_pipeline(rep, spec, grid, analytic):
+                run.setdefault(name, [depth, 0.0])[1] += end - start
         print(f"  {'stage':<34}{'ms':>8}   (wall time, median of {REPEATS} untraced runs)")
-        for depth, name, seconds in rows:
-            print(f"  {'  ' * depth + name:<34}{seconds * 1e3:8.3f}")
-        print(f"  {'whole pipeline':<34}{whole * 1e3:8.3f}")
+        whole, *stages = runs[0]
+        for name in [*stages, whole]:
+            seconds = statistics.median(run[name][1] for run in runs)
+            print(f"  {'  ' * (runs[0][name][0] - 1) + name:<34}{seconds * 1e3:8.3f}")
         print()
 
 

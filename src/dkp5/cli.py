@@ -1,10 +1,14 @@
 """Batch command-line front end.
 
 Subcommands: verify-algebra, reduce-word, manufacture, currents, invert,
-residuals.  Exit codes are a stable contract: 0 all checks pass, 1
-quantitative failure (identity residual over tolerance, mass-shell
-violation), 2 structural or domain error (bad file, bad shape, empty
-domain, bad arguments, arithmetic that leaves double precision).
+residuals.  ``_SUBCOMMANDS`` is the one list of them: each row names a
+sub-command, its help line, the function that adds its arguments and its
+handler, so each sub-command is registered in one row.
+
+Exit codes are a stable contract: 0 all checks pass, 1 quantitative
+failure (identity residual over tolerance, mass-shell violation), 2
+structural or domain error (bad file, bad shape, empty domain, bad
+arguments, arithmetic that leaves double precision).
 
 Four-vectors are given as comma-separated reals in index order 0,1,2,3
 (lower components); all physics parameters are explicit, there are no
@@ -122,9 +126,10 @@ def _word(text):
 
 
 def build_parser(command=None):
-    """The ``dkp`` parser.  Every sub-command is registered with its help
-    line, but only ``command``'s arguments, and its ``-h``, are added (every
-    sub-command's when None): adding an argument costs far more than parsing
+    """The ``dkp`` parser.  Every row of ``_SUBCOMMANDS`` is registered with
+    its help line, but only ``command``'s arguments, its ``-h`` and its
+    handler (``args.func``) are added (every sub-command's when None):
+    adding an argument costs far more than parsing
     one.  The sub-command that parses argv is the one its first bare token
     names, ``command`` in :func:`main`, so no other sub-parser ever parses
     and none needs a help action; ``dkp --help`` and the invalid-choice
@@ -135,11 +140,12 @@ def build_parser(command=None):
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, add_arguments in _SUBCOMMANDS:
+    for name, help_text, add_arguments, handler in _SUBCOMMANDS:
         parses = command is None or command == name
         p = sub.add_parser(name, help=help_text, add_help=parses)
         if parses:
             add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
@@ -154,13 +160,11 @@ def _verify_algebra_args(p):
     p.add_argument("--json", dest="json_path", help="write the report here")
     p.add_argument("--corrupt-generator", type=int, choices=range(4),
                    help=argparse.SUPPRESS)  # test hook: zero out one generator
-    p.set_defaults(func=cmd_verify_algebra)
 
 
 def _reduce_word_args(p):
     p.add_argument("word", type=_word, help="comma-separated indices in 0..3; empty for I")
     p.add_argument("--json", dest="json_path")
-    p.set_defaults(func=cmd_reduce_word)
 
 
 def _manufacture_args(p):
@@ -172,25 +176,17 @@ def _manufacture_args(p):
     p.add_argument("--extents", type=_extents, required=True)
     p.add_argument("--spacing", type=_spacing, required=True)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_manufacture)
 
 
 def _currents_args(p):
     p.add_argument("--grid", required=True)
     p.add_argument("--json", dest="json_path")
     p.add_argument("--csv", dest="csv_path")
-    p.set_defaults(func=cmd_currents)
 
 
 def _invert_args(p):
     _add_residual_args(p)
     p.add_argument("-o", "--outdir", help="write the output grids here")
-    p.set_defaults(func=cmd_invert)
-
-
-def _residuals_args(p):
-    _add_residual_args(p)
-    p.set_defaults(func=cmd_residuals)
 
 
 def _add_residual_args(p):
@@ -207,17 +203,6 @@ def _add_residual_args(p):
     p.add_argument("--tolerance", type=_tolerance, default=1e-10, help="check tolerance, >= 0")
     p.add_argument("--json", dest="json_path")
     p.add_argument("--csv", dest="csv_path")
-
-
-#: (name, help line, argument adder) of each sub-command, in the order of ``dkp --help``.
-_SUBCOMMANDS = (
-    ("verify-algebra", "check every matrix identity family", _verify_algebra_args),
-    ("reduce-word", "expand a generator word on the 25-element basis", _reduce_word_args),
-    ("manufacture", "sample an exact plane-wave solution onto a grid file", _manufacture_args),
-    ("currents", "bilinear currents at every point of a stored grid", _currents_args),
-    ("invert", "reconstruct the potential and field strength from a grid", _invert_args),
-    ("residuals", "diagnostic residuals of the constraint and reduced systems", _residuals_args),
-)
 
 
 def cmd_verify_algebra(args) -> int:
@@ -266,25 +251,20 @@ def cmd_verify_algebra(args) -> int:
 
     if failed:
         payload["failed"] = failed
-        _emit(args, payload)
+    else:
+        try:
+            payload["basis_rank"] = basis_rank(rep)
+        except DkpError as exc:
+            print(f"representation defect: {exc}", file=sys.stderr)
+            return EXIT_STRUCTURAL
+    if args.json_path:
+        write_report(args.json_path, payload)
+    if failed:
         print(f"FAIL: {', '.join(located.get(name, name) for name in failed)}")
         return EXIT_FAIL
-
-    try:
-        rank = basis_rank(rep)
-    except DkpError as exc:
-        print(f"representation defect: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
-    payload["basis_rank"] = rank
-    _emit(args, payload)
     print(f"PASS: {len(checks)} identity families"
           + (f", {sweep['words']} words" if sweep else ""))
     return EXIT_PASS
-
-
-def _emit(args, payload):
-    if getattr(args, "json_path", None):
-        write_report(args.json_path, payload)
 
 
 def cmd_reduce_word(args) -> int:
@@ -688,6 +668,19 @@ def cmd_residuals(args) -> int:
               f"max_abs={entry['max_abs']:.3e}")
     print(f"diagnostic reduced_field_eq max_abs={payload['diagnostics']['reduced_field_eq_max_abs']:.3e}")
     return EXIT_PASS if all_pass(entries) else EXIT_FAIL
+
+
+#: (name, help line, argument adder, handler) of each sub-command, in the order of ``dkp --help``.
+_SUBCOMMANDS = (
+    ("verify-algebra", "check every matrix identity family", _verify_algebra_args, cmd_verify_algebra),
+    ("reduce-word", "expand a generator word on the 25-element basis", _reduce_word_args, cmd_reduce_word),
+    ("manufacture", "sample an exact plane-wave solution onto a grid file", _manufacture_args,
+     cmd_manufacture),
+    ("currents", "bilinear currents at every point of a stored grid", _currents_args, cmd_currents),
+    ("invert", "reconstruct the potential and field strength from a grid", _invert_args, cmd_invert),
+    ("residuals", "diagnostic residuals of the constraint and reduced systems", _add_residual_args,
+     cmd_residuals),
+)
 
 
 def main(argv=None) -> int:

@@ -141,40 +141,46 @@ def store_grid(grid: FieldGrid, path):
 
 
 def load_grid(path) -> FieldGrid:
+    """The grid stored at ``path``, header and payload read through one
+    handle; GridFormatError at the offset of the first bad byte, or of
+    the first value missing where the file shrank while it was read."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         file_size = os.fstat(fh.fileno()).st_size
-    if len(raw) < _HEADER.size:
-        raise GridFormatError(
-            f"file too short for header ({len(raw)} < {_HEADER.size} bytes)", offset=len(raw)
-        )
-    magic, version, kind, n0, n1, n2, n3, h0, h1, h2, h3 = _HEADER.unpack(raw)
-    if magic != _MAGIC:
-        raise GridFormatError(f"bad magic {magic!r}, want {_MAGIC!r}", offset=0)
-    if version != _VERSION:
-        raise GridFormatError(f"unsupported version {version}", offset=4)
-    if kind not in _KIND_TRAILING:
-        raise GridFormatError(f"unknown payload kind {kind}", offset=8)
-    extents = (n0, n1, n2, n3)
-    for i, n in enumerate(extents):
-        if n == 0:
-            raise GridFormatError(f"axis {i} has extent 0", offset=9 + 8 * i)
-    spacing = (h0, h1, h2, h3)
-    for i, h in enumerate(spacing):
-        if not valid_spacing(h):
-            raise GridFormatError(f"axis {i} has spacing {h}", offset=41 + 8 * i)
-    # Sized in Python ints, which never wrap round, before anything is read.
-    n_values = math.prod(extents) * kind
-    expected = n_values * 16
-    got = file_size - _HEADER.size
-    if got != expected:
-        raise GridFormatError(
-            f"payload has {got} bytes, want {expected}", offset=_HEADER.size + min(got, expected)
-        )
-    values = np.fromfile(path, dtype="<c16", count=n_values, offset=_HEADER.size)
-    _check_finite(values, "payload holds a non-finite value")
-    values = values.astype(complex, copy=False).reshape(extents + _KIND_TRAILING[kind])
-    return FieldGrid(extents, spacing, kind, values)
+        if len(raw) < _HEADER.size:
+            raise GridFormatError(
+                f"file too short for header ({len(raw)} < {_HEADER.size} bytes)", offset=len(raw)
+            )
+        magic, version, kind, n0, n1, n2, n3, h0, h1, h2, h3 = _HEADER.unpack(raw)
+        if magic != _MAGIC:
+            raise GridFormatError(f"bad magic {magic!r}, want {_MAGIC!r}", offset=0)
+        if version != _VERSION:
+            raise GridFormatError(f"unsupported version {version}", offset=4)
+        if kind not in _KIND_TRAILING:
+            raise GridFormatError(f"unknown payload kind {kind}", offset=8)
+        extents = (n0, n1, n2, n3)
+        for i, n in enumerate(extents):
+            if n == 0:
+                raise GridFormatError(f"axis {i} has extent 0", offset=9 + 8 * i)
+        spacing = (h0, h1, h2, h3)
+        for i, h in enumerate(spacing):
+            if not valid_spacing(h):
+                raise GridFormatError(f"axis {i} has spacing {h}", offset=41 + 8 * i)
+        # Sized in Python ints, which never wrap round, before anything is read.
+        n_values = math.prod(extents) * kind
+        expected = n_values * 16
+        got = file_size - _HEADER.size
+        if got != expected:
+            raise GridFormatError(
+                f"payload has {got} bytes, want {expected}", offset=_HEADER.size + min(got, expected)
+            )
+        values = np.fromfile(fh, dtype="<c16", count=n_values)
+        if values.size < n_values:
+            raise GridFormatError(f"payload ends after {values.size} of {n_values} values",
+                                  offset=_HEADER.size + 16 * values.size)
+        _check_finite(values, "payload holds a non-finite value")
+        values = values.astype(complex, copy=False).reshape(extents + _KIND_TRAILING[kind])
+        return FieldGrid(extents, spacing, kind, values)
 
 
 def stencil_derivative(values: np.ndarray, axis: int, h: float, out=None) -> np.ndarray:

@@ -53,9 +53,12 @@ later stages run.
 
 The solution checks (divergence and contraction relations, H
 elimination, reduced system) are one stream, :func:`_solution_residuals`,
-made a residual at a time, and the stream has one reader,
-:func:`_solution_entries`, which reduces each residual to its report
-entry before the next is made.  Both the pipeline and
+made a residual at a time.  Its release rule: a stage that makes several
+residuals at once hands each on by taking it out of the stage's result,
+so the stream holds no residual after handing it on, and a reader that
+drops each one before asking for the next holds one at a time.  The
+stream has one reader, :func:`_solution_entries`, which reduces each
+residual to its report entry before the next is made.  Both the pipeline and
 :func:`solution_report`, the checks of ``dkp residuals``, read the stream
 through it.
 """
@@ -495,22 +498,20 @@ def _solution_residuals(rep, phi_grid, cg, m, e, A_ref, dphi=None, d_bc=None, di
     """
     _domain_mask(cg)
     A_grid = constant_four_vector_grid(_reference_potential(A_ref), cg.extents, cg.spacing)
-    div = divergence_identities(rep, phi_grid, A_grid, m, e, dphi=dphi, cg=cg, d_bc=d_bc, div_j=div_j)
+    div = vars(divergence_identities(rep, phi_grid, A_grid, m, e, dphi=dphi, cg=cg, d_bc=d_bc, div_j=div_j))
     del phi_grid, dphi, d_bc, div_j  # the divergence relations are their last reader
-    yield from zip(("current_conservation", "companion_divergence",
-                    "current_potential_contraction", "companion_potential_contraction"),
-                   (div.dJ, div.dH, div.JA, div.HA))
-    del div
+    for name, field in (("current_conservation", "dJ"), ("companion_divergence", "dH"),
+                        ("current_potential_contraction", "JA"), ("companion_potential_contraction", "HA")):
+        yield name, div.pop(field)
     dZ = derivatives(cg.Z, cg.spacing)
     yield "h_elimination", h_elimination_residual(cg, m, dZ=dZ).values
     state = reduced_state(cg, m, e)
     del cg  # the currents are freed here unless the caller holds them too
-    rres = reduced_system_residuals(state, dZ=dZ)
+    rres = vars(reduced_system_residuals(state, dZ=dZ))
     del dZ, state
-    yield "reduced_conservation", rres.conservation
-    yield "reduced_modulus", rres.modulus
-    yield "reduced_field_eq_lhs_cross_check", rres.lhs_cross_check
-    yield _FIELD_EQ, rres.field_eq
+    for name, field in (("reduced_conservation", "conservation"), ("reduced_modulus", "modulus"),
+                        ("reduced_field_eq_lhs_cross_check", "lhs_cross_check"), (_FIELD_EQ, "field_eq")):
+        yield name, rres.pop(field)
 
 
 def _solution_entries(residuals, mask, tolerance, keep=()):

@@ -1,4 +1,5 @@
 import math
+import os
 import struct
 
 import numpy as np
@@ -19,6 +20,7 @@ from dkp5 import (
     stencil_derivative,
     store_grid,
 )
+from dkp5 import cli
 from dkp5.errors import GridFormatError, ShapeError, StencilError
 from dkp5.grids import derivatives, gradient
 
@@ -88,6 +90,30 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(raw[:-16])
     with pytest.raises(GridFormatError):
         load_grid(path)
+
+
+def test_payload_cut_short_while_read(tmp_path, monkeypatch, capsys):
+    """A file that a writer truncates after its size is read gives a
+    GridFormatError at the first missing value, and `dkp currents` on it
+    exits 2."""
+    path = tmp_path / "g.dkp5"
+    store_grid(_random_grid(np.random.default_rng(2), (2, 5, 1, 1), SCALAR), path)
+    raw = path.read_bytes()
+    size = len(raw)
+    fstat = os.fstat
+
+    def fstat_then_truncate(fd):
+        stat = fstat(fd)
+        os.truncate(path, size - 16 * 5)  # 5 of the 10 values are left
+        return stat
+
+    monkeypatch.setattr(os, "fstat", fstat_then_truncate)
+    with pytest.raises(GridFormatError) as exc:
+        load_grid(path)
+    assert exc.value.offset == size - 16 * 5
+    path.write_bytes(raw)
+    assert cli.main(["currents", "--grid", str(path)]) == 2
+    assert "payload ends after 5 of 10 values" in capsys.readouterr().err
 
 
 def test_extent_product_overflow(tmp_path):

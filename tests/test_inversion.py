@@ -1,5 +1,7 @@
 import collections
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -577,6 +579,22 @@ def _masked_field():
     grid, dphi = random_fourier_field((7, 5, 6, 1), (0.3, 0.25, 0.35, 1), seed=11)
     grid.values[3, 2, 4] = 0.0
     return grid, dphi
+
+
+def test_solution_stream_holds_no_residual_it_has_handed_on(float_rep):
+    """Each residual of the solution-check stream is freed once its reader
+    drops it: at every step of a 5^4 stream, no residual handed on so far
+    is alive, the divergence and reduced groups included."""
+    A = (0.3, -0.2, 0.1, 0.25)
+    _, grid = _solution(A=A, spatial=(0.3, 0.2, -0.1), extents=(5,) * 4, spacing=(0.15,) * 4)
+    cg = compute_currents_grid(float_rep, grid)
+    refs = {}
+    for name, values in _solution_residuals(float_rep, grid, cg, 1.0, 1.0, A):
+        refs[name] = weakref.ref(values)
+        del values
+        gc.collect()
+        assert [n for n, ref in refs.items() if ref() is not None] == [], name
+    assert len(refs) == 9
 
 
 @pytest.mark.parametrize("analytic", [False, True])

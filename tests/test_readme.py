@@ -24,7 +24,7 @@ def _commands():
 def test_readme_commands_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     commands = _commands()
-    assert {argv[0] for argv in commands} == {name for name, _, _ in _SUBCOMMANDS}
+    assert {argv[0] for argv in commands} == {row[0] for row in _SUBCOMMANDS}
     named = set()
     for argv in commands:
         assert main(argv) == 0, argv

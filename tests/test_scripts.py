@@ -21,13 +21,17 @@ def test_script_runs(script):
     assert "Traceback" not in proc.stderr
 
 
+STAGE_MEMORY = str(ROOT / "scripts" / "stage_memory.py")
+
+
 def test_stage_memory_prints_every_stage():
     """scripts/stage_memory.py prints start, peak and end per stage, and the
     pipeline peak, then each stage's median wall time and the whole
     pipeline's, for both derivative modes."""
+    stages = runpy.run_path(STAGE_MEMORY)["STAGES"]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "stage_memory.py"), "--extent", "5"],
+    proc = subprocess.run([sys.executable, STAGE_MEMORY, "--extent", "5"],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout
@@ -40,11 +44,25 @@ def test_stage_memory_prints_every_stage():
     tables = [block.split("\n\n")[0].splitlines()[1:]
               for block in out.split("(wall time, median of 5 untraced runs)")[1:]]
     assert len(tables) == 2
-    for table in tables:  # the same 13 stages: the derivative pass forms the gauge term's bilinears too
+    for table in tables:  # every stage: the derivative pass forms the gauge term's bilinears too
         times = dict(line.strip().rsplit(None, 1) for line in table)
-        assert len(times) == 13 + 1 and all(float(t) > 0 for t in times.values()), table
+        assert len(times) == len(stages) + 1 and all(float(t) > 0 for t in times.values()), table
         whole = float(times.pop("whole pipeline"))
         assert whole >= max(float(t) for t in times.values())
+
+
+def test_stage_memory_skips_a_stage_the_package_lacks(monkeypatch, capsys):
+    """A name in the script's STAGES that dkp5.inversion lacks is skipped,
+    and every other stage is still printed in each table of both modes."""
+    main = runpy.run_path(STAGE_MEMORY)["main"]
+    stages = main.__globals__["STAGES"]
+    monkeypatch.setitem(main.__globals__, "STAGES", (*stages, "stage_not_in_the_package"))
+    monkeypatch.setattr(sys, "argv", ["stage_memory.py", "--extent", "4"])
+    main()
+    out = capsys.readouterr().out
+    assert "stage_not_in_the_package" not in out
+    for stage in stages:
+        assert out.count(f" {stage} ") == 4, stage
 
 
 _COUNTED = '''"""Module docstring,
