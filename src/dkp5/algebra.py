@@ -32,11 +32,11 @@ identity families, each one array expression over its case axes scaled
 to clear its denominators; the basis rank; the word sweep, the currents
 (the lattice stack's too, its c_mu columns times 1/3) and the Fierz
 residuals.  The modes part only where the meaning does: a
-literal zero against a tolerance, the rank by fraction-free Bareiss
-elimination against the SVD, and the boxing at the public edges.  Where
-an exact stage's values have no fixed bound (the rank, the currents, the
-Fierz residuals), a bound computed in Python ints picks int64 or Python
-ints (``scalars.bounded``).
+literal zero against a tolerance, the rank by exact elimination on
+sparse Python-int rows against the SVD, and the boxing at the public
+edges.  Where an exact stage's values have no fixed bound (the currents,
+the Fierz residuals), a bound computed in Python ints picks int64 or
+Python ints (``scalars.bounded``).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ModeError, RepresentationDefectError
-from .scalars import (EXACT, FLOAT, INT64_HALF, bounded, check_mode, checked_matmul, column_top,
+from .scalars import (EXACT, FLOAT, INT64_HALF, check_mode, checked_matmul, column_top,
                       exact_int64, top)
 
 #: Diagonal of the flat metric eta_{mu nu} = diag(1, -1, -1, -1).
@@ -349,31 +349,29 @@ def basis_matrices(rep: KemmerRep):
     return list(rep.basis)
 
 
-def _bareiss_rank(rows):
-    """Rank of an integer matrix by fraction-free elimination (E. H. Bareiss,
-    Math. Comp. 22 (1968) 565-578), on int64 when the product of
-    max(1, |row|^2) over the rows is within half the int64 range, else on
-    Python ints.
-
-    After each pivot every remaining entry is a minor of the input, so the
-    division by the previous pivot is exact, and by Hadamard's inequality
-    each product of two minors stays within that product: nothing rounds,
-    and nothing wraps round.
-    """
-    a = np.array(rows, dtype=object)
-    a = bounded(math.prod(max(1, sum(x * x for x in r)) for r in a.tolist()), a)[0]
-    rank, prev = 0, 1
-    for col in range(a.shape[1]):
-        nonzero = np.flatnonzero(a[rank:, col])
-        if not nonzero.size:
-            continue
-        a[[rank, rank + nonzero[0]]] = a[[rank + nonzero[0], rank]]
-        pivot, below = a[rank, col], a[rank + 1 :, col:]
-        below[...] = (pivot * below - below[:, :1] * a[rank, col:]) // prev
-        prev, rank = pivot, rank + 1
-        if rank == len(a):
-            break
-    return rank
+def _sparse_rank(rows):
+    """Rank of an integer matrix by exact elimination on sparse Python-int
+    rows, in the fraction-free manner of E. H. Bareiss, Math. Comp. 22
+    (1968) 565-578: each row is a dict {column: entry} of its nonzero
+    entries.  While a row's leading column holds the pivot p of an echelon
+    row e, the row becomes p row - row[lead] e, which clears that column,
+    and is divided by the gcd of its entries; a row left with a new leading
+    column joins the echelon rows, and a row with no entries left is
+    dependent.  Python ints do not wrap round, so no bound is needed; a row
+    of the 25-element basis has one to five nonzero entries, so each step
+    touches few."""
+    echelon = {}
+    for r in np.asarray(rows).tolist():
+        row = {j: x for j, x in enumerate(r) if x}
+        while row and (lead := min(row)) in echelon:
+            pivot, f = echelon[lead], row[lead]
+            p = pivot[lead]
+            row = {j: p * row.get(j, 0) - f * pivot.get(j, 0) for j in row.keys() | pivot.keys()}
+            g = math.gcd(*row.values())
+            row = {j: x // g for j, x in row.items() if x}
+        if row:
+            echelon[min(row)] = row
+    return len(echelon)
 
 
 def enumerate_basis(rep: KemmerRep, tol=1e-9):
@@ -396,15 +394,14 @@ def basis_rank(rep: KemmerRep, tol=1e-9):
 
     Raises :class:`RepresentationDefectError` when the rank drops below 25
     or b^2 is not the metric contraction of the products.  Exact mode takes
-    the rank by Bareiss elimination (on int64 where its bound allows) and
-    asks for a zero contraction residual; float mode takes the rank by SVD
+    the rank by exact elimination on sparse Python-int rows and asks for a zero contraction residual; float mode takes the rank by SVD
     and holds the residual to ``tol``.
     """
     _validate_rep(rep)
     v = rep.integers
     exact = rep.mode == EXACT
     rows = v.basis.reshape(25, 25)
-    rank = _bareiss_rank(rows) if exact else int(np.linalg.matrix_rank(rows, tol=tol))
+    rank = _sparse_rank(rows) if exact else int(np.linalg.matrix_rank(rows, tol=tol))
     if rank < 25:
         raise RepresentationDefectError(
             f"canonical basis has rank {rank}, expected 25", rank=rank

@@ -41,7 +41,7 @@ import numpy as np
 from .algebra import _FIERZ18, METRIC_DIAG, KemmerRep
 from .errors import CurrentOverflowError, ModeError, ShapeError
 from .grids import WAVEFUNCTION, FieldGrid
-from .scalars import _GR_ZERO, EXACT, FLOAT, GaussianRational, bounded, magnitude, top
+from .scalars import _GR_ZERO, EXACT, FLOAT, GaussianRational, IntegerRows, bounded, magnitude, top
 
 #: Relative scale factor of the |Z| singularity threshold.
 Z_EPS = 1e-10
@@ -443,14 +443,19 @@ def _fierz_numerators(rep, phi, cs=None):
     wavefunctions with leading axes ``lead`` as num / den, one row per
     wavefunction, R_H's 25 entries then R_C's; exact numerators as Gaussian
     integers (2, n, 50) and den (n, 1), int64 or Python ints, float ones
-    complex (n, 50) over 18."""
-    phi = as_wavefunction(phi, rep.mode)
-    lead = phi.shape[:-1]
+    complex (n, 50) over 18.  Exact wavefunctions may come as
+    :class:`~dkp5.scalars.IntegerRows` (lead (n,), no ``cs``), which are
+    the integer rows themselves."""
     v = rep.integers
     table, weighted, eta = v.table, v.weighted, v.eta
-    currents = () if cs is None else (  # tilde_J stands in for the zeroed companion term
-        cs.S, cs.Sflat, cs.J, cs.H, cs.K, cs.tilde_S, cs.tilde_Sflat, cs.tilde_J, cs.tilde_J, cs.tilde_K)
-    row, d = _rows(rep.mode, lead, phi, *currents)
+    if isinstance(phi, IntegerRows):
+        lead, (row, d) = phi.den.shape[:1], phi
+    else:
+        phi = as_wavefunction(phi, rep.mode)
+        lead = phi.shape[:-1]
+        currents = () if cs is None else (  # tilde_J stands in for the zeroed companion term
+            cs.S, cs.Sflat, cs.J, cs.H, cs.K, cs.tilde_S, cs.tilde_Sflat, cs.tilde_J, cs.tilde_J, cs.tilde_K)
+        row, d = _rows(rep.mode, lead, phi, *currents)
     if rep.mode == EXACT:
         # |pairs| <= 2 t^2, |U| <= 2 t^2 |table| or 3 t; the residual's two terms
         # and the denominators 18 d^2 bound every value below.
@@ -477,7 +482,10 @@ def fierz_sweep(rep: KemmerRep, phis):
     wavefunctions ``phis``, all at once, on an exact ``rep``: the number
     whose residual (:func:`fierz_residual`) has an entry that is not
     literally zero, and the largest |entry| among them (0.0 when none).
-    Only the failing samples' numerators are divided out."""
+    ``phis`` may be Gaussian rationals or, as ``dkp verify-algebra`` draws
+    them (``scalars.random_exact_rows``), integer rows, which go into the
+    products unboxed.  Only the failing samples' numerators are divided
+    out."""
     _, num, den = _fierz_numerators(rep, phis)
     bad = np.flatnonzero(np.any(num != 0, axis=(0, 2)))  # (2, samples, 50) Gaussian integers
     return len(bad), max(map(magnitude, _ratio(num[:, bad], den[bad]).flat), default=0.0)

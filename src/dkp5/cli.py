@@ -46,7 +46,7 @@ from .grids import SCALAR, FieldGrid, load_grid, store_grid, valid_spacing
 from .inversion import invert_pipeline, solution_report
 from .planewave import PlaneWaveSpec, manufacture_plane_wave, plane_wave_gradient
 from .reports import all_pass, report_entry, write_report
-from .scalars import EXACT, FLOAT, random_exact_wavefunction
+from .scalars import EXACT, FLOAT, random_exact_rows
 from .words import BASIS_LABELS, reduce_word, word_reduction_sweep
 
 EXIT_PASS = 0
@@ -126,24 +126,25 @@ def _word(text):
 
 
 def build_parser(command=None):
-    """The ``dkp`` parser.  Every row of ``_SUBCOMMANDS`` is registered with
-    its help line, but only ``command``'s arguments, its ``-h`` and its
-    handler (``args.func``) are added (every sub-command's when None):
-    adding an argument costs far more than parsing
-    one.  The sub-command that parses argv is the one its first bare token
-    names, ``command`` in :func:`main`, so no other sub-parser ever parses
-    and none needs a help action; ``dkp --help`` and the invalid-choice
-    message list the sub-commands by name and help line alone."""
+    """The ``dkp`` parser.  With ``command``, the name of a sub-command, it
+    holds that sub-command alone, with its arguments, its -h and its
+    handler (``args.func``), as :func:`main` builds it when argv starts
+    with that name: adding an argument costs far more than parsing one.
+    Its sub-commands' metavar lists every name, so its usage line is the
+    full parser's.  Without ``command`` it is the full parser, every row of
+    ``_SUBCOMMANDS`` with its help line, arguments and handler, and no
+    metavar, which argparse would put in place of "command" in its
+    "required" and "invalid choice" errors."""
     parser = argparse.ArgumentParser(
         prog="dkp",
         description="5-component DKP algebra, currents, and potential inversion",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    names = "{" + ",".join(row[0] for row in _SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=command and names)
     for name, help_text, add_arguments, handler in _SUBCOMMANDS:
-        parses = command is None or command == name
-        p = sub.add_parser(name, help=help_text, add_help=parses)
-        if parses:
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
             add_arguments(p)
             p.set_defaults(func=handler)
     return parser
@@ -235,8 +236,7 @@ def cmd_verify_algebra(args) -> int:
     if args.fierz_samples > 0 and not failed:
         # The rearrangement sweep always runs in exact arithmetic, all samples at once.
         exact_rep = rep if args.mode == EXACT else build_representation(EXACT)
-        rng = random.Random(args.seed)
-        phis = [random_exact_wavefunction(rng) for _ in range(args.fierz_samples)]
+        phis = random_exact_rows(random.Random(args.seed), args.fierz_samples)
         failures, worst = fierz_sweep(exact_rep, phis)
         fierz = {"samples": args.fierz_samples, "failures": failures, "max_abs": worst}
         if failures:
@@ -684,10 +684,13 @@ _SUBCOMMANDS = (
 
 
 def main(argv=None) -> int:
+    """Run ``dkp`` on ``argv`` (default ``sys.argv[1:]``) and return its exit
+    code.  When argv[0] names a sub-command, that sub-command parses all
+    that follows, so the parser holds it alone (``build_parser(argv[0])``);
+    any other argv (help, --version, no or an unknown command, a top-level
+    option first) goes to the full parser."""
     argv = sys.argv[1:] if argv is None else argv
-    # The top-level parser takes no option values, so its first bare token
-    # names the sub-command, if there is one.
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    command = argv[0] if argv and argv[0] in (row[0] for row in _SUBCOMMANDS) else None
     args = build_parser(command).parse_args(argv)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):

@@ -346,7 +346,10 @@ def divergence_identities(rep: KemmerRep, phi_grid: FieldGrid, A_grid: FieldGrid
     _check_params(m, e, divides_by_e=False)
     cg = _currents(rep, phi_grid, cg)
     a_up = _raised(A_grid.values)
-    contract = lambda v: e * np.einsum("...m,...m->...", v, a_up)
+    # e v.A summed in mu order from 0, as the complex einsum of a complex A
+    # summed it, so the bits stay; a float einsum sums in another order and
+    # returns inf where it overflows, where * and + raise.
+    contract = lambda v: e * sum(v[..., mu] * a_up[..., mu] for mu in range(4))
     if d_bc is None:
         d_bc = _shared_derivative_bilinears(rep, phi_grid, dphi, zeta=False, bc=True)[1]
     return DivergenceResiduals(

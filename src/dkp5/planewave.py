@@ -128,7 +128,8 @@ def manufacture_plane_wave(spec: PlaneWaveSpec, extents, spacing) -> FieldGrid:
 
 class _PlaneWaveGradient(Sequence):
     """The four grids d_mu Phi = -i p_mu Phi, each made when it is indexed or
-    reached by iteration, and not kept."""
+    reached by iteration, and not kept; :meth:`columns` makes just some
+    components of one."""
 
     def __init__(self, p, grid):
         self._p, self._grid = p, grid
@@ -139,6 +140,12 @@ class _PlaneWaveGradient(Sequence):
     def __getitem__(self, mu):
         g = self._grid
         return FieldGrid(g.extents, g.spacing, WAVEFUNCTION, -1j * self._p[mu] * g.values)
+
+    def columns(self, mu, read):
+        """The components ``read`` (a list or a slice) of -i p_mu Phi, formed
+        in a copy of just those components of Phi."""
+        d = self._grid.values.take(np.arange(5)[read], axis=-1)
+        return np.multiply(d, -1j * self._p[mu], out=d)
 
     def __iter__(self):
         # Sequence.__iter__ would hold each grid until the next one is made.
@@ -154,8 +161,10 @@ def plane_wave_gradient(spec: PlaneWaveSpec, grid: FieldGrid):
 
 def constant_four_vector_grid(v, extents, spacing) -> FieldGrid:
     """A constant four-vector grid; its values are a read-only broadcast view
-    of v as complex, with no per-point copy."""
-    values = np.broadcast_to(np.asarray(v, dtype=complex), tuple(extents) + (4,))
+    of v, float64 when v is real and complex128 when it is complex, with no
+    per-point copy."""
+    v = np.asarray(v)
+    values = np.broadcast_to(v.astype(np.result_type(v, 1.0)), tuple(extents) + (4,))
     return FieldGrid(tuple(extents), tuple(spacing), FOUR_VECTOR, values)
 
 
@@ -168,11 +177,14 @@ class DkpResidual:
 
 
 def _gradient_columns(phi_grid, dphi):
-    """The function (mu, read) -> d_mu Phi: the closed-form grid dphi[mu],
-    all five components, or without ``dphi`` the stencils of just the
-    components ``read`` of Phi, in one stencil call."""
+    """The function (mu, read) -> d_mu Phi: just the components ``read`` of
+    Phi's stencils, in one stencil call, without ``dphi``, or of a plane
+    wave's closed form (:func:`plane_wave_gradient`); all five components
+    of any other closed-form grid dphi[mu]."""
     if dphi is None:
         return lambda mu, read: derivatives(phi_grid.values[..., read], phi_grid.spacing, (mu,))[0]
+    if isinstance(dphi, _PlaneWaveGradient) and dphi._grid.extents == phi_grid.extents:
+        return dphi.columns
     if len(dphi) != 4:
         raise ShapeError("dphi must supply all four derivative grids")
 

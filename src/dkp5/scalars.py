@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -304,6 +305,25 @@ def random_gaussian_rational(rng, bound=9) -> GaussianRational:
     return GaussianRational(random_rational(rng, bound), random_rational(rng, bound))
 
 
+#: Exact wavefunctions as Gaussian-integer numerators, num (2, n, 5) Python
+#: ints (real, then imaginary parts), over one Python-int denominator per
+#: row, den (n, 1): the layout of ``bilinears._integer_parts``.
+IntegerRows = namedtuple("IntegerRows", "num den")
+
+
+def random_exact_rows(rng, n, bound=9) -> IntegerRows:
+    """n random exact wavefunctions as :data:`IntegerRows`, drawn by the
+    ``rng.randint`` calls of :func:`random_rational`, in its order, for the
+    real then the imaginary part of each component: each part p/q in lowest
+    terms is p d/q over d, the lcm of the row's lowest-terms denominators."""
+    parts = [[(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(10)] for _ in range(n)]
+    dens = [math.lcm(*(q // math.gcd(p, q) for p, q in row)) for row in parts]
+    num = np.array([[p * d // q for p, q in row] for row, d in zip(parts, dens)], dtype=object)
+    return IntegerRows(num.reshape(n, 5, 2).transpose(2, 0, 1), np.array(dens, dtype=object).reshape(n, 1))
+
+
 def random_exact_wavefunction(rng, bound=9):
-    """Five random Gaussian rationals, the exact-mode test workhorse."""
-    return [random_gaussian_rational(rng, bound) for _ in range(5)]
+    """Five random Gaussian rationals, the exact-mode test workhorse: one
+    row of :func:`random_exact_rows`, boxed."""
+    (re, im), [[d]] = random_exact_rows(rng, 1, bound)
+    return [GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in zip(re[0], im[0])]

@@ -214,7 +214,8 @@ def invert_pipeline(rep, phi_grid, m, e, dphi=None, A_ref=None, tolerance=1e-10)
     f_bil = field_strength_bilinear(cg, m, e, dJ=dJ)
     solution = []
     if a_ref is not None:
-        a_grid = constant_four_vector_grid(a_ref, cg.extents, cg.spacing)
+        # complex, as the grid of a real potential was when this copy was made
+        a_grid = constant_four_vector_grid(a_ref.astype(complex), cg.extents, cg.spacing)
         div = divergence_identities(rep, phi_grid, a_grid.values, m, e, cg, dphi, d_bc, _trace(dJ))
         dZ = derivatives(cg.Z, cg.spacing)
         hres = h_elimination_residual(cg, m, dZ=dZ)

@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dkp5 import (
     IdentityCheck,
@@ -524,11 +526,11 @@ def test_lattice_table_keeps_the_bits_of_eta_times_each_current_matrix():
 
 
 def test_bareiss_rank_matches_elimination():
-    from dkp5.algebra import _bareiss_rank
+    from dkp5.algebra import _sparse_rank
 
     for label, rep in _corrupted_reps("exact"):
         want = _elimination_rank([list(m.reshape(-1)) for m in rep.basis])
-        assert _bareiss_rank(rep.integers.basis.reshape(25, 25)) == want, label
+        assert _sparse_rank(rep.integers.basis.reshape(25, 25)) == want, label
         if want < 25:
             with pytest.raises(RepresentationDefectError) as exc:
                 enumerate_basis(rep)
@@ -542,15 +544,43 @@ def test_bareiss_rank_matches_elimination():
         left[:rank, :rank] = right[:rank, :rank] = np.eye(rank, dtype=int)
         m = left[:, :rank] @ right[:rank]
         m = m[rng.permutation(25)][:, rng.permutation(25)]
-        assert _elimination_rank(m.tolist()) == _bareiss_rank(m) == rank
+        assert _elimination_rank(m.tolist()) == _sparse_rank(m) == rank
 
 
 def test_bareiss_rank_does_not_wrap_round():
     """2**32 * 2**32 wraps round to 0 in int64, which would report rank 1."""
-    from dkp5.algebra import _bareiss_rank
+    from dkp5.algebra import _sparse_rank
 
-    assert _bareiss_rank([[2**32, 0], [0, 2**32]]) == 2
-    assert _bareiss_rank(np.array([[2**32, 2**31], [2**31, 2**30]])) == 1
+    assert _sparse_rank([[2**32, 0], [0, 2**32]]) == 2
+    assert _sparse_rank(np.array([[2**32, 2**31], [2**31, 2**30]])) == 1
+
+
+@st.composite
+def _integer_matrices(draw):
+    """(rows, k): an n x c integer matrix of rank k, n and c up to 25 and k
+    any of 0..min(n, c), as a product L R of an n x k and a k x c factor
+    that each hold a k x k identity block, rows and columns then permuted;
+    R's other entries reach past 2**63 in both signs, and some of L's other
+    rows, so some rows of the product, are zero."""
+    n, c = draw(st.sampled_from(range(1, 26))), draw(st.sampled_from(range(1, 26)))
+    k = min(n, c) - draw(st.integers(0, min(n, c)))  # draws lean to full rank
+    entry = st.integers(-2, 2) | st.integers(-(2**66), 2**66)
+    unit = [[int(i == j) for j in range(k)] for i in range(k)]
+    right = [u + draw(st.lists(entry, min_size=c - k, max_size=c - k)) for u in unit]
+    row = st.lists(st.integers(-2, 2), min_size=k, max_size=k) | st.just([0] * k)
+    left = unit + draw(st.lists(row, min_size=n - k, max_size=n - k))
+    product = [[sum(a * r[j] for a, r in zip(coefs, right)) for j in range(c)] for coefs in left]
+    cols = draw(st.permutations(range(c)))
+    return [[p[j] for j in cols] for p in draw(st.permutations(product))], k
+
+
+@settings(max_examples=60, deadline=None)
+@given(_integer_matrices())
+def test_sparse_rank_matches_elimination_on_random_integer_matrices(matrix):
+    from dkp5.algebra import _sparse_rank
+
+    rows, rank = matrix
+    assert _sparse_rank(rows) == _elimination_rank(rows) == rank
 
 
 def _noisy_float_reps():

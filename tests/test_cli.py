@@ -707,6 +707,17 @@ def test_arithmetic_beyond_double_precision_exits_two(tmp_path, capsys, command,
     assert "cannot be handled in double precision" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["invert", "residuals"])
+def test_overflowing_contraction_with_a_float_potential_exits_two(tmp_path, capsys, command):
+    """The constant reference potential is a float grid, whose contraction
+    with J must raise where it overflows, as the complex one did."""
+    grid_path = _manufacture(tmp_path, extents="6,5,1,1")
+    capsys.readouterr()
+    assert run(command, "--grid", str(grid_path), "--fd", "--A", "1e308,0,0,0") == 2
+    err = capsys.readouterr().err
+    assert "cannot be handled in double precision" in err and "Traceback" not in err
+
+
 def test_manufacture_three_extents_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run("manufacture", "--p", "1,0,0,0", "--A", "0,0,0,0", "--m", "1", "--e", "1",

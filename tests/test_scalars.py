@@ -10,6 +10,8 @@ from dkp5.scalars import (
     as_fraction,
     is_exact_zero,
     magnitude,
+    random_exact_rows,
+    random_exact_wavefunction,
     random_gaussian_rational,
     to_complex,
 )
@@ -98,3 +100,23 @@ def test_random_generator_seeded():
     g1 = [random_gaussian_rational(random.Random(5)) for _ in range(3)]
     g2 = [random_gaussian_rational(random.Random(5)) for _ in range(3)]
     assert g1 == g2
+
+
+def test_integer_draw_boxes_to_the_wavefunctions_of_the_same_seed():
+    """random_exact_rows makes the draws of random_exact_wavefunction, in its
+    order: boxed, the rows are the wavefunctions from the same seed, and
+    they are bilinears._integer_parts of them."""
+    import random
+
+    from dkp5.bilinears import _integer_parts, _ratio
+
+    for seed in range(51):
+        for n in (1, 2, 7, 20):
+            num, den = random_exact_rows(random.Random(seed), n)
+            rng = random.Random(seed)
+            phis = [random_exact_wavefunction(rng) for _ in range(n)]
+            assert _ratio(num, den).tolist() == phis
+            want_num, want_den = _integer_parts(phis)
+            assert num.shape == want_num.shape and den.shape == want_den.shape
+            assert all(type(x) is int for x in [*num.flat, *den.flat])
+            assert (num == want_num).all() and (den == want_den).all()
