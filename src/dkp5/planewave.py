@@ -139,7 +139,7 @@ class _PlaneWaveGradient(Sequence):
 
     def __getitem__(self, mu):
         g = self._grid
-        return FieldGrid(g.extents, g.spacing, WAVEFUNCTION, -1j * self._p[mu] * g.values)
+        return FieldGrid(g.extents, g.spacing, WAVEFUNCTION, self.columns(mu, slice(None)))
 
     def columns(self, mu, read):
         """The components ``read`` (a list or a slice) of -i p_mu Phi, formed
