@@ -125,28 +125,21 @@ def _word(text):
     return [int(x) for x in text.split(",")]
 
 
-def build_parser(command=None):
-    """The ``dkp`` parser.  With ``command``, the name of a sub-command, it
-    holds that sub-command alone, with its arguments, its -h and its
-    handler (``args.func``), as :func:`main` builds it when argv starts
-    with that name: adding an argument costs far more than parsing one.
-    Its sub-commands' metavar lists every name, so its usage line is the
-    full parser's.  Without ``command`` it is the full parser, every row of
-    ``_SUBCOMMANDS`` with its help line, arguments and handler, and no
-    metavar, which argparse would put in place of "command" in its
-    "required" and "invalid choice" errors."""
+def build_parser():
+    """The full ``dkp`` parser: every row of ``_SUBCOMMANDS`` as a
+    sub-command with its help line, arguments, -h and handler
+    (``args.func``).  :func:`main` builds it only for an argv that its
+    sub-command's parser alone cannot take (:func:`_parse_args`)."""
     parser = argparse.ArgumentParser(
         prog="dkp",
         description="5-component DKP algebra, currents, and potential inversion",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    names = "{" + ",".join(row[0] for row in _SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=command and names)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, add_arguments, handler in _SUBCOMMANDS:
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
-            p.set_defaults(func=handler)
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -379,8 +372,11 @@ def _write_points(extents, columns, mirrors, csv_path=None, json_path=None):
     Nearly all the time goes to ``repr`` of the floats, which holds the GIL,
     so the blocks are formatted by two processes, not threads, where this
     process's affinity mask lists two CPUs or more and there are two blocks
-    or more (only two processes were ever timed; a CPU quota is not seen,
-    as the mask still lists every CPU).  Where ``os`` has no
+    or more (a CPU quota is not seen, as the mask still lists every CPU).
+    Whether the fork pays depends on the host: on 2-vCPU hosts, perfbench
+    ``currents_csv`` ``op_p50_ref`` read 1.59-1.68 forked against
+    2.13-2.43 under ``taskset -c 0`` on one, and 2.64-3.05 forked against
+    2.12-2.52 on another, where the forked run is slower.  Where ``os`` has no
     ``sched_getaffinity`` or no ``fork``, or one process is all there is to
     use, the caller formats every block and forks nothing.  Otherwise it
     formats the even blocks and one forked worker (:func:`_row_worker`) the
@@ -683,15 +679,36 @@ _SUBCOMMANDS = (
 )
 
 
+def _parse_args(argv):
+    """``build_parser().parse_args(argv)``, building no more than it needs:
+    adding an argument costs far more than parsing one.  When argv[0] names
+    a sub-command, the full parser hands all that follows to that
+    sub-command's parser, which helps and fails on its own, under the same
+    prog; so that parser is built alone and parses argv[1:].  The full
+    parser parses argv itself when argv[0] names no sub-command (help,
+    --version, no or an unknown command, a top-level option first), when
+    arguments are left over, which it reports, and when an argument before
+    "--" starts with "--=": the full parser reads every argument before
+    the sub-command does, and rejects "--=x" as an abbreviation of both
+    its --help and its --version."""
+    name = argv[0] if argv else None
+    row = next((row for row in _SUBCOMMANDS if row[0] == name), None)
+    head = argv[: argv.index("--")] if "--" in argv else argv
+    if row and not any(arg.startswith("--=") for arg in head):
+        _, _, add_arguments, handler = row
+        parser = argparse.ArgumentParser(prog=f"dkp {name}")
+        add_arguments(parser)
+        parser.set_defaults(func=handler)
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
     """Run ``dkp`` on ``argv`` (default ``sys.argv[1:]``) and return its exit
-    code.  When argv[0] names a sub-command, that sub-command parses all
-    that follows, so the parser holds it alone (``build_parser(argv[0])``);
-    any other argv (help, --version, no or an unknown command, a top-level
-    option first) goes to the full parser."""
-    argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in (row[0] for row in _SUBCOMMANDS) else None
-    args = build_parser(command).parse_args(argv)
+    code; argv is parsed as the full parser parses it (:func:`_parse_args`)."""
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)

@@ -364,6 +364,16 @@ def test_float_identities_equal_exact_ones():
             assert a.rms == pytest.approx(b.rms, rel=2e-15, abs=0), label
 
 
+def test_zero_residuals_fail_a_negative_tolerance():
+    """All-zero residuals pass with no bookkeeping only where zero meets the
+    tolerance: below zero every float family fails at its first case, as
+    in the reference loops."""
+    rep = build_representation("float")
+    got = verify_algebra_identities(rep, tol=-1.0)
+    assert got == _reference_identities(rep, tol=-1.0)
+    assert all(c.exact_zero and not c.passed and c.first_failure for c in got)
+
+
 # ---------------------------------------------------------------------------
 # The builder, the cached scaled view and the Bareiss rank, each against the
 # Fraction (or per-generator complex) code it replaced, kept here as the oracle.

@@ -508,7 +508,8 @@ def test_lattice_currents_equal_the_grid_currents(float_rep, monkeypatch):
     for bit, zeros' signs included: across the seams of blocks of
     ``_SEAM_BLOCK`` points, at Z-singular points, and at components of
     either zero; the currents the lattice stack does not read are None.
-    The grid mask is the per-point decision at every point."""
+    The grid mask is the decision of compute_currents on all points at
+    once, and the single-point decision holds at each singular point."""
     import dkp5.bilinears
     from test_pipeline_equivalence import _SEAM_BLOCK, _multi_block_field
 
@@ -535,8 +536,9 @@ def test_lattice_currents_equal_the_grid_currents(float_rep, monkeypatch):
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert np.array_equal(bits(got), bits(want)), name
         assert np.flatnonzero(singular_mask(lean)).tolist() == points
-        per_point = [z_is_singular(compute_currents(float_rep, p)) for p in phi]
-        assert np.array_equal(np.reshape(per_point, grid.extents), full.mask)
+        batched = singular_mask(compute_currents(float_rep, phi))
+        assert np.array_equal(batched.reshape(grid.extents), full.mask)
+        assert all(z_is_singular(compute_currents(float_rep, phi[i])) for i in points)
         for name in ("S", "Sflat", "J", "H", "Z", "tilde_S", "tilde_Sflat", "tilde_Z", "mask"):
             want, got = getattr(full, name), getattr(lean, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
