@@ -4,7 +4,6 @@ from .algebra import (
     METRIC_DIAG,
     IdentityCheck,
     KemmerRep,
-    basis_matrices,
     build_representation,
     enumerate_basis,
     minkowski_dot,

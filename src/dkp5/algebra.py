@@ -345,14 +345,6 @@ def verify_algebra_identities(rep: KemmerRep, tol=1e-12):
     return [_identity_check(*family, exact, tol) for family in _identity_families(*mats)]
 
 
-def basis_matrices(rep: KemmerRep):
-    """The 25 canonical basis matrices in serialization order.
-
-    Order: I; b_0..b_3; companions c_0..c_3; b_mu b_nu row-major in (mu, nu).
-    """
-    return list(rep.basis)
-
-
 def _sparse_rank(rows):
     """Rank of an integer matrix by exact elimination on sparse Python-int
     rows, in the fraction-free manner of E. H. Bareiss, Math. Comp. 22
@@ -389,7 +381,7 @@ def enumerate_basis(rep: KemmerRep, tol=1e-9):
     boxed basis (``KemmerRep.basis``) unbuilt.
     """
     rank = basis_rank(rep, tol)
-    return basis_matrices(rep), rank
+    return list(rep.basis), rank
 
 
 def basis_rank(rep: KemmerRep, tol=1e-9):

@@ -41,7 +41,7 @@ import numpy as np
 from .algebra import _FIERZ18, METRIC_DIAG, KemmerRep
 from .errors import CurrentOverflowError, ModeError, ShapeError
 from .grids import WAVEFUNCTION, FieldGrid
-from .scalars import _GR_ZERO, EXACT, FLOAT, GaussianRational, IntegerRows, bounded, magnitude, top
+from .scalars import _GR_ZERO, EXACT, FLOAT, GaussianRational, IntegerRows, bounded, random_exact_rows, top
 
 #: Relative scale factor of the |Z| singularity threshold.
 Z_EPS = 1e-10
@@ -50,6 +50,9 @@ Z_EPS = 1e-10
 #: makes some 45 to 250 numpy calls a block, each on a few pair parts of 8
 #: bytes a point, so blocks are large: fewer calls, the parts in cache.
 _BLOCK = 4096
+
+#: Samples per block of :func:`fierz_sweep`, about 3 KB each while checked.
+_FIERZ_BLOCK = 1024
 
 #: The metric diagonal as an array, for raising indices.
 _G = np.array(METRIC_DIAG)
@@ -171,36 +174,19 @@ def _current_set(mode, fields):
     return CurrentSet(mode=mode, **f, Z=f["S"] - f["Sflat"], tilde_Z=f["tilde_S"] - f["tilde_Sflat"])
 
 
-def derivative_bilinears(rep: KemmerRep, phi, dphi, weights, tilde=False):
-    """Phi_bar N d_mu Phi - d_mu Phi_bar N Phi (``tilde``: Phi_tilde N d_mu Phi),
-    complex (..., 4, n), for N = sum_k weights[mu, k, j] M_k, weights (4, 26, n).
-
-    ``dphi`` yields d_mu Phi for mu = 0..3 in turn (an array, a list, or a
-    generator that takes each stencil when asked), so only one direction
-    is held at a time.  With the pairs Q_ab = left[a] d_mu Phi[b] and
-    K = eta N (the float current table of :func:`compute_currents` times
-    the weights), the Hermitian form is
-    sum_ab Q_ab K_ab - conj(Q_ab) K_ba = Re Q.(K - K^T) + i Im Q.(K + K^T),
-    and the tilde form is Q.K: a real (50, 2n) table on the pairs' real
-    and imaginary parts, of which :func:`_derivative_blocks` forms only
-    the parts that the table reads.  eta N need not be Hermitian.  dphi
-    and weights are not checked: the inversion passes them through its
-    own shape checks.  The grid stages reach the same kernel through one
-    pass, ``inversion._shared_derivative_bilinears``."""
-    phi = as_wavefunction(phi, rep.mode)
-    out = np.zeros((phi[..., 0].size, 4, weights.shape[-1]), dtype=complex)
-    dest = [list(out.view(float)[:, mu].T) for mu in range(4)]
-    dphi = iter(dphi)
-    _derivative_blocks(rep, phi, lambda mu, read: np.reshape(next(dphi), (-1, 5)), [(weights, tilde, dest)])
-    return out.reshape(phi.shape[:-1] + out.shape[1:])
-
-
 def _derivative_blocks(rep, phi, gradient, tables):
-    """For each direction mu in turn, add the bilinears of
-    :func:`derivative_bilinears` of each (weights, tilde, dest) in
-    ``tables`` to the 2n real per-point columns dest[mu] (real, imaginary
-    part of each of the n), which start at zero or hold the sum over the
-    directions before.  The tables of a sector are stacked into one
+    """For each direction mu in turn, add Phi_bar N d_mu Phi - d_mu Phi_bar N Phi
+    (``tilde``: Phi_tilde N d_mu Phi), N = sum_k weights[mu, k, j] M_k, of
+    each (weights (4, 26, n), tilde, dest) in ``tables`` to the 2n real
+    per-point columns dest[mu] (real, imaginary part of each of the n),
+    which start at zero or hold the sum over the directions before.
+
+    With the pairs Q_ab = left[a] d_mu Phi[b] and K = eta N (the float
+    current table of :func:`compute_currents` times the weights), the
+    Hermitian form is sum_ab Q_ab K_ab - conj(Q_ab) K_ba
+    = Re Q.(K - K^T) + i Im Q.(K + K^T), and the tilde form is Q.K: a
+    real (50, 2n) table on the pairs' real and imaginary parts.  eta N
+    need not be Hermitian.  The tables of a sector are stacked into one
     :func:`_add_pair_parts` call per sector and direction, so each pair
     part is formed once a block for all of them.
 
@@ -208,10 +194,10 @@ def _derivative_blocks(rep, phi, gradient, tables):
     rows with a nonzero coefficient: on the reference representation mu
     and 4, two of the five, and a column has one coefficient, or two in
     {+-1, +-2}, so it takes one rounding, as a product with all 50 rows of
-    the table would, in any order.  ``gradient(mu, read)`` gives d_mu Phi:
-    just the components of the list ``read``, in its order, or all five,
-    of which only those are read.  ``phi`` is a checked wavefunction
-    array."""
+    the table would, in any order.  ``gradient(mu, read)`` gives just the
+    components of d_mu Phi in the list ``read``, in its order.  ``phi`` is
+    a checked wavefunction array.  The one caller is
+    ``inversion._shared_derivative_bilinears``."""
     if rep.mode != FLOAT:
         raise ModeError("derivative bilinears require a float-mode representation")
     left, table = phi.reshape(-1, 5), _float_table(rep)
@@ -224,10 +210,9 @@ def _derivative_blocks(rep, phi, gradient, tables):
                                     hermitian=not tilde) for tilde, own in sectors.items()}
         read = sorted({int(r) // 2 % 5 for coef in coefs.values() for r in np.flatnonzero(coef.any(axis=1))})
         d = np.reshape(gradient(mu, read), (len(left), -1))
-        components = read if d.shape[1] == len(read) else range(5)
         for tilde, coef in coefs.items():
             dest = [column for _, columns in sectors[tilde] for column in columns[mu]]
-            _add_pair_parts(left, d, not tilde, coef, dest, components)
+            _add_pair_parts(left, d, not tilde, coef, dest, read)
         del d  # a direction is freed before the next is taken
 
 
@@ -477,18 +462,23 @@ def _fierz_numerators(rep, phi, cs=None):
     return lead, np.concatenate(out, axis=-1), 18 * d * d
 
 
-def fierz_sweep(rep: KemmerRep, phis):
-    """(failures, max_abs) of the rank-one rearrangement over the
-    wavefunctions ``phis``, all at once, on an exact ``rep``: the number
-    whose residual (:func:`fierz_residual`) has an entry that is not
-    literally zero, and the largest |entry| among them (0.0 when none).
-    ``phis`` may be Gaussian rationals or, as ``dkp verify-algebra`` draws
-    them (``scalars.random_exact_rows``), integer rows, which go into the
-    products unboxed.  Only the failing samples' numerators are divided
-    out."""
-    _, num, den = _fierz_numerators(rep, phis)
-    bad = np.flatnonzero(np.any(num != 0, axis=(0, 2)))  # (2, samples, 50) Gaussian integers
-    return len(bad), max(map(magnitude, _ratio(num[:, bad], den[bad]).flat), default=0.0)
+def fierz_sweep(rep: KemmerRep, rng, samples):
+    """(failures, max_abs) of the rank-one rearrangement over ``samples``
+    random exact wavefunctions on an exact ``rep``: the number whose
+    residual (:func:`fierz_residual`) has an entry that is not literally
+    zero, and the largest |entry| among them (0.0 when none).  The samples
+    are drawn from ``rng`` as integer rows (``scalars.random_exact_rows``),
+    which go into the products unboxed, and are drawn and checked
+    ``_FIERZ_BLOCK`` at a time, so memory does not grow with ``samples``;
+    the draws are those of one call for all of them.  Only the failing
+    samples' numerators are divided out."""
+    failures, worst = 0, 0.0
+    for start in range(0, samples, _FIERZ_BLOCK):
+        _, num, den = _fierz_numerators(rep, random_exact_rows(rng, min(_FIERZ_BLOCK, samples - start)))
+        bad = np.flatnonzero(np.any(num != 0, axis=(0, 2)))  # (2, samples, 50) Gaussian integers
+        failures += len(bad)
+        worst = max([worst, *map(abs, _ratio(num[:, bad], den[bad]).flat)])  # floats: GaussianRational.__abs__
+    return failures, worst
 
 
 @dataclass

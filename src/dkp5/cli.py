@@ -46,7 +46,7 @@ from .grids import SCALAR, FieldGrid, load_grid, store_grid, valid_spacing
 from .inversion import invert_pipeline, solution_report
 from .planewave import PlaneWaveSpec, manufacture_plane_wave, plane_wave_gradient
 from .reports import all_pass, report_entry, write_report
-from .scalars import EXACT, FLOAT, random_exact_rows
+from .scalars import EXACT, FLOAT
 from .words import BASIS_LABELS, reduce_word, word_reduction_sweep
 
 EXIT_PASS = 0
@@ -227,10 +227,9 @@ def cmd_verify_algebra(args) -> int:
 
     fierz = None
     if args.fierz_samples > 0 and not failed:
-        # The rearrangement sweep always runs in exact arithmetic, all samples at once.
+        # The rearrangement sweep always runs in exact arithmetic.
         exact_rep = rep if args.mode == EXACT else build_representation(EXACT)
-        phis = random_exact_rows(random.Random(args.seed), args.fierz_samples)
-        failures, worst = fierz_sweep(exact_rep, phis)
+        failures, worst = fierz_sweep(exact_rep, random.Random(args.seed), args.fierz_samples)
         fierz = {"samples": args.fierz_samples, "failures": failures, "max_abs": worst}
         if failures:
             failed.append("fierz_rearrangement_sweep")
@@ -245,11 +244,7 @@ def cmd_verify_algebra(args) -> int:
     if failed:
         payload["failed"] = failed
     else:
-        try:
-            payload["basis_rank"] = basis_rank(rep)
-        except DkpError as exc:
-            print(f"representation defect: {exc}", file=sys.stderr)
-            return EXIT_STRUCTURAL
+        payload["basis_rank"] = basis_rank(rep)
     if args.json_path:
         write_report(args.json_path, payload)
     if failed:
@@ -373,12 +368,11 @@ def _write_points(extents, columns, mirrors, csv_path=None, json_path=None):
     so the blocks are formatted by two processes, not threads, where this
     process's affinity mask lists two CPUs or more and there are two blocks
     or more (a CPU quota is not seen, as the mask still lists every CPU).
-    Whether the fork pays depends on the host: on 2-vCPU hosts, perfbench
-    ``currents_csv`` ``op_p50_ref`` read 1.59-1.68 forked against
-    2.13-2.43 under ``taskset -c 0`` on one, and 2.64-3.05 forked against
-    2.12-2.52 on another, where the forked run is slower.  Where ``os`` has no
-    ``sched_getaffinity`` or no ``fork``, or one process is all there is to
-    use, the caller formats every block and forks nothing.  Otherwise it
+    The fork pays when the second CPU is idle and loses when it is busy:
+    the caller then waits for the worker's blocks, on top of the fork.
+    Where ``os`` has no ``sched_getaffinity`` or no ``fork``, or one process
+    is all there is to use, the caller formats every block and forks
+    nothing.  Otherwise it
     formats the even blocks and one forked worker (:func:`_row_worker`) the
     odd ones; the caller writes the blocks in order, reading each of the
     worker's when its turn comes.  A full pipe stops the worker until then,

@@ -34,7 +34,7 @@ taken one direction mu at a time, times a real table built from the
 current table that ``verify-algebra`` checks (``rep.integers.table``, its
 c_mu columns times 1/3).  Only the pair parts with a nonzero coefficient
 are formed: 3 of the 25 pairs per direction on the reference
-representation (:func:`dkp5.bilinears.derivative_bilinears`), which read
+representation (:func:`dkp5.bilinears._derivative_blocks`), which read
 2 of the 5 components of d_mu Phi; only those are stencilled.
 
 Every derivative bilinear comes from one pass,

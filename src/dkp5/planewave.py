@@ -177,10 +177,10 @@ class DkpResidual:
 
 
 def _gradient_columns(phi_grid, dphi):
-    """The function (mu, read) -> d_mu Phi: just the components ``read`` of
-    Phi's stencils, in one stencil call, without ``dphi``, or of a plane
-    wave's closed form (:func:`plane_wave_gradient`); all five components
-    of any other closed-form grid dphi[mu]."""
+    """The function (mu, read) -> the components ``read`` (a list or a
+    slice) of d_mu Phi: of Phi's stencils, in one stencil call, without
+    ``dphi``, of a plane wave's closed form (:func:`plane_wave_gradient`),
+    or of any other closed-form grid dphi[mu]."""
     if dphi is None:
         return lambda mu, read: derivatives(phi_grid.values[..., read], phi_grid.spacing, (mu,))[0]
     if isinstance(dphi, _PlaneWaveGradient) and dphi._grid.extents == phi_grid.extents:
@@ -192,7 +192,7 @@ def _gradient_columns(phi_grid, dphi):
         g = dphi[mu]
         if g.extents != phi_grid.extents:
             raise ShapeError("derivative grid shape does not match the field")
-        return g.values
+        return g.values[..., read]
 
     return columns
 

@@ -239,19 +239,6 @@ def check_mode(mode):
     return mode
 
 
-def magnitude(x) -> float:
-    """Absolute value of a scalar of either mode, as a float."""
-    return float(abs(x))
-
-
-def is_exact_zero(x) -> bool:
-    return not x
-
-
-def to_complex(x) -> complex:
-    return complex(x)
-
-
 #: Half the int64 range: room to add or subtract two bounded values.
 INT64_HALF = np.iinfo(np.int64).max // 2
 

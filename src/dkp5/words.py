@@ -22,16 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import METRIC_DIAG, basis_matrices
+from .algebra import METRIC_DIAG
 from .errors import ModeError, WordIndexError
-from .scalars import (
-    EXACT,
-    FLOAT,
-    GaussianRational,
-    check_mode,
-    checked_matmul,
-    to_complex,
-)
+from .scalars import EXACT, GaussianRational, checked_matmul
 
 N_BASIS = 25
 IDX_I = 0
@@ -97,70 +90,54 @@ STRUCTURE648 = _structure648(RIGHT6)
 
 
 class BasisCombination:
-    """Linear combination over the canonical 25-element basis."""
+    """Linear combination over the canonical 25-element basis, with exact
+    (Gaussian-rational) coefficients."""
 
-    __slots__ = ("coeffs", "mode")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, mode=EXACT):
-        check_mode(mode)
+    def __init__(self, coeffs):
         coeffs = list(coeffs)
         if len(coeffs) != N_BASIS:
             raise ValueError(f"expected {N_BASIS} coefficients, got {len(coeffs)}")
-        if mode == EXACT:
-            coeffs = [
-                c if isinstance(c, GaussianRational) else GaussianRational(c)
-                for c in coeffs
-            ]
-        else:
-            coeffs = [complex(c) for c in coeffs]
-        self.coeffs = coeffs
-        self.mode = mode
+        self.coeffs = [
+            c if isinstance(c, GaussianRational) else GaussianRational(c)
+            for c in coeffs
+        ]
 
     @classmethod
-    def zero(cls, mode=EXACT):
-        return cls([0] * N_BASIS, mode)
+    def zero(cls):
+        return cls([0] * N_BASIS)
 
     @classmethod
-    def unit(cls, idx, mode=EXACT):
+    def unit(cls, idx):
         coeffs = [0] * N_BASIS
         coeffs[idx] = 1
-        return cls(coeffs, mode)
+        return cls(coeffs)
 
     def nonzero(self):
         return [(i, c) for i, c in enumerate(self.coeffs) if c]
 
-    def to_float(self):
-        return BasisCombination([to_complex(c) for c in self.coeffs], FLOAT)
-
     def __eq__(self, other):
         if not isinstance(other, BasisCombination):
             return NotImplemented
-        return self.mode == other.mode and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return self.coeffs == other.coeffs
 
     def __repr__(self):
         terms = [f"{c}*{BASIS_LABELS[i]}" for i, c in self.nonzero()]
         return f"BasisCombination({' + '.join(terms) or '0'})"
 
     def to_json_obj(self):
-        """Exact: 25 entries [num_re, den_re, num_im, den_im]; float: [re, im]."""
-        if self.mode == EXACT:
-            return [
-                [c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator]
-                for c in self.coeffs
-            ]
-        return [[c.real, c.imag] for c in self.coeffs]
+        """25 entries [num_re, den_re, num_im, den_im]."""
+        return [
+            [c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator]
+            for c in self.coeffs
+        ]
 
     @classmethod
-    def from_json_obj(cls, obj, mode=EXACT):
-        if mode == EXACT:
-            coeffs = [
-                GaussianRational(Fraction(a, b), Fraction(c, d)) for a, b, c, d in obj
-            ]
-        else:
-            coeffs = [complex(re, im) for re, im in obj]
-        return cls(coeffs, mode)
+    def from_json_obj(cls, obj):
+        return cls(
+            GaussianRational(Fraction(a, b), Fraction(c, d)) for a, b, c, d in obj
+        )
 
 
 def reduce_word(word) -> BasisCombination:
@@ -176,36 +153,28 @@ def reduce_word(word) -> BasisCombination:
     for nu in word:
         acc = acc @ RIGHT6[nu].astype(object)  # Python ints: exact at any length
     scale = 6 ** len(word)
-    return BasisCombination([Fraction(c, scale) for c in acc], EXACT)
+    return BasisCombination([Fraction(c, scale) for c in acc])
 
 
 def combination_product(c1: BasisCombination, c2: BasisCombination) -> BasisCombination:
     """Product of two basis combinations: c1 (sum_j c2_j STRUCTURE648[j]) / 648."""
-    if c1.mode != EXACT or c2.mode != EXACT:
-        raise ModeError("combination products are defined for exact mode")
     a, b = (np.array(c.coeffs, dtype=object) for c in (c1, c2))
     i, j = a.nonzero()[0], b.nonzero()[0]  # zero coefficients contribute nothing
     right = np.tensordot(b[j], STRUCTURE648[np.ix_(j, i)].astype(object), axes=1)
-    return BasisCombination(a[i] @ right * Fraction(1, 648), EXACT)
+    return BasisCombination(a[i] @ right * Fraction(1, 648))
 
 
 def eval_basis_combination(rep, combo: BasisCombination, basis=None):
-    """Sum of coefficients times basis matrices for the given representation."""
-    if combo.mode != rep.mode:
-        raise ModeError(
-            f"combination mode {combo.mode!r} does not match representation mode {rep.mode!r}"
-        )
+    """Sum of coefficients times basis matrices for an exact representation;
+    ModeError for a float one.  ``basis`` defaults to ``rep.basis``."""
+    if rep.mode != EXACT:
+        raise ModeError(f"basis combinations are exact; the representation is {rep.mode!r}")
     if basis is None:
-        basis = basis_matrices(rep)
-    if rep.mode == EXACT:
-        out = np.full((5, 5), Fraction(0), dtype=object)
-        for i, c in combo.nonzero():
-            # Real coefficients stay in plain Fraction arithmetic.
-            out = out + (c.re * basis[i] if not c.im else c * basis[i])
-    else:
-        out = np.zeros((5, 5), dtype=complex)
-        for i, c in combo.nonzero():
-            out = out + c * basis[i]
+        basis = rep.basis
+    out = np.full((5, 5), Fraction(0), dtype=object)
+    for i, c in combo.nonzero():
+        # Real coefficients stay in plain Fraction arithmetic.
+        out = out + (c.re * basis[i] if not c.im else c * basis[i])
     return out
 
 

@@ -41,7 +41,7 @@ from dkp5 import (
 )
 from dkp5.bilinears import CurrentSet
 from dkp5.cli import main as cli_main
-from dkp5.scalars import is_exact_zero, random_exact_wavefunction
+from dkp5.scalars import random_exact_wavefunction
 
 EXACT_REP = build_representation("exact")
 FLOAT_REP = build_representation("float")
@@ -54,7 +54,7 @@ def _report(num, label, ok, detail=""):
 
 
 def _all_zero(arr):
-    return all(is_exact_zero(x) for x in np.asarray(arr).reshape(-1))
+    return all(not x for x in np.asarray(arr).reshape(-1))
 
 
 def test_criterion_1_exact_algebra_suite():
@@ -93,11 +93,11 @@ def test_criterion_3_fierz_suite():
         r_h, r_c = fierz_residual(EXACT_REP, phi, cs=cs)
         ok = ok and _all_zero(r_h) and _all_zero(r_c)
         res = algebraic_constraint_residuals(cs)
-        ok = ok and is_exact_zero(res.scalar_fierz) and is_exact_zero(res.quadratic)
+        ok = ok and not res.scalar_fierz and not res.quadratic
         if not res.singular_z:
             ok = ok and _all_zero(res.k_elimination)
         zeta = zeta_identity_residuals(EXACT_REP, phi, cs=cs)
-        ok = ok and _all_zero(zeta.sandwich) and is_exact_zero(zeta.modulus)
+        ok = ok and _all_zero(zeta.sandwich) and not zeta.modulus
 
     rngf = np.random.default_rng(20240808)
     for _ in range(100):

@@ -16,11 +16,10 @@ from dkp5 import (
     verify_algebra_identities,
 )
 from dkp5.errors import RepresentationDefectError
-from dkp5.scalars import is_exact_zero, magnitude
 
 
 def _all_zero(mat):
-    return all(is_exact_zero(x) for x in np.asarray(mat).reshape(-1))
+    return all(not x for x in np.asarray(mat).reshape(-1))
 
 
 def test_reference_rep_derived_elements(exact_rep):
@@ -111,10 +110,7 @@ def test_exact_identities_integer_policy(exact_rep):
 
 
 def test_basis_is_built_once(exact_rep):
-    from dkp5 import basis_matrices
-
-    mats = basis_matrices(exact_rep)
-    assert len(mats) == 25 and all(a is b for a, b in zip(mats, exact_rep.basis))
+    assert exact_rep.basis is exact_rep.basis and len(exact_rep.basis) == 25
     assert all(a is b for a, b in zip(enumerate_basis(exact_rep)[0], exact_rep.basis))
 
 
@@ -191,14 +187,14 @@ def _reference_identities(rep, tol=1e-12):
         first = None
         for r in residuals:
             entries = list(np.asarray(r).reshape(-1))
-            mags = [magnitude(x) for x in entries]
+            mags = [float(abs(x)) for x in entries]
             if first is None and any((a != 0) if exact else not a <= tol for a in mags):
                 entry = np.unravel_index(int(np.argmax(mags)), np.shape(r))
                 first = (_CASES[name][cases], tuple(map(int, entry)))
             cases += 1
             for entry, a in zip(entries, mags):
                 entries_seen += 1
-                if not is_exact_zero(entry):
+                if entry:
                     all_zero = False
                     sum_sq += a * a
                     max_abs = max(max_abs, a)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,9 +24,10 @@ from dkp5 import (
     z_is_singular,
     zeta_identity_residuals,
 )
-from dkp5.bilinears import CURRENT_COLUMNS, MIRRORED_COLUMNS, Z_EPS, CurrentSet, lattice_currents
+from dkp5 import bilinears
+from dkp5.bilinears import CURRENT_COLUMNS, MIRRORED_COLUMNS, Z_EPS, CurrentSet, fierz_sweep, lattice_currents
 from dkp5.errors import CurrentOverflowError, ModeError, ShapeError
-from dkp5.scalars import (_GR_ZERO, INT64_HALF, GaussianRational, bounded, is_exact_zero,
+from dkp5.scalars import (_GR_ZERO, INT64_HALF, GaussianRational, bounded, random_exact_rows,
                           random_exact_wavefunction)
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -41,7 +43,7 @@ _REP = build_representation("exact")
 
 
 def _all_zero(mat):
-    return all(is_exact_zero(x) for x in np.asarray(mat).reshape(-1))
+    return all(not x for x in np.asarray(mat).reshape(-1))
 
 
 def test_unit_slot4_currents(exact_rep):
@@ -63,7 +65,7 @@ def test_zero_wavefunction(exact_rep):
     assert _all_zero(r_h) and _all_zero(r_c)
     res = algebraic_constraint_residuals(cs)
     assert res.singular_z and res.k_elimination is None
-    assert is_exact_zero(res.scalar_fierz) and is_exact_zero(res.quadratic)
+    assert not res.scalar_fierz and not res.quadratic
 
 
 def test_rational_plane_wave_amplitude(exact_rep):
@@ -119,8 +121,8 @@ def test_constraints_slot4(exact_rep):
     cs = compute_currents(exact_rep, [0, 0, 0, 0, 1])
     res = algebraic_constraint_residuals(cs)
     assert not res.singular_z
-    assert is_exact_zero(res.scalar_fierz)
-    assert is_exact_zero(res.quadratic)
+    assert not res.scalar_fierz
+    assert not res.quadratic
     assert _all_zero(res.k_elimination)
 
 
@@ -140,7 +142,7 @@ def test_nonrealizable_currents_quadratic_residual():
 def test_zeta_identities_slot4(exact_rep):
     zr = zeta_identity_residuals(exact_rep, [0, 0, 0, 0, 1])
     assert _all_zero(zr.sandwich)
-    assert is_exact_zero(zr.modulus)
+    assert not zr.modulus
 
 
 @given(exact_wavefunctions)
@@ -169,11 +171,11 @@ def test_rearrangement_suite_exact(phi):
     r_h, r_c = fierz_residual(rep, phi, cs=cs)
     assert _all_zero(r_h) and _all_zero(r_c)
     res = algebraic_constraint_residuals(cs)
-    assert is_exact_zero(res.scalar_fierz) and is_exact_zero(res.quadratic)
+    assert not res.scalar_fierz and not res.quadratic
     if not res.singular_z:
         assert _all_zero(res.k_elimination)
     zr = zeta_identity_residuals(rep, phi, cs=cs)
-    assert _all_zero(zr.sandwich) and is_exact_zero(zr.modulus)
+    assert _all_zero(zr.sandwich) and not zr.modulus
 
 
 @given(exact_wavefunctions)
@@ -425,6 +427,34 @@ def test_fierz_residual_on_broken_reps_matches_definition(exact_rep):
             assert list(r_h[i].reshape(-1)) == list(want_h.reshape(-1)), i
             assert list(r_c[i].reshape(-1)) == list(want_c.reshape(-1)), i
         assert all(not _all_zero((r_h, r_c)[k]) for k in broken)
+
+
+def test_fierz_sweep_blocks_agree_with_one_block(exact_rep, monkeypatch):
+    """On a broken representation (generator 2 doubled) the sweep drawn and
+    checked in blocks of 4 samples, 22 samples in six blocks, counts the
+    same failures and finds the same worst residual as in one block, from
+    the same draws: the generator is left where one draw of all 22 leaves it."""
+    doubled = representation_from_betas(
+        [2 * b if mu == 2 else b for mu, b in enumerate(exact_rep.beta)], "exact")
+    whole, rng = fierz_sweep(doubled, random.Random(3), 22), random.Random(3)
+    monkeypatch.setattr(bilinears, "_FIERZ_BLOCK", 4)
+    assert fierz_sweep(doubled, rng, 22) == whole and 0 < whole[0] <= 22 and whole[1] > 0
+    after = random.Random(3)
+    random_exact_rows(after, 22)
+    assert rng.getstate() == after.getstate()
+
+
+def test_fierz_sweep_memory_does_not_grow_with_samples(exact_rep, monkeypatch):
+    """The traced peak of the sweep is one block's, at 64 samples as at 512."""
+    monkeypatch.setattr(bilinears, "_FIERZ_BLOCK", 16)
+    fierz_sweep(exact_rep, random.Random(1), 16)  # anything built once is built here
+    peaks = []
+    for samples in (64, 512):
+        tracemalloc.start()
+        assert fierz_sweep(exact_rep, random.Random(1), samples) == (0, 0.0)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("currents, density", [

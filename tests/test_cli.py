@@ -764,7 +764,7 @@ def test_basis_rank_defect_exits_two(tmp_path, capsys, monkeypatch):
     out = tmp_path / "report.json"
     assert run("verify-algebra", "--max-word-len", "0", "--json", str(out)) == 2
     captured = capsys.readouterr()
-    assert captured.err == "representation defect: canonical basis has rank 24, expected 25\n"
+    assert captured.err == "error: canonical basis has rank 24, expected 25\n"
     assert captured.out == "" and not out.exists()
 
 

@@ -19,14 +19,13 @@ from dkp5 import (
     invert_pipeline,
     invert_potential_full,
     random_fourier_field,
-    reduce_word,
     representation_from_betas,
     verify_algebra_identities,
 )
 from dkp5.algebra import basis_rank
 from dkp5.errors import ModeError, RepresentationDefectError, ShapeError
 from dkp5.grids import FOUR_VECTOR, SCALAR, partial_derivative
-from dkp5.words import BasisCombination, combination_product
+from dkp5.words import BasisCombination
 
 EXTENTS, SPACING = (4, 3, 1, 1), (0.1,) * 4
 
@@ -131,7 +130,7 @@ def test_basis_combination_of_wrong_length(n):
 
 
 def test_combination_product_in_float_mode():
-    floats = BasisCombination([0.0] * 25, "float")
-    for left, right in ((reduce_word([0]), floats), (floats, reduce_word([0]))):
-        with pytest.raises(ModeError, match="combination products are defined for exact mode"):
-            combination_product(left, right)
+    """Combinations are exact, so there is no float one to multiply: float
+    coefficients are refused when the combination is made."""
+    with pytest.raises(TypeError, match="is not exact"):
+        BasisCombination([0.0] * 25)

@@ -31,10 +31,10 @@ from dkp5 import (
     representation_from_betas,
     singular_mask,
 )
-from dkp5.bilinears import derivative_bilinears, lattice_currents
+from dkp5.bilinears import lattice_currents
 from dkp5.errors import EmptyDomainError, ModeError, ParameterError, SingularZError
 from dkp5 import bilinears, inversion
-from dkp5.inversion import _ZETA_W, _shared_derivative_bilinears, _solution_residuals, solution_report
+from dkp5.inversion import _shared_derivative_bilinears, _solution_residuals, solution_report
 from dkp5.grids import derivatives, gradient
 from dkp5.reports import entry_from_values
 
@@ -460,11 +460,6 @@ def test_derivative_bilinears_match_einsum_oracle(float_rep):
     reference representation and on corrupted ones, and so do the potential,
     the contraction residuals and the closed-form gauge term built on them."""
     m, e = 1.1, 0.8
-    zeta_w = np.zeros((4, 26, 1))
-    zeta_w[:, :2, 0] = (1.0, -1.0)
-    upper_w = np.zeros((4, 26, 2))
-    for mu in range(4):
-        upper_w[mu, 2 + mu, 0] = upper_w[mu, 6 + mu, 1] = METRIC_DIAG[mu]
     # more points than one block of the table product
     grid, dphi = random_fourier_field((9, 8, 6, 5), (0.3, 0.25, 0.3, 0.35), seed=4)
     phi, dv = grid.values, [g.values for g in dphi]
@@ -472,11 +467,11 @@ def test_derivative_bilinears_match_einsum_oracle(float_rep):
     a_grid = constant_four_vector_grid(A, grid.extents, grid.spacing)
     for label, rep in _oracle_reps(float_rep):
         zeta, upper_b, upper_c, tilde = _derivative_oracle(rep, phi, dv)
-        upper = derivative_bilinears(rep, phi, dv, upper_w)
-        assert _close(derivative_bilinears(rep, phi, dv, zeta_w)[..., 0], zeta), label
-        assert _close(upper[..., 0], upper_b), label
-        assert _close(upper[..., 1], upper_c), label
-        assert _close(2.0 * derivative_bilinears(rep, phi, dv, zeta_w, tilde=True)[..., 0], tilde), label
+        d_zeta, d_bc, d_tilde = _shared_derivative_bilinears(rep, grid, dphi, bc=True, tilde=True)
+        assert _close(d_zeta, zeta), label
+        assert _close(d_bc[..., 0], upper_b.sum(-1)), label
+        assert _close(d_bc[..., 1], upper_c.sum(-1)), label
+        assert _close(2.0 * d_tilde, tilde), label
 
         cg = compute_currents_grid(rep, grid)
         mask = singular_mask(cg)
@@ -527,8 +522,9 @@ def test_derivative_tables_round_each_column_once(float_rep, monkeypatch):
 
 
 def test_derivative_bilinears_require_float(exact_rep):
+    grid, _ = random_fourier_field((3, 3, 3, 3), (0.3,) * 4, seed=1)
     with pytest.raises(ModeError):
-        derivative_bilinears(exact_rep, np.ones((2, 5), dtype=int), np.ones((4, 2, 5), dtype=int), _ZETA_W)
+        _shared_derivative_bilinears(exact_rep, grid, None)
 
 
 def test_pipeline_without_dphi_takes_stencil_gauge_term(float_rep):

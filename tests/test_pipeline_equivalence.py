@@ -22,8 +22,8 @@ from dkp5 import (
     random_fourier_field,
 )
 from dkp5 import bilinears, inversion
-from dkp5.bilinears import derivative_bilinears
 from dkp5.grids import derivatives
+from dkp5.inversion import _shared_derivative_bilinears
 from dkp5.planewave import _wavefunction_gradient
 from test_inversion import _close, _oracle_reps
 
@@ -87,12 +87,8 @@ def test_stages_called_alone_equal_the_frozen_stages(float_rep, case):
     """Each rewritten stage, called alone, gives its old output."""
     grid, dphi = _field(case)
     cg = compute_currents_grid(float_rep, grid)
-    dv = [g.values for g in dphi]
-    for weights in (frozen._ZETA_W, frozen._UPPER_W, frozen._SHARED_W):
-        for tilde in (False, True):
-            assert _same(derivative_bilinears(float_rep, grid.values, dv, weights, tilde),
-                         frozen.derivative_bilinears(float_rep, grid.values, dv, weights, tilde))
     for gradient in (None, dphi):
+        _same_derivative_bilinears(float_rep, grid, gradient, _same)
         assert _same(gauge_term(float_rep, grid, E, dphi=gradient, cg=cg).values,
                      frozen.gauge_term(float_rep, grid, E, dphi=gradient, cg=cg))
         assert _same(invert_potential_full(float_rep, grid, M, E, dphi=gradient, cg=cg).values,
@@ -110,6 +106,16 @@ def test_stages_called_alone_equal_the_frozen_stages(float_rep, case):
     assert _same(field_strength_from_potential(a_gf).values,
                  frozen.field_strength_from_potential(a_gf.values, a_gf.spacing))
     assert _same(h_elimination_residual(cg, M).values, frozen.h_elimination_residual(cg, M))
+
+
+def _same_derivative_bilinears(rep, grid, dphi, agree):
+    """The one derivative-bilinear pass, asked for all three outputs, against
+    the frozen table products of each: d_bc against their sum over mu."""
+    dv = list(_wavefunction_gradient(grid, dphi))
+    d_zeta, d_bc, d_tilde = _shared_derivative_bilinears(rep, grid, dphi, bc=True, tilde=True)
+    assert agree(d_zeta, frozen.derivative_bilinears(rep, grid.values, dv, frozen._ZETA_W)[..., 0])
+    assert agree(d_bc, frozen.derivative_bilinears(rep, grid.values, dv, frozen._UPPER_W).sum(-2))
+    assert agree(d_tilde, frozen.derivative_bilinears(rep, grid.values, dv, frozen._ZETA_W, True)[..., 0])
 
 
 #: Points per block of every blocked kernel in the seam test: the 2,160-point
@@ -136,9 +142,8 @@ def _multi_block_field():
 ])
 def test_derivative_bilinears_across_block_seams(float_rep, rep_name, analytic, monkeypatch):
     """Past one block of points of the pair-part kernel and of the
-    antisymmetrisation, each set to ``_SEAM_BLOCK``: the
-    derivative bilinears of every weight set and sector, and the whole
-    pipeline, bit for bit.
+    antisymmetrisation, each set to ``_SEAM_BLOCK``: the three outputs
+    of the derivative-bilinear pass, and the whole pipeline, bit for bit.
 
     b1+noise, the corrupted representation of the einsum oracle test, has
     tables that read every component of d_mu Phi, where the reference one
@@ -153,11 +158,7 @@ def test_derivative_bilinears_across_block_seams(float_rep, rep_name, analytic, 
         monkeypatch.setattr(module, name, _SEAM_BLOCK)
     grid, dphi = _multi_block_field()
     dphi = dphi if analytic else None
-    dv = list(_wavefunction_gradient(grid, dphi))
-    for weights in (frozen._ZETA_W, frozen._UPPER_W, frozen._SHARED_W):
-        for tilde in (False, True):
-            assert agree(derivative_bilinears(rep, grid.values, dv, weights, tilde),
-                         frozen.derivative_bilinears(rep, grid.values, dv, weights, tilde))
+    _same_derivative_bilinears(rep, grid, dphi, agree)
     for A_ref in (None, A):
         out, entries = invert_pipeline(rep, grid, M, E, dphi=dphi, A_ref=A_ref)
         want, want_entries = frozen.invert_pipeline(rep, grid, M, E, dphi=dphi, A_ref=A_ref)
