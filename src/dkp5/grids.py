@@ -20,7 +20,14 @@ Derivatives use second-order central differences in the interior and
 the one-sided stencil (-3 f0 + 4 f1 - f2) / 2h at the two boundary
 layers; both are exact on quadratics.  ``derivatives`` is the one array
 gradient (the FieldGrid ``partial_derivative`` and ``gradient`` wrap it),
-and every stencil runs through ``stencil_derivative``.
+and every stencil runs through ``stencil_derivative``.  A stencil is one
+flat shift over the C-contiguous array: one contiguous difference for the
+interior, the boundary numerators written over the rows where that
+difference wrapped round into the next row, then one division by 2h.
+The bits are those of the stencil written as one expression per region,
+and so are the overflows: a wrapped difference is never divided, and for
+finite input it overflows only where a boundary term of the same call
+does (see ``stencil_derivative``).
 """
 
 from __future__ import annotations
@@ -189,26 +196,47 @@ def stencil_derivative(values: np.ndarray, axis: int, h: float, out=None) -> np.
 
     Requires at least 3 samples along the axis; symmetry axes are handled
     by :func:`derivatives`, which returns zeros without touching the stencil.
+
+    One flat shift: with s the number of elements after ``axis``, the
+    interior is one contiguous difference f[k + s] - f[k - s] over the
+    whole array.  Its rows j = 0 and j = n - 1 then hold differences that
+    wrap round into the neighbouring row; the one-sided numerators
+    overwrite them before the whole output is divided by 2h once, so no
+    wrapped difference is divided and every value gets the operations,
+    in the order, of the expression form.  For finite input a wrapped
+    difference cannot overflow unless a boundary term of the same call
+    does: v[r, 1] - v[r - 1, n - 1] is at most M/4 + M/3 < M (M the
+    largest double) when 4 v[r, 1] and 3 v[r - 1, n - 1] are finite, and
+    v[r + 1, 0] - v[r, n - 2] likewise with 3 v[r + 1, 0] and 4 v[r, n - 2].
+    So under ``errstate(over="raise")`` the call raises exactly where the
+    expression form does.
     """
-    v = np.moveaxis(values, axis, 0)
-    if v.shape[0] < 3:
-        raise StencilError(
-            f"axis {axis} has extent {v.shape[0]}; need >= 3 for the stencil"
-        )
-    out = np.empty_like(v) if out is None else np.moveaxis(out, axis, 0)
-    inner = out[1:-1]
-    np.subtract(v[2:], v[:-2], out=inner)
-    np.divide(inner, 2.0 * h, out=inner)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
+    values = np.ascontiguousarray(values, dtype=np.result_type(values, 1.0))
+    shape = values.shape
+    axis = range(len(shape))[axis]
+    n = shape[axis]
+    if n < 3:
+        raise StencilError(f"axis {axis} has extent {n}; need >= 3 for the stencil")
+    s = math.prod(shape[axis + 1:])
+    flat = out is not None and out.flags.c_contiguous and out.dtype == values.dtype
+    res = out if flat else np.empty_like(values)
+    f, g = values.reshape(-1), res.reshape(-1)
+    np.subtract(f[2 * s:], f[:-2 * s], out=g[s:-s])  # s = 0 only when the array is empty
+    v, r = (a.reshape(math.prod(shape[:axis]), n, s) for a in (values, res))
+    r[:, 0] = -3.0 * v[:, 0] + 4.0 * v[:, 1] - v[:, 2]
+    r[:, -1] = 3.0 * v[:, -1] - 4.0 * v[:, -2] + v[:, -3]
+    np.divide(res, 2.0 * h, out=res)
+    if out is None or flat:
+        return res
+    out[...] = res
+    return out
 
 
 def derivatives(values, spacing, axes=range(4)):
     """d/dx^mu of a grid-shaped array (grid axes first) for each mu in ``axes``,
     stacked on a new leading axis so that each derivative is contiguous;
     exactly zero along symmetry axes."""
-    values = np.ascontiguousarray(values)  # strided views take the stencils slowly
+    values = np.ascontiguousarray(values)  # one copy of a strided view, not one per stencil
     axes = tuple(axes)
     out = np.empty((len(axes),) + values.shape, dtype=np.result_type(values, 1.0))
     for d, mu in zip(out, axes):

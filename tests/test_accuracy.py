@@ -18,6 +18,15 @@ errors of two columns and one rounding of a value at most ||c||_1 |Phi|^2
 each, within three times the column bound.  This is a normwise bound
 only: where Z cancels (|Z| << |Phi|^2) it says nothing of Z's relative
 error.
+
+Stencils get the same treatment: ``stencil_derivative`` of a float grid
+against the Fraction stencil of the same floats (2h is exact).  A real
+interior value is a difference and a division, within gamma_2 of the exact
+value; a real boundary value is a product -3 v0 (4 v1 is exact), two sums
+and a division, within gamma_4 (3|v0| + 4|v1| + |v2|) / 2h.  A complex
+value is divided as each part times the rounded 1/2h, one rounding more
+per part: gamma_3 inside, gamma_5 at the boundary, on the part's own
+magnitudes.
 """
 
 from fractions import Fraction
@@ -26,7 +35,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dkp5 import build_representation, compute_currents
+from dkp5 import build_representation, compute_currents, stencil_derivative
 from dkp5.bilinears import CURRENT_COLUMNS, _float_table, _pair_table
 from dkp5.scalars import GaussianRational
 
@@ -72,3 +81,44 @@ def test_float_currents_lie_within_the_bound_of_the_exact_ones(seed):
         for i, (f, e) in enumerate(zip(floats, exacts)):
             err = abs(Fraction(f) - (e.re if part == "real" else e.im))
             assert err <= BOUND[column] * size[i], (column, i, float(err / (U * size[i])))
+
+
+def _gamma(n):
+    return n * U / (1 - n * U)
+
+
+def _fractions(x):
+    return np.vectorize(Fraction, otypes=[object])(x)
+
+
+def _exact_stencil(part, axis, h):
+    """The stencil of a real float array in Fractions, stencil axis first,
+    and the magnitude its rounding bound scales with: |exact| inside,
+    3|v0| + 4|v1| + |v2| / 2h at the two boundary layers."""
+    v = np.moveaxis(_fractions(part), axis, 0)
+    two_h = 2 * Fraction(h)
+    exact = np.empty_like(v)
+    exact[1:-1] = (v[2:] - v[:-2]) / two_h
+    exact[0] = (-3 * v[0] + 4 * v[1] - v[2]) / two_h
+    exact[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / two_h
+    size = np.abs(exact)
+    size[0] = (3 * abs(v[0]) + 4 * abs(v[1]) + abs(v[2])) / two_h
+    size[-1] = (3 * abs(v[-1]) + 4 * abs(v[-2]) + abs(v[-3])) / two_h
+    return exact, size
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(1e-2, 10.0))
+@settings(max_examples=4, deadline=None)
+def test_stencils_lie_within_the_rounding_bound_of_exact_stencils(seed, h):
+    rng = np.random.default_rng(seed)
+    shape = (2, 4, 3, 5, 3)
+    parts = rng.standard_normal(shape) * 10.0 ** rng.integers(-100, 101, shape)
+    parts[rng.random(shape) < 0.1] = -0.0
+    for values, extra in ((parts[0], 0), (parts[0] + 1j * parts[1], 1)):  # complex: 1/2h rounded
+        for axis in range(4):
+            got = stencil_derivative(values, axis, h)
+            for floats, part in ((got.real, values.real), (got.imag, values.imag)):
+                exact, size = _exact_stencil(part, axis, h)
+                err = np.abs(np.moveaxis(_fractions(floats), axis, 0) - exact)
+                assert (err[1:-1] <= _gamma(2 + extra) * size[1:-1]).all(), (axis, extra)
+                assert (err[[0, -1]] <= _gamma(4 + extra) * size[[0, -1]]).all(), (axis, extra)

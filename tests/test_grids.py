@@ -272,6 +272,71 @@ def test_in_place_stencil_is_bit_identical():
                 assert np.array_equal(_bits(out), _bits(want))
 
 
+_M = np.finfo(float).max
+#: Magnitudes about the largest v with 4 v (M/4) or 3 v (M/3) finite, and a little below.
+_HUGE = tuple(x for c in (_M / 4, _M / 3)
+              for x in (np.nextafter(c, 0), c, np.nextafter(c, _M), c * (1 - 2**-10)))
+
+
+def _fp_outcome(stencil):
+    """The stencil's result under raising errstate, or None where it raised."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            return stencil()
+        except FloatingPointError:
+            return None
+
+
+@given(
+    extents=st.tuples(*[st.integers(3, 6)] * 4),
+    trailing=st.sampled_from(((), (4,), (2,), (4, 4))),
+    complex_=st.booleans(),
+    axis=st.integers(0, 5),
+    negative=st.booleans(),
+    h=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+    # (j as 0, 1, n-2 or n-1; magnitude; sign; whole slab or one point)
+    huge=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(_HUGE), st.sampled_from((1, -1)),
+                            st.booleans()), max_size=4),
+    out_kind=st.sampled_from(("none", "contiguous", "transposed")),
+    strided_in=st.booleans(),
+)
+@example(  # no raise, but the wrapped differences divided by 2h would overflow
+    extents=(3, 6, 3, 3), trailing=(), complex_=False, axis=1, negative=False, h=0.2, seed=0,
+    huge=[(0, _HUGE[7], 1, True), (1, _HUGE[3], 1, True), (2, _HUGE[3], -1, True), (3, _HUGE[7], -1, True)],
+    out_kind="none", strided_in=False,
+)
+@settings(max_examples=150, deadline=None)
+def test_stencil_keeps_the_bits_and_raises_of_the_expression_form(
+        extents, trailing, complex_, axis, negative, h, seed, huge, out_kind, strided_in):
+    shape = extents + trailing
+    axis = [a for a in range(len(shape)) if shape[a] >= 3][axis % sum(n >= 3 for n in shape)]
+    axis -= len(shape) * negative
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    if complex_:
+        values = values + 1j * rng.standard_normal(shape)
+    values[rng.random(shape) < 0.1] = -0.0
+    moved, n = np.moveaxis(values, axis, 0), shape[axis]
+    for j, size, sign, slab in huge:
+        layer = moved[(0, 1, n - 2, n - 1)[j]]
+        index = ... if slab else tuple(rng.integers(0, m) for m in layer.shape)
+        layer[index] = sign * size
+    if strided_in:
+        values = np.stack([values, values], axis=-1)[..., 0]
+    want = _fp_outcome(lambda: _expression_stencil(values, axis, h))
+    out = None if out_kind == "none" else np.full(shape[::-1], np.nan, dtype=values.dtype)
+    if out_kind == "contiguous":
+        out = out.reshape(shape)
+    elif out_kind == "transposed":  # no flat view: written through a contiguous copy
+        out = out.T
+    got = _fp_outcome(lambda: stencil_derivative(values, axis, h, out=out))
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(_bits(got), _bits(want))
+        assert out is None or got is out
+
+
 def test_derivatives_stack_on_a_leading_axis():
     rng = np.random.default_rng(6)
     spacing = (0.1, 0.2, 0.3, 0.4)
