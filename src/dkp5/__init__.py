@@ -7,7 +7,6 @@ from .algebra import (
     build_representation,
     enumerate_basis,
     minkowski_dot,
-    raise_index,
     representation_from_betas,
     verify_algebra_identities,
 )
@@ -48,11 +47,8 @@ from .grids import (
     TENSOR2,
     WAVEFUNCTION,
     FieldGrid,
-    gradient,
     load_grid,
     max_abs,
-    partial_derivative,
-    rms,
     stencil_derivative,
     store_grid,
 )
@@ -77,7 +73,6 @@ from .planewave import (
     PlaneWaveSpec,
     constant_four_vector_grid,
     dkp_residual,
-    eta_conjugate,
     manufacture_plane_wave,
     on_shell_momentum,
     plane_wave_gradient,

@@ -64,11 +64,6 @@ def minkowski_dot(u, v):
     return sum(METRIC_DIAG[m] * u[m] * v[m] for m in range(4))
 
 
-def raise_index(v):
-    """Raise the last axis of a lower-index four-vector (array) with eta."""
-    return np.asarray(v) * _SIG
-
-
 def _boxed(ints, den=1):
     """int64 matrices as an object array of Fractions over ``den``; each
     distinct value is boxed once."""
@@ -357,7 +352,7 @@ def _sparse_rank(rows):
     of the 25-element basis has one to five nonzero entries, so each step
     touches few."""
     echelon = {}
-    for r in np.asarray(rows).tolist():
+    for r in np.asarray(rows, dtype=object).tolist():  # int64 and uint64 together would be float64
         row = {j: x for j, x in enumerate(r) if x}
         while row and (lead := min(row)) in echelon:
             pivot, f = echelon[lead], row[lead]

@@ -18,12 +18,12 @@ File format (little-endian, self-describing, bit-exact round trip):
 
 Derivatives use second-order central differences in the interior and
 the one-sided stencil (-3 f0 + 4 f1 - f2) / 2h at the two boundary
-layers; both are exact on quadratics.  ``derivatives`` is the one array
-gradient (the FieldGrid ``partial_derivative`` and ``gradient`` wrap it),
-and every stencil runs through ``stencil_derivative``.  A stencil is one
-flat shift over the C-contiguous array: one contiguous difference for the
-interior, the boundary numerators written over the rows where that
-difference wrapped round into the next row, then one division by 2h.
+layers; both are exact on quadratics.  ``derivatives`` is the one
+gradient of a grid-shaped array, and every stencil runs through
+``stencil_derivative``.  A stencil is one flat shift over the
+C-contiguous array: one contiguous difference for the interior, the
+boundary numerators written over the rows where that difference wrapped
+round into the next row, then one division by 2h.
 The bits are those of the stencil written as one expression per region,
 and so are the overflows: a wrapped difference is never divided, and for
 finite input it overflows only where a boundary term of the same call
@@ -247,20 +247,6 @@ def derivatives(values, spacing, axes=range(4)):
     return out
 
 
-def partial_derivative(grid: FieldGrid, axis: int) -> FieldGrid:
-    """d/dx^axis of the field; exactly zero along symmetry axes."""
-    if not 0 <= axis <= 3:
-        raise ShapeError(f"axis {axis} outside 0..3")
-    d = derivatives(grid.values, grid.spacing, (axis,))[0]
-    return FieldGrid(grid.extents, grid.spacing, grid.kind, d)
-
-
-def gradient(grid: FieldGrid):
-    """All four partial derivatives, lower index."""
-    return [FieldGrid(grid.extents, grid.spacing, grid.kind, d)
-            for d in derivatives(grid.values, grid.spacing)]
-
-
 def norms(values, mask=None):
     """(max |value|, root-mean-square of |value|) over unmasked points (mask
     covers the four grid axes), row-major order, from one absolute value."""
@@ -290,8 +276,3 @@ def _norms_of_abs(a, mask=None):
 def max_abs(values, mask=None) -> float:
     """Max |value| over unmasked points (mask covers the four grid axes)."""
     return norms(values, mask)[0]
-
-
-def rms(values, mask=None) -> float:
-    """Root-mean-square of |value| over unmasked points, row-major order."""
-    return norms(values, mask)[1]

@@ -41,15 +41,15 @@ Every derivative bilinear comes from one pass,
 :func:`_shared_derivative_bilinears`, which takes each direction of the
 Phi gradient in turn and makes one kernel call per sector (Hermitian,
 tilde) and direction.  Called alone, each stage computes what it needs
-and asks the pass for its one output.  The pipeline takes each
-derivative once and hands it on: one pass for the full potential, the
-contraction relations and (with closed-form derivatives) the gauge term;
-one gradient of J for the bilinear field strength and d.J; and one
-gradient of Z for the H elimination and the reduced system.  The pass
-is the last reader of Phi and its gradient, which the pipeline drops
-right after it, so a caller that hands them over without keeping a
-reference (as ``dkp invert`` does) has the input grid freed before the
-later stages run.
+and asks the pass for its one output.  The pipeline hands a stage only
+the currents and its columns of one pass: d_zeta to the full potential,
+d_bc to the contraction relations and, with closed-form derivatives,
+d_tilde to the gauge term.  Each stage takes its own stencils of the
+currents (the gradient of J, d.J, the gradient of Z), so no stencil is
+held from one stage to the next.  The pass is the last reader of Phi
+and its gradient, which the pipeline drops right after it, so a caller
+that hands them over without keeping a reference (as ``dkp invert``
+does) has the input grid freed before the later stages run.
 
 The solution checks (divergence and contraction relations, H
 elimination, reduced system) are one stream, :func:`_solution_residuals`,
@@ -141,11 +141,6 @@ def _shared_derivative_bilinears(rep, phi_grid, dphi, zeta=True, bc=False, tilde
     return grid(d_zeta), grid(d_bc), grid(d_tilde)
 
 
-def _trace(dv):
-    """eta^{mu mu} d_mu v_mu from a stacked gradient dv[mu][..., nu]."""
-    return sum(METRIC_DIAG[mu] * dv[mu][..., mu] for mu in range(4))
-
-
 def _gradient(v, spacing):
     """The stacked gradient dv[mu][..., nu] = d_mu v_nu of a four-vector grid,
     as ``derivatives(v, spacing)`` gives it, but laid out as F: dv[mu] is
@@ -155,16 +150,6 @@ def _gradient(v, spacing):
     for mu in range(4):
         rows[..., mu, :] = derivatives(v, spacing, (mu,))[0]
     return np.moveaxis(rows, -2, 0)
-
-
-def _laid_out_as_f(dv):
-    """dv itself if it is a writeable stacked gradient laid out as F, as
-    :func:`_gradient` gives it, else a copy so laid out."""
-    dv = np.asarray(dv)
-    rows = np.moveaxis(dv, 0, -2)
-    if dv.flags.writeable and rows.flags.c_contiguous and not dv.flags.c_contiguous:
-        return dv
-    return np.moveaxis(rows.copy(), -2, 0)
 
 
 def _antisymmetrise(G):
@@ -292,21 +277,18 @@ def field_strength_from_potential(A: FieldGrid) -> FieldGrid:
     return FieldGrid(A.extents, A.spacing, TENSOR2, np.moveaxis(G, 0, -2))
 
 
-def field_strength_bilinear(cg: CurrentGrid, m, e, dJ=None) -> FieldGrid:
+def field_strength_bilinear(cg: CurrentGrid, m, e) -> FieldGrid:
     """F_mu_nu = (3m/2e)(D_mu J_nu - D_nu J_mu)/Z with D_mu = d_mu + 3mi H_mu/Z.
 
     H is imaginary, so 3mi H_mu J_nu = -3m Im(H_mu) J_nu and F is built in
     real arithmetic; each division by Z is a product with 1/Z, as numpy's
-    complex division by a real Z takes it.  ``dJ`` is the stacked gradient
-    dJ[mu][..., nu] = d_mu J_nu, taken here when not given.  G[mu][..., nu] =
-    D_mu J_nu is built in F's buffer and antisymmetrised there a block of
-    points at a time.  A writeable dJ laid out as F, as the pipeline takes it
-    (``_gradient``), is that buffer and is overwritten; any other dJ, such as
-    ``derivatives(cg.J, cg.spacing)``, is copied and left as it is.
+    complex division by a real Z takes it.  The gradient d_mu J_nu is taken
+    into F's buffer (:func:`_gradient`), G[mu][..., nu] = D_mu J_nu is built
+    there and antisymmetrised a block of points at a time.
     """
     _check_params(m, e)
     rz = (1.0 / _masked_z(cg))[..., None]
-    G = _gradient(cg.J, cg.spacing) if dJ is None else _laid_out_as_f(dJ)
+    G = _gradient(cg.J, cg.spacing)
     for mu in range(4):
         hj = ((-3.0 * m) * cg.H[..., mu].imag)[..., None] * cg.J
         hj *= rz
@@ -330,7 +312,7 @@ class DivergenceResiduals:
 
 
 def divergence_identities(rep: KemmerRep, phi_grid: FieldGrid, A_grid: FieldGrid, m, e, dphi=None, cg=None,
-                          d_bc=None, div_j=None) -> DivergenceResiduals:
+                          d_bc=None) -> DivergenceResiduals:
     """Diagnostic residuals; they vanish when Phi solves the equation.
 
     dJ: d_mu J^mu.  dH: d_mu H^mu - (i m/3)(4 Sflat - 10 S).
@@ -338,8 +320,7 @@ def divergence_identities(rep: KemmerRep, phi_grid: FieldGrid, A_grid: FieldGrid
     HA: e H^mu A_mu - (i/2)(Phi_bar c^mu d_mu Phi - d_mu Phi_bar c^mu Phi).
 
     ``d_bc`` (..., 2) holds the two derivative bilinears of JA and HA
-    summed over mu, and ``div_j`` is d_mu J^mu; each is computed here when
-    not given.
+    summed over mu, computed here when not given.
     """
     if (phi_grid if cg is None else cg).extents != A_grid.extents:
         raise ShapeError("field and potential grids must share extents")
@@ -353,19 +334,17 @@ def divergence_identities(rep: KemmerRep, phi_grid: FieldGrid, A_grid: FieldGrid
     if d_bc is None:
         d_bc = _shared_derivative_bilinears(rep, phi_grid, dphi, zeta=False, bc=True)[1]
     return DivergenceResiduals(
-        dJ=_divergence(cg.J, cg.spacing) if div_j is None else div_j,
+        dJ=_divergence(cg.J, cg.spacing),
         dH=_divergence(cg.H, cg.spacing) - (1j * m / 3.0) * (4.0 * cg.Sflat - 10.0 * cg.S),
         JA=contract(cg.J) - (-m * cg.S + 0.5j * d_bc[..., 0]),
         HA=contract(cg.H) - 0.5j * d_bc[..., 1],
     )
 
 
-def h_elimination_residual(cg: CurrentGrid, m, dZ=None) -> FieldGrid:
-    """H_mu - (i/3m) d_mu Z; vanishes on solutions.  ``dZ`` is the stacked
-    gradient of Z, taken here when not given."""
+def h_elimination_residual(cg: CurrentGrid, m) -> FieldGrid:
+    """H_mu - (i/3m) d_mu Z; vanishes on solutions."""
     _check_params(m=m)
-    if dZ is None:
-        dZ = derivatives(cg.Z, cg.spacing)
+    dZ = derivatives(cg.Z, cg.spacing)
     values = np.multiply(1j / (3.0 * m), np.moveaxis(dZ, 0, -1), out=np.empty_like(cg.H))
     np.subtract(cg.H, values, out=values)
     return FieldGrid(cg.extents, cg.spacing, FOUR_VECTOR, values)
@@ -411,9 +390,8 @@ class ReducedResiduals:
     lhs_cross_check: np.ndarray
 
 
-def reduced_system_residuals(state: ReducedState, dZ=None) -> ReducedResiduals:
-    """The reduced residuals; ``dZ`` is the stacked gradient of state.Z,
-    taken here when not given.  Each intermediate grid is written over the
+def reduced_system_residuals(state: ReducedState) -> ReducedResiduals:
+    """The reduced residuals.  Each intermediate grid is written over the
     one it is made from, or dropped after its last reader; only the
     cross-check holds a whole 4x4 gradient, and it frees a row at a time."""
     sp = state.spacing
@@ -447,8 +425,7 @@ def reduced_system_residuals(state: ReducedState, dZ=None) -> ReducedResiduals:
     field_eq -= (2.0 * state.e**2 / state.m) * state.Z[..., None] * state.Jcal
     del lhs
 
-    if dZ is None:
-        dZ = derivatives(state.Z, sp)
+    dZ = derivatives(state.Z, sp)
     conservation = state.Z * div + sum(
         METRIC_DIAG[mu] * state.Jcal[..., mu] * dZ[mu] for mu in range(4)
     )
@@ -485,7 +462,7 @@ def _reference_potential(A_ref):
 _FIELD_EQ = "reduced_field_eq"
 
 
-def _solution_residuals(rep, phi_grid, cg, m, e, A_ref, dphi=None, d_bc=None, div_j=None):
+def _solution_residuals(rep, phi_grid, cg, m, e, A_ref, dphi=None, d_bc=None):
     """(name, values) of each solution-check residual in report order, then
     (_FIELD_EQ, values): the reduced field equation, a diagnostic that
     :func:`solution_report` reports apart and the pipeline skips.
@@ -495,23 +472,21 @@ def _solution_residuals(rep, phi_grid, cg, m, e, A_ref, dphi=None, d_bc=None, di
     for the next holds one at a time.  ``phi_grid`` and ``dphi`` are not
     held after the divergence relations, nor ``cg`` after the reduced
     state is made; ``phi_grid`` may be None when ``d_bc`` is given.
-    ``d_bc`` and ``div_j`` are passed on to the divergence relations; the
-    gradient of Z is taken once for the H elimination and the reduced
-    system.
+    ``d_bc`` is passed on to the divergence relations; each stage takes its
+    own stencils of the currents.
     """
     _domain_mask(cg)
     A_grid = constant_four_vector_grid(_reference_potential(A_ref), cg.extents, cg.spacing)
-    div = vars(divergence_identities(rep, phi_grid, A_grid, m, e, dphi=dphi, cg=cg, d_bc=d_bc, div_j=div_j))
-    del phi_grid, dphi, d_bc, div_j  # the divergence relations are their last reader
+    div = vars(divergence_identities(rep, phi_grid, A_grid, m, e, dphi=dphi, cg=cg, d_bc=d_bc))
+    del phi_grid, dphi, d_bc  # the divergence relations are their last reader
     for name, field in (("current_conservation", "dJ"), ("companion_divergence", "dH"),
                         ("current_potential_contraction", "JA"), ("companion_potential_contraction", "HA")):
         yield name, div.pop(field)
-    dZ = derivatives(cg.Z, cg.spacing)
-    yield "h_elimination", h_elimination_residual(cg, m, dZ=dZ).values
+    yield "h_elimination", h_elimination_residual(cg, m).values
     state = reduced_state(cg, m, e)
     del cg  # the currents are freed here unless the caller holds them too
-    rres = vars(reduced_system_residuals(state, dZ=dZ))
-    del dZ, state
+    rres = vars(reduced_system_residuals(state))
+    del state
     for name, field in (("reduced_conservation", "conservation"), ("reduced_modulus", "modulus"),
                         ("reduced_field_eq_lhs_cross_check", "lhs_cross_check"), (_FIELD_EQ, "field_eq")):
         yield name, rres.pop(field)
@@ -542,7 +517,8 @@ def solution_report(rep: KemmerRep, phi_grid: FieldGrid, m, e, A_ref, dphi=None,
     The currents, ``phi_grid`` and ``dphi`` are held only by the stream, so
     a caller that hands the grid over without keeping a reference has it
     freed after the divergence relations, and the currents once the
-    reduced state is made.
+    reduced state is made.  The stream asks the derivative pass for d_bc
+    alone; each stage stencils the currents it reads itself.
     """
     cg = lattice_currents(rep, phi_grid)
     mask = cg.mask
@@ -638,19 +614,14 @@ def invert_pipeline(rep: KemmerRep, phi_grid: FieldGrid, m, e, dphi=None, A_ref=
     del d_tilde
     # The gauge term is the last reader of the tilde currents.
     cg = dataclasses.replace(cg, tilde_S=None, tilde_Sflat=None, tilde_Z=None)
-    # d.J is taken from the gradient of J before the bilinear F builds G in
-    # the gradient's buffer, laid out as F.
-    dJ = _gradient(cg.J, cg.spacing)
-    div_j = None if a_ref is None else _trace(dJ)
-    f_bil = field_strength_bilinear(cg, m, e, dJ=dJ)
-    del dJ
+    f_bil = field_strength_bilinear(cg, m, e)
 
     # The solution checks run before F_potential is built, so the two are
     # never held together, and each residual is reduced to its entry
     # before the next is made.  The currents are freed once the checks'
     # reduced state is made.
-    residuals = () if a_ref is None else _solution_residuals(rep, None, cg, m, e, a_ref, None, d_bc, div_j)
-    del cg, d_bc, div_j
+    residuals = () if a_ref is None else _solution_residuals(rep, None, cg, m, e, a_ref, None, d_bc)
+    del cg, d_bc
     solution, _ = _solution_entries(residuals, mask, tolerance)
     f_pot = field_strength_from_potential(a_gf)
     out = InversionOutput(

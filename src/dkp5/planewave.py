@@ -235,11 +235,6 @@ def dkp_residual(rep: KemmerRep, phi_grid: FieldGrid, A_grid: FieldGrid, m, e, d
     return DkpResidual(primary=make(primary), conjugate=make(conjugate))
 
 
-def eta_conjugate(rep: KemmerRep, values: np.ndarray) -> np.ndarray:
-    """The eta-transform r -> -(r)^dagger eta, as a per-point row vector."""
-    return -np.einsum("...a,ab->...b", values.conj(), rep.eta)
-
-
 def random_fourier_field(extents, spacing, n_modes=3, seed=0, scale=1.0):
     """Smooth random field as a short sum of complex plane-wave modes.
 

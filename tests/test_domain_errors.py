@@ -24,7 +24,7 @@ from dkp5 import (
 )
 from dkp5.algebra import basis_rank
 from dkp5.errors import ModeError, RepresentationDefectError, ShapeError
-from dkp5.grids import FOUR_VECTOR, SCALAR, partial_derivative
+from dkp5.grids import FOUR_VECTOR, SCALAR
 from dkp5.words import BasisCombination
 
 EXTENTS, SPACING = (4, 3, 1, 1), (0.1,) * 4
@@ -44,12 +44,6 @@ def test_grid_with_three_axes():
 def test_grid_of_unknown_kind():
     with pytest.raises(ShapeError, match="unknown payload kind 7"):
         FieldGrid((1, 1, 1, 1), SPACING, 7, np.zeros((1, 1, 1, 1)))
-
-
-@pytest.mark.parametrize("axis", [-1, 4])
-def test_partial_derivative_outside_the_four_axes(field, axis):
-    with pytest.raises(ShapeError, match=f"axis {axis} outside 0..3"):
-        partial_derivative(field[0], axis)
 
 
 def test_field_strength_of_a_scalar_grid():

@@ -35,7 +35,7 @@ from dkp5.bilinears import lattice_currents
 from dkp5.errors import EmptyDomainError, ModeError, ParameterError, SingularZError
 from dkp5 import bilinears, inversion
 from dkp5.inversion import _shared_derivative_bilinears, _solution_residuals, solution_report
-from dkp5.grids import derivatives, gradient
+from dkp5.grids import derivatives
 from dkp5.reports import entry_from_values
 
 
@@ -175,7 +175,7 @@ def test_gauge_term_is_a_pure_gradient(float_rep):
     def max_curl(n, h):
         grid, dphi = _modes_field(float_rep, n, h)
         g = gauge_term(float_rep, grid, 1.0, dphi=dphi)
-        dg = [x.values for x in gradient(g)]
+        dg = derivatives(g.values, g.spacing)
         worst = 0.0
         for mu in range(4):
             for nu in range(mu + 1, 4):
@@ -686,11 +686,12 @@ def test_f_antisymmetry_entries_build_f_plus_f_transpose_only_where_f_is_not_fin
 #: (one per sector), and a derivative pass one per sector and direction: 4
 #: with finite differences, where zeta and the b and c columns share the
 #: Hermitian call, and 8 in closed form, which adds the tilde column.  The
-#: 48 stencils of the FD pipeline are 4 for Phi, 4 for Zt, 4 for each F
-#: route, 4 for d.H, 4 for Z and 24 in the reduced system.
+#: 56 stencils of the FD pipeline are 4 for Phi, 4 for Zt, 4 for each F
+#: route, 4 for d.J, 4 for d.H, 4 for Z in the H elimination and 28 in the
+#: reduced system, which takes its own 4 of Z.
 _CALLS = {
-    "pipeline": ((6, 48), (10, 40)),
-    "residuals": ((6, 40), (6, 36)),
+    "pipeline": ((6, 56), (10, 48)),
+    "residuals": ((6, 44), (6, 40)),
     "invert_potential_full": ((6, 4), (6, 0)),
     "gauge_term": ((2, 4), (6, 0)),
     "divergence_identities": ((6, 12), (6, 8)),
@@ -777,7 +778,7 @@ def test_analytic_pipeline_peak_memory_per_point(float_rep):
     assert per_point <= 600, per_point
 
 
-def _frozen_reduced_system_residuals(state, dZ=None):
+def _frozen_reduced_system_residuals(state):
     """reduced_system_residuals as it was before each intermediate was dropped
     after its last reader: the whole cross-check F built as G - G^T, kept as
     the oracle."""
@@ -791,8 +792,7 @@ def _frozen_reduced_system_residuals(state, dZ=None):
     lhs = box_j - grad_div
     z = np.where(state.mask, 1.0, state.Z)
     field_eq = lhs - (2.0 * state.e**2 / state.m) * state.Z[..., None] * state.Jcal
-    if dZ is None:
-        dZ = derivatives(state.Z, sp)
+    dZ = derivatives(state.Z, sp)
     conservation = state.Z * div + sum(
         METRIC_DIAG[mu] * state.Jcal[..., mu] * dZ[mu] for mu in range(4)
     )
@@ -823,11 +823,10 @@ def test_reduced_residuals_equal_the_frozen_oracle(float_rep, seed):
     cg = compute_currents_grid(float_rep, grid)
     assert cg.mask.any() and not cg.mask.all()
     state = reduced_state(cg, 1.1, 0.8)
-    dZ = derivatives(state.Z, state.spacing)
-    for got in (reduced_system_residuals(state), reduced_system_residuals(state, dZ=dZ)):
-        got = (got.field_eq, got.conservation, got.modulus, got.lhs_cross_check)
-        for a, b in zip(got, _frozen_reduced_system_residuals(state)):
-            assert a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
+    got = reduced_system_residuals(state)
+    got = (got.field_eq, got.conservation, got.modulus, got.lhs_cross_check)
+    for a, b in zip(got, _frozen_reduced_system_residuals(state)):
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_contraction_with_a_constant_grid_equals_a_full_one(float_rep):
